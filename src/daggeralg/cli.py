@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -28,7 +27,7 @@ from .scalars import (
     rationals_archimedean,
     rationals_padic,
 )
-from .selftest import canonical_json, run_all
+from .selftest import REPORT_VERSION, run_all
 from .series import (
     DaggerPresentation,
     PolyRadius,
@@ -38,8 +37,6 @@ from .series import (
 )
 from .spectrum import global_sup_report, shilov_check, spectral_via_powers
 from .tensor import TensorElement, tensor_norm_certified
-
-REPORT_VERSION = 1
 
 
 def parse_ring(text: str) -> BanachRing:
@@ -72,10 +69,6 @@ def _emit(report, args) -> None:
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
     print(text)
-
-
-def _env_int(name: str, default: int) -> int:
-    return int(os.environ.get(name, default))
 
 
 def cmd_norm(args) -> int:
@@ -265,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--map", help="target presentation, defaults to the algebra")
-    p.add_argument("--degree", type=int,
-                   default=_env_int("DAGGERALG_DEGREE", 8))
+    p.add_argument("--degree", type=int, default=8)
     add_common(p)
     p.set_defaults(fn=cmd_koszul)
 
@@ -274,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elements", required=True,
                    help="JSON list of {exponent: coefficient} tables")
     p.add_argument("--ring", default="Qp:2")
-    p.add_argument("--degree", type=int,
-                   default=_env_int("DAGGERALG_DEGREE", 8))
+    p.add_argument("--degree", type=int, default=8)
     add_common(p)
     p.set_defaults(fn=cmd_mv_check)
 
@@ -283,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "estimates over the integers")
     p.add_argument("--series", required=True)
     p.add_argument("--rho", default="1")
-    p.add_argument("--prime-bound", type=int,
-                   default=_env_int("DAGGERALG_PRIME_BOUND", 50))
+    p.add_argument("--prime-bound", type=int, default=50)
     p.add_argument("--grid", type=int, default=2,
                    help="exponent grid size per place family")
     p.add_argument("--powers", type=int, default=8)
@@ -294,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shilov", help="Archimedean-fiber dominance check")
     p.add_argument("--series", required=True)
     p.add_argument("--rho", default="1")
-    p.add_argument("--prime-bound", type=int,
-                   default=_env_int("DAGGERALG_PRIME_BOUND", 50))
+    p.add_argument("--prime-bound", type=int, default=50)
     add_common(p)
     p.set_defaults(fn=cmd_shilov)
 
@@ -303,12 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
                        "sampling")
     p.add_argument("--module", required=True)
     p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=_env_int("DAGGERALG_SEED", 7))
+    p.add_argument("--seed", type=int, default=7)
     add_common(p)
     p.set_defaults(fn=cmd_pi_check)
 
     p = sub.add_parser("selftest", help="run the full verification suite")
-    p.add_argument("--seed", type=int, default=_env_int("DAGGERALG_SEED", 7))
+    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--threads", type=int, default=None)
     add_common(p)
     p.set_defaults(fn=cmd_selftest)

@@ -60,10 +60,6 @@ def rref(A: Matrix):
     return R, pivots
 
 
-def rank(A: Matrix) -> int:
-    return len(rref(A)[1]) if A else 0
-
-
 def kernel_basis(A: Matrix, cols: int) -> List[List[Fraction]]:
     """Basis of {x : A x = 0} over Q."""
     if not A:
@@ -97,12 +93,7 @@ def solve(A: Matrix, b: Sequence[Fraction]):
     return x
 
 
-def row_space_basis(A: Matrix) -> Matrix:
-    R, pivots = rref(A)
-    return [R[i] for i in range(len(pivots))]
-
-
-def same_row_space(A: Matrix, B: Matrix, cols: int) -> bool:
+def same_row_space(A: Matrix, B: Matrix) -> bool:
     def normalized(M):
         if not M:
             return []

@@ -26,6 +26,7 @@ from .series import (
     DaggerPresentation,
     PolyRadius,
     TruncatedSeries,
+    _indices_up_to,
     multiply,
     polyradius,
 )
@@ -324,24 +325,10 @@ def weierstrass_kernel_check(C: PolyQuotientRing, f, D: int) -> KernelVerdict:
 
 
 @dataclass(frozen=True)
-class KoszulComplex:
-    """[module --(multiplication by rel)--> module] in degrees -1, 0."""
-
-    presentation: DaggerPresentation
-    relation: TruncatedSeries
-
-
-@dataclass(frozen=True)
 class KoszulVerdict:
     concentrated: bool
     kernel_dim: int
     degree: int
-
-
-def _monomials(n: int, D: int):
-    from .series import _indices_up_to
-
-    return list(_indices_up_to(n, D))
 
 
 def _is_zero_algebra(B: DaggerPresentation) -> bool:
@@ -386,8 +373,8 @@ def _koszul_kernel_dim(B: DaggerPresentation, spec: LocalizationSpec,
         )
     else:
         raise DimensionMismatch("koszul check covers one-variable specs only")
-    src = _monomials(n, D)
-    tgt = _monomials(n, D + rel.support_degree())
+    src = list(_indices_up_to(n, D))
+    tgt = list(_indices_up_to(n, D + rel.support_degree()))
     tgt_index = {I: i for i, I in enumerate(tgt)}
     A = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
     for c, I in enumerate(src):
@@ -463,7 +450,7 @@ def idempotent_split(C: PolyQuotientRing, gens: Sequence,
     if not ideal_basis:
         return C.zero()
     sq_rows = [list(C.mul(x, y)) for x in ideal_basis for y in ideal_basis]
-    if not same_row_space([list(r) for r in ideal_basis], sq_rows, d):
+    if not same_row_space([list(r) for r in ideal_basis], sq_rows):
         return None
     # find e = sum c_k b_k in I with e * b = b for every ideal basis vector b
     k = len(ideal_basis)

@@ -129,7 +129,8 @@ def pi_tensor_check(U: WeightedFreeModule,
     through_sum = pi_free(tensor_modules(
         _reflavor_free(U, SUM), _reflavor_free(V, SUM), SUM
     ))
-    through_max = tensor_modules(pi_free(U), pi_free(V), MAX)
+    U_max, V_max = pi_free(U), pi_free(V)
+    through_max = tensor_modules(U_max, V_max, MAX)
     weights_ok = through_sum.weights == through_max.weights
 
     norms_ok = True
@@ -137,15 +138,10 @@ def pi_tensor_check(U: WeightedFreeModule,
         for j in range(V.rank):
             ei = tuple(Fraction(int(k == i)) for k in range(U.rank))
             ej = tuple(Fraction(int(k == j)) for k in range(V.rank))
-            x = TensorElement(through_max_factor(U), through_max_factor(V),
-                              ((ei, ej),))
+            x = TensorElement(U_max, V_max, ((ei, ej),))
             nv = tensor_norm_certified(x, MAX)
             expected = through_max.weights[i * V.rank + j]
             if not (nv.hi == expected and nv.lo <= expected):
                 norms_ok = False
     return TensorIntertwineRecord(through_sum.weights, through_max.weights,
                                   norms_ok, weights_ok and norms_ok)
-
-
-def through_max_factor(M: WeightedFreeModule) -> WeightedFreeModule:
-    return _reflavor_free(M, MAX)

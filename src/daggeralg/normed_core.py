@@ -22,11 +22,11 @@ from .errors import (
     ZeroSampleElement,
 )
 from .scalars import (
-    KIND_Z_ARCH,
     BanachRing,
     NormValue,
     abs_value,
     as_fraction,
+    integers_archimedean,
     norm_max,
     norm_sum,
 )
@@ -276,7 +276,7 @@ def _certified_windows(M, basis, v):
     integers grows with the coefficients; the trivial-valuation max norm
     is bounded, so no finite window is conclusive there (returns None).
     """
-    if M.ambient.ring.kind != KIND_Z_ARCH or M.ambient.flavor != SUM:
+    if M.ambient.ring != integers_archimedean() or M.ambient.flavor != SUM:
         return None
     n = M.ambient.rank
     A = [[Fraction(basis[j][i]) for j in range(len(basis))] for i in range(n)]

@@ -13,8 +13,6 @@ from typing import Optional
 
 from .errors import NonElement
 
-Q = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -88,9 +86,6 @@ class NormValue:
         hi = None if self.hi is None else self.hi**k
         return NormValue(self.lo**k, hi)
 
-    def width(self) -> Optional[Fraction]:
-        return None if self.hi is None else self.hi - self.lo
-
     def contains(self, x) -> bool:
         x = as_fraction(x)
         return self.lo <= x and (self.hi is None or x <= self.hi)
@@ -152,21 +147,17 @@ def _is_prime(n: int) -> bool:
 class BanachRing:
     """Descriptor of a base Banach ring: carrier + absolute value.
 
-    mul_constant is the C in |ab| <= C|a||b|; 1 for all built-in kinds
-    (their absolute values are multiplicative) but kept as a field so
-    re-scaled user rings can be described.
+    Every built-in absolute value is multiplicative.  This module is the
+    only place that reads ``kind``; elsewhere rings are compared whole or
+    through ``integral`` and ``non_archimedean``.
     """
 
     kind: str
     p: Optional[int] = None
-    mul_constant: Fraction = ONE
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown ring kind {self.kind}")
-        object.__setattr__(self, "mul_constant", as_fraction(self.mul_constant))
-        if self.mul_constant <= 0:
-            raise ValueError("mul_constant must be positive")
         if self.kind == KIND_Q_PADIC:
             if self.p is None or not _is_prime(self.p):
                 raise ValueError("p-adic ring needs a prime p")
@@ -192,17 +183,11 @@ class BanachRing:
         obj = {"kind": self.kind}
         if self.p is not None:
             obj["p"] = self.p
-        if self.mul_constant != 1:
-            obj["mul_constant"] = str(self.mul_constant)
         return obj
 
     @staticmethod
     def from_json(obj) -> "BanachRing":
-        return BanachRing(
-            obj["kind"],
-            p=obj.get("p"),
-            mul_constant=as_fraction(obj.get("mul_constant", 1)),
-        )
+        return BanachRing(obj["kind"], p=obj.get("p"))
 
 
 def integers_archimedean() -> BanachRing:
@@ -246,10 +231,26 @@ def abs_value(ring: BanachRing, x) -> NormValue:
         return NormValue.exact(abs(x))
     if ring.kind == KIND_Z_TRIVIAL:
         return NormValue.exact(1)
-    v = padic_valuation(x, ring.p)
-    if v >= 0:
-        return NormValue.exact(Fraction(1, ring.p**v))
-    return NormValue.exact(Fraction(ring.p ** (-v)))
+    return NormValue.exact(Fraction(ring.p) ** -padic_valuation(x, ring.p))
+
+
+def value_floor(ring: BanachRing, w: Fraction) -> Fraction:
+    """Largest absolute value attainable in the ring that is <= w.
+
+    Archimedean rings attain every non-negative rational; over the
+    trivial valuation the only nonzero value is 1; over Q_p the values
+    are integer powers of p.
+    """
+    if not ring.non_archimedean:
+        return w
+    if ring.kind == KIND_Z_TRIVIAL:
+        return ONE if w >= 1 else ZERO
+    val = ONE
+    while val > w:
+        val /= ring.p
+    while val * ring.p <= w:
+        val *= ring.p
+    return val
 
 
 # ---------------------------------------------------------------------------

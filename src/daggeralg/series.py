@@ -14,7 +14,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch, NotStrictlySmaller, TailDiverges
+from .errors import (
+    DimensionMismatch,
+    NotStrictlySmaller,
+    TailDiverges,
+    UnsupportedRing,
+)
 from .scalars import (
     BanachRing,
     NormValue,
@@ -160,8 +165,7 @@ class TruncatedSeries:
         c = as_fraction(c)
         tail = self.tail
         if tail is not None:
-            bound = abs_value(integers_archimedean() if c.denominator == 1
-                              else _q_arch(), c).hi
+            bound = abs_value(self.ring, c).hi
             tail = Tail(tail.C * max(bound, Fraction(1)), tail.sigma)
         return TruncatedSeries(
             self.ring,
@@ -229,12 +233,6 @@ class TruncatedSeries:
             obj["D"],
             tail,
         )
-
-
-def _q_arch():
-    from .scalars import rationals_archimedean
-
-    return rationals_archimedean()
 
 
 def _combine_tails_add(f: TruncatedSeries, g: TruncatedSeries, D: int):
@@ -365,7 +363,7 @@ def _torus_lower_bound(f: TruncatedSeries, rho: PolyRadius,
         best_sq = max(best_sq, re * re + im * im)
     lo = nth_root_interval(NormValue.exact(best_sq), 2, Fraction(1, 10**9)).lo
     for I, a in f.coeffs.items():
-        lo = max(lo, abs(a) * rho.power(I))
+        lo = max(lo, abs_value(f.ring, a).hi * rho.power(I))
     return lo
 
 
@@ -445,11 +443,12 @@ def multiply(f: TruncatedSeries, g: TruncatedSeries,
         sigma = PolyRadius(tuple(s * mu for s in sigma_min))
         C = Cf * Cg * K
         for I, c in discarded.items():
-            C = max(C, abs(c) * sigma.power(I))
+            C = max(C, abs_value(f.ring, c).hi * sigma.power(I))
         tail = Tail(C, sigma)
     elif discarded:
         sigma = PolyRadius((DEFAULT_DISCARD_SIGMA,) * f.n)
-        C = max(abs(c) * sigma.power(I) for I, c in discarded.items())
+        C = max(abs_value(f.ring, c).hi * sigma.power(I)
+                for I, c in discarded.items())
         tail = Tail(C, sigma)
     return TruncatedSeries(f.ring, f.n, kept, D, tail)
 
@@ -487,7 +486,7 @@ def restrict_T_to_S(f: TruncatedSeries, rho_prime: PolyRadius,
                     rho: PolyRadius):
     """Non-Archimedean comparison: |f|_{S,rho} <= K * |f|_{T,rho'}."""
     if not f.ring.non_archimedean:
-        raise DimensionMismatch("restrict_T_to_S needs a non-Archimedean ring")
+        raise UnsupportedRing("restrict_T_to_S needs a non-Archimedean ring")
     K = cofinality_constant(rho, rho_prime)
     lhs = norm_S(f, rho).hi
     rhs = K * norm_T(f, rho_prime).hi
@@ -499,7 +498,7 @@ def restrict_arch(f: TruncatedSeries, rho_prime: PolyRadius,
     """Archimedean comparison via Cauchy coefficient estimates:
     |f|_{S,rho} <= prod 1/(1 - rho_i/rho'_i) * |f|_{T,rho'}."""
     if f.ring.non_archimedean:
-        raise DimensionMismatch("restrict_arch needs an Archimedean ring")
+        raise UnsupportedRing("restrict_arch needs an Archimedean ring")
     if not rho.strictly_less(rho_prime):
         raise NotStrictlySmaller("need rho < rho' componentwise")
     K = Fraction(1)
@@ -512,8 +511,8 @@ def restrict_arch(f: TruncatedSeries, rho_prime: PolyRadius,
 
 def base_change(f: TruncatedSeries, target: BanachRing) -> TruncatedSeries:
     """Termwise coefficient transport from the Archimedean integers."""
-    if f.ring.kind != "IntegersArchimedean":
-        raise DimensionMismatch("base change starts from the integer ring")
+    if f.ring != integers_archimedean():
+        raise UnsupportedRing("base change starts from the integer ring")
     return f.with_ring(target)
 
 

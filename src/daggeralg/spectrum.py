@@ -10,19 +10,21 @@ at radii >= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import CoordinateOutOfDisk, DimensionMismatch
 from .scalars import (
     BanachRing,
     NormValue,
+    abs_value,
     as_fraction,
-    norm_max,
+    integers_trivial,
     nth_root_interval,
-    padic_valuation,
     pow_interval,
+    rationals_archimedean,
+    rationals_padic,
 )
 from .series import PolyRadius, TruncatedSeries, multiply, norm_S, norm_T
 
@@ -38,33 +40,38 @@ class Place:
     kind: str
     eps: Fraction = Fraction(1)
     p: Optional[int] = None
+    # the base ring whose absolute value this place raises to eps
+    ring: BanachRing = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "eps", as_fraction(self.eps))
         if self.kind == TRIVIAL:
-            return
-        if self.kind == ARCHIMEDEAN:
+            ring = integers_trivial()
+        elif self.kind == ARCHIMEDEAN:
             if not 0 < self.eps <= 1:
                 raise ValueError("Archimedean exponent must lie in (0, 1]")
+            ring = rationals_archimedean()
         elif self.kind == PADIC:
             if self.p is None or self.eps <= 0:
                 raise ValueError("p-adic place needs a prime and eps > 0")
+            ring = rationals_padic(self.p)
         else:
             raise ValueError(f"unknown place kind {self.kind}")
+        object.__setattr__(self, "ring", ring)
+
+    def size(self, x) -> Fraction:
+        """|x| in the place's ring, extended from the integers to the
+        rationals by multiplicativity (the trivial ring holds integers)."""
+        x = as_fraction(x)
+        return (abs_value(self.ring, x.numerator).hi
+                / abs_value(self.ring, x.denominator).hi)
 
     def abs_value(self, x) -> NormValue:
         """|x|^eps at this place, as a certified interval."""
-        x = as_fraction(x)
-        if x == 0:
+        size = self.size(x)
+        if size == 0:
             return NormValue.zero()
-        if self.kind == TRIVIAL:
-            return NormValue.exact(1)
-        if self.kind == ARCHIMEDEAN:
-            return pow_interval(NormValue.exact(abs(x)), self.eps,
-                                ROOT_PRECISION)
-        v = padic_valuation(x, self.p)
-        base = Fraction(1, self.p**v) if v >= 0 else Fraction(self.p ** (-v))
-        return pow_interval(NormValue.exact(base), self.eps, ROOT_PRECISION)
+        return pow_interval(NormValue.exact(size), self.eps, ROOT_PRECISION)
 
     def label(self) -> str:
         if self.kind == TRIVIAL:
@@ -122,16 +129,7 @@ class SpectrumPoint:
         if len(coords) != len(self.rho):
             raise DimensionMismatch("one coordinate per variable")
         for c, r in zip(coords, self.rho):
-            if c == 0:
-                continue
-            if self.place.kind == PADIC:
-                v = padic_valuation(c, self.place.p)
-                size = Fraction(1, self.place.p**v) if v >= 0 \
-                    else Fraction(self.place.p ** (-v))
-            elif self.place.kind == TRIVIAL:
-                size = Fraction(1)
-            else:
-                size = abs(c)
+            size = self.place.size(c)
             if size > r:
                 raise CoordinateOutOfDisk(
                     f"coordinate {c} has size {size} > radius {r}"
@@ -170,14 +168,8 @@ def fiber_sup(f: TruncatedSeries, place: Place, rho: PolyRadius) -> NormValue:
     if place.kind == TRIVIAL:
         best = max(rho.power(I) for I in f.coeffs)
         return NormValue.exact(best)
-    sup = norm_T(f.with_ring(_q_arch()), rho)
+    sup = norm_T(f.with_ring(place.ring), rho)
     return pow_interval(sup, place.eps, ROOT_PRECISION)
-
-
-def _q_arch() -> BanachRing:
-    from .scalars import rationals_archimedean
-
-    return rationals_archimedean()
 
 
 @dataclass(frozen=True)

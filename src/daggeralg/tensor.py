@@ -21,7 +21,7 @@ from .normed_core import (
     operator_norm,
     vector_norm,
 )
-from .scalars import BanachRing, NormValue, abs_value, as_fraction
+from .scalars import NormValue, abs_value, as_fraction, value_floor
 
 
 def tensor_modules(M: WeightedFreeModule, N: WeightedFreeModule,
@@ -81,41 +81,15 @@ def tensor_norm_upper(x: TensorElement, flavor: str) -> Fraction:
     return total if flavor == SUM else best
 
 
-def _value_group_floor(ring: BanachRing, w: Fraction) -> Fraction:
-    """Largest absolute value attainable in the ring that is <= w.
-
-    Over the trivial valuation the only nonzero value is 1; over Q_p the
-    values are integer powers of p.
-    """
-    if not ring.non_archimedean:
-        return w
-    if ring.kind == "IntegersTrivial":
-        return Fraction(1) if w >= 1 else Fraction(0)
-    p = ring.p
-    val = Fraction(1)
-    while val > w:
-        val /= p
-    while val * p <= w:
-        val *= p
-    return val
-
-
-def _dual_lower_bound(x: TensorElement, flavor: str) -> Fraction:
-    """max over unit dual functionals phi, psi of |(phi (x) psi)(x)|.
+def _dual_lower_bound_matrix(T, left: WeightedFreeModule,
+                             right: WeightedFreeModule) -> Fraction:
+    """max over unit dual functionals phi, psi of |(phi (x) psi)(T)|.
 
     Archimedean ring: extreme functionals are sign patterns times the
     weights.  Non-Archimedean ring (either norm flavor): the coordinate
     functional e_i^* has norm 1/w_i, so a * e_i^* is a contraction for any
     scalar with |a| <= w_i; the best such |a| lies in the value group.
     """
-    return _dual_lower_bound_matrix(
-        x.coefficient_matrix(), x.left, x.right, flavor
-    )
-
-
-def _dual_lower_bound_matrix(T, left: WeightedFreeModule,
-                             right: WeightedFreeModule,
-                             flavor: str) -> Fraction:
     wl, wr = left.weights, right.weights
     ring = left.ring
     if ring.non_archimedean:
@@ -123,9 +97,7 @@ def _dual_lower_bound_matrix(T, left: WeightedFreeModule,
         for i in range(left.rank):
             for j in range(right.rank):
                 if T[i][j] != 0:
-                    cap = _value_group_floor(ring, wl[i]) * _value_group_floor(
-                        ring, wr[j]
-                    )
+                    cap = value_floor(ring, wl[i]) * value_floor(ring, wr[j])
                     val = abs_value(ring, T[i][j]).lo * cap
                     best = max(best, val)
         return best
@@ -199,7 +171,7 @@ def _enumerate_upper(x: TensorElement, flavor: str, coeff_bound: int,
 
     def dfs(R, terms_left, cost_so_far):
         # any completion of the residual costs at least its dual bound
-        if cost_so_far + _dual_lower_bound_matrix(R, x.left, x.right, SUM) >= \
+        if cost_so_far + _dual_lower_bound_matrix(R, x.left, x.right) >= \
                 best_holder[0]:
             return
         if terms_left == 0:
@@ -223,12 +195,12 @@ def _enumerate_upper(x: TensorElement, flavor: str, coeff_bound: int,
 
 def tensor_norm_certified(x: TensorElement, flavor: str, coeff_bound: int = 10,
                           term_bound: int = 4) -> NormValue:
-    if not x.left.ring.integral and x.left.ring.kind != "Rationals_pAdic":
+    if not (x.left.ring.integral or x.left.ring.non_archimedean):
         raise UnsupportedRing("certified tensor norms need a lattice-like ring")
     if not x.terms:
         return NormValue.zero()
     hi = _enumerate_upper(x, flavor, coeff_bound, term_bound)
-    lo = _dual_lower_bound(x, flavor)
+    lo = _dual_lower_bound_matrix(x.coefficient_matrix(), x.left, x.right)
     lo = min(lo, hi)  # dual bound is sound, but guard against interval inversion
     return NormValue(lo, hi)
 

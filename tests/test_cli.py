@@ -123,6 +123,15 @@ class TestMVCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["exact"] is True and out["elements_checked"] == 1
 
+    def test_environment_does_not_set_defaults(self, tmp_path, capsys,
+                                               monkeypatch):
+        monkeypatch.setenv("DAGGERALG_DEGREE", "x")
+        f = write_json(tmp_path / "e.json", [{"-1": "1", "0": "2", "3": "1"}])
+        assert main(["mv-check", "--elements", f]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert json.loads(captured.out)["exact"] is True
+
 
 class TestSpectrumCommands:
     def test_spectrum_report(self, tmp_path, capsys):

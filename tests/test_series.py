@@ -8,6 +8,7 @@ from daggeralg.errors import (
     DimensionMismatch,
     NotStrictlySmaller,
     TailDiverges,
+    UnsupportedRing,
 )
 from daggeralg.scalars import (
     NormValue,
@@ -66,6 +67,13 @@ class TestNormS:
         nv = norm_S(f, ONE)
         # geometric tail sum over i >= 1 of (1/2)^i = 1
         assert nv.lo == 1 and nv.hi == 2
+
+    def test_padic_scale_grows_tail(self):
+        # 1/2 * sum 2^k X^k is a member of 1/2 * (1 + tail(C=1, sigma=2))
+        # over Q_2, with norm |1/2|_2 + sum_{k>=1} |2^(k-1)|_2 = 2 + 2
+        f = TruncatedSeries(Q2, 1, {(0,): Fraction(1)}, 0,
+                            Tail(Fraction(1), polyradius(2)))
+        assert norm_S(f.scale(Fraction(1, 2)), ONE).contains(4)
 
     def test_tail_diverges(self):
         f = TruncatedSeries(Z, 1, {}, 0, Tail(Fraction(1), polyradius(2)))
@@ -138,6 +146,12 @@ class TestMultiply:
         # the true product norm at radius 1 is still inside the bracket
         assert norm_S(f, ONE).hi >= 4
 
+    def test_discarded_term_tail_uses_ring_abs(self):
+        # X/4 is cut off at D = 0; over Q_2 its size is |1/4|_2 = 4
+        x_quarter = TruncatedSeries.monomial(Q2, (1,), Fraction(1, 4))
+        f = multiply(x_quarter, poly(Q2, 1), D=0)
+        assert norm_S(f, ONE).contains(4)
+
     @given(small_coeffs, small_coeffs)
     @settings(max_examples=40, deadline=None)
     def test_norm_S_submultiplicative(self, a, b):
@@ -180,7 +194,7 @@ class TestRestriction:
         assert cert.holds
 
     def test_padic_requires_nonarch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(UnsupportedRing):
             restrict_T_to_S(poly(QA, 1), polyradius(2), polyradius(1))
 
     def test_arch_cauchy(self):
@@ -212,7 +226,7 @@ class TestBaseChange:
         assert norm_T(g, ONE) == NormValue.exact(2)
 
     def test_source_must_be_integers(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(UnsupportedRing):
             base_change(poly(Q2, 1), QA)
 
 
