@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (DaggerAlgError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+            ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -26,7 +26,9 @@ from .series import (
     DaggerPresentation,
     PolyRadius,
     TruncatedSeries,
+    _convolve,
     _indices_up_to,
+    _scaled_ints,
     multiply,
     polyradius,
 )
@@ -173,36 +175,39 @@ def laurent_solve(g: TruncatedSeries, t: TruncatedSeries,
     variable.
 
     Slicewise in powers of X: a_0 = -t_0 and a_k = g*a_(k-1) - t_k,
-    reading t_k as the X^k slice of t.  The solution is verified by
-    multiplying back.
+    reading t_k as the X^k slice of t.  The slices are integer tables:
+    a_k = N_k / (Lt * Lg^k) with Lt, Lg the denominators of t and g, so
+    N_0 = -T_0 and N_k = G*N_(k-1) - Lg^k * T_k.  The solution is
+    verified by multiplying back.
     """
     ring = g.ring
     n = g.n
+    if g.tail is not None or t.tail is not None:
+        raise ValueError("laurent_solve needs g and t without tails")
     if t.n == n:
         t = t.embed(n + 1)
     if t.n != n + 1 or t.ring != ring:
         raise DimensionMismatch("target must live in the extended algebra")
-    # slices of t along the last variable
-    slices: Dict[int, Dict[Tuple[int, ...], Fraction]] = {}
-    for I, a in t.coeffs.items():
-        slices.setdefault(I[-1], {})[I[:-1]] = a
-    base_D = t.degree_bound + D * max(1, g.degree_bound)
-
-    def to_series(table):
-        return TruncatedSeries(ring, n, table, base_D)
-
-    a_slices: List[TruncatedSeries] = []
-    prev = to_series(slices.get(0, {})).negate()
-    a_slices.append(prev)
-    for k in range(1, D + 1):
-        tk = to_series(slices.get(k, {}))
-        prev = multiply(g, prev, D=base_D).sub(tk)
-        a_slices.append(prev)
+    gs, Lg = _scaled_ints(g.coeffs)
+    ts, Lt = _scaled_ints(t.coeffs)
+    # numerator slices of t along the last variable
+    slices: Dict[int, Dict[Tuple[int, ...], int]] = {}
+    for I, c in ts:
+        slices.setdefault(I[-1], {})[I[:-1]] = c
 
     coeffs: Dict[Tuple[int, ...], Fraction] = {}
-    for k, s in enumerate(a_slices):
-        for I, c in s.coeffs.items():
-            coeffs[I + (k,)] = c
+    prev = {I: -c for I, c in slices.get(0, {}).items()}
+    power = 1  # Lg^k
+    for k in range(D + 1):
+        if k:
+            cur = _convolve(gs, prev.items())
+            power *= Lg
+            for I, c in slices.get(k, {}).items():
+                cur[I] = cur.get(I, 0) - power * c
+            prev = {I: c for I, c in cur.items() if c}
+        den = Lt * power
+        for I, c in prev.items():
+            coeffs[I + (k,)] = Fraction(c, den)
     total_D = max([sum(I) for I in coeffs] + [0])
     a = TruncatedSeries(ring, n + 1, coeffs, total_D)
 

@@ -10,8 +10,10 @@ polyradius strictly inside sigma gets a finite certified tail bound.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
@@ -101,15 +103,16 @@ class TruncatedSeries:
     tail: Optional[Tail] = None
 
     def __post_init__(self):
+        n, D, check = self.n, self.degree_bound, self.ring.check_element
         clean = {}
         for I, a in self.coeffs.items():
-            I = tuple(int(e) for e in I)
-            if len(I) != self.n or any(e < 0 for e in I):
+            I = tuple(map(int, I))
+            if len(I) != n or (n and min(I) < 0):
                 raise DimensionMismatch(f"bad multi-index {I}")
-            if sum(I) > self.degree_bound:
+            if sum(I) > D:
                 raise ValueError(f"coefficient at {I} beyond degree bound")
-            a = self.ring.check_element(a)
-            if a != 0:
+            a = check(a)
+            if a:
                 clean[I] = a
         object.__setattr__(self, "coeffs", clean)
         if self.tail is not None and len(self.tail.sigma) != self.n:
@@ -157,8 +160,9 @@ class TruncatedSeries:
         coeffs = dict(self.coeffs)
         for I, a in other.coeffs.items():
             coeffs[I] = coeffs.get(I, Fraction(0)) + a
+        dropped = {I: a for I, a in coeffs.items() if sum(I) > D and a != 0}
         coeffs = {I: a for I, a in coeffs.items() if sum(I) <= D and a != 0}
-        tail = _combine_tails_add(self, other, D)
+        tail = _combine_tails_add(self, other, dropped)
         return TruncatedSeries(self.ring, self.n, coeffs, D, tail)
 
     def scale(self, c) -> "TruncatedSeries":
@@ -222,6 +226,8 @@ class TruncatedSeries:
 
     @staticmethod
     def from_json(obj, ring: BanachRing) -> "TruncatedSeries":
+        if not isinstance(obj, dict):
+            raise ValueError("a series must be a JSON object")
         tail = None
         if obj.get("tail"):
             tail = Tail(Fraction(obj["tail"]["C"]),
@@ -235,15 +241,44 @@ class TruncatedSeries:
         )
 
 
-def _combine_tails_add(f: TruncatedSeries, g: TruncatedSeries, D: int):
+def _combine_tails_add(f: TruncatedSeries, g: TruncatedSeries,
+                       dropped: Dict[Index, Fraction]):
+    """Tail of f + g: the summed majorants at the smaller radius, widened
+    so that it also bounds the known coefficients cut off above the
+    smaller degree bound."""
     if f.tail is None and g.tail is None:
         return None
     tails = [t for t in (f.tail, g.tail) if t is not None]
-    sigma = tuple(
+    sigma = PolyRadius(tuple(
         min(t.sigma[i] for t in tails) for i in range(f.n)
-    )
-    C = sum(t.C for t in tails)
-    return Tail(C, PolyRadius(sigma))
+    ))
+    extra = max((abs_value(f.ring, a).hi * sigma.power(I)
+                 for I, a in dropped.items()), default=Fraction(0))
+    return Tail(sum(t.C for t in tails) + extra, sigma)
+
+
+# ---------------------------------------------------------------------------
+# integer kernels
+
+
+def _scaled_ints(coeffs: Dict[Index, Fraction]):
+    """Coefficients as integer numerators over one shared denominator:
+    returns ([(I, N_I)], L) with coeffs[I] == N_I / L, L the lcm of the
+    coefficients' denominators.  The series kernels compute on these
+    numerators and build a ``Fraction`` only when they write a result."""
+    L = math.lcm(*(a.denominator for a in coeffs.values()))
+    return [(I, a.numerator * (L // a.denominator))
+            for I, a in coeffs.items()], L
+
+
+def _convolve(fs, gs) -> Dict[Index, int]:
+    """Integer convolution of two (index, numerator) lists."""
+    conv: Dict[Index, int] = {}
+    for I, a in fs:
+        for J, b in gs:
+            K = tuple(map(add, I, J))
+            conv[K] = conv.get(K, 0) + a * b
+    return conv
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +371,37 @@ def _unit_circle_points(count: int):
 
 
 def evaluate_complex(f: TruncatedSeries, points):
-    """Evaluate at z_i = (re_i, im_i) exactly; returns (re, im)."""
-    re_total, im_total = Fraction(0), Fraction(0)
-    for I, a in f.coeffs.items():
-        re, im = Fraction(1), Fraction(0)
-        for (zr, zi), e in zip(points, I):
-            for _ in range(e):
-                re, im = re * zr - im * zi, re * zi + im * zr
-        re_total += a * re
-        im_total += a * im
-    return re_total, im_total
+    """Evaluate at z_i = (re_i, im_i) exactly; returns (re, im).
+
+    Works in Gaussian integers: with z_i = (x_i + i*y_i)/q_i and E_i the
+    largest exponent of variable i, every term is brought over the one
+    denominator L * prod q_i^E_i, where L is the coefficients' lcm.
+    """
+    terms, den = _scaled_ints(f.coeffs)
+    tables = []
+    for i, (zr, zi) in zip(range(f.n), points):
+        E = max((I[i] for I, _ in terms), default=0)
+        q = math.lcm(zr.denominator, zi.denominator)
+        x = zr.numerator * (q // zr.denominator)
+        y = zi.numerator * (q // zi.denominator)
+        qpow = q**E
+        den *= qpow
+        # table[e] = (x + iy)^e * q^(E - e)
+        table = []
+        re, im = 1, 0
+        for _ in range(E + 1):
+            table.append((re * qpow, im * qpow))
+            re, im, qpow = re * x - im * y, re * y + im * x, qpow // q
+        tables.append(table)
+    re_total = im_total = 0
+    for I, N in terms:
+        re, im = N, 0
+        for table, e in zip(tables, I):
+            tr, ti = table[e]
+            re, im = re * tr - im * ti, re * ti + im * tr
+        re_total += re
+        im_total += im
+    return Fraction(re_total, den), Fraction(im_total, den)
 
 
 def _torus_lower_bound(f: TruncatedSeries, rho: PolyRadius,
@@ -353,14 +409,20 @@ def _torus_lower_bound(f: TruncatedSeries, rho: PolyRadius,
     """Certified lower bound for sup |f(z)| on the torus |z_i| = rho_i:
     max of exactly evaluated sample values and the Cauchy coefficient
     bound max |a_I| rho^I."""
-    best_sq = Fraction(0)
     if points_per_var is None:
         points_per_var = 8 * (f.degree_bound + 1) if f.n <= 2 else 8
     circle = _unit_circle_points(points_per_var)
-    for combo in itertools.product(circle, repeat=f.n):
-        z = [(r * c, r * s) for r, (c, s) in zip(rho, combo)]
+    axes = [[(r * c, r * s) for c, s in circle] for r in rho]
+    # largest |f(z)|^2 so far as num/den, compared on integers
+    num, den = 0, 1
+    for z in itertools.product(*axes):
         re, im = evaluate_complex(f, z)
-        best_sq = max(best_sq, re * re + im * im)
+        a, b = re.as_integer_ratio()
+        c, d = im.as_integer_ratio()
+        sq_num, sq_den = (a * d) ** 2 + (c * b) ** 2, (b * d) ** 2
+        if sq_num * den > num * sq_den:
+            num, den = sq_num, sq_den
+    best_sq = Fraction(num, den)
     lo = nth_root_interval(NormValue.exact(best_sq), 2, Fraction(1, 10**9)).lo
     for I, a in f.coeffs.items():
         lo = max(lo, abs_value(f.ring, a).hi * rho.power(I))
@@ -414,21 +476,25 @@ def multiply(f: TruncatedSeries, g: TruncatedSeries,
 
     Known coefficients below the bound are exact; anything discarded or
     unknown is folded into a geometric tail with radius shrunk by 3/4 to
-    absorb the polynomial count of convolution cross terms.
+    absorb the polynomial count of convolution cross terms.  A factor
+    with a tail leaves its product coefficients above its own degree
+    bound unknown, so the exact part then stops there.
     """
     f._check_compatible(g)
     if D is None:
         D = f.degree_bound + g.degree_bound
-    conv: Dict[Index, Fraction] = {}
-    for I, a in f.coeffs.items():
-        for J, b in g.coeffs.items():
-            K = tuple(i + j for i, j in zip(I, J))
-            conv[K] = conv.get(K, Fraction(0)) + a * b
-    kept = {K: c for K, c in conv.items() if sum(K) <= D and c != 0}
-    discarded = {K: c for K, c in conv.items() if sum(K) > D and c != 0}
+    tailed = [h for h in (f, g) if h.tail is not None]
+    D = min([D] + [h.degree_bound for h in tailed])
+    fs, Lf = _scaled_ints(f.coeffs)
+    gs, Lg = _scaled_ints(g.coeffs)
+    conv = _convolve(fs, gs)
+    L = Lf * Lg
+    kept = {K: Fraction(c, L) for K, c in conv.items() if c and sum(K) <= D}
 
     tail = None
-    if f.tail is not None or g.tail is not None:
+    if tailed:
+        # the majorant bounds every true product coefficient, so the
+        # partial sums above D are dropped
         sigma_min = tuple(
             min(
                 f.tail.sigma[i] if f.tail else DEFAULT_DISCARD_SIGMA,
@@ -439,17 +505,16 @@ def multiply(f: TruncatedSeries, g: TruncatedSeries,
         Cf = _global_majorant_constant(f, sigma_min)
         Cg = _global_majorant_constant(g, sigma_min)
         mu = Fraction(3, 4)
-        K = _poly_growth_constant(f.n, mu)
         sigma = PolyRadius(tuple(s * mu for s in sigma_min))
-        C = Cf * Cg * K
-        for I, c in discarded.items():
-            C = max(C, abs_value(f.ring, c).hi * sigma.power(I))
-        tail = Tail(C, sigma)
-    elif discarded:
-        sigma = PolyRadius((DEFAULT_DISCARD_SIGMA,) * f.n)
-        C = max(abs_value(f.ring, c).hi * sigma.power(I)
-                for I, c in discarded.items())
-        tail = Tail(C, sigma)
+        tail = Tail(Cf * Cg * _poly_growth_constant(f.n, mu), sigma)
+    else:
+        discarded = [(K, Fraction(c, L)) for K, c in conv.items()
+                     if c and sum(K) > D]
+        if discarded:
+            sigma = PolyRadius((DEFAULT_DISCARD_SIGMA,) * f.n)
+            C = max(abs_value(f.ring, c).hi * sigma.power(K)
+                    for K, c in discarded)
+            tail = Tail(C, sigma)
     return TruncatedSeries(f.ring, f.n, kept, D, tail)
 
 

@@ -67,6 +67,17 @@ class TestNormCommand:
         bad.write_text("{not json")
         assert main(["norm", "--series", str(bad)]) == 1
 
+    def test_zero_denominator_coefficient(self, tmp_path, capsys):
+        f = write_json(tmp_path / "f.json",
+                       {"n": 1, "D": 0, "coeffs": [[[0], "1/0"]]})
+        assert main(["norm", "--series", f]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_series_not_an_object(self, tmp_path, capsys):
+        f = write_json(tmp_path / "f.json", [[[0], "1"]])
+        assert main(["norm", "--series", f]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestTensorCommand:
     def test_certified_norm(self, tmp_path, capsys):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daggeralg.errors import (
     DimensionMismatch,
@@ -32,7 +34,13 @@ from daggeralg.scalars import (
     rationals_archimedean,
     rationals_padic,
 )
-from daggeralg.series import TruncatedSeries, multiply, polyradius, unit_polydisk
+from daggeralg.series import (
+    Tail,
+    TruncatedSeries,
+    multiply,
+    polyradius,
+    unit_polydisk,
+)
 
 Q2 = rationals_padic(2)
 QA = rationals_archimedean()
@@ -139,6 +147,62 @@ class TestLaurentSolve:
         for I in set(prod.coeffs) | set(te.coeffs):
             if I[-1] <= D:
                 assert prod.coefficient(I) == te.coefficient(I)
+
+    def test_tails_rejected(self):
+        g = TruncatedSeries.constant(QA, 2)
+        t = TruncatedSeries.constant(QA, 1)
+        tailed = TruncatedSeries(QA, 1, {(0,): Fraction(2)}, 0,
+                                 Tail(Fraction(1), polyradius(2)))
+        with pytest.raises(ValueError):
+            laurent_solve(tailed, t, 3)
+        with pytest.raises(ValueError):
+            laurent_solve(g, tailed, 3)
+
+    def test_two_variable_rational_g(self):
+        g = TruncatedSeries(QA, 2, {(0, 0): Fraction(1, 2),
+                                    (1, 0): Fraction(-2, 3),
+                                    (0, 1): Fraction(3, 4)}, 1)
+        t = TruncatedSeries(QA, 3, {(0, 0, 0): Fraction(5, 6),
+                                    (1, 1, 1): Fraction(-1, 9)}, 3)
+        a = laurent_solve(g, t, 5)
+        assert a.coeffs == fraction_laurent_solve(g, t, 5)
+
+    @given(st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              st.fractions(-4, 4, max_denominator=6)),
+                    min_size=1, max_size=4),
+           st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                        st.integers(0, 3)),
+                              st.fractions(-4, 4, max_denominator=6)),
+                    max_size=4),
+           st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_recursion(self, g_terms, t_terms, D):
+        g = TruncatedSeries(QA, 2, dict(g_terms), 4)
+        t = TruncatedSeries(QA, 3, dict(t_terms), 7)
+        a = laurent_solve(g, t, D)
+        assert a.coeffs == fraction_laurent_solve(g, t, D)
+        assert a.degree_bound == max([sum(I) for I in a.coeffs] + [0])
+
+
+def fraction_laurent_solve(g, t, D):
+    """Coefficients of the slice recursion a_0 = -t_0,
+    a_k = g*a_(k-1) - t_k, computed with Fraction loops."""
+    slices = {}
+    for I, c in t.coeffs.items():
+        slices.setdefault(I[-1], {})[I[:-1]] = c
+    prev = {I: -c for I, c in slices.get(0, {}).items()}
+    out = {I + (0,): c for I, c in prev.items()}
+    for k in range(1, D + 1):
+        cur = {}
+        for I, a in g.coeffs.items():
+            for J, b in prev.items():
+                K = tuple(i + j for i, j in zip(I, J))
+                cur[K] = cur.get(K, Fraction(0)) + a * b
+        for I, c in slices.get(k, {}).items():
+            cur[I] = cur.get(I, Fraction(0)) - c
+        prev = {I: c for I, c in cur.items() if c != 0}
+        out.update({I + (k,): c for I, c in prev.items()})
+    return out
 
 
 class TestPolyQuotientRing:

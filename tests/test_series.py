@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,17 +13,26 @@ from daggeralg.errors import (
 )
 from daggeralg.scalars import (
     NormValue,
+    abs_value,
     integers_archimedean,
+    integers_trivial,
+    nth_root_interval,
     rationals_archimedean,
     rationals_padic,
 )
 from daggeralg.series import (
+    DEFAULT_DISCARD_SIGMA,
     DaggerPresentation,
     PolyRadius,
     Tail,
     TruncatedSeries,
+    _global_majorant_constant,
+    _poly_growth_constant,
+    _torus_lower_bound,
+    _unit_circle_points,
     base_change,
     cofinality_constant,
+    evaluate_complex,
     multiply,
     norm_S,
     norm_T,
@@ -33,6 +43,7 @@ from daggeralg.series import (
 )
 
 Z = integers_archimedean()
+ZT = integers_trivial()
 Q2 = rationals_padic(2)
 QA = rationals_archimedean()
 
@@ -152,6 +163,16 @@ class TestMultiply:
         f = multiply(x_quarter, poly(Q2, 1), D=0)
         assert norm_S(f, ONE).contains(4)
 
+    def test_tailed_factor_stops_exact_part(self):
+        # 1 - X/2 is a member of 1 + tail(C=1, sigma=2); its product with
+        # 1 + X is 1 + X/2 - X^2/2, of norm 11/8 at radius 1/2
+        f = TruncatedSeries(QA, 1, {(0,): Fraction(1)}, 0,
+                            Tail(Fraction(1), polyradius(2)))
+        prod = multiply(f, poly(QA, 1, 1))
+        assert norm_S(prod, polyradius(Fraction(1, 2))).contains(
+            Fraction(11, 8))
+        assert prod.degree_bound == 0
+
     @given(small_coeffs, small_coeffs)
     @settings(max_examples=40, deadline=None)
     def test_norm_S_submultiplicative(self, a, b):
@@ -239,6 +260,14 @@ class TestSeriesStructure:
         f = poly(Z, 1, 2).add(poly(Z, -1, -2))
         assert f.is_zero()
 
+    def test_add_records_dropped_coefficients(self):
+        # 1 + sum_{k>=1} X^k / 2^k is a member of 1 + tail(C=1, sigma=2);
+        # adding X^3 gives norm 1 + 1 + 1 = 3 at radius 1
+        f = TruncatedSeries(QA, 1, {(0,): Fraction(1)}, 0,
+                            Tail(Fraction(1), polyradius(2)))
+        total = f.add(TruncatedSeries.monomial(QA, (3,)))
+        assert norm_S(total, ONE).contains(3)
+
     def test_embed(self):
         f = poly(Z, 0, 1).embed(2, offset=1)
         assert f.coefficient((0, 1)) == 1
@@ -254,3 +283,135 @@ class TestSeriesStructure:
         assert A.n == 2 and A.rho == polyradius(1, 1)
         B = DaggerPresentation.from_json(A.to_json())
         assert B == A
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against the Fraction loops they replaced
+
+
+def fraction_multiply(f, g, D=None):
+    """Fraction convolution with the tail rules of ``multiply``."""
+    if D is None:
+        D = f.degree_bound + g.degree_bound
+    conv = {}
+    for I, a in f.coeffs.items():
+        for J, b in g.coeffs.items():
+            K = tuple(i + j for i, j in zip(I, J))
+            conv[K] = conv.get(K, Fraction(0)) + a * b
+    tailed = [h.degree_bound for h in (f, g) if h.tail is not None]
+    E = min([D] + tailed)
+    kept = {K: c for K, c in conv.items() if sum(K) <= E and c != 0}
+    discarded = {K: c for K, c in conv.items() if sum(K) > E and c != 0}
+    tail = None
+    if tailed:
+        sigma_min = tuple(
+            min(f.tail.sigma[i] if f.tail else DEFAULT_DISCARD_SIGMA,
+                g.tail.sigma[i] if g.tail else DEFAULT_DISCARD_SIGMA)
+            for i in range(f.n)
+        )
+        mu = Fraction(3, 4)
+        C = (_global_majorant_constant(f, sigma_min)
+             * _global_majorant_constant(g, sigma_min)
+             * _poly_growth_constant(f.n, mu))
+        tail = Tail(C, PolyRadius(tuple(s * mu for s in sigma_min)))
+    elif discarded:
+        sigma = PolyRadius((DEFAULT_DISCARD_SIGMA,) * f.n)
+        C = max(abs_value(f.ring, c).hi * sigma.power(K)
+                for K, c in discarded.items())
+        tail = Tail(C, sigma)
+    return TruncatedSeries(f.ring, f.n, kept, E, tail)
+
+
+def fraction_evaluate(f, points):
+    re_total, im_total = Fraction(0), Fraction(0)
+    for I, a in f.coeffs.items():
+        re, im = Fraction(1), Fraction(0)
+        for (zr, zi), e in zip(points, I):
+            for _ in range(e):
+                re, im = re * zr - im * zi, re * zi + im * zr
+        re_total += a * re
+        im_total += a * im
+    return re_total, im_total
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+@st.composite
+def series(draw, ring, n, tails=True):
+    D = draw(st.integers(0, 4))
+    coeff = st.integers(-9, 9).map(Fraction) if ring.integral else rationals
+    entries = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, D)] * n), coeff), max_size=6))
+    coeffs = {I: c for I, c in entries if sum(I) <= D}
+    tail = None
+    if tails and draw(st.booleans()):
+        sigma = draw(st.lists(st.sampled_from([Fraction(3, 2), Fraction(2),
+                                               Fraction(3)]),
+                              min_size=n, max_size=n))
+        C = draw(st.fractions(min_value=0, max_value=5, max_denominator=4))
+        tail = Tail(C, PolyRadius(tuple(sigma)))
+    return TruncatedSeries(ring, n, coeffs, D, tail)
+
+
+@st.composite
+def series_pairs(draw):
+    ring = draw(st.sampled_from([Z, ZT, Q2, QA]))
+    n = draw(st.integers(1, 3))
+    f = draw(series(ring, n))
+    g = draw(series(ring, n))
+    D = draw(st.integers(0, f.degree_bound + g.degree_bound))
+    return f, g, D
+
+
+class TestIntegerKernels:
+    @given(series_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_multiply_matches_fraction_loop(self, pair):
+        f, g, D = pair
+        assert multiply(f, g, D) == fraction_multiply(f, g, D)
+        assert multiply(f, g) == fraction_multiply(f, g)
+
+    def test_multiply_rational_coefficients(self):
+        f = poly(QA, Fraction(1, 3), Fraction(-5, 6), Fraction(7, 4))
+        g = poly(QA, Fraction(2, 9), Fraction(3, 10))
+        for D in range(4):
+            assert multiply(f, g, D) == fraction_multiply(f, g, D)
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        series(QA, n, tails=False),
+        st.lists(st.tuples(rationals, rationals), min_size=n, max_size=n))))
+    @settings(max_examples=150, deadline=None)
+    def test_evaluate_complex_matches_fraction_loop(self, case):
+        f, points = case
+        assert evaluate_complex(f, points) == fraction_evaluate(f, points)
+
+    def test_evaluate_complex_distinct_denominators(self):
+        f = TruncatedSeries(QA, 2, {(0, 0): Fraction(1, 2),
+                                    (3, 1): Fraction(-4, 3),
+                                    (1, 2): Fraction(5)}, 4)
+        points = [(Fraction(3, 5), Fraction(-4, 7)),
+                  (Fraction(1, 11), Fraction(2))]
+        value = evaluate_complex(f, points)
+        assert value == fraction_evaluate(f, points)
+        assert all(isinstance(x, Fraction) for x in value)
+
+    @given(st.integers(1, 2).flatmap(lambda n: st.tuples(
+        series(QA, n, tails=False),
+        st.lists(st.sampled_from([Fraction(1, 2), Fraction(1),
+                                  Fraction(5, 3)]),
+                 min_size=n, max_size=n))))
+    @settings(max_examples=40, deadline=None)
+    def test_torus_lower_bound_matches_fraction_loop(self, case):
+        f, rho = case
+        circle = _unit_circle_points(8)
+        best_sq = Fraction(0)
+        for combo in itertools.product(circle, repeat=f.n):
+            z = [(r * c, r * s) for r, (c, s) in zip(rho, combo)]
+            re, im = fraction_evaluate(f, z)
+            best_sq = max(best_sq, re * re + im * im)
+        lo = nth_root_interval(NormValue.exact(best_sq), 2,
+                               Fraction(1, 10**9)).lo
+        for I, a in f.coeffs.items():
+            lo = max(lo, abs(a) * PolyRadius(tuple(rho)).power(I))
+        assert _torus_lower_bound(f, PolyRadius(tuple(rho)), 8) == lo
