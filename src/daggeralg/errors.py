@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import functools
+
 
 class DaggerAlgError(Exception):
     pass
@@ -63,3 +65,24 @@ class ViolationWitness(DaggerAlgError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+def reads_json(what: str):
+    """Decorate a ``from_json(obj, ...)`` reader of a JSON object: input of
+    the wrong shape (not an object, or a list where a pair or an object
+    belongs) raises ``ValueError`` naming ``what``, not the ``TypeError``
+    or ``AttributeError`` the reader would hit."""
+
+    def decorate(read):
+        @functools.wraps(read)
+        def reader(obj, *args):
+            if not isinstance(obj, dict):
+                raise ValueError(f"{what} must be a JSON object")
+            try:
+                return read(obj, *args)
+            except (TypeError, AttributeError) as exc:
+                raise ValueError(f"malformed {what}: {exc}") from None
+
+        return reader
+
+    return decorate

@@ -19,6 +19,7 @@ from .errors import (
     NotACover,
     TruncationTooSmall,
     UnitIdealWitnessMissing,
+    reads_json,
 )
 from .linalg import kernel_basis, rref, solve, same_row_space
 from .scalars import BanachRing, as_fraction
@@ -78,6 +79,7 @@ class LocalizationSpec:
         return obj
 
     @staticmethod
+    @reads_json("localization spec")
     def from_json(obj, ring: BanachRing) -> "LocalizationSpec":
         return LocalizationSpec(
             obj["variant"],

@@ -27,8 +27,6 @@ from .scalars import (
     abs_value,
     as_fraction,
     integers_archimedean,
-    norm_max,
-    norm_sum,
 )
 
 SUM = "sum"
@@ -79,8 +77,9 @@ def default_flavor(ring: BanachRing) -> str:
 def vector_norm(M: WeightedFreeModule, v: Sequence) -> NormValue:
     if len(v) != M.rank:
         raise DimensionMismatch(f"vector length {len(v)} != rank {M.rank}")
-    terms = [abs_value(M.ring, x).scale(w) for x, w in zip(v, M.weights)]
-    return norm_sum(terms) if M.flavor == SUM else norm_max(terms)
+    terms = [abs_value(M.ring, x) * w for x, w in zip(v, M.weights)]
+    return NormValue.exact(sum(terms, Fraction(0)) if M.flavor == SUM
+                           else max(terms, default=Fraction(0)))
 
 
 @dataclass(frozen=True)
@@ -135,16 +134,20 @@ def identity_map(M: WeightedFreeModule) -> ModuleMap:
 
 
 def operator_norm(f: ModuleMap) -> NormValue:
-    """Exact operator norm via the componentwise criterion: the norm of a
-    map out of a weighted coproduct is the max over generators of
-    (norm of image)/(weight)."""
-    if f.source.rank == 0:
-        return NormValue.zero()
-    best = NormValue.zero()
-    for j in range(f.source.rank):
-        col = vector_norm(f.target, f.column(j)).scale(1 / f.source.weights[j])
-        best = best.join_max(col)
-    return best
+    """Operator norm from the column ratios |f e_j| / w_j.
+
+    Out of a sum-flavored source (a weighted coproduct) the norm is their
+    max, and so it is into a max-flavored target, where the ultrametric
+    inequality bounds |f x| by max_j |x_j| |f e_j|.  A max-flavored source
+    into a sum-flavored target is only bracketed: the unit vectors give
+    the max, the triangle inequality gives the sum, and both can be the
+    norm (the identity on Z_triv^2 with weights 1 has norm 2)."""
+    ratios = [vector_norm(f.target, f.column(j)).hi / w
+              for j, w in enumerate(f.source.weights)]
+    best = max(ratios, default=Fraction(0))
+    if f.source.flavor == MAX and f.target.flavor == SUM:
+        return NormValue(best, sum(ratios, Fraction(0)))
+    return NormValue.exact(best)
 
 
 @dataclass(frozen=True)

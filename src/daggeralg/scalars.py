@@ -106,20 +106,6 @@ class NormValue:
         return f"[{self.lo}, {hi}]"
 
 
-def norm_max(values) -> NormValue:
-    out = NormValue.zero()
-    for v in values:
-        out = out.join_max(v)
-    return out
-
-
-def norm_sum(values) -> NormValue:
-    out = NormValue.zero()
-    for v in values:
-        out = out + v
-    return out
-
-
 # ---------------------------------------------------------------------------
 # base rings
 
@@ -222,16 +208,19 @@ def padic_valuation(x: Fraction, p: int) -> int:
     return v
 
 
-def abs_value(ring: BanachRing, x) -> NormValue:
-    """Exact absolute value of x in the given ring, as a width-0 interval."""
+def abs_value(ring: BanachRing, x) -> Fraction:
+    """Exact absolute value of x in the given ring, as a bare rational.
+
+    Callers compute with it and build a ``NormValue`` only for the
+    result they certify."""
     x = ring.check_element(x)
     if x == 0:
-        return NormValue.zero()
+        return ZERO
     if ring.kind in (KIND_Z_ARCH, KIND_Q_ARCH):
-        return NormValue.exact(abs(x))
+        return abs(x)
     if ring.kind == KIND_Z_TRIVIAL:
-        return NormValue.exact(1)
-    return NormValue.exact(Fraction(ring.p) ** -padic_valuation(x, ring.p))
+        return ONE
+    return Fraction(ring.p) ** -padic_valuation(x, ring.p)
 
 
 def value_floor(ring: BanachRing, w: Fraction) -> Fraction:

@@ -114,7 +114,7 @@ def _check_vector_axioms(inst) -> int:
     if M.flavor == MAX and s.hi > max(nx.hi, ny.hi):
         bad += 1
     scaled = vector_norm(M, tuple(lam * a for a in x))
-    if scaled.hi > abs_value(M.ring, lam).hi * nx.hi:
+    if scaled.hi > abs_value(M.ring, lam) * nx.hi:
         bad += 1
     return bad
 
@@ -128,7 +128,7 @@ def _check_tensor_axioms(inst) -> int:
     if tensor_norm_upper(joint, flavor) > bound:
         bad += 1
     if tensor_norm_upper(x.scale(lam), flavor) > \
-            abs_value(x.left.ring, lam).hi * ux:
+            abs_value(x.left.ring, lam) * ux:
         bad += 1
     return bad
 
@@ -139,7 +139,7 @@ def _check_series_axioms(inst) -> int:
     nf, ng = norm_S(f, rho), norm_S(g, rho)
     if norm_S(f.add(g), rho).hi > nf.hi + ng.hi:
         bad += 1
-    if norm_S(f.scale(lam), rho).hi > abs_value(f.ring, lam).hi * nf.hi:
+    if norm_S(f.scale(lam), rho).hi > abs_value(f.ring, lam) * nf.hi:
         bad += 1
     if f.ring.non_archimedean:
         tf, tg = norm_T(f, rho), norm_T(g, rho)

@@ -21,6 +21,7 @@ from .errors import (
     NotStrictlySmaller,
     TailDiverges,
     UnsupportedRing,
+    reads_json,
 )
 from .scalars import (
     BanachRing,
@@ -154,9 +155,11 @@ class TruncatedSeries:
 
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
-        D = min(self.degree_bound, other.degree_bound) \
-            if (self.tail or other.tail) else max(self.degree_bound,
-                                                  other.degree_bound)
+        # past the smallest degree bound of a tailed operand the sum is
+        # unknown; an untailed operand is exact to any degree
+        tailed = [h.degree_bound for h in (self, other) if h.tail is not None]
+        D = min(tailed) if tailed else max(self.degree_bound,
+                                           other.degree_bound)
         coeffs = dict(self.coeffs)
         for I, a in other.coeffs.items():
             coeffs[I] = coeffs.get(I, Fraction(0)) + a
@@ -169,7 +172,7 @@ class TruncatedSeries:
         c = as_fraction(c)
         tail = self.tail
         if tail is not None:
-            bound = abs_value(self.ring, c).hi
+            bound = abs_value(self.ring, c)
             tail = Tail(tail.C * max(bound, Fraction(1)), tail.sigma)
         return TruncatedSeries(
             self.ring,
@@ -225,9 +228,8 @@ class TruncatedSeries:
         return obj
 
     @staticmethod
+    @reads_json("series")
     def from_json(obj, ring: BanachRing) -> "TruncatedSeries":
-        if not isinstance(obj, dict):
-            raise ValueError("a series must be a JSON object")
         tail = None
         if obj.get("tail"):
             tail = Tail(Fraction(obj["tail"]["C"]),
@@ -252,7 +254,7 @@ def _combine_tails_add(f: TruncatedSeries, g: TruncatedSeries,
     sigma = PolyRadius(tuple(
         min(t.sigma[i] for t in tails) for i in range(f.n)
     ))
-    extra = max((abs_value(f.ring, a).hi * sigma.power(I)
+    extra = max((abs_value(f.ring, a) * sigma.power(I)
                  for I, a in dropped.items()), default=Fraction(0))
     return Tail(sum(t.C for t in tails) + extra, sigma)
 
@@ -343,7 +345,7 @@ def norm_S(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     _check_tail_radius(f, rho)
     poly = Fraction(0)
     for I, a in f.coeffs.items():
-        poly += abs_value(f.ring, a).hi * rho.power(I)
+        poly += abs_value(f.ring, a) * rho.power(I)
     return NormValue(poly, poly + _tail_sum_bound(f, rho))
 
 
@@ -425,7 +427,7 @@ def _torus_lower_bound(f: TruncatedSeries, rho: PolyRadius,
     best_sq = Fraction(num, den)
     lo = nth_root_interval(NormValue.exact(best_sq), 2, Fraction(1, 10**9)).lo
     for I, a in f.coeffs.items():
-        lo = max(lo, abs_value(f.ring, a).hi * rho.power(I))
+        lo = max(lo, abs_value(f.ring, a) * rho.power(I))
     return lo
 
 
@@ -442,7 +444,7 @@ def norm_T(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     if f.ring.non_archimedean:
         poly = Fraction(0)
         for I, a in f.coeffs.items():
-            poly = max(poly, abs_value(f.ring, a).hi * rho.power(I))
+            poly = max(poly, abs_value(f.ring, a) * rho.power(I))
         return NormValue(poly, max(poly, _tail_max_bound(f, rho)))
     hi = norm_S(f, rho).hi
     lo = _torus_lower_bound(f, rho)
@@ -512,7 +514,7 @@ def multiply(f: TruncatedSeries, g: TruncatedSeries,
                      if c and sum(K) > D]
         if discarded:
             sigma = PolyRadius((DEFAULT_DISCARD_SIGMA,) * f.n)
-            C = max(abs_value(f.ring, c).hi * sigma.power(K)
+            C = max(abs_value(f.ring, c) * sigma.power(K)
                     for K, c in discarded)
             tail = Tail(C, sigma)
     return TruncatedSeries(f.ring, f.n, kept, D, tail)
@@ -523,7 +525,7 @@ def _global_majorant_constant(f: TruncatedSeries, sigma) -> Fraction:
     sp = PolyRadius(tuple(sigma))
     C = f.tail.C if f.tail is not None else Fraction(0)
     for I, a in f.coeffs.items():
-        C = max(C, abs_value(f.ring, a).hi * sp.power(I))
+        C = max(C, abs_value(f.ring, a) * sp.power(I))
     return C
 
 
@@ -611,6 +613,7 @@ class DaggerPresentation:
         }
 
     @staticmethod
+    @reads_json("algebra")
     def from_json(obj):
         ring = BanachRing.from_json(obj["ring"])
         return DaggerPresentation(

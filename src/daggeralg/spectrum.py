@@ -63,8 +63,8 @@ class Place:
         """|x| in the place's ring, extended from the integers to the
         rationals by multiplicativity (the trivial ring holds integers)."""
         x = as_fraction(x)
-        return (abs_value(self.ring, x.numerator).hi
-                / abs_value(self.ring, x.denominator).hi)
+        return (abs_value(self.ring, x.numerator)
+                / abs_value(self.ring, x.denominator))
 
     def abs_value(self, x) -> NormValue:
         """|x|^eps at this place, as a certified interval."""

@@ -98,7 +98,7 @@ def _dual_lower_bound_matrix(T, left: WeightedFreeModule,
             for j in range(right.rank):
                 if T[i][j] != 0:
                     cap = value_floor(ring, wl[i]) * value_floor(ring, wr[j])
-                    val = abs_value(ring, T[i][j]).lo * cap
+                    val = abs_value(ring, T[i][j]) * cap
                     best = max(best, val)
         return best
     best = Fraction(0)
@@ -221,7 +221,7 @@ def scalar_contraction_bound(lam, x: TensorElement,
     lam = as_fraction(lam)
     orig = tensor_norm_upper(x, flavor)
     scaled = tensor_norm_upper(x.scale(lam), flavor)
-    la = abs_value(x.left.ring, lam).hi
+    la = abs_value(x.left.ring, lam)
     rec = ContractionRecord(lam, scaled, la, orig, scaled <= la * orig)
     if not rec.holds:
         raise ViolationWitness("scalar contraction bound failed", rec)

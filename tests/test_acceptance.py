@@ -5,13 +5,16 @@ The status lines are printed with capture disabled so they stay visible
 in a default pytest run.
 """
 
+import json
 import sys
+from pathlib import Path
 
 import pytest
 
 from daggeralg import selftest
 
 SEED = 7
+GOLDEN = Path(__file__).parent / "data" / "selftest_seed7.json"
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +82,23 @@ def test_criterion_09_base_change(report, capfd):
 
 def test_criterion_10_determinism(report, capfd):
     assert _announce(_criterion(report, 10), capfd)
+
+
+def _without_host_details(report):
+    """The report minus what depends on the host: per-criterion timings
+    and the thread count."""
+    out = {k: v for k, v in report.items() if k != "threads"}
+    out["criteria"] = [
+        dict(c, details={k: v for k, v in c["details"].items()
+                         if k not in ("under_60s", "threads_compared")})
+        for c in report["criteria"]
+    ]
+    return out
+
+
+def test_report_matches_golden(report):
+    """Byte-identical selftest report: the same seed gives the same report
+    as the committed one (regenerate it only for an intended change)."""
+    text = json.dumps(_without_host_details(report), sort_keys=True,
+                      indent=1) + "\n"
+    assert text == GOLDEN.read_text()

@@ -78,6 +78,18 @@ class TestNormCommand:
         assert main(["norm", "--series", f]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_tail_not_an_object(self, tmp_path, capsys):
+        f = write_json(tmp_path / "f.json",
+                       dict(series_json(1, 1), tail=[1]))
+        assert main(["norm", "--series", f]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_coefficient_index_not_a_list(self, tmp_path, capsys):
+        f = write_json(tmp_path / "f.json",
+                       {"n": 1, "D": 0, "coeffs": [[0, "1"]]})
+        assert main(["norm", "--series", f]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestTensorCommand:
     def test_certified_norm(self, tmp_path, capsys):
@@ -125,6 +137,20 @@ class TestLocalizeAndKoszul:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["concentrated_in_degree_0"] is True
+
+    def test_algebra_not_an_object(self, tmp_path, capsys):
+        A = write_json(tmp_path / "A.json", [1])
+        code = main(["localize", "--algebra", A,
+                     "--spec", self.spec(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_spec_not_an_object(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "spec.json", ["weierstrass"])
+        code = main(["koszul", "--algebra", self.algebra(tmp_path),
+                     "--spec", spec])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestMVCommand:

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from daggeralg.errors import (
     DimensionMismatch,
@@ -30,16 +33,84 @@ from daggeralg.normed_core import (
 )
 from daggeralg.scalars import (
     NormValue,
+    abs_value,
     integers_archimedean,
+    integers_trivial,
+    padic_valuation,
+    rationals_archimedean,
     rationals_padic,
 )
 
 Z = integers_archimedean()
+ZT = integers_trivial()
 Q2 = rationals_padic(2)
+QA = rationals_archimedean()
 
 
 def zmod(*weights, flavor=SUM):
     return WeightedFreeModule(Z, tuple(Fraction(w) for w in weights), flavor)
+
+
+RINGS = (Z, ZT, Q2, QA)
+FLAVOR_PAIRS = [(SUM, SUM), (SUM, MAX), (MAX, SUM), (MAX, MAX)]
+
+
+def scalars_of(ring):
+    if ring.integral:
+        return st.integers(-3, 3).map(Fraction)
+    return st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def modules(draw, ring, flavor=None):
+    if flavor is None:
+        flavor = draw(st.sampled_from((SUM, MAX) if ring.non_archimedean
+                                      else (SUM,)))
+    rank = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.fractions(Fraction(1, 4), 4, max_denominator=4),
+                            min_size=rank, max_size=rank))
+    return WeightedFreeModule(ring, tuple(weights), flavor)
+
+
+@st.composite
+def module_maps(draw, flavors=(None, None)):
+    rings = RINGS if MAX not in flavors else (ZT, Q2)
+    ring = draw(st.sampled_from(rings))
+    src, tgt = (draw(modules(ring, flavor)) for flavor in flavors)
+    matrix = draw(st.lists(
+        st.lists(scalars_of(ring), min_size=src.rank, max_size=src.rank)
+        .map(tuple), min_size=tgt.rank, max_size=tgt.rank))
+    return ModuleMap(src, tgt, tuple(matrix))
+
+
+# reference kernels written with NormValue folds, one interval per scalar
+
+
+def reference_abs(ring, x):
+    x = ring.check_element(x)
+    if x == 0:
+        return NormValue.zero()
+    if not ring.non_archimedean:
+        return NormValue.exact(abs(x))
+    if ring.integral:
+        return NormValue.exact(1)
+    return NormValue.exact(Fraction(ring.p) ** -padic_valuation(x, ring.p))
+
+
+def reference_vector_norm(M, v):
+    out = NormValue.zero()
+    for x, w in zip(v, M.weights):
+        term = reference_abs(M.ring, x).scale(w)
+        out = out + term if M.flavor == SUM else out.join_max(term)
+    return out
+
+
+def reference_column_norm(f):
+    best = NormValue.zero()
+    for j in range(f.source.rank):
+        col = reference_vector_norm(f.target, f.column(j))
+        best = best.join_max(col.scale(1 / f.source.weights[j]))
+    return best
 
 
 class TestVectorNorm:
@@ -91,6 +162,67 @@ class TestOperatorNorm:
                 for _ in range(c)))
             assert operator_norm(g.compose(f)).hi <= \
                 operator_norm(g).hi * operator_norm(f).hi
+
+    def test_max_source_into_sum_target(self):
+        # the identity on Z_triv^2 with weights 1 sends (1, 1), of max
+        # norm 1, to a vector of sum norm 2
+        src = WeightedFreeModule(ZT, (Fraction(1), Fraction(1)), MAX)
+        tgt = WeightedFreeModule(ZT, (Fraction(1), Fraction(1)), SUM)
+        f = ModuleMap(src, tgt, ((Fraction(1), Fraction(0)),
+                                 (Fraction(0), Fraction(1))))
+        assert operator_norm(f) == NormValue(Fraction(1), Fraction(2))
+        assert vector_norm(tgt, f.apply((1, 1))).hi == 2
+
+    @pytest.mark.parametrize("flavors", FLAVOR_PAIRS,
+                             ids=lambda pair: "-".join(pair))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_box_oracle(self, flavors, data):
+        """lo <= max |f x| / |x| over a small integer box <= hi; the box
+        holds the unit vectors, which attain lo."""
+        f = data.draw(module_maps(flavors))
+        best = Fraction(0)
+        for x in itertools.product(range(-2, 3), repeat=f.source.rank):
+            if any(x):
+                ratio = (vector_norm(f.target, f.apply(x)).hi
+                         / vector_norm(f.source, x).hi)
+                best = max(best, ratio)
+        nv = operator_norm(f)
+        assert nv.lo <= best
+        assert best <= nv.hi
+
+
+class TestNormKernels:
+    """Norms computed on bare rationals equal the NormValue folds."""
+
+    @given(st.sampled_from(RINGS).flatmap(
+        lambda ring: st.tuples(st.just(ring), scalars_of(ring))))
+    @settings(max_examples=150, deadline=None)
+    def test_abs_value(self, ring_and_x):
+        ring, x = ring_and_x
+        a = abs_value(ring, x)
+        assert type(a) is Fraction
+        assert NormValue.exact(a) == reference_abs(ring, x)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_vector_norm(self, data):
+        M = data.draw(st.sampled_from(RINGS).flatmap(modules))
+        v = data.draw(st.lists(scalars_of(M.ring), min_size=M.rank,
+                               max_size=M.rank))
+        assert vector_norm(M, v) == reference_vector_norm(M, v)
+
+    @given(module_maps())
+    @settings(max_examples=150, deadline=None)
+    def test_operator_norm(self, f):
+        nv, ref = operator_norm(f), reference_column_norm(f)
+        assert nv.lo == ref.lo
+        if f.source.flavor == MAX and f.target.flavor == SUM:
+            assert nv.hi == sum(
+                vector_norm(f.target, f.column(j)).hi / w
+                for j, w in enumerate(f.source.weights))
+        else:
+            assert nv.hi == ref.hi
 
 
 class TestResidueNorm:

@@ -27,20 +27,20 @@ QA = rationals_archimedean()
 
 class TestAbsValue:
     def test_integer_archimedean(self):
-        assert abs_value(Z, -3) == NormValue.exact(3)
+        assert abs_value(Z, -3) == Fraction(3)
 
     def test_padic_valuation(self):
-        assert abs_value(Q2, 12) == NormValue.exact(Fraction(1, 4))
+        assert abs_value(Q2, 12) == Fraction(1, 4)
 
     def test_trivial(self):
-        assert abs_value(ZT, 7) == NormValue.exact(1)
+        assert abs_value(ZT, 7) == Fraction(1)
 
     def test_zero(self):
         for ring in (Z, ZT, Q2, QA):
-            assert abs_value(ring, 0) == NormValue.zero()
+            assert abs_value(ring, 0) == Fraction(0)
 
     def test_padic_negative_valuation(self):
-        assert abs_value(Q2, Fraction(3, 4)) == NormValue.exact(4)
+        assert abs_value(Q2, Fraction(3, 4)) == Fraction(4)
 
     def test_non_element(self):
         with pytest.raises(NonElement):
@@ -129,12 +129,12 @@ class TestRingAxioms:
     def test_multiplicativity_and_triangle(self, x, y):
         for ring in (Z, ZT, Q2, QA):
             ax, ay = abs_value(ring, x), abs_value(ring, y)
-            assert abs_value(ring, x * y).hi <= ax.hi * ay.hi
+            assert abs_value(ring, x * y) <= ax * ay
             s = abs_value(ring, x + y)
             if ring.non_archimedean:
-                assert s.hi <= max(ax.hi, ay.hi)
+                assert s <= max(ax, ay)
             else:
-                assert s.hi <= ax.hi + ay.hi
+                assert s <= ax + ay
 
     def test_ring_json_round_trip(self):
         for ring in (Z, ZT, Q2, QA):

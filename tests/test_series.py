@@ -268,6 +268,17 @@ class TestSeriesStructure:
         total = f.add(TruncatedSeries.monomial(QA, (3,)))
         assert norm_S(total, ONE).contains(3)
 
+    def test_add_keeps_coefficients_of_the_tailed_operand(self):
+        # 1 + X + tail(C=1, sigma=4) with D=1 holds 1 + X, so the sum with
+        # the untailed constant 1 holds 2 + X, of norm 3 at radius 1; the
+        # exact X must not be folded into the tail
+        f = TruncatedSeries(QA, 1, {(0,): Fraction(1), (1,): Fraction(1)}, 1,
+                            Tail(Fraction(1), polyradius(4)))
+        total = TruncatedSeries.constant(QA, 1).add(f)
+        assert total.degree_bound == 1
+        nv = norm_S(total, ONE)
+        assert nv.contains(3) and nv.lo == 3
+
     def test_embed(self):
         f = poly(Z, 0, 1).embed(2, offset=1)
         assert f.coefficient((0, 1)) == 1
@@ -316,7 +327,7 @@ def fraction_multiply(f, g, D=None):
         tail = Tail(C, PolyRadius(tuple(s * mu for s in sigma_min)))
     elif discarded:
         sigma = PolyRadius((DEFAULT_DISCARD_SIGMA,) * f.n)
-        C = max(abs_value(f.ring, c).hi * sigma.power(K)
+        C = max(abs_value(f.ring, c) * sigma.power(K)
                 for K, c in discarded.items())
         tail = Tail(C, sigma)
     return TruncatedSeries(f.ring, f.n, kept, E, tail)
