@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import DaggerAlgError
+from .errors import DaggerAlgError, reads_json
 from .localization import (
     LocalizationSpec,
     koszul_h_check,
@@ -84,15 +84,19 @@ def cmd_norm(args) -> int:
     return 0
 
 
-def cmd_tensor(args) -> int:
-    obj = _load_json(args.element)
+@reads_json("tensor element")
+def _read_tensor_element(obj) -> TensorElement:
     left = WeightedFreeModule.from_json(obj["left"])
     right = WeightedFreeModule.from_json(obj["right"])
     terms = tuple(
         (tuple(Fraction(c) for c in m), tuple(Fraction(c) for c in n))
         for m, n in obj["terms"]
     )
-    x = TensorElement(left, right, terms)
+    return TensorElement(left, right, terms)
+
+
+def cmd_tensor(args) -> int:
+    x = _read_tensor_element(_load_json(args.element))
     flavor = args.flavor
     nv = tensor_norm_certified(x, flavor)
     _emit({"version": REPORT_VERSION, "norm": nv.to_json(),
@@ -123,12 +127,17 @@ def cmd_koszul(args) -> int:
     return 0 if verdict.concentrated else 2
 
 
+@reads_json("mv-check element")
+def _read_laurent_element(obj):
+    return {int(k): Fraction(v) for k, v in obj.items()}
+
+
 def cmd_mv_check(args) -> int:
     ring = parse_ring(args.ring)
-    elements = [
-        {int(k): Fraction(v) for k, v in e.items()}
-        for e in _load_json(args.elements)
-    ]
+    elements = _load_json(args.elements)
+    if not isinstance(elements, list):
+        raise ValueError("mv-check elements must be a JSON list")
+    elements = [_read_laurent_element(e) for e in elements]
     rep = mayer_vietoris(ring, args.degree, elements)
     report = {
         "version": REPORT_VERSION,
@@ -223,6 +232,21 @@ def cmd_selftest(args) -> int:
     return 0 if report["passed"] else 2
 
 
+def _add_size(p, flag: str, default: int, cap: int, what: str) -> None:
+    """An integer option that must lie in [1, cap]; the cap keeps one
+    run at desk scale and is stated in --help."""
+
+    def size(text):
+        value = int(text)
+        if not 1 <= value <= cap:
+            raise argparse.ArgumentTypeError(
+                f"{value} is outside 1..{cap}")
+        return value
+
+    p.add_argument(flag, type=size, default=default,
+                   help=f"{what} (1 to {cap}, default {default})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="daggeralg",
@@ -258,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--map", help="target presentation, defaults to the algebra")
-    p.add_argument("--degree", type=int, default=8)
+    _add_size(p, "--degree", 8, 20, "truncation degree")
     add_common(p)
     p.set_defaults(fn=cmd_koszul)
 
@@ -266,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elements", required=True,
                    help="JSON list of {exponent: coefficient} tables")
     p.add_argument("--ring", default="Qp:2")
-    p.add_argument("--degree", type=int, default=8)
+    _add_size(p, "--degree", 8, 256, "truncation degree")
     add_common(p)
     p.set_defaults(fn=cmd_mv_check)
 
@@ -274,24 +298,23 @@ def build_parser() -> argparse.ArgumentParser:
                        "estimates over the integers")
     p.add_argument("--series", required=True)
     p.add_argument("--rho", default="1")
-    p.add_argument("--prime-bound", type=int, default=50)
-    p.add_argument("--grid", type=int, default=2,
-                   help="exponent grid size per place family")
-    p.add_argument("--powers", type=int, default=8)
+    _add_size(p, "--prime-bound", 50, 10000, "largest prime listed")
+    _add_size(p, "--grid", 2, 16, "exponent grid size per place family")
+    _add_size(p, "--powers", 8, 32, "powers in the spectral estimate")
     add_common(p)
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("shilov", help="Archimedean-fiber dominance check")
     p.add_argument("--series", required=True)
     p.add_argument("--rho", default="1")
-    p.add_argument("--prime-bound", type=int, default=50)
+    _add_size(p, "--prime-bound", 50, 10000, "largest prime listed")
     add_common(p)
     p.set_defaults(fn=cmd_shilov)
 
     p = sub.add_parser("pi-check", help="max-norm reflection adjunction "
                        "sampling")
     p.add_argument("--module", required=True)
-    p.add_argument("--samples", type=int, default=500)
+    _add_size(p, "--samples", 500, 10000, "sampled maps")
     p.add_argument("--seed", type=int, default=7)
     add_common(p)
     p.set_defaults(fn=cmd_pi_check)

@@ -6,6 +6,7 @@ Small and dense on purpose: everything in this package is desk scale.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Sequence
 
@@ -36,27 +37,45 @@ def transpose(A):
 
 
 def rref(A: Matrix):
-    """Row-reduce a copy of A; returns (R, pivot_columns)."""
-    R = [[Fraction(x) for x in row] for row in A]
-    rows = len(R)
-    cols = len(R[0]) if rows else 0
+    """Row-reduce a copy of A; returns (R, pivot_columns).
+
+    Fraction-free Gauss-Jordan: each row is scaled to integers over the
+    lcm of its denominators, a row is cleared against the pivot row by
+    integer cross-multiplication and divided by its content, and each
+    pivot row is divided by its pivot once, at the end.  R holds
+    Fractions; its rows past the rank are zero.
+    """
+    M = []
+    for row in A:
+        L = math.lcm(*(x.denominator for x in row))
+        M.append([x.numerator * (L // x.denominator) for x in row])
+    rows = len(M)
+    cols = len(M[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if R[i][c] != 0), None)
+        pivot = next((i for i in range(r, rows) if M[i][c]), None)
         if pivot is None:
             continue
-        R[r], R[pivot] = R[pivot], R[r]
-        inv = R[r][c]
-        R[r] = [x / inv for x in R[r]]
+        M[r], M[pivot] = M[pivot], M[r]
+        P = M[r]
+        a = P[c]
         for i in range(rows):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+            b = M[i][c]
+            if b and i != r:
+                g = math.gcd(a, b)
+                s, t = a // g, b // g
+                row = [s * x - t * y for x, y in zip(M[i], P)]
+                g = math.gcd(*row)
+                M[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == rows:
             break
+    zero = Fraction(0)
+    R = [[Fraction(x, row[c]) if x else zero for x in row]
+         for row, c in zip(M, pivots)]
+    R.extend([zero] * cols for _ in range(rows - r))
     return R, pivots
 
 
@@ -105,15 +124,9 @@ def same_row_space(A: Matrix, B: Matrix) -> bool:
 
 def saturate_integer(v: Sequence[Fraction]) -> List[int]:
     """Scale a rational vector to a primitive integer vector."""
-    from math import gcd
-
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
+    den = math.lcm(*(x.denominator for x in v))
     ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = math.gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     return ints

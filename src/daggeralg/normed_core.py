@@ -20,6 +20,7 @@ from .errors import (
     NotCokernelForm,
     UnsupportedRing,
     ZeroSampleElement,
+    reads_json,
 )
 from .scalars import (
     BanachRing,
@@ -62,6 +63,7 @@ class WeightedFreeModule:
         }
 
     @staticmethod
+    @reads_json("module")
     def from_json(obj) -> "WeightedFreeModule":
         return WeightedFreeModule(
             BanachRing.from_json(obj["ring"]),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import NonElement
+from .errors import NonElement, reads_json
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -172,6 +172,7 @@ class BanachRing:
         return obj
 
     @staticmethod
+    @reads_json("ring")
     def from_json(obj) -> "BanachRing":
         return BanachRing(obj["kind"], p=obj.get("p"))
 

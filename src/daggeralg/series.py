@@ -365,11 +365,37 @@ def _unit_circle_points(count: int):
         for cc, ss in ((c, s), (-c, s), (c, -s), (-c, -s),
                        (s, c), (-s, c), (s, -c), (-s, -c)):
             out.append((cc, ss))
-    seen = []
-    for p in out:
-        if p not in seen:
-            seen.append(p)
-    return seen
+    # drop repeats, keeping first occurrences in order
+    return list(dict.fromkeys(out))
+
+
+def _power_table(zr: Fraction, zi: Fraction, E: int):
+    """Powers of z = zr + i*zi = (x + iy)/q over one denominator: returns
+    ([(re, im) of (x + iy)^e * q^(E - e) for e = 0..E], q^E)."""
+    q = math.lcm(zr.denominator, zi.denominator)
+    x = zr.numerator * (q // zr.denominator)
+    y = zi.numerator * (q // zi.denominator)
+    qpow = q**E
+    table = []
+    re, im, scale = 1, 0, qpow
+    for _ in range(E + 1):
+        table.append((re * scale, im * scale))
+        re, im, scale = re * x - im * y, re * y + im * x, scale // q
+    return table, qpow
+
+
+def _combine(terms, tables):
+    """Sum of N_I * prod_i tables[i][I_i] over the (I, N_I) terms, as a
+    Gaussian integer (re, im)."""
+    re_total = im_total = 0
+    for I, N in terms:
+        re, im = N, 0
+        for table, e in zip(tables, I):
+            tr, ti = table[e]
+            re, im = re * tr - im * ti, re * ti + im * tr
+        re_total += re
+        im_total += im
+    return re_total, im_total
 
 
 def evaluate_complex(f: TruncatedSeries, points):
@@ -383,48 +409,44 @@ def evaluate_complex(f: TruncatedSeries, points):
     tables = []
     for i, (zr, zi) in zip(range(f.n), points):
         E = max((I[i] for I, _ in terms), default=0)
-        q = math.lcm(zr.denominator, zi.denominator)
-        x = zr.numerator * (q // zr.denominator)
-        y = zi.numerator * (q // zi.denominator)
-        qpow = q**E
-        den *= qpow
-        # table[e] = (x + iy)^e * q^(E - e)
-        table = []
-        re, im = 1, 0
-        for _ in range(E + 1):
-            table.append((re * qpow, im * qpow))
-            re, im, qpow = re * x - im * y, re * y + im * x, qpow // q
+        table, qpow = _power_table(zr, zi, E)
         tables.append(table)
-    re_total = im_total = 0
-    for I, N in terms:
-        re, im = N, 0
-        for table, e in zip(tables, I):
-            tr, ti = table[e]
-            re, im = re * tr - im * ti, re * ti + im * tr
-        re_total += re
-        im_total += im
-    return Fraction(re_total, den), Fraction(im_total, den)
+        den *= qpow
+    re, im = _combine(terms, tables)
+    return Fraction(re, den), Fraction(im, den)
 
 
 def _torus_lower_bound(f: TruncatedSeries, rho: PolyRadius,
                        points_per_var: Optional[int] = None) -> Fraction:
     """Certified lower bound for sup |f(z)| on the torus |z_i| = rho_i:
     max of exactly evaluated sample values and the Cauchy coefficient
-    bound max |a_I| rho^I."""
+    bound max |a_I| rho^I.
+
+    Each axis's power tables are built once per circle point; a torus
+    point combines one table per axis on integers, and its |f(z)|^2 =
+    (re^2 + im^2) / (L * prod q_i^E_i)^2 is compared by cross-products.
+    """
     if points_per_var is None:
         points_per_var = 8 * (f.degree_bound + 1) if f.n <= 2 else 8
     circle = _unit_circle_points(points_per_var)
-    axes = [[(r * c, r * s) for c, s in circle] for r in rho]
-    # largest |f(z)|^2 so far as num/den, compared on integers
+    terms, L = _scaled_ints(f.coeffs)
+    axis_tables, axis_qpows = [], []
+    for i, r in enumerate(rho):
+        E = max((I[i] for I, _ in terms), default=0)
+        tables, qpows = zip(*(_power_table(r * c, r * s, E)
+                              for c, s in circle))
+        axis_tables.append(tables)
+        axis_qpows.append(qpows)
+    # largest (re^2 + im^2) / prod(q_i^E_i)^2 so far as num/den
     num, den = 0, 1
-    for z in itertools.product(*axes):
-        re, im = evaluate_complex(f, z)
-        a, b = re.as_integer_ratio()
-        c, d = im.as_integer_ratio()
-        sq_num, sq_den = (a * d) ** 2 + (c * b) ** 2, (b * d) ** 2
+    for tables, qpows in zip(itertools.product(*axis_tables),
+                             itertools.product(*axis_qpows)):
+        re, im = _combine(terms, tables)
+        q = math.prod(qpows)
+        sq_num, sq_den = re * re + im * im, q * q
         if sq_num * den > num * sq_den:
             num, den = sq_num, sq_den
-    best_sq = Fraction(num, den)
+    best_sq = Fraction(num, den * L * L)
     lo = nth_root_interval(NormValue.exact(best_sq), 2, Fraction(1, 10**9)).lo
     for I, a in f.coeffs.items():
         lo = max(lo, abs_value(f.ring, a) * rho.power(I))

@@ -152,24 +152,30 @@ def evaluate_seminorm(f: TruncatedSeries, pt: SpectrumPoint) -> NormValue:
 def fiber_sup(f: TruncatedSeries, place: Place, rho: PolyRadius) -> NormValue:
     """Sup of the place seminorm of f over the polydisk of radius rho.
 
-    p-adic place: the exact maximum of |a_I|_p^eps * rho^I over the
-    support.  Trivial place: the indicator maximum of rho^I.  Archimedean
-    place: the sup-norm bracket raised to the exponent.
+    p-adic place: the maximum of |a_I|_p^eps * rho^I over the support.
+    Trivial place: the indicator maximum of rho^I.  Both are Gauss norms,
+    so the known coefficients give a lower bound; a tail leaves the upper
+    bound open (hi = None), since the majorant bounds the unknown
+    coefficients in the series' own ring, not at this place.
+    Archimedean place: the sup-norm bracket raised to the exponent.
     """
     if len(rho) != f.n:
         raise DimensionMismatch("polyradius arity mismatch")
-    if not f.coeffs:
+    if f.is_zero():
         return NormValue.zero()
+    if place.kind == ARCHIMEDEAN:
+        sup = norm_T(f.with_ring(place.ring), rho)
+        return pow_interval(sup, place.eps, ROOT_PRECISION)
     if place.kind == PADIC:
-        out = NormValue.zero()
+        known = NormValue.zero()
         for I, a in f.coeffs.items():
-            out = out.join_max(place.abs_value(a).scale(rho.power(I)))
-        return out
-    if place.kind == TRIVIAL:
-        best = max(rho.power(I) for I in f.coeffs)
-        return NormValue.exact(best)
-    sup = norm_T(f.with_ring(place.ring), rho)
-    return pow_interval(sup, place.eps, ROOT_PRECISION)
+            known = known.join_max(place.abs_value(a).scale(rho.power(I)))
+    else:
+        known = NormValue.exact(
+            max((rho.power(I) for I in f.coeffs), default=Fraction(0)))
+    if f.tail is not None and f.tail.C:
+        return NormValue(known.lo, None)
+    return known
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,11 @@ class TestTensorCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["norm"] == {"lo": "6", "hi": "6"}
 
+    def test_element_not_an_object(self, tmp_path, capsys):
+        f = write_json(tmp_path / "x.json", [1])
+        assert main(["tensor", "--element", f]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestLocalizeAndKoszul:
     def algebra(self, tmp_path):
@@ -169,6 +174,17 @@ class TestMVCommand:
         assert "Traceback" not in captured.err
         assert json.loads(captured.out)["exact"] is True
 
+    @pytest.mark.parametrize("elements", [[[1]], 5, {"0": "1"}])
+    def test_element_not_an_object(self, tmp_path, capsys, elements):
+        f = write_json(tmp_path / "e.json", elements)
+        assert main(["mv-check", "--elements", f]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_ring_not_an_object(self, tmp_path, capsys):
+        f = write_json(tmp_path / "e.json", [{"0": "1"}])
+        assert main(["mv-check", "--elements", f, "--ring", "[1]"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestSpectrumCommands:
     def test_spectrum_report(self, tmp_path, capsys):
@@ -203,6 +219,11 @@ class TestPiCommand:
         assert out["adjunction_all_equal"] is True
         assert out["tensor_intertwine_confirmed"] is True
 
+    def test_module_not_an_object(self, tmp_path, capsys):
+        f = write_json(tmp_path / "M.json", [1])
+        assert main(["pi-check", "--module", f]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestDeterminism:
     def test_repeated_reports_identical(self, tmp_path, capsys):
@@ -220,3 +241,51 @@ class TestArgumentErrors:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+
+class TestSizeCaps:
+    # (subcommand, option, cap, values the selftest, the defaults and
+    # the benchmark fixtures use)
+    CAPS = [
+        ("koszul", "--degree", 20, [6, 8]),
+        ("mv-check", "--degree", 256, [6, 8]),
+        ("spectrum", "--powers", 32, [6, 8]),
+        ("spectrum", "--grid", 16, [1, 2]),
+        ("spectrum", "--prime-bound", 10000, [5, 50]),
+        ("shilov", "--prime-bound", 10000, [5, 50]),
+        ("pi-check", "--samples", 10000, [20, 100, 500]),
+    ]
+
+    def parse(self, command, *extra):
+        from daggeralg.cli import build_parser
+
+        required = {"koszul": ["--algebra", "A", "--spec", "S"],
+                    "mv-check": ["--elements", "E"],
+                    "spectrum": ["--series", "F"],
+                    "shilov": ["--series", "F"],
+                    "pi-check": ["--module", "M"]}[command]
+        return build_parser().parse_args([command, *required, *extra])
+
+    @pytest.mark.parametrize("command,option,cap,used", CAPS)
+    def test_used_values_default_and_cap_accepted(self, command, option,
+                                                  cap, used):
+        dest = option[2:].replace("-", "_")
+        for value in used + [1, cap]:
+            args = self.parse(command, option, str(value))
+            assert getattr(args, dest) == value
+        assert 1 <= getattr(self.parse(command), dest) <= cap
+
+    @pytest.mark.parametrize("command,option,cap,used", CAPS)
+    def test_outside_range_rejected(self, command, option, cap, used,
+                                    capsys):
+        for value in (0, -1, cap + 1):
+            assert main([command, option, str(value)]) == 1
+            err = capsys.readouterr().err
+            assert f"error: argument {option}: {value} is outside 1..{cap}" \
+                in err
+            assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command,option,cap,used", CAPS)
+    def test_cap_stated_in_help(self, command, option, cap, used, capsys):
+        assert main([command, "--help"]) == 0
+        assert f"(1 to {cap}," in " ".join(capsys.readouterr().out.split())

@@ -426,3 +426,47 @@ class TestIntegerKernels:
         for I, a in f.coeffs.items():
             lo = max(lo, abs(a) * PolyRadius(tuple(rho)).power(I))
         assert _torus_lower_bound(f, PolyRadius(tuple(rho)), 8) == lo
+
+    @staticmethod
+    def per_point_torus_bound(f, rho, points_per_var):
+        """One ``evaluate_complex`` call per torus point."""
+        circle = _unit_circle_points(points_per_var)
+        best_sq = Fraction(0)
+        for combo in itertools.product(circle, repeat=f.n):
+            z = [(r * c, r * s) for r, (c, s) in zip(rho, combo)]
+            re, im = evaluate_complex(f, z)
+            best_sq = max(best_sq, re * re + im * im)
+        lo = nth_root_interval(NormValue.exact(best_sq), 2,
+                               Fraction(1, 10**9)).lo
+        for I, a in f.coeffs.items():
+            lo = max(lo, abs(a) * rho.power(I))
+        return lo
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        series(QA, n, tails=False),
+        st.lists(st.sampled_from([Fraction(1, 2), Fraction(2, 3),
+                                  Fraction(5, 7), Fraction(1),
+                                  Fraction(9, 4)]),
+                 min_size=n, max_size=n),
+        st.sampled_from([8, 9, 16] if n < 3 else [8]))))
+    @settings(max_examples=40, deadline=None)
+    def test_torus_lower_bound_matches_per_point_evaluation(self, case):
+        f, rho, points_per_var = case
+        rho = PolyRadius(tuple(rho))
+        assert _torus_lower_bound(f, rho, points_per_var) == \
+            self.per_point_torus_bound(f, rho, points_per_var)
+
+    def test_torus_lower_bound_distinct_axis_denominators(self):
+        for n, coeffs in (
+            (1, {(0,): Fraction(1, 2), (2,): Fraction(-4, 3),
+                 (5,): Fraction(7)}),
+            (2, {(0, 0): Fraction(1, 2), (3, 1): Fraction(-4, 3),
+                 (1, 2): Fraction(5)}),
+            (3, {(0, 0, 1): Fraction(3), (1, 1, 0): Fraction(-2, 5),
+                 (2, 0, 2): Fraction(1, 6)}),
+        ):
+            f = TruncatedSeries(QA, n, coeffs, 5)
+            rho = PolyRadius((Fraction(2, 3), Fraction(5, 7),
+                              Fraction(9, 4))[:n])
+            assert _torus_lower_bound(f, rho, 16) == \
+                self.per_point_torus_bound(f, rho, 16)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from daggeralg.errors import CoordinateOutOfDisk, DimensionMismatch
 from daggeralg.scalars import NormValue, integers_archimedean
-from daggeralg.series import TruncatedSeries, multiply, polyradius
+from daggeralg.series import Tail, TruncatedSeries, multiply, polyradius
 from daggeralg.spectrum import (
     ARCHIMEDEAN,
     PADIC,
@@ -106,6 +106,18 @@ class TestFiberSup:
 
     def test_zero_series(self):
         assert fiber_sup(zpoly(0), Place(TRIVIAL), ONE) == NormValue.zero()
+
+    def test_tail_leaves_upper_bound_open(self):
+        # 1 + tail(C=100, sigma=2) has the member 1 + X, whose sup at
+        # rho = 3/2 is 3/2 at the trivial and the 3-adic place
+        f = TruncatedSeries(Z, 1, {(0,): Fraction(1)}, 0,
+                            Tail(Fraction(100), polyradius(2)))
+        rho = polyradius(Fraction(3, 2))
+        member = zpoly(1, 1)
+        for place in (Place(TRIVIAL), Place(PADIC, 1, 3)):
+            nv = fiber_sup(f, place, rho)
+            assert nv == NormValue(Fraction(1), None)
+            assert nv.contains(fiber_sup(member, place, rho).hi)
 
     def test_point_seminorm_below_fiber_sup(self):
         rng = random.Random(2)
