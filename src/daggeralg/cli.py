@@ -156,12 +156,14 @@ def cmd_spectrum(args) -> int:
     f = TruncatedSeries.from_json(_load_json(args.series), ring)
     rho = parse_rho(args.rho, f.n)
     rep = global_sup_report(f, rho, args.prime_bound, args.grid)
+    unlisted = rep.unlisted_primes_bounded_by
     powers = spectral_via_powers(f, rho, args.powers)
     report = {
         "version": REPORT_VERSION,
         "global_sup": rep.value.to_json(),
         "per_place": [[label, nv.to_json()] for label, nv in rep.per_place],
-        "unlisted_primes_bounded_by": str(rep.unlisted_primes_bounded_by),
+        "unlisted_primes_bounded_by": None if unlisted is None
+        else str(unlisted),
         "power_estimates": [nv.to_json() for nv in powers],
     }
     _emit(report, args)
@@ -223,7 +225,7 @@ def cmd_pi_check(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    report = run_all(args.seed, args.threads)
+    report = run_all(args.seed)
     for c in report["criteria"]:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"criterion {c['id']:2d} {c['name']:<24s} {status}",
@@ -321,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the full verification suite")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--threads", type=int, default=None)
     add_common(p)
     p.set_defaults(fn=cmd_selftest)
 

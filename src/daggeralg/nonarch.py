@@ -141,7 +141,7 @@ def pi_tensor_check(U: WeightedFreeModule,
             x = TensorElement(U_max, V_max, ((ei, ej),))
             nv = tensor_norm_certified(x, MAX)
             expected = through_max.weights[i * V.rank + j]
-            if not (nv.hi == expected and nv.lo <= expected):
+            if not nv.lo == nv.hi == expected:
                 norms_ok = False
     return TensorIntertwineRecord(through_sum.weights, through_max.weights,
                                   norms_ok, weights_ok and norms_ok)

@@ -224,25 +224,6 @@ def abs_value(ring: BanachRing, x) -> Fraction:
     return Fraction(ring.p) ** -padic_valuation(x, ring.p)
 
 
-def value_floor(ring: BanachRing, w: Fraction) -> Fraction:
-    """Largest absolute value attainable in the ring that is <= w.
-
-    Archimedean rings attain every non-negative rational; over the
-    trivial valuation the only nonzero value is 1; over Q_p the values
-    are integer powers of p.
-    """
-    if not ring.non_archimedean:
-        return w
-    if ring.kind == KIND_Z_TRIVIAL:
-        return ONE if w >= 1 else ZERO
-    val = ONE
-    while val > w:
-        val /= ring.p
-    while val * ring.p <= w:
-        val *= ring.p
-    return val
-
-
 # ---------------------------------------------------------------------------
 # certified roots
 

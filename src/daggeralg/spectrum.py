@@ -182,7 +182,7 @@ def fiber_sup(f: TruncatedSeries, place: Place, rho: PolyRadius) -> NormValue:
 class GlobalSupReport:
     value: NormValue
     per_place: Tuple[Tuple[str, NormValue], ...]
-    unlisted_primes_bounded_by: Fraction
+    unlisted_primes_bounded_by: Optional[Fraction]  # None: open
 
 
 def global_sup_report(f: TruncatedSeries, rho: PolyRadius, prime_bound: int,
@@ -194,8 +194,10 @@ def global_sup_report(f: TruncatedSeries, rho: PolyRadius, prime_bound: int,
         table.append((place.label(), v))
         total = total.join_max(v)
     # integer coefficients have p-adic size <= 1 at every prime, so each
-    # prime beyond the enumeration bound contributes at most max rho^I
-    unlisted = max((rho.power(I) for I in f.coeffs), default=Fraction(0))
+    # prime beyond the enumeration bound contributes at most max rho^I; a
+    # tail leaves it open, as in fiber_sup
+    unlisted = None if f.tail is not None and f.tail.C else \
+        max((rho.power(I) for I in f.coeffs), default=Fraction(0))
     return GlobalSupReport(total, tuple(table), unlisted)
 
 

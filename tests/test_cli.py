@@ -109,6 +109,21 @@ class TestTensorCommand:
         assert main(["tensor", "--element", f]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("terms, extra", [
+        ([[["2"], ["1"]]], ["--flavor", "max"]),  # max cost over Z
+        ([[["1/2"], ["2"]]], []),  # an entry outside Z
+    ])
+    def test_rejected_element(self, tmp_path, capsys, terms, extra):
+        ring = {"kind": "IntegersArchimedean"}
+        element = {
+            "left": {"ring": ring, "weights": ["1"], "flavor": "sum"},
+            "right": {"ring": ring, "weights": ["1"], "flavor": "sum"},
+            "terms": terms,
+        }
+        f = write_json(tmp_path / "x.json", element)
+        assert main(["tensor", "--element", f] + extra) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestLocalizeAndKoszul:
     def algebra(self, tmp_path):
@@ -194,6 +209,15 @@ class TestSpectrumCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["global_sup"] == {"lo": "2", "hi": "2"}
         assert len(out["power_estimates"]) == 3
+
+    def test_spectrum_tail_leaves_unlisted_primes_null(self, tmp_path,
+                                                       capsys):
+        series = dict(series_json(1), tail={"C": "100", "sigma": ["2"]})
+        f = write_json(tmp_path / "f.json", series)
+        assert main(["spectrum", "--series", f, "--rho", "3/2",
+                     "--prime-bound", "5", "--powers", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["unlisted_primes_bounded_by"] is None
 
     def test_shilov_confirmed(self, tmp_path, capsys):
         f = write_json(tmp_path / "f.json", series_json(1, 1))

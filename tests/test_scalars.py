@@ -16,7 +16,6 @@ from daggeralg.scalars import (
     rational_root_bounds,
     rationals_archimedean,
     rationals_padic,
-    value_floor,
 )
 
 Z = integers_archimedean()
@@ -45,23 +44,6 @@ class TestAbsValue:
     def test_non_element(self):
         with pytest.raises(NonElement):
             abs_value(Z, Fraction(1, 2))
-
-
-class TestValueFloor:
-    def test_padic_powers_of_p(self):
-        Q3 = rationals_padic(3)
-        assert value_floor(Q3, Fraction(5, 2)) == 1
-        assert value_floor(Q3, Fraction(10)) == 9
-        assert value_floor(Q3, Fraction(1, 10)) == Fraction(1, 27)
-
-    def test_trivial(self):
-        assert value_floor(ZT, Fraction(1, 2)) == 0
-        assert value_floor(ZT, Fraction(3)) == 1
-
-    def test_archimedean_is_identity(self):
-        for ring in (Z, QA):
-            for w in (Fraction(1, 3), Fraction(1), Fraction(7, 2)):
-                assert value_floor(ring, w) == w
 
 
 class TestNormValue:

@@ -141,6 +141,14 @@ class TestGlobalSup:
         assert labels["2-adic^1"] == NormValue.exact(1)
         assert rep.unlisted_primes_bounded_by == 1
 
+    def test_tail_leaves_unlisted_primes_open(self):
+        # the member 1 + X of 1 + tail(C=100, sigma=2) reaches 3/2 at
+        # every prime, so no bound from the known coefficients holds
+        f = TruncatedSeries(Z, 1, {(0,): Fraction(1)}, 0,
+                            Tail(Fraction(100), polyradius(2)))
+        rep = global_sup_report(f, polyradius(Fraction(3, 2)), 3, 1)
+        assert rep.unlisted_primes_bounded_by is None
+
     def test_every_fiber_below_global(self):
         f = zpoly(3, -2, 0, 5)
         rep = global_sup_report(f, ONE, 20, 2)

@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from daggeralg.errors import DimensionMismatch, ViolationWitness
+from daggeralg.errors import DimensionMismatch, FlavorMismatch, NonElement, \
+    ViolationWitness
 from daggeralg.normed_core import MAX, SUM, ModuleMap, WeightedFreeModule, \
     operator_norm, vector_norm
-from daggeralg.scalars import integers_archimedean, rationals_padic
+from daggeralg.scalars import NormValue, integers_archimedean, \
+    integers_trivial, rationals_padic
 from daggeralg.tensor import (
     NormedAlgebra,
     TensorElement,
@@ -20,7 +24,9 @@ from daggeralg.tensor import (
 )
 
 Z = integers_archimedean()
+ZT = integers_trivial()
 Q2 = rationals_padic(2)
+Q3 = rationals_padic(3)
 
 
 def zmod(*weights, flavor=SUM):
@@ -85,18 +91,30 @@ class TestCertified:
         nv = tensor_norm_certified(x, SUM)
         assert nv.hi == 12
 
-    def test_lower_never_exceeds_any_representation(self):
-        rng = random.Random(3)
-        for _ in range(40):
-            L, R = zmod(rng.randint(1, 4)), zmod(rng.randint(1, 4))
-            terms = tuple(
-                ((Fraction(rng.randint(-3, 3)),),
-                 (Fraction(rng.randint(-3, 3)),))
-                for _ in range(rng.randint(1, 3))
-            )
-            x = TensorElement(L, R, terms)
-            assert tensor_norm_certified(x, SUM).lo <= \
-                tensor_norm_upper(x, SUM)
+    def test_probe_2x2_exact(self):
+        # T = [[1, 1], [1, -1]]: no cheaper representation than the rows
+        x = TensorElement(zmod(1, 1), zmod(1, 1),
+                          (((1, 0), (1, 1)), ((0, 1), (1, -1))))
+        assert tensor_norm_certified(x, SUM) == NormValue(4, 4)
+
+    def test_trivial_valuation_2x2_exact(self):
+        M = WeightedFreeModule(ZT, (Fraction(1), Fraction(1)), SUM)
+        x = TensorElement(M, M, (((1, 0), (1, 1)), ((0, 1), (1, -1))))
+        assert tensor_norm_certified(x, SUM) == NormValue(4, 4)
+
+    def test_max_cost_over_archimedean_ring_rejected(self):
+        x = TensorElement(zmod(1), zmod(1), (((2,), (1,)),))
+        with pytest.raises(FlavorMismatch):
+            tensor_norm_certified(x, MAX)
+
+    def test_non_element_entry_rejected(self):
+        with pytest.raises(NonElement):
+            TensorElement(zmod(1), zmod(1), (((Fraction(1, 2),), (2,)),))
+
+    def test_ring_mismatch_rejected(self):
+        M = WeightedFreeModule(Q2, (Fraction(1),), SUM)
+        with pytest.raises(DimensionMismatch):
+            TensorElement(zmod(1), M, ())
 
     def test_rank_one_brute_force_oracle(self):
         # every representation of e (x) e' has cost >= w*v: brute force
@@ -117,6 +135,114 @@ class TestCertified:
         M = WeightedFreeModule(Q2, (Fraction(1), Fraction(2)), MAX)
         x = TensorElement(M, M, (((1, 1), (1, 0)), ((0, 1), (1, 1))))
         assert tensor_norm_upper(x, MAX) <= tensor_norm_upper(x, SUM)
+
+
+# -- oracle: the certified interval against every small representation
+
+
+def _cheapest_small_representation(x, flavor):
+    """Least cost, in the given flavor, of a representation of x's
+    coefficient matrix by at most two integer terms with entries in
+    [-2, 2]; None when no such representation exists."""
+    span = range(-2, 3)
+    rl, rr = x.left.rank, x.right.rank
+    left = {m: vector_norm(x.left, m).hi
+            for m in itertools.product(span, repeat=rl)}
+    right = {n: vector_norm(x.right, n).hi
+             for n in itertools.product(span, repeat=rr)}
+    cheapest = {}  # outer product m n^T -> least cost of a term giving it
+    for m, a in left.items():
+        for n, b in right.items():
+            key = tuple(u * v for u in m for v in n)
+            if key not in cheapest or a * b < cheapest[key]:
+                cheapest[key] = a * b
+    target = tuple(v for row in x.coefficient_matrix() for v in row)
+    best = None
+    for key, c1 in cheapest.items():
+        c2 = cheapest.get(tuple(t - a for t, a in zip(target, key)))
+        if c2 is not None:
+            c = c1 + c2 if flavor == SUM else max(c1, c2)
+            best = c if best is None else min(best, c)
+    return best
+
+
+def _decompositions(x):
+    """The given representation and the row, column and single-cell
+    decompositions of x's coefficient matrix."""
+    T = x.coefficient_matrix()
+    rl, rr = x.left.rank, x.right.rank
+
+    def unit(rank, k):
+        return tuple(int(i == k) for i in range(rank))
+
+    rows = tuple((unit(rl, i), tuple(T[i])) for i in range(rl))
+    cols = tuple((tuple(T[i][j] for i in range(rl)), unit(rr, j))
+                 for j in range(rr))
+    cells = tuple((tuple(T[i][j] * u for u in unit(rl, i)), unit(rr, j))
+                  for i in range(rl) for j in range(rr))
+    return {name: TensorElement(x.left, x.right, terms) for name, terms in
+            (("given", x.terms), ("rows", rows), ("cols", cols),
+             ("cells", cells))}
+
+
+def _assert_oracle(x, flavor):
+    if flavor == MAX and not x.left.ring.non_archimedean:
+        with pytest.raises(FlavorMismatch):
+            tensor_norm_certified(x, flavor)
+        return
+    nv = tensor_norm_certified(x, flavor)
+    cheapest = _cheapest_small_representation(x, flavor)
+    assert cheapest is None or nv.lo <= cheapest
+    reps = {k: tensor_norm_upper(v, flavor)
+            for k, v in _decompositions(x).items()}
+    if flavor == MAX:
+        assert nv.lo == nv.hi == reps["cells"]
+    elif x.left.flavor == SUM and x.right.flavor == SUM:
+        assert nv.lo == nv.hi == reps["rows"]
+    else:
+        assert nv.hi == min(reps["given"], reps["rows"], reps["cols"])
+
+
+_RINGS = {"Z": (Z, [1, 2, 3]), "Ztriv": (ZT, [1, 2, 3]),
+          "Q3": (Q3, [Fraction(1, 3), Fraction(1, 2), 1, 2, 3])}
+
+
+@st.composite
+def _oracle_cases(draw):
+    ring, weights = _RINGS[draw(st.sampled_from(sorted(_RINGS)))]
+    flavors = [SUM, MAX] if ring.non_archimedean else [SUM]
+    rl, rr = draw(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (2, 3),
+                                   (3, 2)]))
+    L = WeightedFreeModule(ring, tuple(Fraction(draw(st.sampled_from(weights)))
+                                       for _ in range(rl)),
+                           draw(st.sampled_from(flavors)))
+    R = WeightedFreeModule(ring, tuple(Fraction(draw(st.sampled_from(weights)))
+                                       for _ in range(rr)),
+                           draw(st.sampled_from(flavors)))
+    entry = st.integers(-2, 2)
+    terms = draw(st.lists(st.tuples(st.tuples(*[entry] * rl),
+                                    st.tuples(*[entry] * rr)),
+                          min_size=0, max_size=2))
+    return TensorElement(L, R, tuple(terms)), draw(st.sampled_from([SUM, MAX]))
+
+
+@st.composite
+def _rank_one_cases(draw):
+    """Elements of Z (x) Z with one-dimensional factors and up to three
+    terms, coefficients in [-3, 3]."""
+    coeff = st.integers(-3, 3)
+    L = zmod(draw(st.integers(1, 4)))
+    R = zmod(draw(st.integers(1, 4)))
+    terms = draw(st.lists(st.tuples(st.tuples(coeff), st.tuples(coeff)),
+                          min_size=1, max_size=3))
+    return TensorElement(L, R, tuple(terms)), SUM
+
+
+class TestOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_oracle_cases() | _rank_one_cases())
+    def test_interval_against_small_representations(self, case):
+        _assert_oracle(*case)
 
 
 class TestScalarContraction:
