@@ -56,10 +56,6 @@ class NormValue:
     def zero() -> "NormValue":
         return NormValue(ZERO, ZERO)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.hi is not None and self.lo == self.hi
-
     def __add__(self, other: "NormValue") -> "NormValue":
         hi = None if self.hi is None or other.hi is None else self.hi + other.hi
         return NormValue(self.lo + other.lo, hi)

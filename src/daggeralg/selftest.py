@@ -2,20 +2,18 @@
 
 Ten checks exercising the load-bearing guarantees of the package, each
 returning a structured verdict.  All randomness is derived from one seed
-and all instance generation is serial, so reports are byte-identical for
-any thread count; only the evaluation of pre-generated instances is
-parallelized.
+and the suite runs serially.  Criterion 10 runs criteria 1-9 a second
+time in reverse order and byte-compares the two runs, so state leaking
+from one criterion into the next shows as a failure.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from . import linalg
 from .localization import (
@@ -66,13 +64,6 @@ from .spectrum import (
 from .tensor import TensorElement, tensor_norm_upper
 
 REPORT_VERSION = 1
-
-
-def _map_ordered(fn: Callable, items: List, threads: int) -> List:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _rng(seed: int, tag: str) -> random.Random:
@@ -148,7 +139,7 @@ def _check_series_axioms(inst) -> int:
     return bad
 
 
-def criterion_1(seed: int, threads: int) -> Dict:
+def criterion_1(seed: int) -> Dict:
     """Triangle/strong-triangle and scalar bounds on 1000 random
     instances per construction, exact comparisons, under 60 s."""
     rng = _rng(seed, "axioms")
@@ -202,9 +193,9 @@ def criterion_1(seed: int, threads: int) -> Dict:
             (rand_series(), rand_series(), Fraction(rng.randint(-9, 9)), rho)
         )
 
-    violations = sum(_map_ordered(_check_vector_axioms, vec_instances, threads))
-    violations += sum(_map_ordered(_check_tensor_axioms, tensor_instances, threads))
-    violations += sum(_map_ordered(_check_series_axioms, series_instances, threads))
+    violations = sum(map(_check_vector_axioms, vec_instances))
+    violations += sum(map(_check_tensor_axioms, tensor_instances))
+    violations += sum(map(_check_series_axioms, series_instances))
     elapsed = time.monotonic() - start
     return {
         "id": 1,
@@ -222,7 +213,7 @@ def criterion_1(seed: int, threads: int) -> Dict:
 # 2. cofinality bound
 
 
-def criterion_2(seed: int, threads: int) -> Dict:
+def criterion_2(seed: int) -> Dict:
     """Restriction constant 2 for rho=(1,1), rho'=(2,3), and the sum-norm
     versus sup-norm inequality on 200 random p-adic series."""
     rng = _rng(seed, "cofinality")
@@ -244,11 +235,8 @@ def criterion_2(seed: int, threads: int) -> Dict:
             coeffs[(i, j)] = unit * scale
         instances.append(TruncatedSeries(rationals_padic(p), 2, coeffs, 12))
 
-    def check(f):
-        return norm_S(f, rho).hi <= K * norm_T(f, rhop).hi
-
-    results = _map_ordered(check, instances, threads)
-    failures = results.count(False)
+    failures = sum(norm_S(f, rho).hi > K * norm_T(f, rhop).hi
+                   for f in instances)
     return {
         "id": 2,
         "name": "cofinality-bound",
@@ -261,7 +249,7 @@ def criterion_2(seed: int, threads: int) -> Dict:
 # 3. division recursion
 
 
-def criterion_3(seed: int, threads: int) -> Dict:
+def criterion_3(seed: int) -> Dict:
     """Round-trip and uniqueness of the (g*X - 1) division recursion at
     D = 16, plus the worked geometric-series instance."""
     rng = _rng(seed, "laurent")
@@ -272,19 +260,16 @@ def criterion_3(seed: int, threads: int) -> Dict:
             ring, [Fraction(rng.randint(-5, 5)) for _ in range(max_deg + 1)]
         )
 
-    instances = [(rand_poly(2), rand_poly(2)) for _ in range(200)]
-
-    def check(pair):
-        g, t = pair
+    zero = TruncatedSeries.constant(ring, 0, 1)
+    failures = 0
+    for _ in range(200):
+        g, t = rand_poly(2), rand_poly(2)
         try:
             laurent_solve(g, t, 16)  # verifies the round trip internally
         except ArithmeticError:
-            return False
-        zero = TruncatedSeries.constant(ring, 0, 1)
-        return not laurent_solve(g, zero, 16).coeffs
-
-    results = _map_ordered(check, instances, threads)
-    failures = results.count(False)
+            failures += 1
+            continue
+        failures += bool(laurent_solve(g, zero, 16).coeffs)
 
     g2 = TruncatedSeries.constant(ring, 2, 1)
     t = TruncatedSeries.constant(ring, -1, 1)
@@ -303,7 +288,7 @@ def criterion_3(seed: int, threads: int) -> Dict:
 # 4. Koszul concentration
 
 
-def criterion_4(seed: int, threads: int) -> Dict:
+def criterion_4(seed: int) -> Dict:
     """Degree -1 homology vanishes at D in {6, 8, 10} for the one-variable
     cut and inversion instances, over a p-adic and an Archimedean base."""
     from .series import unit_polydisk
@@ -316,16 +301,13 @@ def criterion_4(seed: int, threads: int) -> Dict:
             for D in (6, 8, 10):
                 jobs.append((A, spec, D))
 
-    def check(job):
-        A, spec, D = job
-        return koszul_h_check(A, spec, A, D).concentrated
-
-    results = _map_ordered(check, jobs, threads)
+    concentrated = all(koszul_h_check(A, spec, A, D).concentrated
+                       for A, spec, D in jobs)
     return {
         "id": 4,
         "name": "koszul-concentration",
-        "passed": all(results),
-        "details": {"instances": len(jobs), "all_concentrated": all(results)},
+        "passed": concentrated,
+        "details": {"instances": len(jobs), "all_concentrated": concentrated},
     }
 
 
@@ -333,7 +315,7 @@ def criterion_4(seed: int, threads: int) -> Dict:
 # 5. disk/annulus gluing
 
 
-def criterion_5(seed: int, threads: int) -> Dict:
+def criterion_5(seed: int) -> Dict:
     rng = _rng(seed, "gluing")
     ring = rationals_padic(2)
     elements = []
@@ -402,23 +384,20 @@ def _oracle_cvp(columns: List[List[int]], v: List[int]) -> Optional[Fraction]:
     return best
 
 
-def criterion_6(seed: int, threads: int) -> Dict:
+def criterion_6(seed: int) -> Dict:
     rng = _rng(seed, "residue")
     ring = integers_archimedean()
     ambient = WeightedFreeModule(ring, (Fraction(1),) * 3, SUM)
 
-    instances = []
-    while len(instances) < 100:
+    checked = mismatches = 0
+    while checked < 100:
         s = rng.randint(1, 3)
         cols = [[rng.randint(-10, 10) for _ in range(3)] for _ in range(s)]
         v = [rng.randint(-10, 10) for _ in range(3)]
         oracle = _oracle_cvp(cols, v)
         if oracle is None:
             continue
-        instances.append((cols, v, oracle))
-
-    def check(inst):
-        cols, v, oracle = inst
+        checked += 1
         src = WeightedFreeModule(ring, (Fraction(1),) * len(cols), SUM)
         rel = ModuleMap(
             src, ambient,
@@ -426,10 +405,7 @@ def criterion_6(seed: int, threads: int) -> Dict:
         )
         nv = residue_norm(cokernel(rel), [Fraction(x) for x in v],
                           search_bound=15)
-        return nv.lo == nv.hi == oracle
-
-    results = _map_ordered(check, instances, threads)
-    mismatches = results.count(False)
+        mismatches += not nv.lo == nv.hi == oracle
     return {
         "id": 6,
         "name": "residue-norm-oracle",
@@ -442,7 +418,7 @@ def criterion_6(seed: int, threads: int) -> Dict:
 # 7. spectral estimates and boundary dominance
 
 
-def criterion_7(seed: int, threads: int) -> Dict:
+def criterion_7(seed: int) -> Dict:
     """Global sup of 1+X, fiberwise dominance of the usual absolute value
     for 50 random integer polynomials, and the power-iteration sequence.
 
@@ -459,32 +435,22 @@ def criterion_7(seed: int, threads: int) -> Dict:
     g0 = global_sup(f0, rho, 50, 1)
     worked = g0.lo == g0.hi == 2
 
-    polys = []
+    dominance_failures = above_failures = certified_increases = 0
     for _ in range(50):
         deg = rng.randint(1, 4)
         coeffs = [rng.randint(-5, 5) for _ in range(deg + 1)]
         if not any(coeffs):
             coeffs[0] = 1
-        polys.append(TruncatedSeries.from_univariate(Z, coeffs))
-
-    def check(f):
+        f = TruncatedSeries.from_univariate(Z, coeffs)
         arch = fiber_sup(f, Place(ARCHIMEDEAN, 1), rho)
-        dominance = True
-        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-            if fiber_sup(f, Place(PADIC, 1, p), rho).hi > arch.lo:
-                dominance = False
+        dominance_failures += any(
+            fiber_sup(f, Place(PADIC, 1, p), rho).hi > arch.lo
+            for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+        )
         seq = spectral_via_powers(f, rho, 8)
         gl = global_sup(f, rho, 50, 1)
-        above = all(term.hi >= gl.lo for term in seq)
-        increases = sum(
-            1 for a, b in zip(seq, seq[1:]) if b.lo > a.hi
-        )
-        return dominance, above, increases
-
-    results = _map_ordered(check, polys, threads)
-    dominance_failures = sum(1 for d, _, _ in results if not d)
-    above_failures = sum(1 for _, a, _ in results if not a)
-    certified_increases = sum(i for _, _, i in results)
+        above_failures += not all(term.hi >= gl.lo for term in seq)
+        certified_increases += sum(b.lo > a.hi for a, b in zip(seq, seq[1:]))
     monotone = certified_increases == 0
     return {
         "id": 7,
@@ -505,7 +471,7 @@ def criterion_7(seed: int, threads: int) -> Dict:
 # 8. reflection adjunction and tensor intertwining
 
 
-def criterion_8(seed: int, threads: int) -> Dict:
+def criterion_8(seed: int) -> Dict:
     rng = _rng(seed, "reflection")
     p = 3
     ring = rationals_padic(p)
@@ -513,11 +479,14 @@ def criterion_8(seed: int, threads: int) -> Dict:
     def p_weight():
         return Fraction(p) ** rng.randint(-3, 3)
 
-    matrix_jobs = []
+    def module(rank, flavor):
+        return WeightedFreeModule(ring, tuple(p_weight() for _ in range(rank)),
+                                  flavor)
+
+    adjunction_failures = 0
     for _ in range(500):
         rs, rt = rng.randint(1, 4), rng.randint(1, 4)
-        src = WeightedFreeModule(ring, tuple(p_weight() for _ in range(rs)), SUM)
-        tgt = WeightedFreeModule(ring, tuple(p_weight() for _ in range(rt)), MAX)
+        src, tgt = module(rs, SUM), module(rt, MAX)
         mat = tuple(
             tuple(
                 Fraction(p) ** rng.randint(-3, 3) * rng.choice([0, 1, 1, 2])
@@ -525,34 +494,21 @@ def criterion_8(seed: int, threads: int) -> Dict:
             )
             for _ in range(rt)
         )
-        matrix_jobs.append((src, tgt, mat))
+        adjunction_failures += not check_adjunction(src, tgt, [mat])[0].equal
 
-    def check_matrix(job):
-        src, tgt, mat = job
-        return check_adjunction(src, tgt, [mat])[0].equal
-
-    adj_results = _map_ordered(check_matrix, matrix_jobs, threads)
-
-    pair_jobs = []
-    for ru in (1, 2, 3):
-        for rv in (1, 2, 3):
-            U = WeightedFreeModule(ring, tuple(p_weight() for _ in range(ru)), SUM)
-            V = WeightedFreeModule(ring, tuple(p_weight() for _ in range(rv)), SUM)
-            pair_jobs.append((U, V))
-
-    tensor_results = _map_ordered(
-        lambda uv: pi_tensor_check(uv[0], uv[1]).confirmed, pair_jobs, threads
-    )
-    failures = adj_results.count(False) + tensor_results.count(False)
+    pairs = [(module(ru, SUM), module(rv, SUM))
+             for ru in (1, 2, 3) for rv in (1, 2, 3)]
+    intertwine_failures = sum(not pi_tensor_check(U, V).confirmed
+                              for U, V in pairs)
     return {
         "id": 8,
         "name": "reflection-adjunction",
-        "passed": failures == 0,
+        "passed": adjunction_failures == 0 and intertwine_failures == 0,
         "details": {
             "matrices": 500,
-            "adjunction_failures": adj_results.count(False),
-            "tensor_pairs": len(pair_jobs),
-            "intertwine_failures": tensor_results.count(False),
+            "adjunction_failures": adjunction_failures,
+            "tensor_pairs": len(pairs),
+            "intertwine_failures": intertwine_failures,
         },
     }
 
@@ -561,7 +517,7 @@ def criterion_8(seed: int, threads: int) -> Dict:
 # 9. base change
 
 
-def criterion_9(seed: int, threads: int) -> Dict:
+def criterion_9(seed: int) -> Dict:
     Z = integers_archimedean()
     Q2 = rationals_padic(2)
     Qa = rationals_archimedean()
@@ -611,51 +567,42 @@ _CRITERIA = {
 }
 
 
-def run_criterion(k: int, seed: int = 7, threads: int = 1) -> Dict:
-    return _CRITERIA[k](seed, threads)
-
-
 def canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _run_first_nine(seed: int, threads: int) -> List[Dict]:
-    return [_CRITERIA[k](seed, threads) for k in sorted(_CRITERIA)]
+def _run_first_nine(seed: int, reverse: bool) -> List[Dict]:
+    """Criteria 1-9, run in id order or in reverse; listed in id order."""
+    ids = sorted(_CRITERIA, reverse=reverse)
+    results = {k: _CRITERIA[k](seed) for k in ids}
+    return [results[k] for k in sorted(results)]
 
 
-def run_all(seed: int = 7, threads: Optional[int] = None) -> Dict:
+def _without_timings(results: List[Dict]) -> List[Dict]:
+    return [dict(r, details={k: v for k, v in r["details"].items()
+                             if k != "under_60s"})
+            for r in results]
+
+
+def run_all(seed: int = 7, *_threads) -> Dict:
     """Full report: criteria 1-9 plus the determinism comparison, which
-    re-runs the suite single-threaded and with the requested thread count
-    and byte-compares the two reports."""
-    max_threads = threads if threads is not None else (os.cpu_count() or 1)
-    serial = _run_first_nine(seed, 1)
-    parallel = _run_first_nine(seed, max_threads)
-
-    def strip_timings(results):
-        out = []
-        for r in results:
-            r = dict(r)
-            r["details"] = {k: v for k, v in r["details"].items()
-                            if k != "under_60s"}
-            out.append(r)
-        return out
-
-    identical = canonical_json(strip_timings(serial)) == canonical_json(
-        strip_timings(parallel)
-    )
-    criteria = parallel + [
+    re-runs them in reverse order and byte-compares the two runs."""
+    # bench/workloads.py still passes a thread count, which is ignored
+    forward = _run_first_nine(seed, False)
+    backward = _run_first_nine(seed, True)
+    identical = canonical_json(_without_timings(forward)) == \
+        canonical_json(_without_timings(backward))
+    criteria = forward + [
         {
             "id": 10,
             "name": "determinism",
             "passed": identical,
-            "details": {"threads_compared": [1, max_threads],
-                        "byte_identical": identical},
+            "details": {"byte_identical": identical},
         }
     ]
     return {
         "version": REPORT_VERSION,
         "seed": seed,
-        "threads": max_threads,
         "criteria": criteria,
         "passed": all(c["passed"] for c in criteria),
     }

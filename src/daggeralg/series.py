@@ -91,9 +91,6 @@ class Tail:
         if self.C < 0:
             raise ValueError("tail constant must be non-negative")
 
-    def majorizes(self, I: Index, value: Fraction) -> bool:
-        return value <= self.C / self.sigma.power(I)
-
 
 @dataclass(frozen=True)
 class TruncatedSeries:

@@ -128,11 +128,13 @@ class SpectrumPoint:
         object.__setattr__(self, "coords", coords)
         if len(coords) != len(self.rho):
             raise DimensionMismatch("one coordinate per variable")
+        a, b = self.place.eps.numerator, self.place.eps.denominator
         for c, r in zip(coords, self.rho):
             size = self.place.size(c)
-            if size > r:
+            if size**a > r**b:  # |c|^eps > r, with eps = a/b
                 raise CoordinateOutOfDisk(
-                    f"coordinate {c} has size {size} > radius {r}"
+                    f"coordinate {c} has size {size}, and {size}^"
+                    f"({self.place.eps}) > radius {r}"
                 )
 
 
@@ -149,6 +151,23 @@ def evaluate_seminorm(f: TruncatedSeries, pt: SpectrumPoint) -> NormValue:
     return pt.place.abs_value(value)
 
 
+def _radius_bracket(rho: PolyRadius, eps: Fraction
+                    ) -> Tuple[PolyRadius, PolyRadius]:
+    """Rational polyradii inner <= rho^(1/eps) <= outer, componentwise.
+
+    With eps = a/b the radius is the a-th root of r^b: exact when a = 1.
+    A lower root bracket that rounds to 0 is replaced by min(r^b, 1),
+    which the a-th root of r^b never falls below."""
+    a, b = eps.numerator, eps.denominator
+    inner, outer = [], []
+    for r in rho:
+        x = r**b
+        root = nth_root_interval(NormValue.exact(x), a, ROOT_PRECISION)
+        inner.append(max(root.lo, min(x, 1)))
+        outer.append(root.hi)
+    return PolyRadius(tuple(inner)), PolyRadius(tuple(outer))
+
+
 def fiber_sup(f: TruncatedSeries, place: Place, rho: PolyRadius) -> NormValue:
     """Sup of the place seminorm of f over the polydisk of radius rho.
 
@@ -157,14 +176,28 @@ def fiber_sup(f: TruncatedSeries, place: Place, rho: PolyRadius) -> NormValue:
     so the known coefficients give a lower bound; a tail leaves the upper
     bound open (hi = None), since the majorant bounds the unknown
     coefficients in the series' own ring, not at this place.
-    Archimedean place: the sup-norm bracket raised to the exponent.
+    Archimedean place: |z|^eps <= rho means |z| <= rho^(1/eps), so the
+    sup-norm over that radius, bracketed between rational radii on either
+    side (the sup is monotone in the radius), raised to the exponent.
     """
     if len(rho) != f.n:
         raise DimensionMismatch("polyradius arity mismatch")
     if f.is_zero():
         return NormValue.zero()
     if place.kind == ARCHIMEDEAN:
-        sup = norm_T(f.with_ring(place.ring), rho)
+        g = f.with_ring(place.ring)
+        if place.eps == 1:
+            return norm_T(g, rho)
+        inner, outer = _radius_bracket(rho, place.eps)
+        if f.tail is not None and \
+                not all(r < s for r, s in zip(outer, f.tail.sigma)):
+            # a member need not converge out to rho^(1/eps), so the sup is
+            # open above; each member's sup is at least max |a_I| r^I
+            sup = NormValue(max((abs_value(g.ring, a) * inner.power(I)
+                                 for I, a in g.coeffs.items()), default=0),
+                            None)
+        else:
+            sup = NormValue(norm_T(g, inner).lo, norm_T(g, outer).hi)
         return pow_interval(sup, place.eps, ROOT_PRECISION)
     if place.kind == PADIC:
         known = NormValue.zero()

@@ -84,16 +84,34 @@ def test_criterion_10_determinism(report, capfd):
     assert _announce(_criterion(report, 10), capfd)
 
 
+def test_criterion_10_catches_state_leaking_between_criteria(monkeypatch):
+    """A criterion whose result depends on which criterion ran just before
+    it reports differently in the reverse run, so criterion 10 fails."""
+    state = {}
+
+    def first(seed):
+        state["last"] = 1
+        return {"id": 1, "name": "first", "passed": True, "details": {}}
+
+    def second(seed):
+        after_first = state.get("last") == 1
+        state["last"] = 2
+        return {"id": 2, "name": "second", "passed": True,
+                "details": {"ran_after_first": after_first}}
+
+    monkeypatch.setattr(selftest, "_CRITERIA", {1: first, 2: second})
+    c10 = _criterion(selftest.run_all(SEED), 10)
+    assert c10["details"]["byte_identical"] is False
+    assert c10["passed"] is False
+
+
 def _without_host_details(report):
-    """The report minus what depends on the host: per-criterion timings
-    and the thread count."""
-    out = {k: v for k, v in report.items() if k != "threads"}
-    out["criteria"] = [
+    """The report minus what depends on the host: per-criterion timings."""
+    return dict(report, criteria=[
         dict(c, details={k: v for k, v in c["details"].items()
-                         if k not in ("under_60s", "threads_compared")})
+                         if k != "under_60s"})
         for c in report["criteria"]
-    ]
-    return out
+    ])
 
 
 def test_report_matches_golden(report):

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from daggeralg.errors import CoordinateOutOfDisk, DimensionMismatch
@@ -25,6 +25,12 @@ from daggeralg.spectrum import (
 
 Z = integers_archimedean()
 ONE = polyradius(1)
+ORACLE_PLACES = [Place(TRIVIAL)] + [
+    place
+    for eps in (Fraction(1, 2), Fraction(2, 3), Fraction(1))
+    for place in (Place(ARCHIMEDEAN, eps), Place(PADIC, eps, 2),
+                  Place(PADIC, eps, 3))
+]
 
 
 def zpoly(*coeffs):
@@ -71,6 +77,23 @@ class TestPoints:
         with pytest.raises(CoordinateOutOfDisk):
             SpectrumPoint(Place(ARCHIMEDEAN, 1), (2,), ONE)
 
+    def test_fractional_exponent_shrinks_small_disk(self):
+        # |1/2|^(1/2) > 1/2, so 1/2 lies outside the disk at arch^(1/2)
+        half = Fraction(1, 2)
+        with pytest.raises(CoordinateOutOfDisk):
+            SpectrumPoint(Place(ARCHIMEDEAN, half), (half,), polyradius(half))
+        SpectrumPoint(Place(ARCHIMEDEAN, half), (Fraction(1, 4),),
+                      polyradius(half))
+
+    def test_fractional_exponent_widens_large_disk(self):
+        # |4|^(1/2) = 2 and |1/2|_2^(1/2) = 2^(1/2) <= 3/2
+        SpectrumPoint(Place(ARCHIMEDEAN, Fraction(1, 2)), (4,), polyradius(2))
+        SpectrumPoint(Place(PADIC, Fraction(1, 2), 2), (Fraction(1, 2),),
+                      polyradius(Fraction(3, 2)))
+        with pytest.raises(CoordinateOutOfDisk):
+            SpectrumPoint(Place(ARCHIMEDEAN, Fraction(2, 3)), (3,),
+                          polyradius(2))
+
     def test_padic_large_integer_is_small(self):
         pt = SpectrumPoint(Place(PADIC, 1, 2), (8,), ONE)
         assert evaluate_seminorm(zpoly(0, 1), pt) \
@@ -104,6 +127,34 @@ class TestFiberSup:
         nv = fiber_sup(zpoly(1, 1), Place(ARCHIMEDEAN, 1), ONE)
         assert nv.lo == nv.hi == 2
 
+    def test_arch_fractional_exponent_takes_the_root_radius(self):
+        # |z|^eps <= rho means |z| <= rho^(1/eps): the sup of |X|^(1/2)
+        # is (rho^2)^(1/2) = rho, and that of |1 + X|^(2/3) at rho = 4 is
+        # (1 + 4^(3/2))^(2/3) = 81^(1/3)
+        half = Fraction(1, 2)
+        for rho in (half, Fraction(2)):
+            nv = fiber_sup(zpoly(0, 1), Place(ARCHIMEDEAN, half),
+                           polyradius(rho))
+            assert nv == NormValue.exact(rho)
+        nv = fiber_sup(zpoly(1, 1), Place(ARCHIMEDEAN, Fraction(2, 3)),
+                       polyradius(4))
+        assert nv.lo**3 <= 81 <= nv.hi**3
+        # rho^(3/2) is far below the root precision: the bracket stays
+        # positive and the interval still holds the sup, rho
+        tiny = Fraction(2, 10**20)
+        nv = fiber_sup(zpoly(0, 1), Place(ARCHIMEDEAN, Fraction(2, 3)),
+                       polyradius(tiny))
+        assert nv.contains(tiny)
+
+    def test_arch_root_radius_beyond_the_tail_is_open(self):
+        # at arch^(1/2) the disk rho = 3/2 reaches |z| = 9/4, past the
+        # tail radius 2; the Cauchy bound (|a_1| 9/4)^(1/2) still holds
+        f = TruncatedSeries(Z, 1, {(0,): Fraction(1), (1,): Fraction(1)}, 1,
+                            Tail(Fraction(100), polyradius(2)))
+        nv = fiber_sup(f, Place(ARCHIMEDEAN, Fraction(1, 2)),
+                       polyradius(Fraction(3, 2)))
+        assert nv == NormValue(Fraction(3, 2), None)
+
     def test_zero_series(self):
         assert fiber_sup(zpoly(0), Place(TRIVIAL), ONE) == NormValue.zero()
 
@@ -118,6 +169,25 @@ class TestFiberSup:
             nv = fiber_sup(f, place, rho)
             assert nv == NormValue(Fraction(1), None)
             assert nv.contains(fiber_sup(member, place, rho).hi)
+
+    @given(st.lists(st.integers(-5, 5), min_size=1, max_size=4),
+           st.sampled_from(ORACLE_PLACES), st.integers(1, 4),
+           st.integers(1, 4), st.integers(-16, 16), st.integers(1, 8))
+    @example([0, 1], Place(ARCHIMEDEAN, Fraction(1, 2)), 1, 2, 1, 2)
+    @settings(max_examples=150, deadline=None)
+    def test_every_point_below_fiber_sup(self, coeffs, place, rn, rd, cn,
+                                         cd):
+        # the point lies over the disk exactly when |c|^eps <= rho, that
+        # is |c|^a <= rho^b for eps = a/b; its seminorm is below the sup
+        f, rho, c = zpoly(*coeffs), polyradius(Fraction(rn, rd)), \
+            Fraction(cn, cd)
+        a, b = place.eps.numerator, place.eps.denominator
+        if place.size(c)**a > rho[0]**b:
+            with pytest.raises(CoordinateOutOfDisk):
+                SpectrumPoint(place, (c,), rho)
+            return
+        pt = SpectrumPoint(place, (c,), rho)
+        assert evaluate_seminorm(f, pt).lo <= fiber_sup(f, place, rho).hi
 
     def test_point_seminorm_below_fiber_sup(self):
         rng = random.Random(2)
@@ -173,6 +243,21 @@ class TestPowers:
     def test_needs_a_power(self):
         with pytest.raises(ValueError):
             spectral_via_powers(zpoly(1), ONE, 0)
+
+    @given(st.integers(0, 2),
+           st.lists(st.integers(-3, 3), min_size=1, max_size=3).filter(any),
+           st.integers(1, 4), st.integers(1, 4), st.integers(1, 3))
+    @example(1, [1], 1, 2, 2)
+    @settings(max_examples=60, deadline=None)
+    def test_global_sup_below_every_power_estimate(self, shift, coeffs, rn,
+                                                   rd, grid):
+        # every point of the spectrum is bounded by the norm, so the
+        # global sup never exceeds any estimate norm(f^n)^(1/n)
+        f = zpoly(*[0] * shift, *coeffs)
+        rho = polyradius(Fraction(rn, rd))
+        lo = global_sup(f, rho, 7, grid).lo
+        for nv in spectral_via_powers(f, rho, 4):
+            assert lo <= nv.hi
 
 
 class TestShilov:
