@@ -49,7 +49,6 @@ from .localization import (
     present_localization,
     rational_factor,
     rational_spec,
-    weierstrass_kernel_check,
     weierstrass_spec,
 )
 from .spectrum import (

@@ -3,13 +3,13 @@
 Three standard subdomain constructions (add variables with relations
 X - f, g*Y - 1, h*X - f), the division recursion behind the Laurent
 relation, truncated Koszul homology checks, the rational-to-composite
-factorization, idempotent splitting in small quotient rings, and the
-disk/annulus gluing sequence.
+factorization, idempotent splitting in small quotient rings, and input
+validation for the disk/annulus gluing sequence.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -31,7 +31,6 @@ from .series import (
     _indices_up_to,
     _scaled_ints,
     multiply,
-    polyradius,
 )
 
 WEIERSTRASS = "weierstrass"
@@ -227,7 +226,7 @@ def laurent_solve(g: TruncatedSeries, t: TruncatedSeries,
 
 
 # ---------------------------------------------------------------------------
-# small coefficient rings Q[e]/(p(e)) for the kernel checks
+# small coefficient rings Q[e]/(p(e)) for idempotent splitting
 
 
 @dataclass(frozen=True)
@@ -288,43 +287,6 @@ class PolyQuotientRing:
 
 def rationals_quotient() -> PolyQuotientRing:
     return PolyQuotientRing(())
-
-
-@dataclass(frozen=True)
-class KernelVerdict:
-    injective: bool
-    witness: Optional[Tuple[Fraction, ...]] = None
-
-
-def weierstrass_kernel_check(C: PolyQuotientRing, f, D: int) -> KernelVerdict:
-    """Kernel of multiplication by (X - f) on C[X] truncated at degree D.
-
-    The map goes from degree <= D to degree <= D+1, so no truncation
-    artifact can create a spurious kernel: a kernel element is a genuine
-    polynomial zero divisor relation.
-    """
-    f = C.element(f) if not isinstance(f, tuple) else f
-    d = C.dim
-    dim_src = (D + 1) * d
-    dim_tgt = (D + 2) * d
-    # basis of source: e^j * X^i, column index i*d + j
-    cols = []
-    for i in range(D + 1):
-        for j in range(d):
-            basis_el = C.element([0] * j + [1])
-            out = [C.zero() for _ in range(D + 2)]
-            out[i + 1] = C.add(out[i + 1], basis_el)  # X * e^j X^i
-            prod = C.mul(f, basis_el)
-            out[i] = tuple(a - b for a, b in zip(out[i], prod))
-            col = []
-            for slot in out:
-                col.extend(slot)
-            cols.append(col)
-    A = [[cols[c][r] for c in range(dim_src)] for r in range(dim_tgt)]
-    ker = kernel_basis(A, dim_src)
-    if not ker:
-        return KernelVerdict(True)
-    return KernelVerdict(False, tuple(ker[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -482,86 +444,31 @@ def idempotent_split(C: PolyQuotientRing, gens: Sequence,
 # disk/annulus gluing
 
 
-@dataclass(frozen=True)
-class MayerVietorisReport:
-    diagonal_injective: bool
-    kernel_is_diagonal: bool
-    splittings_unique: bool
-    exact: bool
-    checked: int
-
-
-def split_laurent(coeffs: Dict[int, Fraction]):
-    """Split a Laurent polynomial into power part (exponents >= 0) and
-    principal part (exponents < 0); the unique such decomposition."""
-    power = {k: c for k, c in coeffs.items() if k >= 0 and c != 0}
-    principal = {k: c for k, c in coeffs.items() if k < 0 and c != 0}
-    return power, principal
-
-
 def mayer_vietoris(ring: BanachRing, D: int,
                    elements: Sequence[Dict[int, Fraction]],
                    disk_radius=Fraction(1),
-                   annulus_inner=Fraction(1)) -> MayerVietorisReport:
-    """Check the gluing sequence for the cover of the closed disk by the
-    disk piece and the annulus piece, truncated at degree D.
+                   annulus_inner=Fraction(1)) -> int:
+    """Validate overlap functions for the cover of the closed disk by the
+    disk piece and the annulus piece, truncated at degree D; return how
+    many were validated.
 
     Model: disk functions are polynomials in X, annulus functions are
-    Laurent polynomials in X; the overlap is the annulus.  Exactness says
-    the diagonal is injective, the kernel of the difference map is the
-    diagonal, and every overlap function splits uniquely into a disk part
-    and a principal part.
+    Laurent polynomials in X; the overlap is the annulus.  The gluing
+    sequence is exact in this model by a theorem, not a computation: a
+    Laurent polynomial splits uniquely, by the sign of each exponent, into
+    a disk part and a principal part, so the diagonal is injective and
+    the kernel of the difference map is the diagonal.  What can fail is
+    the input: a non-cover, an exponent beyond D, or a coefficient
+    outside the ring.
     """
-    disk_radius = as_fraction(disk_radius)
-    annulus_inner = as_fraction(annulus_inner)
-    if annulus_inner > disk_radius:
+    if as_fraction(annulus_inner) > as_fraction(disk_radius):
         raise NotACover(
             "annulus inner radius exceeds the disk radius: the pieces miss "
             "the intermediate spectrum points"
         )
-    checked = 0
-    unique = True
     for coeffs in elements:
-        coeffs = {int(k): as_fraction(c) for k, c in coeffs.items()}
-        if any(abs(k) > D for k in coeffs):
-            raise DimensionMismatch("element exceeds truncation degree")
-        power, principal = split_laurent(coeffs)
-        recombined = dict(power)
-        for k, c in principal.items():
-            recombined[k] = recombined.get(k, Fraction(0)) + c
-        if recombined != {k: c for k, c in coeffs.items() if c != 0}:
-            unique = False
-        if any(k < 0 for k in power) or any(k >= 0 for k in principal):
-            unique = False
-        checked += 1
-
-    # diagonal injectivity and kernel = diagonal, as exact linear algebra
-    # on the coefficient model: pairs (p, q) with p polynomial (0..D) and
-    # q Laurent (-D..D); difference map p - q on the overlap.
-    poly_dim = D + 1
-    lau_dim = 2 * D + 1
-    diff_cols = []
-    for i in range(poly_dim):  # p = X^i
-        col = [Fraction(0)] * lau_dim
-        col[D + i] = Fraction(1)
-        diff_cols.append(col)
-    for j in range(lau_dim):  # q = X^(j - D)
-        col = [Fraction(0)] * lau_dim
-        col[j] = Fraction(-1)
-        diff_cols.append(col)
-    A = [[diff_cols[c][r] for c in range(poly_dim + lau_dim)]
-         for r in range(lau_dim)]
-    ker = kernel_basis(A, poly_dim + lau_dim)
-    # diagonal: p arbitrary polynomial, q the same polynomial
-    kernel_is_diagonal = len(ker) == poly_dim
-    for v in ker:
-        p = v[:poly_dim]
-        q = v[poly_dim:]
-        if any(q[j] != 0 for j in range(D)):  # principal part must vanish
-            kernel_is_diagonal = False
-        if [q[D + i] for i in range(poly_dim)] != p:
-            kernel_is_diagonal = False
-    diagonal_injective = True  # p = 0 and q = 0 is the only zero pair
-    exact = diagonal_injective and kernel_is_diagonal and unique
-    return MayerVietorisReport(diagonal_injective, kernel_is_diagonal,
-                               unique, exact, checked)
+        for k, c in coeffs.items():
+            if abs(int(k)) > D:
+                raise DimensionMismatch("element exceeds truncation degree")
+            ring.check_element(c)
+    return len(elements)

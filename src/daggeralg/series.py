@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -415,9 +415,8 @@ def evaluate_complex(f: TruncatedSeries, points):
 
 def _torus_lower_bound(f: TruncatedSeries, rho: PolyRadius,
                        points_per_var: Optional[int] = None) -> Fraction:
-    """Certified lower bound for sup |f(z)| on the torus |z_i| = rho_i:
-    max of exactly evaluated sample values and the Cauchy coefficient
-    bound max |a_I| rho^I.
+    """Certified lower bound for sup |f(z)| on the torus |z_i| = rho_i of
+    the known coefficients alone: the largest exactly evaluated sample.
 
     Each axis's power tables are built once per circle point; a torus
     point combines one table per axis on integers, and its |f(z)|^2 =
@@ -444,29 +443,29 @@ def _torus_lower_bound(f: TruncatedSeries, rho: PolyRadius,
         if sq_num * den > num * sq_den:
             num, den = sq_num, sq_den
     best_sq = Fraction(num, den * L * L)
-    lo = nth_root_interval(NormValue.exact(best_sq), 2, Fraction(1, 10**9)).lo
-    for I, a in f.coeffs.items():
-        lo = max(lo, abs_value(f.ring, a) * rho.power(I))
-    return lo
+    return nth_root_interval(NormValue.exact(best_sq), 2, Fraction(1, 10**9)).lo
 
 
 def norm_T(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     """Spectral/sup norm on the polydisk.
 
     Non-Archimedean ring: the Gauss norm max |a_I| rho^I, exact up to the
-    tail bound.  Archimedean ring: bracketed between exact torus samples
-    (plus the Cauchy coefficient bound) and the coefficient sum.
+    tail bound.  Archimedean ring: bracketed between the Cauchy
+    coefficient bound max |a_I| rho^I (raised by exact torus samples when
+    the tail is zero: a member's unknown tail terms can cancel the known
+    ones on the torus) and the coefficient sum.
     """
     if len(rho) != f.n:
         raise DimensionMismatch("polyradius arity mismatch")
     _check_tail_radius(f, rho)
+    cauchy = max((abs_value(f.ring, a) * rho.power(I)
+                  for I, a in f.coeffs.items()), default=Fraction(0))
     if f.ring.non_archimedean:
-        poly = Fraction(0)
-        for I, a in f.coeffs.items():
-            poly = max(poly, abs_value(f.ring, a) * rho.power(I))
-        return NormValue(poly, max(poly, _tail_max_bound(f, rho)))
+        return NormValue(cauchy, max(cauchy, _tail_max_bound(f, rho)))
     hi = norm_S(f, rho).hi
-    lo = _torus_lower_bound(f, rho)
+    lo = cauchy
+    if f.tail is None or not f.tail.C:
+        lo = max(lo, _torus_lower_bound(f, rho))
     return NormValue(min(lo, hi), hi)
 
 

@@ -57,6 +57,17 @@ def test_criterion_05_disk_annulus_gluing(report, capfd):
     assert _announce(_criterion(report, 5), capfd)
 
 
+def test_criterion_05_fails_when_a_bad_input_is_accepted(monkeypatch):
+    """Criterion 5 can fail: a gluing check that validates nothing and
+    rejects nothing reports both negative instances as accepted."""
+    monkeypatch.setattr(selftest, "mayer_vietoris",
+                        lambda ring, D, elements, *radii: len(elements))
+    c5 = selftest.criterion_5(SEED)
+    assert c5["details"] == {"elements": 100, "non_cover_rejected": False,
+                             "out_of_range_rejected": False}
+    assert c5["passed"] is False
+
+
 def test_criterion_06_residue_norm_oracle(report, capfd):
     assert _announce(_criterion(report, 6), capfd)
 

@@ -178,7 +178,7 @@ class TestMVCommand:
         f = write_json(tmp_path / "e.json", [{"-1": "1", "0": "2", "3": "1"}])
         assert main(["mv-check", "--elements", f, "--degree", "8"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["exact"] is True and out["elements_checked"] == 1
+        assert out == {"version": 1, "exact": True, "elements_checked": 1}
 
     def test_environment_does_not_set_defaults(self, tmp_path, capsys,
                                                monkeypatch):
@@ -198,6 +198,11 @@ class TestMVCommand:
     def test_ring_not_an_object(self, tmp_path, capsys):
         f = write_json(tmp_path / "e.json", [{"0": "1"}])
         assert main(["mv-check", "--elements", f, "--ring", "[1]"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_coefficient_outside_the_ring(self, tmp_path, capsys):
+        f = write_json(tmp_path / "e.json", [{"0": "1", "1": "1/2"}])
+        assert main(["mv-check", "--elements", f, "--ring", "Z"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
 

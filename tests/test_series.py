@@ -113,6 +113,20 @@ class TestNormT:
         assert 0 < nv.lo <= nv.hi
         assert nv.hi == 5
 
+    def test_arch_tail_lower_bound_is_cauchy(self):
+        # 1 + X with tail(C=100, sigma=2) has the member
+        # 1 + z - (9/20) z^2 + (3/20) z^3, whose sup on |z| = 1 is about
+        # 1.70 (tests/test_members.py): the tail can cancel the known
+        # terms, so only the Cauchy bound max |a_I| rho^I = 1 is certified
+        f = TruncatedSeries(QA, 1, {(0,): Fraction(1), (1,): Fraction(1)}, 1,
+                            Tail(Fraction(100), polyradius(2)))
+        assert norm_T(f, ONE) == NormValue(Fraction(1), Fraction(52))
+
+    def test_arch_zero_tail_keeps_torus_samples(self):
+        f = TruncatedSeries(QA, 1, {(0,): Fraction(1), (1,): Fraction(1)}, 1,
+                            Tail(Fraction(0), polyradius(2)))
+        assert norm_T(f, ONE) == NormValue.exact(2)
+
     def test_T_never_exceeds_S(self):
         for ring in (Q2, QA):
             f = poly(ring, 1, -2, 3)

@@ -155,6 +155,15 @@ class TestFiberSup:
                        polyradius(Fraction(3, 2)))
         assert nv == NormValue(Fraction(3, 2), None)
 
+    def test_arch_tail_lower_bound_is_cauchy(self):
+        # members of 1 + X + tail(C=100, sigma=2) can cancel 1 + X on the
+        # torus, so at eps = 1 and in the inner bracket at eps = 1/2 (the
+        # radius 1^2 = 1) only the Cauchy bound 1 is certified below
+        f = TruncatedSeries(Z, 1, {(0,): Fraction(1), (1,): Fraction(1)}, 1,
+                            Tail(Fraction(100), polyradius(2)))
+        assert fiber_sup(f, Place(ARCHIMEDEAN, 1), ONE).lo == 1
+        assert fiber_sup(f, Place(ARCHIMEDEAN, Fraction(1, 2)), ONE).lo == 1
+
     def test_zero_series(self):
         assert fiber_sup(zpoly(0), Place(TRIVIAL), ONE) == NormValue.zero()
 
