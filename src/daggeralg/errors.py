@@ -47,10 +47,6 @@ class NonPositiveLowerBound(DaggerAlgError):
     pass
 
 
-class TruncationTooSmall(DaggerAlgError):
-    """A truncated homology verdict flipped between nearby truncation levels."""
-
-
 class NotACover(DaggerAlgError):
     pass
 

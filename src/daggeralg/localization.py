@@ -2,9 +2,10 @@
 
 Three standard subdomain constructions (add variables with relations
 X - f, g*Y - 1, h*X - f), the division recursion behind the Laurent
-relation, truncated Koszul homology checks, the rational-to-composite
-factorization, idempotent splitting in small quotient rings, and input
-validation for the disk/annulus gluing sequence.
+relation, the rational-to-composite factorization, idempotent splitting
+in small quotient rings, and input validation for the Koszul complex of
+one added variable and for the disk/annulus gluing sequence (whose
+homology and exactness are theorems).
 """
 
 from __future__ import annotations
@@ -17,18 +18,16 @@ from .errors import (
     DimensionMismatch,
     NonPositiveLowerBound,
     NotACover,
-    TruncationTooSmall,
     UnitIdealWitnessMissing,
     reads_json,
 )
-from .linalg import kernel_basis, rref, solve, same_row_space
+from .linalg import rref, solve, same_row_space
 from .scalars import BanachRing, as_fraction
 from .series import (
     DaggerPresentation,
     PolyRadius,
     TruncatedSeries,
     _convolve,
-    _indices_up_to,
     _scaled_ints,
     multiply,
 )
@@ -293,64 +292,25 @@ def rationals_quotient() -> PolyQuotientRing:
 # Koszul two-term complexes
 
 
-@dataclass(frozen=True)
-class KoszulVerdict:
-    concentrated: bool
-    kernel_dim: int
-    degree: int
-
-
-def _is_zero_algebra(B: DaggerPresentation) -> bool:
-    for r in B.relations:
-        if set(r.coeffs) == {(0,) * r.n} and r.coefficient((0,) * r.n) != 0:
-            return True
-    return False
-
-
 def koszul_h_check(A: DaggerPresentation, spec: LocalizationSpec,
-                   B: DaggerPresentation, D: int) -> KoszulVerdict:
-    """Degree -1 homology of B tensor the two-term complex of one added
-    variable, at truncation D; raises when the verdict is unstable
-    between D and D-2."""
+                   D: int) -> None:
+    """Validate one added variable for the two-term Koszul complex of A
+    at truncation D.
+
+    Its degree -1 homology is the kernel of multiplication by the
+    relation, and that kernel is 0 at every D by a theorem, not a
+    computation: over every commutative ring C, X - f is monic in X and
+    g*Y - 1 has the unit -1 as its constant term in Y, so neither is a
+    zero divisor in C[X] or C[Y].  What can fail is the input: more than
+    one series, a rational spec, or a spec that present_localization
+    rejects (a series outside A, a non-positive radius).
+    """
     if len(spec.fs) != 1:
         raise DimensionMismatch("single added variable only")
-    if D < 4:
-        raise TruncationTooSmall("need D >= 4 for the stability probe")
-    if _is_zero_algebra(B):
-        return KoszulVerdict(True, 0, D)
-    verdicts = {}
-    for degree in (D - 2, D):
-        verdicts[degree] = _koszul_kernel_dim(B, spec, degree)
-    if (verdicts[D] == 0) != (verdicts[D - 2] == 0):
-        raise TruncationTooSmall(
-            f"H^-1 verdict flips between degrees {D - 2} and {D}"
-        )
-    return KoszulVerdict(verdicts[D] == 0, verdicts[D], D)
-
-
-def _koszul_kernel_dim(B: DaggerPresentation, spec: LocalizationSpec,
-                       D: int) -> int:
-    ring = B.ring
-    n = B.n + 1
-    f = spec.fs[0]
-    var = _new_variable(ring, n, B.n, 1)
-    if spec.variant == WEIERSTRASS:
-        rel = var.sub(f.embed(n))
-    elif spec.variant == LAURENT:
-        rel = multiply(f.embed(n), var).sub(
-            TruncatedSeries.constant(ring, 1, n, 0)
-        )
-    else:
-        raise DimensionMismatch("koszul check covers one-variable specs only")
-    src = list(_indices_up_to(n, D))
-    tgt = list(_indices_up_to(n, D + rel.support_degree()))
-    tgt_index = {I: i for i, I in enumerate(tgt)}
-    A = [[Fraction(0)] * len(src) for _ in range(len(tgt))]
-    for c, I in enumerate(src):
-        for J, a in rel.coeffs.items():
-            K = tuple(x + y for x, y in zip(I, J))
-            A[tgt_index[K]][c] += a
-    return len(kernel_basis(A, len(src)))
+    if spec.variant == RATIONAL:
+        raise DimensionMismatch("koszul check covers Weierstrass and Laurent "
+                                "specs only")
+    present_localization(A, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +322,6 @@ class RationalFactorization:
     laurent: LocalizationSpec
     weierstrass: LocalizationSpec
     epsilon: Fraction
-    composition_matches: bool
 
 
 def rational_factor(A: DaggerPresentation, spec: LocalizationSpec,
@@ -372,7 +331,8 @@ def rational_factor(A: DaggerPresentation, spec: LocalizationSpec,
     Weierstrass step cutting |f_i * Y| <= r_i.
 
     The generator identity h*(X_i - f_i*Y) + f_i*(h*Y - 1) = h*X_i - f_i
-    certifies that the composed presentation matches the direct one.
+    holds in every commutative ring, so the composed presentation matches
+    the direct one.
     """
     sup_lower = as_fraction(sup_lower)
     if sup_lower <= 0:
@@ -386,20 +346,7 @@ def rational_factor(A: DaggerPresentation, spec: LocalizationSpec,
     Y = _new_variable(A.ring, n1, A.n, 1)
     fs_w = tuple(multiply(f.embed(n1), Y) for f in spec.fs)
     wei = weierstrass_spec(fs_w, spec.radii)
-
-    matches = True
-    he = h.embed(n1)
-    one = TruncatedSeries.constant(A.ring, 1, n1, 0)
-    for f, fw in zip(spec.fs, fs_w):
-        n2 = n1 + 1
-        X = _new_variable(A.ring, n2, n1, 1)
-        lhs = multiply(he.embed(n2), X.sub(fw.embed(n2))).add(
-            multiply(f.embed(n2), multiply(he, Y).sub(one).embed(n2))
-        )
-        rhs = multiply(he.embed(n2), X).sub(f.embed(n2))
-        if lhs.sub(rhs).coeffs:
-            matches = False
-    return RationalFactorization(lau, wei, eps, matches)
+    return RationalFactorization(lau, wei, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -110,29 +110,6 @@ def tensor_norm_certified(x: TensorElement, flavor: str,
     return NormValue(lo, min(tensor_norm_upper(x, SUM), rows, cols))
 
 
-@dataclass(frozen=True)
-class ContractionRecord:
-    """Certifies |lambda x| <= |lambda| * |x| at the representation level."""
-
-    scalar: Fraction
-    scaled_bound: Fraction
-    scalar_abs: Fraction
-    original_bound: Fraction
-    holds: bool
-
-
-def scalar_contraction_bound(lam, x: TensorElement,
-                             flavor: str = SUM) -> ContractionRecord:
-    lam = as_fraction(lam)
-    orig = tensor_norm_upper(x, flavor)
-    scaled = tensor_norm_upper(x.scale(lam), flavor)
-    la = abs_value(x.left.ring, lam)
-    rec = ContractionRecord(lam, scaled, la, orig, scaled <= la * orig)
-    if not rec.holds:
-        raise ViolationWitness("scalar contraction bound failed", rec)
-    return rec
-
-
 # ---------------------------------------------------------------------------
 # finitely presented normed algebras
 

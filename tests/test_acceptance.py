@@ -7,11 +7,15 @@ in a default pytest run.
 
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from daggeralg import selftest
+from daggeralg import selftest, tensor
+from daggeralg.normed_core import SUM, WeightedFreeModule
+from daggeralg.scalars import rationals_padic
+from daggeralg.tensor import TensorElement
 
 SEED = 7
 GOLDEN = Path(__file__).parent / "data" / "selftest_seed7.json"
@@ -41,6 +45,19 @@ def test_criterion_01_norm_axioms(report, capfd):
     assert _announce(_criterion(report, 1), capfd)
 
 
+def test_criterion_01_tensor_subcheck_counts_a_wrong_absolute_value(
+        monkeypatch):
+    """A tensor norm that takes the Archimedean |p| = p over Q_p breaks
+    the scalar bound lo(p x) <= |p|_p hi(x), and criterion 1 counts it."""
+    Q3 = rationals_padic(3)
+    M = WeightedFreeModule(Q3, (Fraction(1),), SUM)
+    x = TensorElement(M, M, (((1,), (1,)),))
+    inst = (x, x, Fraction(3), SUM)
+    assert selftest._check_tensor_axioms(inst) == 0
+    monkeypatch.setattr(tensor, "abs_value", lambda ring, a: abs(a))
+    assert selftest._check_tensor_axioms(inst) == 1
+
+
 def test_criterion_02_cofinality_bound(report, capfd):
     assert _announce(_criterion(report, 2), capfd)
 
@@ -57,15 +74,23 @@ def test_criterion_05_disk_annulus_gluing(report, capfd):
     assert _announce(_criterion(report, 5), capfd)
 
 
-def test_criterion_05_fails_when_a_bad_input_is_accepted(monkeypatch):
-    """Criterion 5 can fail: a gluing check that validates nothing and
-    rejects nothing reports both negative instances as accepted."""
-    monkeypatch.setattr(selftest, "mayer_vietoris",
-                        lambda ring, D, elements, *radii: len(elements))
-    c5 = selftest.criterion_5(SEED)
-    assert c5["details"] == {"elements": 100, "non_cover_rejected": False,
-                             "out_of_range_rejected": False}
-    assert c5["passed"] is False
+@pytest.mark.parametrize("k,accept_all", [
+    (4, {"koszul_h_check": lambda A, spec, D: None}),
+    (5, {"mayer_vietoris": lambda ring, D, elements, *radii: len(elements)}),
+    (8, {"check_adjunction": lambda source, target: None,
+         "pi_tensor_check": lambda U, V: None}),
+], ids=["4", "5", "8"])
+def test_criterion_fails_when_a_bad_input_is_accepted(monkeypatch, k,
+                                                      accept_all):
+    """Criteria 4, 5 and 8 can fail: with validators that reject nothing,
+    every negative instance is reported as accepted."""
+    for name, validator in accept_all.items():
+        monkeypatch.setattr(selftest, name, validator)
+    c = getattr(selftest, f"criterion_{k}")(SEED)
+    rejected = {key: v for key, v in c["details"].items()
+                if key.endswith("_rejected")}
+    assert rejected and not any(rejected.values())
+    assert c["passed"] is False
 
 
 def test_criterion_06_residue_norm_oracle(report, capfd):

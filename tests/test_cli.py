@@ -156,7 +156,28 @@ class TestLocalizeAndKoszul:
                      "--spec", self.spec(tmp_path), "--degree", "8"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["concentrated_in_degree_0"] is True
+        assert out == {"version": 1, "concentrated_in_degree_0": True,
+                       "kernel_dimension": 0, "degree": 8}
+
+    @pytest.mark.parametrize("spec", [
+        {"variant": "weierstrass",
+         "fs": [{"n": 2, "D": 1, "coeffs": [[[0, 1], "1"]]}], "radii": ["1"]},
+        {"variant": "weierstrass",
+         "fs": [{"n": 1, "D": 1, "coeffs": [[[1], "1"]]}], "radii": ["0"]},
+    ], ids=["two-variable-series", "zero-radius"])
+    def test_koszul_rejects_what_localize_rejects(self, tmp_path, capsys,
+                                                  spec):
+        path = write_json(tmp_path / "spec.json", spec)
+        code = main(["koszul", "--algebra", self.algebra(tmp_path),
+                     "--spec", path])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_koszul_has_no_map_option(self, tmp_path, capsys):
+        code = main(["koszul", "--algebra", self.algebra(tmp_path),
+                     "--spec", self.spec(tmp_path),
+                     "--map", self.algebra(tmp_path)])
+        assert code == 1
 
     def test_algebra_not_an_object(self, tmp_path, capsys):
         A = write_json(tmp_path / "A.json", [1])
@@ -243,10 +264,19 @@ class TestPiCommand:
             "flavor": "sum",
         }
         f = write_json(tmp_path / "M.json", module)
-        assert main(["pi-check", "--module", f, "--samples", "20"]) == 0
+        assert main(["pi-check", "--module", f, "--samples", "20",
+                     "--seed", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["adjunction_all_equal"] is True
-        assert out["tensor_intertwine_confirmed"] is True
+        assert out == {"version": 1, "samples": 20,
+                       "adjunction_all_equal": True,
+                       "tensor_intertwine_confirmed": True}
+
+    def test_archimedean_module_rejected(self, tmp_path, capsys):
+        module = {"ring": {"kind": "IntegersArchimedean"}, "weights": ["1"],
+                  "flavor": "sum"}
+        f = write_json(tmp_path / "M.json", module)
+        assert main(["pi-check", "--module", f]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_module_not_an_object(self, tmp_path, capsys):
         f = write_json(tmp_path / "M.json", [1])

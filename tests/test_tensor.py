@@ -17,7 +17,6 @@ from daggeralg.tensor import (
     TensorElement,
     algebra_tensor_submultiplicativity,
     map_tensor,
-    scalar_contraction_bound,
     tensor_modules,
     tensor_norm_certified,
     tensor_norm_upper,
@@ -246,19 +245,27 @@ class TestOracle:
 
 
 class TestScalarContraction:
+    """|lambda x| = |lambda| |x| for the certified norm: the bound that
+    criterion 1 checks."""
+
     def test_doubling(self):
         x = TensorElement(zmod(2), zmod(3), (((1,), (1,)),))
-        rec = scalar_contraction_bound(2, x)
-        assert rec.holds and rec.scaled_bound <= 12
+        assert tensor_norm_certified(x.scale(2), SUM) == NormValue.exact(12)
 
     def test_identity_scalar(self):
         x = TensorElement(zmod(2), zmod(3), (((1,), (1,)),))
-        rec = scalar_contraction_bound(1, x)
-        assert rec.scaled_bound == rec.original_bound
+        assert tensor_norm_certified(x.scale(1), SUM) == \
+            tensor_norm_certified(x, SUM)
 
     def test_zero_scalar(self):
         x = TensorElement(zmod(2), zmod(3), (((1,), (1,)),))
-        assert scalar_contraction_bound(0, x).scaled_bound == 0
+        assert tensor_norm_certified(x.scale(0), SUM) == NormValue.zero()
+
+    def test_p_adic_scalar_shrinks(self):
+        M = WeightedFreeModule(Q3, (Fraction(1),), MAX)
+        x = TensorElement(M, M, (((1,), (1,)),))
+        assert tensor_norm_certified(x.scale(3), MAX) == \
+            NormValue.exact(Fraction(1, 3))
 
 
 class TestAlgebras:
