@@ -19,7 +19,6 @@ from .normed_core import (
     PresentedModule,
     WeightedFreeModule,
     cokernel,
-    kernel,
     operator_norm,
     residue_norm,
     vector_norm,
@@ -34,20 +33,16 @@ from .series import (
     norm_S,
     norm_T,
     polyradius,
-    restrict_T_to_S,
-    restrict_arch,
     unit_polydisk,
 )
 from .tensor import TensorElement, tensor_modules, tensor_norm_certified
 from .localization import (
     LocalizationSpec,
-    idempotent_split,
     koszul_h_check,
     laurent_solve,
     laurent_spec,
     mayer_vietoris,
     present_localization,
-    rational_factor,
     rational_spec,
     weierstrass_spec,
 )
@@ -62,10 +57,8 @@ from .spectrum import (
     spectral_via_powers,
 )
 from .nonarch import (
-    FlavoredPresentation,
     check_adjunction,
     pi_free,
-    pi_module,
     pi_tensor_check,
 )
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .errors import DaggerAlgError, reads_json
 from .localization import (
@@ -18,10 +17,11 @@ from .localization import (
     mayer_vietoris,
     present_localization,
 )
-from .nonarch import check_adjunction, pi_tensor_check
-from .normed_core import MAX, SUM, WeightedFreeModule
+from .nonarch import check_adjunction
+from .normed_core import MAX, MAX_RANK, SUM, WeightedFreeModule
 from .scalars import (
     BanachRing,
+    as_fraction,
     integers_archimedean,
     integers_trivial,
     rationals_archimedean,
@@ -29,6 +29,8 @@ from .scalars import (
 )
 from .selftest import REPORT_VERSION, run_all
 from .series import (
+    MAX_COEFFS,
+    MAX_DEGREE,
     DaggerPresentation,
     PolyRadius,
     TruncatedSeries,
@@ -37,6 +39,14 @@ from .series import (
 )
 from .spectrum import global_sup_report, shilov_check, spectral_via_powers
 from .tensor import TensorElement, tensor_norm_certified
+
+# most terms in a tensor element read from JSON (README)
+MAX_TENSOR_TERMS = 64
+
+SERIES_HELP = (f"series JSON file: n = 1 to {max(MAX_DEGREE)} variables, "
+               f"degree bound D <= {', '.join(map(str, MAX_DEGREE.values()))} "
+               f"for n = {', '.join(map(str, MAX_DEGREE))}, at most "
+               f"{MAX_COEFFS} coefficients")
 
 
 def parse_ring(text: str) -> BanachRing:
@@ -48,19 +58,26 @@ def parse_ring(text: str) -> BanachRing:
         return rationals_archimedean()
     if text.startswith("Qp:"):
         return rationals_padic(int(text.split(":", 1)[1]))
-    return BanachRing.from_json(json.loads(text))
+    return BanachRing.from_json(_parse_json(text, "--ring"))
 
 
 def parse_rho(text: str, n: int) -> PolyRadius:
-    parts = [Fraction(p) for p in text.split(",")]
+    parts = [as_fraction(p) for p in text.split(",")]
     if len(parts) == 1 and n > 1:
         parts = parts * n
     return PolyRadius(tuple(parts))
 
 
+def _parse_json(text: str, where: str):
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{where}: JSON nested too deeply") from None
+
+
 def _load_json(path: str):
     with open(path) as fh:
-        return json.load(fh)
+        return _parse_json(fh.read(), path)
 
 
 def _emit(report, args) -> None:
@@ -88,8 +105,11 @@ def cmd_norm(args) -> int:
 def _read_tensor_element(obj) -> TensorElement:
     left = WeightedFreeModule.from_json(obj["left"])
     right = WeightedFreeModule.from_json(obj["right"])
+    if len(obj["terms"]) > MAX_TENSOR_TERMS:
+        raise ValueError(f"{len(obj['terms'])} tensor terms are over the "
+                         f"cap of {MAX_TENSOR_TERMS}")
     terms = tuple(
-        (tuple(Fraction(c) for c in m), tuple(Fraction(c) for c in n))
+        (tuple(as_fraction(c) for c in m), tuple(as_fraction(c) for c in n))
         for m, n in obj["terms"]
     )
     return TensorElement(left, right, terms)
@@ -129,7 +149,7 @@ def cmd_koszul(args) -> int:
 
 @reads_json("mv-check element")
 def _read_laurent_element(obj):
-    return {int(k): Fraction(v) for k, v in obj.items()}
+    return {int(k): as_fraction(v) for k, v in obj.items()}
 
 
 def cmd_mv_check(args) -> int:
@@ -182,10 +202,11 @@ def cmd_shilov(args) -> int:
 
 def cmd_pi_check(args) -> int:
     M = WeightedFreeModule.from_json(_load_json(args.module))
+    # check_adjunction rejects every module that pi_tensor_check(M, M)
+    # would, and both identities hold by theorem (see nonarch);
+    # bench/workloads.py still passes --samples and --seed, which are
+    # ignored
     check_adjunction(M, M)
-    pi_tensor_check(M, M)
-    # both identities hold by theorem (see nonarch); bench/workloads.py
-    # still passes --samples and --seed, which are ignored
     report = {
         "version": REPORT_VERSION,
         "samples": args.samples,
@@ -233,14 +254,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json-out", help="also write the report to a file")
 
     p = sub.add_parser("norm", help="series norms at a polyradius")
-    p.add_argument("--series", required=True)
+    p.add_argument("--series", required=True, help=SERIES_HELP)
     p.add_argument("--ring", default="Z")
     p.add_argument("--rho", default="1")
     add_common(p)
     p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("tensor", help="certified tensor norm of an element")
-    p.add_argument("--element", required=True)
+    p.add_argument("--element", required=True,
+                   help=f"tensor element JSON file: factors of rank at most "
+                   f"{MAX_RANK}, at most {MAX_TENSOR_TERMS} terms")
     p.add_argument("--flavor", choices=[SUM, MAX], default=SUM)
     add_common(p)
     p.set_defaults(fn=cmd_tensor)
@@ -270,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="per-place sup norms and spectral "
                        "estimates over the integers")
-    p.add_argument("--series", required=True)
+    p.add_argument("--series", required=True, help=SERIES_HELP)
     p.add_argument("--rho", default="1")
     _add_size(p, "--prime-bound", 50, 10000, "largest prime listed")
     _add_size(p, "--grid", 2, 16, "exponent grid size per place family")
@@ -279,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("shilov", help="Archimedean-fiber dominance check")
-    p.add_argument("--series", required=True)
+    p.add_argument("--series", required=True, help=SERIES_HELP)
     p.add_argument("--rho", default="1")
     _add_size(p, "--prime-bound", 50, 10000, "largest prime listed")
     add_common(p)
@@ -287,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pi-check", help="validate a module for the max-norm "
                        "reflection, whose adjunction is a theorem")
-    p.add_argument("--module", required=True)
+    p.add_argument("--module", required=True,
+                   help=f"module JSON file of rank at most {MAX_RANK}")
     _add_size(p, "--samples", 500, 10000, "ignored, echoed in the report")
     p.add_argument("--seed", type=int, default=7, help="ignored")
     add_common(p)

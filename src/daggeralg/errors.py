@@ -19,15 +19,7 @@ class FlavorMismatch(DaggerAlgError):
     """Max-flavor norm requested over an Archimedean ring, or mixed flavors."""
 
 
-class NotCokernelForm(DaggerAlgError):
-    pass
-
-
 class UnsupportedRing(DaggerAlgError):
-    pass
-
-
-class ZeroSampleElement(DaggerAlgError):
     pass
 
 
@@ -43,24 +35,12 @@ class UnitIdealWitnessMissing(DaggerAlgError):
     pass
 
 
-class NonPositiveLowerBound(DaggerAlgError):
-    pass
-
-
 class NotACover(DaggerAlgError):
     pass
 
 
 class CoordinateOutOfDisk(DaggerAlgError):
     """A fiber coordinate lies outside the polydisk of the algebra."""
-
-
-class ViolationWitness(DaggerAlgError):
-    """An inequality that should always hold failed; carries the witness."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 def reads_json(what: str):

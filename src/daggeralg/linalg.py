@@ -112,16 +112,6 @@ def solve(A: Matrix, b: Sequence[Fraction]):
     return x
 
 
-def same_row_space(A: Matrix, B: Matrix) -> bool:
-    def normalized(M):
-        if not M:
-            return []
-        R, piv = rref(M)
-        return [tuple(R[i]) for i in range(len(piv))]
-
-    return normalized(A) == normalized(B)
-
-
 def saturate_integer(v: Sequence[Fraction]) -> List[int]:
     """Scale a rational vector to a primitive integer vector."""
     den = math.lcm(*(x.denominator for x in v))

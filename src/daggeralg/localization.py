@@ -2,10 +2,9 @@
 
 Three standard subdomain constructions (add variables with relations
 X - f, g*Y - 1, h*X - f), the division recursion behind the Laurent
-relation, the rational-to-composite factorization, idempotent splitting
-in small quotient rings, and input validation for the Koszul complex of
-one added variable and for the disk/annulus gluing sequence (whose
-homology and exactness are theorems).
+relation, and input validation for the Koszul complex of one added
+variable and for the disk/annulus gluing sequence (whose homology and
+exactness are theorems).
 """
 
 from __future__ import annotations
@@ -16,12 +15,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatch,
-    NonPositiveLowerBound,
     NotACover,
     UnitIdealWitnessMissing,
     reads_json,
 )
-from .linalg import rref, solve, same_row_space
 from .scalars import BanachRing, as_fraction
 from .series import (
     DaggerPresentation,
@@ -82,7 +79,7 @@ class LocalizationSpec:
         return LocalizationSpec(
             obj["variant"],
             tuple(TruncatedSeries.from_json(f, ring) for f in obj["fs"]),
-            tuple(Fraction(r) for r in obj.get("radii", [])),
+            tuple(as_fraction(r) for r in obj.get("radii", [])),
             TruncatedSeries.from_json(obj["h"], ring) if obj.get("h") else None,
             tuple(TruncatedSeries.from_json(c, ring) for c in obj["witness"])
             if obj.get("witness")
@@ -225,70 +222,6 @@ def laurent_solve(g: TruncatedSeries, t: TruncatedSeries,
 
 
 # ---------------------------------------------------------------------------
-# small coefficient rings Q[e]/(p(e)) for idempotent splitting
-
-
-@dataclass(frozen=True)
-class PolyQuotientRing:
-    """Q[e]/(p(e)) with monic modulus p; elements are coefficient tuples
-    of length deg p.  Modulus () means the base field Q itself."""
-
-    modulus: Tuple[Fraction, ...]  # coefficients of p, leading term 1 implied
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "modulus", tuple(as_fraction(c) for c in self.modulus)
-        )
-
-    @property
-    def dim(self) -> int:
-        return max(len(self.modulus), 1)
-
-    def element(self, coeffs) -> Tuple[Fraction, ...]:
-        v = [as_fraction(c) for c in coeffs]
-        if len(v) > self.dim:
-            raise DimensionMismatch("element too long for the quotient")
-        return tuple(v + [Fraction(0)] * (self.dim - len(v)))
-
-    def zero(self):
-        return self.element([])
-
-    def one(self):
-        return self.element([1])
-
-    def add(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
-
-    def mul(self, x, y):
-        d = self.dim
-        prod = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(x):
-            if a == 0:
-                continue
-            for j, b in enumerate(y):
-                prod[i + j] += a * b
-        if not self.modulus:
-            return (prod[0],)
-        # reduce e^k for k >= d using e^d = -(modulus)
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c == 0:
-                continue
-            prod[k] = Fraction(0)
-            for j, m in enumerate(self.modulus):
-                prod[k - d + j] -= c * m
-        return tuple(prod[:d])
-
-    def scale(self, c, x):
-        c = as_fraction(c)
-        return tuple(c * a for a in x)
-
-
-def rationals_quotient() -> PolyQuotientRing:
-    return PolyQuotientRing(())
-
-
-# ---------------------------------------------------------------------------
 # Koszul two-term complexes
 
 
@@ -311,80 +244,6 @@ def koszul_h_check(A: DaggerPresentation, spec: LocalizationSpec,
         raise DimensionMismatch("koszul check covers Weierstrass and Laurent "
                                 "specs only")
     present_localization(A, spec)
-
-
-# ---------------------------------------------------------------------------
-# rational localizations factor as Laurent then Weierstrass
-
-
-@dataclass(frozen=True)
-class RationalFactorization:
-    laurent: LocalizationSpec
-    weierstrass: LocalizationSpec
-    epsilon: Fraction
-
-
-def rational_factor(A: DaggerPresentation, spec: LocalizationSpec,
-                    sup_lower: Fraction) -> RationalFactorization:
-    """Split the rational step |f_i| <= r_i |h| into inverting h on
-    |h| >= sup_lower (radius epsilon = 1/sup_lower for the inverse) and a
-    Weierstrass step cutting |f_i * Y| <= r_i.
-
-    The generator identity h*(X_i - f_i*Y) + f_i*(h*Y - 1) = h*X_i - f_i
-    holds in every commutative ring, so the composed presentation matches
-    the direct one.
-    """
-    sup_lower = as_fraction(sup_lower)
-    if sup_lower <= 0:
-        raise NonPositiveLowerBound("need a positive certified lower bound")
-    if spec.variant != RATIONAL:
-        raise DimensionMismatch("rational_factor expects a rational spec")
-    eps = 1 / sup_lower
-    h = spec.h
-    lau = laurent_spec((h,), (eps,))
-    n1 = A.n + 1
-    Y = _new_variable(A.ring, n1, A.n, 1)
-    fs_w = tuple(multiply(f.embed(n1), Y) for f in spec.fs)
-    wei = weierstrass_spec(fs_w, spec.radii)
-    return RationalFactorization(lau, wei, eps)
-
-
-# ---------------------------------------------------------------------------
-# idempotent splitting of a square-stable ideal
-
-
-def idempotent_split(C: PolyQuotientRing, gens: Sequence,
-                     D: int = 0) -> Optional[Tuple[Fraction, ...]]:
-    """If the ideal I generated by gens in C satisfies I^2 = I, return an
-    idempotent e with e*e = e and e*C = I; otherwise None."""
-    gens = [C.element(g) if not isinstance(g, tuple) else g for g in gens]
-    d = C.dim
-    basis_el = [C.element([0] * j + [1]) for j in range(d)]
-    ideal_rows = [list(C.mul(g, b)) for g in gens for b in basis_el]
-    R, piv = rref(ideal_rows)
-    ideal_basis = [tuple(R[i]) for i in range(len(piv))]
-    if not ideal_basis:
-        return C.zero()
-    sq_rows = [list(C.mul(x, y)) for x in ideal_basis for y in ideal_basis]
-    if not same_row_space([list(r) for r in ideal_basis], sq_rows):
-        return None
-    # find e = sum c_k b_k in I with e * b = b for every ideal basis vector b
-    k = len(ideal_basis)
-    rows, rhs = [], []
-    for b in ideal_basis:
-        prods = [C.mul(bk, b) for bk in ideal_basis]
-        for coord in range(d):
-            rows.append([prods[j][coord] for j in range(k)])
-            rhs.append(b[coord])
-    c = solve(rows, rhs)
-    if c is None:
-        return None
-    e = C.zero()
-    for cj, bj in zip(c, ideal_basis):
-        e = C.add(e, C.scale(cj, bj))
-    if C.mul(e, e) != e:
-        return None
-    return e
 
 
 # ---------------------------------------------------------------------------

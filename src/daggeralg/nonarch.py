@@ -1,72 +1,25 @@
-"""The max-norm reflection of sum-normed presentations.
+"""The max-norm reflection of weighted free modules.
 
 Over a non-Archimedean base ring, every sum-normed (coproduct-flavored)
-presented module has a universal max-normed quotient.  On finite weighted
-presentations the reflection keeps the weights and relation matrices and
-switches the norm flavor.  Its adjunction and its compatibility with
-tensor products are identities (see check_adjunction and
-pi_tensor_check), so only their inputs are validated here.
+module has a universal max-normed quotient.  On a weighted free module
+the reflection keeps the weights and switches the norm flavor (pi_free).
+Its adjunction and its compatibility with tensor products are identities
+(see check_adjunction and pi_tensor_check), so only their inputs are
+validated here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DimensionMismatch, UnsupportedRing
-from .normed_core import MAX, ModuleMap, PresentedModule, WeightedFreeModule
+from .normed_core import MAX, WeightedFreeModule
 from .tensor import tensor_modules
-
-
-@dataclass(frozen=True)
-class FlavoredPresentation:
-    module: PresentedModule
-
-    def __post_init__(self):
-        if not self.module.ambient.ring.non_archimedean:
-            raise UnsupportedRing(
-                "the max-norm reflection is defined over non-Archimedean rings"
-            )
-
-    @property
-    def flavor(self) -> str:
-        return self.module.ambient.flavor
-
-
-def _reflavor_free(M: WeightedFreeModule, flavor: str) -> WeightedFreeModule:
-    return WeightedFreeModule(M.ring, M.weights, flavor)
 
 
 def pi_free(M: WeightedFreeModule) -> WeightedFreeModule:
     """Reflection of a weighted free module: same weights, max flavor."""
     if not M.ring.non_archimedean:
         raise UnsupportedRing("reflection needs a non-Archimedean ring")
-    return _reflavor_free(M, MAX)
-
-
-def pi_module(M: FlavoredPresentation) -> FlavoredPresentation:
-    """Same weights and relation matrix, norm flavor switched to max.
-
-    Idempotent: max-flavored inputs come back unchanged.
-    """
-    inner = M.module
-    ambient = _reflavor_free(inner.ambient, MAX)
-    relations = inner.relations
-    if relations is not None:
-        relations = ModuleMap(_reflavor_free(relations.source, MAX), ambient,
-                              relations.matrix)
-    restriction = inner.restriction
-    if restriction is not None:
-        restriction = ModuleMap(ambient,
-                                _reflavor_free(restriction.target, MAX),
-                                restriction.matrix)
-    return FlavoredPresentation(
-        PresentedModule(ambient, relations, restriction)
-    )
-
-
-def pi_map(f: ModuleMap) -> ModuleMap:
-    """The reflection is the identity on matrices."""
-    return ModuleMap(pi_free(f.source), pi_free(f.target), f.matrix)
+    return WeightedFreeModule(M.ring, M.weights, MAX)
 
 
 def check_adjunction(source: WeightedFreeModule,

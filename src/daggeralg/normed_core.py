@@ -11,15 +11,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from . import linalg
 from .errors import (
     DimensionMismatch,
     FlavorMismatch,
-    NotCokernelForm,
     UnsupportedRing,
-    ZeroSampleElement,
     reads_json,
 )
 from .scalars import (
@@ -32,6 +30,10 @@ from .scalars import (
 
 SUM = "sum"
 MAX = "max"
+
+# largest rank of a module read from JSON; a tensor element of two such
+# factors with 64 terms takes about 1.5 s (README)
+MAX_RANK = 64
 
 
 @dataclass(frozen=True)
@@ -65,15 +67,14 @@ class WeightedFreeModule:
     @staticmethod
     @reads_json("module")
     def from_json(obj) -> "WeightedFreeModule":
+        if len(obj["weights"]) > MAX_RANK:
+            raise ValueError(f"module rank {len(obj['weights'])} is over "
+                             f"the cap of {MAX_RANK}")
         return WeightedFreeModule(
             BanachRing.from_json(obj["ring"]),
-            tuple(Fraction(w) for w in obj["weights"]),
+            tuple(as_fraction(w) for w in obj["weights"]),
             obj["flavor"],
         )
-
-
-def default_flavor(ring: BanachRing) -> str:
-    return MAX if ring.non_archimedean else SUM
 
 
 def vector_norm(M: WeightedFreeModule, v: Sequence) -> NormValue:
@@ -118,22 +119,6 @@ class ModuleMap:
             raise DimensionMismatch("vector length != source rank")
         return linalg.mat_vec(self.matrix, v)
 
-    def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other."""
-        if other.target != self.source:
-            raise DimensionMismatch("composition shape mismatch")
-        prod = linalg.mat_mul([list(r) for r in self.matrix],
-                              [list(r) for r in other.matrix])
-        return ModuleMap(other.source, self.target,
-                         tuple(tuple(row) for row in prod))
-
-
-def identity_map(M: WeightedFreeModule) -> ModuleMap:
-    mat = tuple(
-        tuple(Fraction(int(i == j)) for j in range(M.rank)) for i in range(M.rank)
-    )
-    return ModuleMap(M, M, mat)
-
 
 def operator_norm(f: ModuleMap) -> NormValue:
     """Operator norm from the column ratios |f e_j| / w_j.
@@ -154,31 +139,15 @@ def operator_norm(f: ModuleMap) -> NormValue:
 
 @dataclass(frozen=True)
 class PresentedModule:
-    """Kernel or cokernel of a map, with the induced norm.
-
-    Exactly one of relations (module = coker, residue norm) or restriction
-    (module = ker, restricted norm) is set.
-    """
+    """Cokernel of a map, with the residue norm: the ambient module modulo
+    the image of relations."""
 
     ambient: WeightedFreeModule
-    relations: Optional[ModuleMap] = None
-    restriction: Optional[ModuleMap] = None
+    relations: ModuleMap
 
     def __post_init__(self):
-        if (self.relations is None) == (self.restriction is None):
-            raise ValueError("exactly one of relations/restriction required")
-        if self.relations is not None and self.relations.target != self.ambient:
+        if self.relations.target != self.ambient:
             raise DimensionMismatch("relations must land in the ambient module")
-        if self.restriction is not None and self.restriction.source != self.ambient:
-            raise DimensionMismatch("restriction must leave the ambient module")
-
-    @property
-    def is_cokernel(self) -> bool:
-        return self.relations is not None
-
-
-def kernel(f: ModuleMap) -> PresentedModule:
-    return PresentedModule(ambient=f.source, restriction=f)
 
 
 def cokernel(f: ModuleMap) -> PresentedModule:
@@ -193,23 +162,6 @@ def kernel_lattice_basis(f: ModuleMap) -> List[List[Fraction]]:
     if f.source.ring.integral:
         return [[Fraction(x) for x in linalg.saturate_integer(v)] for v in basis]
     return basis
-
-
-def zero_module(ring: BanachRing, flavor: Optional[str] = None) -> WeightedFreeModule:
-    return WeightedFreeModule(ring, (), flavor or default_flavor(ring))
-
-
-def direct_sum(Ms: Sequence[WeightedFreeModule], flavor: str,
-               ring: Optional[BanachRing] = None) -> WeightedFreeModule:
-    if not Ms:
-        if ring is None:
-            raise ValueError("ring required for an empty direct sum")
-        return zero_module(ring, flavor)
-    ring = Ms[0].ring
-    if any(M.ring != ring for M in Ms):
-        raise FlavorMismatch("direct sum factors must share the ring")
-    weights = tuple(w for M in Ms for w in M.weights)
-    return WeightedFreeModule(ring, weights, flavor)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +183,6 @@ def residue_norm(M: PresentedModule, v: Sequence, search_bound: int = 10) -> Nor
     enumeration provably exhausts the coset minimum (growth argument via a
     rational left inverse of the relation matrix), else 0.
     """
-    if not M.is_cokernel:
-        raise NotCokernelForm("residue_norm needs a cokernel presentation")
     ring = M.ambient.ring
     if not ring.integral:
         raise UnsupportedRing("residue norms are certified on lattice rings only")
@@ -301,15 +251,6 @@ def _certified_windows(M, basis, v):
         C = sum(abs(x) for x in row)
         windows.append(int(C * 2 * v_norm / w_min) + 1)
     return tuple(windows)
-
-
-def residue_norm_element(M, v, search_bound: int = 10) -> NormValue:
-    """Norm of an element of a free or presented module, uniformly."""
-    if isinstance(M, WeightedFreeModule):
-        return vector_norm(M, v)
-    if M.is_cokernel:
-        return residue_norm(M, v, search_bound)
-    return vector_norm(M.ambient, v)
 
 
 # ---------------------------------------------------------------------------
@@ -387,35 +328,3 @@ def check_strictness(f: ModuleMap, search_bound: int = 3):
         return NotStrictWitness(tuple(Fraction(x) for x in witness))
     return StrictWithConstants(lo_ratio, hi_ratio)
 
-
-# ---------------------------------------------------------------------------
-# standard projectives
-
-
-def standard_projective(M, sample: Sequence[Sequence], search_bound: int = 10):
-    """Finite-sample sub-coproduct of the canonical projective cover.
-
-    Given elements m of M, builds the weighted free module with weights
-    |m| and the evaluation map kappa(c) = sum c_m * m, which is always a
-    contraction.
-    """
-    ambient = M if isinstance(M, WeightedFreeModule) else M.ambient
-    ring = ambient.ring
-    flavor = ambient.flavor
-    weights = []
-    cols = []
-    for m in sample:
-        nv = residue_norm_element(M, m, search_bound)
-        if nv.hi == 0:
-            raise ZeroSampleElement(f"sample element {m} has norm zero")
-        weights.append(nv.hi)
-        cols.append([as_fraction(x) for x in m])
-    P = WeightedFreeModule(ring, tuple(weights), flavor)
-    if not sample:
-        zero = zero_module(ring, flavor)
-        return zero, ModuleMap(zero, ambient,
-                               tuple(() for _ in range(ambient.rank)))
-    mat = tuple(
-        tuple(cols[j][i] for j in range(len(cols))) for i in range(ambient.rank)
-    )
-    return P, ModuleMap(P, ambient, mat)

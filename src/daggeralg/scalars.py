@@ -18,12 +18,17 @@ ONE = Fraction(1)
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, strings like "3/4" and Fractions to Fraction."""
+    """Coerce ints, strings like "3/4" or "0.5" and Fractions to Fraction.
+
+    Floats (a JSON 0.1 is not 1/10), booleans and exponent notation
+    ("1e999999999" would build a billion-digit integer) are rejected."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
+        if "e" in x or "E" in x:
+            raise ValueError(f"{x!r}: exponent notation is not accepted")
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
@@ -95,7 +100,8 @@ class NormValue:
     @staticmethod
     def from_json(obj) -> "NormValue":
         hi = obj["hi"]
-        return NormValue(Fraction(obj["lo"]), None if hi == "inf" else Fraction(hi))
+        return NormValue(as_fraction(obj["lo"]),
+                         None if hi == "inf" else as_fraction(hi))
 
     def __repr__(self):
         hi = "inf" if self.hi is None else str(self.hi)

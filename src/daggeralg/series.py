@@ -38,6 +38,14 @@ Index = Tuple[int, ...]
 # terms when no input majorant supplies one
 DEFAULT_DISCARD_SIGMA = Fraction(2)
 
+# caps on a series read from JSON: the largest degree bound D for each
+# variable count n, and the number of listed coefficients.  The
+# Archimedean sup samples (8(D+1))^n torus points for n <= 2 and 12^n for
+# n >= 3, and `spectrum --grid 16` does so at 31 radii; at these caps a
+# dense series takes it about 10 s at most (measured table in README)
+MAX_DEGREE = {1: 48, 2: 6, 3: 4, 4: 1}
+MAX_COEFFS = 64
+
 
 @dataclass(frozen=True)
 class PolyRadius:
@@ -74,7 +82,7 @@ class PolyRadius:
 
     @staticmethod
     def from_json(obj):
-        return PolyRadius(tuple(Fraction(c) for c in obj))
+        return PolyRadius(tuple(as_fraction(c) for c in obj))
 
 
 def polyradius(*cs) -> PolyRadius:
@@ -146,9 +154,6 @@ class TruncatedSeries:
 
     def is_zero(self) -> bool:
         return not self.coeffs and (self.tail is None or self.tail.C == 0)
-
-    def support_degree(self) -> int:
-        return max((sum(I) for I in self.coeffs), default=0)
 
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
@@ -227,15 +232,27 @@ class TruncatedSeries:
     @staticmethod
     @reads_json("series")
     def from_json(obj, ring: BanachRing) -> "TruncatedSeries":
+        n, D = obj["n"], obj["D"]
+        if type(n) is not int or type(D) is not int:
+            raise ValueError("series n and D must be integers")
+        if n not in MAX_DEGREE:
+            raise ValueError(f"series in {n} variables: 1 to "
+                             f"{max(MAX_DEGREE)} are accepted")
+        if not 0 <= D <= MAX_DEGREE[n]:
+            raise ValueError(f"series degree bound {D} is outside 0.."
+                             f"{MAX_DEGREE[n]} for {n} variables")
+        if len(obj["coeffs"]) > MAX_COEFFS:
+            raise ValueError(f"{len(obj['coeffs'])} series coefficients are "
+                             f"over the cap of {MAX_COEFFS}")
         tail = None
         if obj.get("tail"):
-            tail = Tail(Fraction(obj["tail"]["C"]),
+            tail = Tail(as_fraction(obj["tail"]["C"]),
                         PolyRadius.from_json(obj["tail"]["sigma"]))
         return TruncatedSeries(
             ring,
-            obj["n"],
-            {tuple(I): Fraction(a) for I, a in obj["coeffs"]},
-            obj["D"],
+            n,
+            {tuple(I): as_fraction(a) for I, a in obj["coeffs"]},
+            D,
             tail,
         )
 
@@ -557,41 +574,6 @@ def cofinality_constant(rho: PolyRadius, rho_prime: PolyRadius) -> Fraction:
     if not rho.strictly_less(rho_prime):
         raise NotStrictlySmaller("need rho < rho' componentwise")
     return max(rp / (rp - r) for r, rp in zip(rho, rho_prime))
-
-
-@dataclass(frozen=True)
-class RestrictionCertificate:
-    constant: Fraction
-    lhs: Fraction  # sum norm at the smaller radius (upper bound)
-    rhs: Fraction  # constant * sup norm at the larger radius (upper bound)
-    holds: bool
-
-
-def restrict_T_to_S(f: TruncatedSeries, rho_prime: PolyRadius,
-                    rho: PolyRadius):
-    """Non-Archimedean comparison: |f|_{S,rho} <= K * |f|_{T,rho'}."""
-    if not f.ring.non_archimedean:
-        raise UnsupportedRing("restrict_T_to_S needs a non-Archimedean ring")
-    K = cofinality_constant(rho, rho_prime)
-    lhs = norm_S(f, rho).hi
-    rhs = K * norm_T(f, rho_prime).hi
-    return f, RestrictionCertificate(K, lhs, rhs, lhs <= rhs)
-
-
-def restrict_arch(f: TruncatedSeries, rho_prime: PolyRadius,
-                  rho: PolyRadius) -> RestrictionCertificate:
-    """Archimedean comparison via Cauchy coefficient estimates:
-    |f|_{S,rho} <= prod 1/(1 - rho_i/rho'_i) * |f|_{T,rho'}."""
-    if f.ring.non_archimedean:
-        raise UnsupportedRing("restrict_arch needs an Archimedean ring")
-    if not rho.strictly_less(rho_prime):
-        raise NotStrictlySmaller("need rho < rho' componentwise")
-    K = Fraction(1)
-    for r, rp in zip(rho, rho_prime):
-        K /= 1 - r / rp
-    lhs = norm_S(f, rho).hi
-    rhs = K * norm_T(f, rho_prime).hi
-    return RestrictionCertificate(K, lhs, rhs, lhs <= rhs)
 
 
 def base_change(f: TruncatedSeries, target: BanachRing) -> TruncatedSeries:

@@ -88,7 +88,7 @@ class Place:
 
     @staticmethod
     def from_json(obj):
-        return Place(obj["kind"], Fraction(obj["eps"]), obj.get("p"))
+        return Place(obj["kind"], as_fraction(obj["eps"]), obj.get("p"))
 
 
 def _primes_up_to(bound: int) -> List[int]:

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
-from .errors import DimensionMismatch, FlavorMismatch, ViolationWitness
-from .normed_core import MAX, SUM, ModuleMap, WeightedFreeModule, vector_norm
+from .errors import DimensionMismatch, FlavorMismatch
+from .normed_core import MAX, SUM, WeightedFreeModule, vector_norm
 from .scalars import ZERO, NormValue, abs_value, as_fraction
 
 
@@ -108,99 +108,3 @@ def tensor_norm_certified(x: TensorElement, flavor: str,
     cols = sum((v * vector_norm(x.left, [row[j] for row in T]).hi
                 for j, v in enumerate(wr)), ZERO)
     return NormValue(lo, min(tensor_norm_upper(x, SUM), rows, cols))
-
-
-# ---------------------------------------------------------------------------
-# finitely presented normed algebras
-
-
-@dataclass(frozen=True)
-class NormedAlgebra:
-    """Finite weighted basis with a multiplication table.
-
-    table[(i, j)] is the coefficient vector of b_i * b_j; the norm is the
-    weighted module norm in the given flavor, with submultiplicativity
-    constant mul_constant.
-    """
-
-    module: WeightedFreeModule
-    table: Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
-    mul_constant: Fraction = Fraction(1)
-
-    def multiply(self, xs: Sequence, ys: Sequence) -> List[Fraction]:
-        n = self.module.rank
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if as_fraction(xs[i]) == 0:
-                continue
-            for j in range(n):
-                if as_fraction(ys[j]) == 0:
-                    continue
-                prod = self.table[i][j]
-                c = as_fraction(xs[i]) * as_fraction(ys[j])
-                for k in range(n):
-                    out[k] += c * prod[k]
-        return out
-
-
-@dataclass(frozen=True)
-class SubmultiplicativityRecord:
-    pair: Tuple[Tuple[Fraction, ...], Tuple[Fraction, ...]]
-    product_norm: Fraction
-    bound: Fraction
-    holds: bool
-
-
-def algebra_tensor_submultiplicativity(A: NormedAlgebra, B: NormedAlgebra,
-                                       sample_pairs) -> List[SubmultiplicativityRecord]:
-    """For elements of A (x) B given as coefficient matrices over the tensor
-    basis, check |xy| <= C_A C_B |x| |y| with the representation bound."""
-    flavor = A.module.flavor
-    TA, TB = A.module.rank, B.module.rank
-    T = tensor_modules(A.module, B.module, flavor)
-    C = A.mul_constant * B.mul_constant
-    records = []
-    for xmat, ymat in sample_pairs:
-        x = [as_fraction(v) for v in xmat]
-        y = [as_fraction(v) for v in ymat]
-        prod = [Fraction(0)] * (TA * TB)
-        for i1 in range(TA):
-            for j1 in range(TB):
-                c1 = x[i1 * TB + j1]
-                if c1 == 0:
-                    continue
-                for i2 in range(TA):
-                    for j2 in range(TB):
-                        c2 = y[i2 * TB + j2]
-                        if c2 == 0:
-                            continue
-                        pa = A.table[i1][i2]
-                        pb = B.table[j1][j2]
-                        for ka in range(TA):
-                            if pa[ka] == 0:
-                                continue
-                            for kb in range(TB):
-                                prod[ka * TB + kb] += c1 * c2 * pa[ka] * pb[kb]
-        pn = vector_norm(T, prod).hi
-        bound = C * vector_norm(T, x).hi * vector_norm(T, y).hi
-        rec = SubmultiplicativityRecord((tuple(x), tuple(y)), pn, bound,
-                                        pn <= bound)
-        if not rec.holds:
-            raise ViolationWitness("algebra submultiplicativity failed", rec)
-        records.append(rec)
-    return records
-
-
-def map_tensor(f: ModuleMap, g: ModuleMap, flavor: str) -> ModuleMap:
-    """f (x) g on the row-major tensor bases."""
-    src = tensor_modules(f.source, g.source, flavor)
-    tgt = tensor_modules(f.target, g.target, flavor)
-    rows = []
-    for i in range(f.target.rank):
-        for k in range(g.target.rank):
-            row = []
-            for j in range(f.source.rank):
-                for l in range(g.source.rank):
-                    row.append(f.matrix[i][j] * g.matrix[k][l])
-            rows.append(tuple(row))
-    return ModuleMap(src, tgt, tuple(rows))

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -348,3 +349,122 @@ class TestSizeCaps:
     def test_cap_stated_in_help(self, command, option, cap, used, capsys):
         assert main([command, "--help"]) == 0
         assert f"(1 to {cap}," in " ".join(capsys.readouterr().out.split())
+
+
+def dense_series(n, D, entries=None):
+    """Every coefficient of total degree <= D set to 1, or ``entries``
+    copies of the constant term."""
+    if entries is not None:
+        return {"n": n, "D": D, "coeffs": [[[0] * n, "1"]] * entries}
+    indices = [I for I in itertools.product(range(D + 1), repeat=n)
+               if sum(I) <= D]
+    return {"n": n, "D": D, "coeffs": [[list(I), "1"] for I in indices]}
+
+
+def module_json(rank):
+    return {"ring": {"kind": "Rationals_pAdic", "p": 2},
+            "weights": ["1"] * rank, "flavor": "sum"}
+
+
+def tensor_json(rank, terms):
+    vec = ["1"] * rank
+    return {"left": module_json(rank), "right": module_json(1),
+            "terms": [[vec, ["1"]]] * terms}
+
+
+class TestInputCaps:
+    """Sizes set by JSON input are capped: each cap is accepted, and one
+    past it exits 1 with an error line."""
+
+    # the largest degree bound for each variable count (README)
+    DEGREE_CAPS = {1: 48, 2: 6, 3: 4, 4: 1}
+
+    # (subcommand, option, input at the cap, input one past it)
+    CAPS = [
+        *[("norm", "--series", dense_series(n, D), dense_series(n, D + 1))
+          for n, D in DEGREE_CAPS.items()],
+        ("norm", "--series", dense_series(4, 0), dense_series(5, 0)),
+        ("norm", "--series", dense_series(1, 0, 64), dense_series(1, 0, 65)),
+        ("pi-check", "--module", module_json(64), module_json(65)),
+        ("tensor", "--element", tensor_json(64, 1), tensor_json(65, 1)),
+        ("tensor", "--element", tensor_json(1, 64), tensor_json(1, 65)),
+    ]
+
+    @pytest.mark.parametrize(
+        "command,option,at_cap,past_cap", CAPS,
+        ids=[f"series-D-at-n{n}" for n in DEGREE_CAPS]
+        + ["series-n", "series-coeffs", "module-rank", "tensor-rank",
+           "tensor-terms"])
+    def test_cap(self, tmp_path, capsys, command, option, at_cap, past_cap):
+        extra = ["--ring", "Qp:2"] if command == "norm" else []
+        for obj, code in ((at_cap, 0), (past_cap, 1)):
+            path = write_json(tmp_path / "in.json", obj)
+            assert main([command, option, path, *extra]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("n,D", [(1.5, 1), (1, 1.5), ("1", 1), (1, True),
+                                     (0, 0), (1, -1)],
+                             ids=["float-n", "float-D", "string-n",
+                                  "boolean-D", "zero-n", "negative-D"])
+    def test_n_and_D_are_small_integers(self, tmp_path, capsys, n, D):
+        path = write_json(tmp_path / "f.json",
+                          {"n": n, "D": D, "coeffs": []})
+        assert main(["norm", "--series", path]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command,stated", [
+        ("norm", "n = 1 to 4 variables, degree bound D <= 48, 6, 4, 1 for "
+                 "n = 1, 2, 3, 4, at most 64 coefficients"),
+        ("spectrum", "D <= 48, 6, 4, 1 for n = 1, 2, 3, 4"),
+        ("shilov", "D <= 48, 6, 4, 1 for n = 1, 2, 3, 4"),
+        ("pi-check", "module JSON file of rank at most 64"),
+        ("tensor", "factors of rank at most 64, at most 64 terms"),
+    ])
+    def test_caps_stated_in_help(self, capsys, command, stated):
+        assert main([command, "--help"]) == 0
+        assert stated in " ".join(capsys.readouterr().out.split())
+
+
+class TestExactRationals:
+    """Only exact rationals are read: no JSON float, no exponent
+    notation, no boolean."""
+
+    @pytest.mark.parametrize("coefficient", ['0.1', '1e400', '"1e999999999"',
+                                             '"1E5"', 'true'])
+    def test_series_coefficient(self, tmp_path, capsys, coefficient):
+        path = tmp_path / "f.json"
+        path.write_text('{"n": 1, "D": 0, "coeffs": [[[0], %s]]}' % coefficient)
+        assert main(["norm", "--series", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command,option,obj", [
+        ("pi-check", "--module", dict(module_json(1), weights=[0.5])),
+        ("tensor", "--element", dict(tensor_json(1, 1), terms=[[[0.5], [1]]])),
+        ("mv-check", "--elements", [{"0": 0.5}]),
+        ("spectrum", "--series", dict(series_json(1),
+                                      tail={"C": "1e9", "sigma": ["2"]})),
+    ])
+    def test_other_readers(self, tmp_path, capsys, command, option, obj):
+        path = write_json(tmp_path / "in.json", obj)
+        assert main([command, option, path]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_rho(self, tmp_path, capsys):
+        path = write_json(tmp_path / "f.json", series_json(1, 1))
+        assert main(["norm", "--series", path, "--rho", "1e999999999"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_decimal_string_is_exact(self, tmp_path, capsys):
+        path = write_json(tmp_path / "f.json", series_json("0.1"))
+        assert main(["norm", "--series", path, "--ring", "R"]) == 0
+        assert json.loads(capsys.readouterr().out)["S"]["hi"] == "1/10"
+
+
+def test_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert main(["norm", "--series", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nested too deeply" in err

@@ -7,25 +7,18 @@ from hypothesis import strategies as st
 from daggeralg.errors import (
     DimensionMismatch,
     NonElement,
-    NonPositiveLowerBound,
     NotACover,
     UnitIdealWitnessMissing,
 )
 from daggeralg.localization import (
-    LAURENT,
     RATIONAL,
-    WEIERSTRASS,
     LocalizationSpec,
-    PolyQuotientRing,
-    idempotent_split,
     koszul_h_check,
     laurent_solve,
     laurent_spec,
     mayer_vietoris,
     present_localization,
-    rational_factor,
     rational_spec,
-    rationals_quotient,
     weierstrass_spec,
 )
 from daggeralg.scalars import (
@@ -204,26 +197,6 @@ def fraction_laurent_solve(g, t, D):
     return out
 
 
-class TestPolyQuotientRing:
-    def split_ring(self):
-        # Q[e] / (e^2 - e)
-        return PolyQuotientRing((Fraction(0), Fraction(-1)))
-
-    def test_idempotent_element(self):
-        C = self.split_ring()
-        e = C.element([0, 1])
-        assert C.mul(e, e) == e
-
-    def test_base_field(self):
-        C = rationals_quotient()
-        assert C.mul(C.element([3]), C.element([7])) == (Fraction(21),)
-
-    def test_nilpotent_square(self):
-        C = PolyQuotientRing((Fraction(0), Fraction(0)))  # Q[e]/(e^2)
-        e = C.element([0, 1])
-        assert C.mul(e, e) == C.zero()
-
-
 class TestKoszul:
     def test_weierstrass_concentrated(self):
         A = unit_polydisk(Q2)
@@ -252,50 +225,6 @@ class TestKoszul:
             koszul_h_check(A, weierstrass_spec((y,)), 8)
         with pytest.raises(ValueError):
             koszul_h_check(A, weierstrass_spec((x_var(Q2),), (0,)), 8)
-
-
-class TestRationalFactor:
-    def spec(self):
-        h = TruncatedSeries.constant(QA, 2)
-        witness = (
-            TruncatedSeries.constant(QA, Fraction(1, 2)),
-            TruncatedSeries.constant(QA, 0),
-        )
-        return rational_spec((x_var(QA),), h, witness)
-
-    def test_epsilon_and_identity(self):
-        A = unit_polydisk(QA)
-        fac = rational_factor(A, self.spec(), Fraction(2))
-        assert fac.epsilon == Fraction(1, 2)
-        assert fac.laurent.variant == LAURENT
-        assert fac.weierstrass.variant == WEIERSTRASS
-
-    def test_positive_lower_bound_required(self):
-        A = unit_polydisk(QA)
-        with pytest.raises(NonPositiveLowerBound):
-            rational_factor(A, self.spec(), Fraction(0))
-
-
-class TestIdempotentSplit:
-    def test_split_ideal(self):
-        C = PolyQuotientRing((Fraction(0), Fraction(-1)))  # Q[e]/(e^2-e)
-        e = idempotent_split(C, [(Fraction(0), Fraction(1))])
-        assert e is not None
-        assert C.mul(e, e) == e
-        assert e == C.element([0, 1])
-
-    def test_nilpotent_ideal_has_no_idempotent(self):
-        C = PolyQuotientRing((Fraction(0), Fraction(0)))  # Q[e]/(e^2)
-        assert idempotent_split(C, [(Fraction(0), Fraction(1))]) is None
-
-    def test_unit_ideal(self):
-        C = rationals_quotient()
-        e = idempotent_split(C, [(Fraction(5),)])
-        assert e == C.one()
-
-    def test_zero_ideal(self):
-        C = rationals_quotient()
-        assert idempotent_split(C, []) == C.zero()
 
 
 class TestMayerVietoris:

@@ -5,18 +5,14 @@ import pytest
 
 from daggeralg.errors import DimensionMismatch, UnsupportedRing
 from daggeralg.nonarch import (
-    FlavoredPresentation,
     check_adjunction,
     pi_free,
-    pi_map,
-    pi_module,
     pi_tensor_check,
 )
 from daggeralg.normed_core import (
     MAX,
     SUM,
     ModuleMap,
-    PresentedModule,
     WeightedFreeModule,
     operator_norm,
 )
@@ -52,40 +48,6 @@ class TestPiFree:
         M = WeightedFreeModule(Z, (Fraction(1),), SUM)
         with pytest.raises(UnsupportedRing):
             pi_free(M)
-
-
-class TestPiModule:
-    def presented(self):
-        amb = qmod(1, 1)
-        rel = ModuleMap(qmod(1), amb, ((Fraction(2),), (Fraction(0),)))
-        return FlavoredPresentation(PresentedModule(amb, relations=rel))
-
-    def test_reflection_reflavors_everything(self):
-        R = pi_module(self.presented())
-        assert R.flavor == MAX
-        assert R.module.ambient.weights == (Fraction(1), Fraction(1))
-        assert R.module.relations.matrix == ((Fraction(2),), (Fraction(0),))
-        assert R.module.relations.source.flavor == MAX
-
-    def test_idempotent(self):
-        R = pi_module(self.presented())
-        assert pi_module(R) == R
-
-    def test_presentation_rejects_archimedean(self):
-        amb = WeightedFreeModule(Z, (Fraction(1),), SUM)
-        rel = ModuleMap(WeightedFreeModule(Z, (Fraction(1),), SUM), amb,
-                        ((Fraction(2),),))
-        with pytest.raises(UnsupportedRing):
-            FlavoredPresentation(PresentedModule(amb, relations=rel))
-
-
-class TestPiMap:
-    def test_matrix_preserved_and_norm_unchanged(self):
-        f = ModuleMap(qmod(1, 1), qmod(1), ((Fraction(2), Fraction(1)),))
-        g = pi_map(f)
-        assert g.matrix == f.matrix
-        # both norms are the columnwise maximum, so they agree exactly
-        assert operator_norm(g) == operator_norm(f)
 
 
 def operator_norms(source, target, matrix):

@@ -37,8 +37,6 @@ from daggeralg.series import (
     norm_S,
     norm_T,
     polyradius,
-    restrict_T_to_S,
-    restrict_arch,
     unit_polydisk,
 )
 
@@ -217,38 +215,6 @@ class TestCofinality:
     def test_requires_strict_inequality(self):
         with pytest.raises(NotStrictlySmaller):
             cofinality_constant(polyradius(1, 1), polyradius(2, 1))
-
-
-class TestRestriction:
-    def test_padic_geometric_sum(self):
-        f = poly(Q2, 1, 1, 1, 1, 1, 1)
-        _, cert = restrict_T_to_S(f, polyradius(2), polyradius(1))
-        assert cert.constant == 2
-        assert cert.lhs == 6
-        assert cert.rhs == 64
-        assert cert.holds
-
-    def test_padic_requires_nonarch(self):
-        with pytest.raises(UnsupportedRing):
-            restrict_T_to_S(poly(QA, 1), polyradius(2), polyradius(1))
-
-    def test_arch_cauchy(self):
-        cert = restrict_arch(poly(QA, 1, 1), polyradius(1),
-                             polyradius(Fraction(1, 2)))
-        assert cert.constant == 2
-        assert cert.lhs == Fraction(3, 2)
-        assert cert.holds
-
-    def test_arch_requires_strict(self):
-        with pytest.raises(NotStrictlySmaller):
-            restrict_arch(poly(QA, 1), polyradius(1), polyradius(1))
-
-    @given(small_coeffs)
-    @settings(max_examples=40, deadline=None)
-    def test_padic_certificate_always_holds(self, coeffs):
-        f = poly(Q2, *coeffs)
-        _, cert = restrict_T_to_S(f, polyradius(3), polyradius(1))
-        assert cert.holds
 
 
 class TestBaseChange:

@@ -1,22 +1,16 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daggeralg.errors import DimensionMismatch, FlavorMismatch, NonElement, \
-    ViolationWitness
-from daggeralg.normed_core import MAX, SUM, ModuleMap, WeightedFreeModule, \
-    operator_norm, vector_norm
+from daggeralg.errors import DimensionMismatch, FlavorMismatch, NonElement
+from daggeralg.normed_core import MAX, SUM, WeightedFreeModule, vector_norm
 from daggeralg.scalars import NormValue, integers_archimedean, \
     integers_trivial, rationals_padic
 from daggeralg.tensor import (
-    NormedAlgebra,
     TensorElement,
-    algebra_tensor_submultiplicativity,
-    map_tensor,
     tensor_modules,
     tensor_norm_certified,
     tensor_norm_upper,
@@ -266,51 +260,3 @@ class TestScalarContraction:
         x = TensorElement(M, M, (((1,), (1,)),))
         assert tensor_norm_certified(x.scale(3), MAX) == \
             NormValue.exact(Fraction(1, 3))
-
-
-class TestAlgebras:
-    def scalar_algebra(self):
-        M = zmod(1)
-        return NormedAlgebra(M, (((Fraction(1),),),))
-
-    def test_scalar_square(self):
-        A = self.scalar_algebra()
-        recs = algebra_tensor_submultiplicativity(A, A, [((2,), (2,))])
-        assert recs[0].holds
-        assert recs[0].product_norm == 4 and recs[0].bound == 4
-
-    def test_monomial_pair(self):
-        # basis 1, X of a truncated univariate algebra with X*X discarded
-        M = zmod(1, 1)
-        table = (
-            ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
-            ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(0))),
-        )
-        A = NormedAlgebra(M, table)
-        x = (1, 1, 0, 0)  # 1 (x) 1 + 1 (x) X
-        y = (1, 0, 1, 0)
-        recs = algebra_tensor_submultiplicativity(A, A, [(x, y)])
-        assert recs[0].holds
-
-    def test_zero_factor(self):
-        A = self.scalar_algebra()
-        recs = algebra_tensor_submultiplicativity(A, A, [((0,), (5,))])
-        assert recs[0].product_norm == 0
-
-
-class TestMapTensor:
-    def test_operator_norm_functoriality(self):
-        rng = random.Random(9)
-        for _ in range(30):
-            a, b = rng.randint(1, 2), rng.randint(1, 2)
-            f = ModuleMap(zmod(*[rng.randint(1, 4) for _ in range(a)]),
-                          zmod(*[rng.randint(1, 4) for _ in range(b)]),
-                          tuple(tuple(Fraction(rng.randint(-3, 3))
-                                      for _ in range(a)) for _ in range(b)))
-            g = ModuleMap(zmod(*[rng.randint(1, 4) for _ in range(a)]),
-                          zmod(*[rng.randint(1, 4) for _ in range(b)]),
-                          tuple(tuple(Fraction(rng.randint(-3, 3))
-                                      for _ in range(a)) for _ in range(b)))
-            fg = map_tensor(f, g, SUM)
-            assert operator_norm(fg).hi <= \
-                operator_norm(f).hi * operator_norm(g).hi
