@@ -7,6 +7,7 @@ unconfirmed verdicts, 1 for malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -227,6 +228,22 @@ def cmd_selftest(args) -> int:
     return 0 if report["passed"] else 2
 
 
+# the handler of each subcommand, looked up at each call rather than bound
+# into the cached parser, so that a wrapper installed here (a tracer's,
+# say) takes effect
+_COMMANDS = {
+    "norm": cmd_norm,
+    "tensor": cmd_tensor,
+    "localize": cmd_localize,
+    "koszul": cmd_koszul,
+    "mv-check": cmd_mv_check,
+    "spectrum": cmd_spectrum,
+    "shilov": cmd_shilov,
+    "pi-check": cmd_pi_check,
+    "selftest": cmd_selftest,
+}
+
+
 def _add_size(p, flag: str, default: int, cap: int, what: str) -> None:
     """An integer option that must lie in [1, cap]; the cap keeps one
     run at desk scale and is stated in --help."""
@@ -242,7 +259,11 @@ def _add_size(p, flag: str, default: int, cap: int, what: str) -> None:
                    help=f"{what} (1 to {cap}, default {default})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it is most of a small command's time.
+    Callers share it and must not change it."""
     parser = argparse.ArgumentParser(
         prog="daggeralg",
         description="Exact-arithmetic normed modules and overconvergent "
@@ -258,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", default="Z")
     p.add_argument("--rho", default="1")
     add_common(p)
-    p.set_defaults(fn=cmd_norm)
 
     p = sub.add_parser("tensor", help="certified tensor norm of an element")
     p.add_argument("--element", required=True,
@@ -266,14 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
                    f"{MAX_RANK}, at most {MAX_TENSOR_TERMS} terms")
     p.add_argument("--flavor", choices=[SUM, MAX], default=SUM)
     add_common(p)
-    p.set_defaults(fn=cmd_tensor)
 
     p = sub.add_parser("localize", help="extend a presentation by a "
                        "localization step")
     p.add_argument("--algebra", required=True)
     p.add_argument("--spec", required=True)
     add_common(p)
-    p.set_defaults(fn=cmd_localize)
 
     p = sub.add_parser("koszul", help="validate a one-variable spec for the "
                        "two-term complex, whose homology is a theorem")
@@ -281,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     _add_size(p, "--degree", 8, 20, "truncation degree")
     add_common(p)
-    p.set_defaults(fn=cmd_koszul)
 
     p = sub.add_parser("mv-check", help="disk/annulus gluing exactness")
     p.add_argument("--elements", required=True,
@@ -289,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", default="Qp:2")
     _add_size(p, "--degree", 8, 256, "truncation degree")
     add_common(p)
-    p.set_defaults(fn=cmd_mv_check)
 
     p = sub.add_parser("spectrum", help="per-place sup norms and spectral "
                        "estimates over the integers")
@@ -299,14 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_size(p, "--grid", 2, 16, "exponent grid size per place family")
     _add_size(p, "--powers", 8, 32, "powers in the spectral estimate")
     add_common(p)
-    p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("shilov", help="Archimedean-fiber dominance check")
     p.add_argument("--series", required=True, help=SERIES_HELP)
     p.add_argument("--rho", default="1")
     _add_size(p, "--prime-bound", 50, 10000, "largest prime listed")
     add_common(p)
-    p.set_defaults(fn=cmd_shilov)
 
     p = sub.add_parser("pi-check", help="validate a module for the max-norm "
                        "reflection, whose adjunction is a theorem")
@@ -315,24 +329,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_size(p, "--samples", 500, 10000, "ignored, echoed in the report")
     p.add_argument("--seed", type=int, default=7, help="ignored")
     add_common(p)
-    p.set_defaults(fn=cmd_pi_check)
 
     p = sub.add_parser("selftest", help="run the full verification suite")
     p.add_argument("--seed", type=int, default=7)
     add_common(p)
-    p.set_defaults(fn=cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return _COMMANDS[args.command](args)
     except (DaggerAlgError, ValueError, KeyError, OSError,
             ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -120,14 +120,35 @@ KIND_Q_ARCH = "RationalsArchimedean"
 _KINDS = (KIND_Z_ARCH, KIND_Z_TRIVIAL, KIND_Q_PADIC, KIND_Q_ARCH)
 
 
+# largest bit length of the prime of a p-adic ring
+MAX_PRIME_BITS = 64
+
+# the first 12 primes: as Miller-Rabin bases they decide primality exactly
+# below 3.18 * 10^23 (Sorenson and Webster, Math. Comp. 86, 2017), far
+# above the MAX_PRIME_BITS cap
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test for 0 <= n < 3.18 * 10^23."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -147,7 +168,10 @@ class BanachRing:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown ring kind {self.kind}")
         if self.kind == KIND_Q_PADIC:
-            if self.p is None or not _is_prime(self.p):
+            if type(self.p) is int and self.p.bit_length() > MAX_PRIME_BITS:
+                raise ValueError(f"p-adic prime {self.p} is over the cap "
+                                 f"of {MAX_PRIME_BITS} bits")
+            if type(self.p) is not int or not _is_prime(self.p):
                 raise ValueError("p-adic ring needs a prime p")
         elif self.p is not None:
             raise ValueError("p only meaningful for the p-adic kind")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     DimensionMismatch,
@@ -41,8 +41,9 @@ DEFAULT_DISCARD_SIGMA = Fraction(2)
 # caps on a series read from JSON: the largest degree bound D for each
 # variable count n, and the number of listed coefficients.  The
 # Archimedean sup samples (8(D+1))^n torus points for n <= 2 and 12^n for
-# n >= 3, and `spectrum --grid 16` does so at 31 radii; at these caps a
-# dense series takes it about 10 s at most (measured table in README)
+# n >= 3 (evaluating about half of them), and `spectrum --grid 16` does
+# so at 31 radii; at these caps a dense series takes it about 4 s at most
+# (measured table in README)
 MAX_DEGREE = {1: 48, 2: 6, 3: 4, 4: 1}
 MAX_COEFFS = 64
 
@@ -71,6 +72,23 @@ class PolyRadius:
         for c, e in zip(self.components, I):
             out *= c**e
         return out
+
+    def powers(self, indices) -> Tuple[List[int], int]:
+        """rho^I for each index I over one denominator, on integers: with
+        rho_i = x_i / y_i returns the numerators
+        prod x_i^I_i y_i^(E_i - I_i) and the denominator prod y_i^E_i,
+        where E_i is the largest exponent of variable i."""
+        nums, den = [1] * len(indices), 1
+        for i, r in enumerate(self.components):
+            E = max((I[i] for I in indices), default=0)
+            x, y = r.numerator, r.denominator
+            xs, ys = [1], [1]
+            for _ in range(E):
+                xs.append(xs[-1] * x)
+                ys.append(ys[-1] * y)
+            nums = [P * xs[I[i]] * ys[E - I[i]] for P, I in zip(nums, indices)]
+            den *= ys[E]
+        return nums, den
 
     def strictly_less(self, other: "PolyRadius") -> bool:
         if len(self) != len(other):
@@ -357,9 +375,17 @@ def norm_S(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     if len(rho) != f.n:
         raise DimensionMismatch("polyradius arity mismatch")
     _check_tail_radius(f, rho)
-    poly = Fraction(0)
-    for I, a in f.coeffs.items():
-        poly += abs_value(f.ring, a) * rho.power(I)
+    if f.ring.non_archimedean:
+        poly = Fraction(0)
+        for I, a in f.coeffs.items():
+            poly += abs_value(f.ring, a) * rho.power(I)
+    else:
+        # on integers: with a_I = N_I / L and rho^I = P_I / Q the sum is
+        # sum |N_I| P_I over L Q
+        terms, L = _scaled_ints(f.coeffs)
+        nums, Q = rho.powers([I for I, _ in terms])
+        poly = Fraction(sum(abs(N) * P for (_, N), P in zip(terms, nums)),
+                        L * Q)
     return NormValue(poly, poly + _tail_sum_bound(f, rho))
 
 
@@ -446,8 +472,11 @@ def _torus_lower_bound(f: TruncatedSeries, rho: PolyRadius,
     axis_tables, axis_qpows = [], []
     for i, r in enumerate(rho):
         E = max((I[i] for I, _ in terms), default=0)
+        # rational coefficients give |f(conj z)| = |f(z)|, and the circle
+        # is closed under conjugation: the first axis needs only im >= 0
+        points = [(c, s) for c, s in circle if i or s >= 0]
         tables, qpows = zip(*(_power_table(r * c, r * s, E)
-                              for c, s in circle))
+                              for c, s in points))
         axis_tables.append(tables)
         axis_qpows.append(qpows)
     # largest (re^2 + im^2) / prod(q_i^E_i)^2 so far as num/den

@@ -199,13 +199,20 @@ def fiber_sup(f: TruncatedSeries, place: Place, rho: PolyRadius) -> NormValue:
         else:
             sup = NormValue(norm_T(g, inner).lo, norm_T(g, outer).hi)
         return pow_interval(sup, place.eps, ROOT_PRECISION)
-    if place.kind == PADIC:
-        known = NormValue.zero()
-        for I, a in f.coeffs.items():
-            known = known.join_max(place.abs_value(a).scale(rho.power(I)))
-    else:
-        known = NormValue.exact(
-            max((rho.power(I) for I in f.coeffs), default=Fraction(0)))
+    # the Gauss norm max |a_I|^eps rho^I: at the trivial place and for a
+    # p-adic unit a_I (p divides neither numerator nor denominator)
+    # |a_I|^eps = 1, so only the other coefficients need a root bracket
+    p = place.p
+    nums, den = rho.powers(list(f.coeffs))
+    unit, lo, hi = 0, Fraction(0), Fraction(0)
+    for a, P in zip(f.coeffs.values(), nums):
+        if p is None or a.numerator % p and a.denominator % p:
+            unit = max(unit, P)
+        else:
+            size, r = place.abs_value(a), Fraction(P, den)
+            lo, hi = max(lo, size.lo * r), max(hi, size.hi * r)
+    unit = Fraction(unit, den)
+    known = NormValue(max(lo, unit), max(hi, unit))
     if f.tail is not None and f.tail.C:
         return NormValue(known.lo, None)
     return known

@@ -1,9 +1,15 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import daggeralg
 from daggeralg.cli import main, parse_ring, parse_rho
 from daggeralg.series import polyradius
 
@@ -59,6 +65,26 @@ class TestNormCommand:
         assert main(["norm", "--series", f, "--json-out", str(dest)]) == 0
         printed = capsys.readouterr().out
         assert dest.read_text() == printed
+
+    def test_large_prime_is_quick(self, tmp_path, capsys):
+        # 2^61 - 1 is prime: trial division up to its square root did
+        # not end within 10 s
+        f = write_json(tmp_path / "f.json", series_json(2, 1))
+        start = time.monotonic()
+        assert main(["norm", "--series", f, "--ring",
+                     "Qp:2305843009213693951"]) == 0
+        assert time.monotonic() - start < 1
+        assert json.loads(capsys.readouterr().out)["S"]["lo"] == "2"
+
+    @pytest.mark.parametrize("ring", ["Qp:18446744073709551629",
+                                      '{"kind": "Rationals_pAdic", '
+                                      '"p": 18446744073709551629}'])
+    def test_prime_over_64_bits(self, tmp_path, capsys, ring):
+        # the smallest prime above 2^64
+        f = write_json(tmp_path / "f.json", series_json(2, 1))
+        assert main(["norm", "--series", f, "--ring", ring]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "64 bits" in err
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["norm", "--series", str(tmp_path / "nope.json")]) == 1
@@ -301,6 +327,28 @@ class TestArgumentErrors:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_reused_parser_keeps_no_state(self, tmp_path, capsys):
+        # the parser is built once per process; no call may see what an
+        # earlier one parsed, printed or wrote
+        f = write_json(tmp_path / "f.json", series_json(3, 0, -2))
+        dest = tmp_path / "report.json"
+        argv = ["norm", "--series", f, "--ring", "Qp:3", "--rho", "1/2"]
+        assert main(["norm", "--rho"]) == 1
+        assert main(["--help"]) == 0
+        assert main(argv + ["--json-out", str(dest)]) == 0
+        dest.unlink()
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert not dest.exists()
+        src = str(Path(daggeralg.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        fresh = subprocess.run([sys.executable, "-m", "daggeralg.cli", *argv],
+                               capture_output=True, text=True, env=env,
+                               timeout=60)
+        assert fresh.returncode == 0
+        assert capsys.readouterr().out == fresh.stdout
 
 
 class TestSizeCaps:

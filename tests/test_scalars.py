@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from daggeralg.errors import NonElement
 from daggeralg.scalars import (
+    MAX_PRIME_BITS,
     BanachRing,
+    _is_prime,
     NormValue,
     abs_value,
     integers_archimedean,
@@ -125,3 +127,36 @@ class TestRingAxioms:
     def test_padic_requires_prime(self):
         with pytest.raises(ValueError):
             rationals_padic(6)
+
+
+class TestPrimality:
+    @staticmethod
+    def trial_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    def test_matches_trial_division(self):
+        assert [n for n in range(5000) if _is_prime(n)] == \
+            [n for n in range(5000) if self.trial_division(n)]
+
+    @pytest.mark.parametrize("n,prime", [
+        (561, False),                      # Carmichael number
+        (3215031751, False),               # strong pseudoprime to 2, 3, 5, 7
+        (3825123056546413051, False),      # ... to every prime up to 23
+        (2**61 - 1, True),
+        (2**64 - 59, True),                # the largest prime below 2^64
+        ((2**31 - 1) * (2**61 - 1), False),
+    ])
+    def test_large(self, n, prime):
+        assert _is_prime(n) is prime
+
+    def test_ring_prime_cap(self):
+        assert rationals_padic(2**64 - 59).p == 2**64 - 59
+        for p in (2**64 + 13, 2**89 - 1):  # primes over the cap
+            assert p.bit_length() > MAX_PRIME_BITS
+            with pytest.raises(ValueError, match="64 bits"):
+                rationals_padic(p)
+
+    @pytest.mark.parametrize("p", [4, 1, 0, -7, 2.0, True, "5", None])
+    def test_ring_needs_a_prime_integer(self, p):
+        with pytest.raises(ValueError, match="needs a prime"):
+            BanachRing("Rationals_pAdic", p)

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from daggeralg.errors import (
@@ -28,6 +28,7 @@ from daggeralg.series import (
     TruncatedSeries,
     _global_majorant_constant,
     _poly_growth_constant,
+    _tail_sum_bound,
     _torus_lower_bound,
     _unit_circle_points,
     base_change,
@@ -450,3 +451,61 @@ class TestIntegerKernels:
                               Fraction(9, 4))[:n])
             assert _torus_lower_bound(f, rho, 16) == \
                 self.per_point_torus_bound(f, rho, 16)
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(*[st.integers(0, 6)] * n), max_size=6),
+        st.lists(st.fractions(min_value=Fraction(1, 9), max_value=9,
+                              max_denominator=9), min_size=n, max_size=n))))
+    @settings(max_examples=100, deadline=None)
+    def test_radius_powers_match_power(self, case):
+        indices, rho = case
+        rho = PolyRadius(tuple(rho))
+        nums, den = rho.powers(indices)
+        assert [Fraction(P, den) for P in nums] == \
+            [rho.power(I) for I in indices]
+
+    @given(st.sampled_from([Z, QA]).flatmap(lambda ring: st.integers(1, 3)
+           .flatmap(lambda n: st.tuples(
+               series(ring, n),
+               st.lists(st.sampled_from([Fraction(1, 2), Fraction(2, 3),
+                                         Fraction(1), Fraction(5, 4)]),
+                        min_size=n, max_size=n)))))
+    @settings(max_examples=150, deadline=None)
+    def test_norm_S_matches_fraction_loop(self, case):
+        # every drawn tail radius is at least 3/2, beyond each drawn rho
+        f, rho = case
+        rho = PolyRadius(tuple(rho))
+        poly_sum = sum((abs_value(f.ring, a) * rho.power(I)
+                        for I, a in f.coeffs.items()), Fraction(0))
+        assert norm_S(f, rho) == \
+            NormValue(poly_sum, poly_sum + _tail_sum_bound(f, rho))
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        series(QA, n, tails=False),
+        st.lists(st.sampled_from([Fraction(1, 2), Fraction(5, 7),
+                                  Fraction(1), Fraction(9, 4)]),
+                 min_size=n, max_size=n))))
+    # the maximum needs z_1 and z_2 in opposite half-planes
+    @example((TruncatedSeries(QA, 2, {(1, 0): Fraction(2), (2, 1): Fraction(1),
+                                      (0, 1): Fraction(-3)}, 3),
+              [Fraction(1), Fraction(1)]))
+    @settings(max_examples=30, deadline=None)
+    def test_torus_lower_bound_is_the_full_circle_maximum(self, case):
+        # the default sampler, with every point of the first axis's
+        # circle evaluated: the conjugate half adds nothing
+        f, rho = case
+        rho = PolyRadius(tuple(rho))
+        circle = _unit_circle_points(8 * (f.degree_bound + 1)
+                                     if f.n <= 2 else 8)
+        best_sq = Fraction(0)
+        for combo in itertools.product(circle, repeat=f.n):
+            re, im = evaluate_complex(
+                f, [(r * c, r * s) for r, (c, s) in zip(rho, combo)])
+            best_sq = max(best_sq, re * re + im * im)
+        assert _torus_lower_bound(f, rho) == nth_root_interval(
+            NormValue.exact(best_sq), 2, Fraction(1, 10**9)).lo
+
+    def test_unit_circle_points_closed_under_conjugation(self):
+        for count in (8, 9, 16, 56, 392):
+            circle = _unit_circle_points(count)
+            assert {(c, -s) for c, s in circle} == set(circle)

@@ -6,8 +6,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from daggeralg.errors import CoordinateOutOfDisk, DimensionMismatch
-from daggeralg.scalars import NormValue, integers_archimedean
-from daggeralg.series import Tail, TruncatedSeries, multiply, polyradius
+from daggeralg.scalars import (
+    NormValue,
+    integers_archimedean,
+    rationals_archimedean,
+)
+from daggeralg.series import (
+    PolyRadius,
+    Tail,
+    TruncatedSeries,
+    multiply,
+    polyradius,
+)
 from daggeralg.spectrum import (
     ARCHIMEDEAN,
     PADIC,
@@ -207,6 +217,66 @@ class TestFiberSup:
                                ONE)
             assert evaluate_seminorm(f, pt).hi <= \
                 fiber_sup(f, place, ONE).hi
+
+
+def gauss_fiber_loop(f, place, rho):
+    """The p-adic and trivial fiber sup as one certified root bracket
+    per coefficient, joined coefficient by coefficient."""
+    if place.kind == PADIC:
+        known = NormValue.zero()
+        for I, a in f.coeffs.items():
+            known = known.join_max(place.abs_value(a).scale(rho.power(I)))
+    else:
+        known = NormValue.exact(
+            max((rho.power(I) for I in f.coeffs), default=Fraction(0)))
+    if f.tail is not None and f.tail.C:
+        return NormValue(known.lo, None)
+    return known
+
+
+@st.composite
+def padic_cases(draw):
+    """A rational series whose coefficients carry powers of p in the
+    numerator and the denominator, and a p-adic or trivial place."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 2))
+    D = draw(st.integers(0, 4))
+    coeff = st.builds(lambda k, m, j, d: Fraction(p**k * m, p**j * d),
+                      st.integers(0, 3), st.integers(-9, 9),
+                      st.integers(0, 3), st.integers(1, 9))
+    entries = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, D)] * n),
+                                      coeff), max_size=6))
+    tail = draw(st.sampled_from([None, Tail(0, polyradius(*[2] * n)),
+                                 Tail(3, polyradius(*[2] * n))]))
+    f = TruncatedSeries(rationals_archimedean(), n,
+                        {I: a for I, a in entries if sum(I) <= D}, D, tail)
+    eps = draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(1),
+                                Fraction(2)]))
+    place = draw(st.sampled_from([Place(PADIC, eps, p), Place(TRIVIAL)]))
+    rho = draw(st.lists(st.sampled_from([Fraction(1, 3), Fraction(1),
+                                         Fraction(7, 4)]),
+                        min_size=n, max_size=n))
+    return f, place, PolyRadius(tuple(rho))
+
+
+class TestGaussFibers:
+    @given(padic_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_fiber_sup_matches_per_coefficient_loop(self, case):
+        f, place, rho = case
+        assert fiber_sup(f, place, rho) == gauss_fiber_loop(f, place, rho)
+
+    def test_units_and_non_units_at_a_fractional_exponent(self):
+        # 3 and 5/7 are 2-adic units; |1/2|_2^(2/3) = 4^(1/3) is bracketed
+        f = TruncatedSeries(rationals_archimedean(), 1,
+                            {(0,): Fraction(3), (1,): Fraction(1, 2),
+                             (2,): Fraction(5, 7)}, 2)
+        place = Place(PADIC, Fraction(2, 3), 2)
+        nv = fiber_sup(f, place, ONE)
+        assert nv.lo < nv.hi and nv.lo**3 <= 4 <= nv.hi**3
+        assert fiber_sup(f, place, polyradius(Fraction(1, 2))) \
+            == NormValue.exact(1)
+        assert fiber_sup(f, place, polyradius(2)) == NormValue.exact(4)
 
 
 class TestGlobalSup:
