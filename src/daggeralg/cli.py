@@ -22,11 +22,11 @@ from .nonarch import check_adjunction
 from .normed_core import MAX, MAX_RANK, SUM, WeightedFreeModule
 from .scalars import (
     BanachRing,
-    as_fraction,
     integers_archimedean,
     integers_trivial,
     rationals_archimedean,
     rationals_padic,
+    read_rational,
 )
 from .selftest import REPORT_VERSION, run_all
 from .series import (
@@ -63,7 +63,7 @@ def parse_ring(text: str) -> BanachRing:
 
 
 def parse_rho(text: str, n: int) -> PolyRadius:
-    parts = [as_fraction(p) for p in text.split(",")]
+    parts = [read_rational(p) for p in text.split(",")]
     if len(parts) == 1 and n > 1:
         parts = parts * n
     return PolyRadius(tuple(parts))
@@ -110,7 +110,7 @@ def _read_tensor_element(obj) -> TensorElement:
         raise ValueError(f"{len(obj['terms'])} tensor terms are over the "
                          f"cap of {MAX_TENSOR_TERMS}")
     terms = tuple(
-        (tuple(as_fraction(c) for c in m), tuple(as_fraction(c) for c in n))
+        (tuple(read_rational(c) for c in m), tuple(read_rational(c) for c in n))
         for m, n in obj["terms"]
     )
     return TensorElement(left, right, terms)
@@ -150,7 +150,7 @@ def cmd_koszul(args) -> int:
 
 @reads_json("mv-check element")
 def _read_laurent_element(obj):
-    return {int(k): as_fraction(v) for k, v in obj.items()}
+    return {int(k): read_rational(v) for k, v in obj.items()}
 
 
 def cmd_mv_check(args) -> int:

@@ -180,3 +180,18 @@ def hnf_column_basis(columns: List[List[int]]) -> List[List[int]]:
             basis.append(lead)
             cols = [c for c in cols if c is not lead]
     return basis
+
+
+def lattice_contains(basis: List[List[int]], t: Sequence[int]) -> bool:
+    """Whether the integer vector t lies in the lattice spanned by a
+    basis from ``hnf_column_basis``.  Each basis column leads in its own
+    row, with zeros above and rows in increasing order, so subtracting
+    from t, column by column, the multiple that clears the lead row
+    leaves zero exactly when t is a member: a remainder left in a lead
+    row stays, since no later column touches that row."""
+    t = list(t)
+    for b in basis:
+        r = next(i for i, x in enumerate(b) if x)
+        q = t[r] // b[r]
+        t = [x - q * y for x, y in zip(t, b)]
+    return not any(t)

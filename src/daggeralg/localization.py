@@ -19,7 +19,7 @@ from .errors import (
     UnitIdealWitnessMissing,
     reads_json,
 )
-from .scalars import BanachRing, as_fraction
+from .scalars import BanachRing, as_fraction, read_rational
 from .series import (
     DaggerPresentation,
     PolyRadius,
@@ -79,7 +79,7 @@ class LocalizationSpec:
         return LocalizationSpec(
             obj["variant"],
             tuple(TruncatedSeries.from_json(f, ring) for f in obj["fs"]),
-            tuple(as_fraction(r) for r in obj.get("radii", [])),
+            tuple(read_rational(r) for r in obj.get("radii", [])),
             TruncatedSeries.from_json(obj["h"], ring) if obj.get("h") else None,
             tuple(TruncatedSeries.from_json(c, ring) for c in obj["witness"])
             if obj.get("witness")

@@ -33,6 +33,24 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
+# largest bit length of the numerator or the denominator of a rational
+# read from JSON or the command line: at the series caps a norm report
+# then has at most about 2,700 digits, under Python's 4,300-digit limit
+# on printing an integer; at 128 bits a tailed series passes it (README)
+MAX_RATIONAL_BITS = 64
+
+
+def read_rational(x) -> Fraction:
+    """``as_fraction`` for a number read from input, with its numerator
+    and denominator capped at ``MAX_RATIONAL_BITS`` bits."""
+    x = as_fraction(x)
+    bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+    if bits > MAX_RATIONAL_BITS:
+        raise ValueError(f"a {bits}-bit rational is over the cap of "
+                         f"{MAX_RATIONAL_BITS} bits")
+    return x
+
+
 @dataclass(frozen=True)
 class NormValue:
     """Certified two-sided bound on a norm: lo <= value <= hi.
@@ -61,21 +79,6 @@ class NormValue:
     def zero() -> "NormValue":
         return NormValue(ZERO, ZERO)
 
-    def __add__(self, other: "NormValue") -> "NormValue":
-        hi = None if self.hi is None or other.hi is None else self.hi + other.hi
-        return NormValue(self.lo + other.lo, hi)
-
-    def __mul__(self, other: "NormValue") -> "NormValue":
-        # both endpoints non-negative, so the product interval is endpointwise
-        hi = None if self.hi is None or other.hi is None else self.hi * other.hi
-        return NormValue(self.lo * other.lo, hi)
-
-    def scale(self, c) -> "NormValue":
-        c = as_fraction(c)
-        if c < 0:
-            raise ValueError("scale factor must be non-negative")
-        return NormValue(self.lo * c, None if self.hi is None else self.hi * c)
-
     def join_max(self, other: "NormValue") -> "NormValue":
         """Interval enclosing max(self, other)."""
         hi = None if self.hi is None or other.hi is None else max(self.hi, other.hi)
@@ -86,10 +89,6 @@ class NormValue:
             raise ValueError("negative powers not supported")
         hi = None if self.hi is None else self.hi**k
         return NormValue(self.lo**k, hi)
-
-    def contains(self, x) -> bool:
-        x = as_fraction(x)
-        return self.lo <= x and (self.hi is None or x <= self.hi)
 
     def to_json(self):
         return {

@@ -30,6 +30,7 @@ from .scalars import (
     as_fraction,
     integers_archimedean,
     nth_root_interval,
+    read_rational,
 )
 
 Index = Tuple[int, ...]
@@ -100,7 +101,7 @@ class PolyRadius:
 
     @staticmethod
     def from_json(obj):
-        return PolyRadius(tuple(as_fraction(c) for c in obj))
+        return PolyRadius(tuple(read_rational(c) for c in obj))
 
 
 def polyradius(*cs) -> PolyRadius:
@@ -264,12 +265,12 @@ class TruncatedSeries:
                              f"over the cap of {MAX_COEFFS}")
         tail = None
         if obj.get("tail"):
-            tail = Tail(as_fraction(obj["tail"]["C"]),
+            tail = Tail(read_rational(obj["tail"]["C"]),
                         PolyRadius.from_json(obj["tail"]["sigma"]))
         return TruncatedSeries(
             ring,
             n,
-            {tuple(I): as_fraction(a) for I, a in obj["coeffs"]},
+            {tuple(I): read_rational(a) for I, a in obj["coeffs"]},
             D,
             tail,
         )

@@ -25,6 +25,7 @@ from .scalars import (
     pow_interval,
     rationals_archimedean,
     rationals_padic,
+    read_rational,
 )
 from .series import PolyRadius, TruncatedSeries, multiply, norm_S, norm_T
 
@@ -88,7 +89,7 @@ class Place:
 
     @staticmethod
     def from_json(obj):
-        return Place(obj["kind"], as_fraction(obj["eps"]), obj.get("p"))
+        return Place(obj["kind"], read_rational(obj["eps"]), obj.get("p"))
 
 
 def _primes_up_to(bound: int) -> List[int]:

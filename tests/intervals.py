@@ -1,0 +1,30 @@
+"""Arithmetic on ``NormValue`` intervals that only the test oracles use.
+
+Both endpoints of a norm interval are non-negative, so sums, products and
+non-negative multiples are taken endpoint by endpoint; an open upper end
+(``hi = None``) stays open.
+"""
+
+from daggeralg.scalars import NormValue, as_fraction
+
+
+def add(a: NormValue, b: NormValue) -> NormValue:
+    hi = None if a.hi is None or b.hi is None else a.hi + b.hi
+    return NormValue(a.lo + b.lo, hi)
+
+
+def mul(a: NormValue, b: NormValue) -> NormValue:
+    hi = None if a.hi is None or b.hi is None else a.hi * b.hi
+    return NormValue(a.lo * b.lo, hi)
+
+
+def scale(a: NormValue, c) -> NormValue:
+    c = as_fraction(c)
+    if c < 0:
+        raise ValueError("scale factor must be non-negative")
+    return NormValue(a.lo * c, None if a.hi is None else a.hi * c)
+
+
+def contains(a: NormValue, x) -> bool:
+    x = as_fraction(x)
+    return a.lo <= x and (a.hi is None or x <= a.hi)

@@ -11,6 +11,7 @@ import pytest
 
 import daggeralg
 from daggeralg.cli import main, parse_ring, parse_rho
+from daggeralg.scalars import MAX_RATIONAL_BITS
 from daggeralg.series import polyradius
 
 
@@ -508,6 +509,65 @@ class TestExactRationals:
         path = write_json(tmp_path / "f.json", series_json("0.1"))
         assert main(["norm", "--series", path, "--ring", "R"]) == 0
         assert json.loads(capsys.readouterr().out)["S"]["hi"] == "1/10"
+
+
+class TestRationalSizes:
+    """Each rational read from JSON or the command line has a numerator
+    and a denominator of at most MAX_RATIONAL_BITS bits; one bit more
+    exits 1 with an error line."""
+
+    BIG = 2 ** MAX_RATIONAL_BITS
+
+    @staticmethod
+    def localize_spec(radius):
+        return {"variant": "weierstrass",
+                "fs": [{"n": 1, "D": 1, "coeffs": [[[1], "1"]]}],
+                "radii": [radius]}
+
+    # (subcommand, JSON option or None for --rho, input for a value)
+    READERS = [
+        ("norm", None, lambda x: series_json(1, 1)),
+        ("norm", "--series", lambda x: series_json(x)),
+        ("norm", "--series", lambda x: dict(series_json(1),
+                                            tail={"C": x, "sigma": ["2"]})),
+        ("pi-check", "--module", lambda x: dict(module_json(1), weights=[x])),
+        ("tensor", "--element",
+         lambda x: dict(tensor_json(1, 1), terms=[[[x], ["1"]]])),
+        ("mv-check", "--elements", lambda x: [{"0": x}]),
+        ("localize", "--spec", localize_spec),
+    ]
+
+    @pytest.mark.parametrize("command,option,build", READERS,
+                             ids=["rho", "coefficient", "tail", "weight",
+                                  "tensor-term", "laurent", "radius"])
+    @pytest.mark.parametrize("side", ["numerator", "denominator"])
+    def test_cap(self, tmp_path, capsys, command, option, build, side):
+        for top, code in ((self.BIG - 1, 0), (self.BIG + 1, 1)):
+            x = str(top) if side == "numerator" else f"1/{top}"
+            path = write_json(tmp_path / "in.json", build(x))
+            if option is None:
+                argv = ["norm", "--series", path, "--rho", x]
+            elif command == "norm":
+                argv = ["norm", "--series", path, "--ring", "Qp:2"]
+            elif command == "localize":
+                argv = ["localize", "--algebra",
+                        TestLocalizeAndKoszul().algebra(tmp_path),
+                        "--spec", path]
+            else:
+                argv = [command, option, path]
+            assert main(argv) == code, x
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{MAX_RATIONAL_BITS} bits" in err
+
+    def test_long_rho_exits_at_once(self, tmp_path, capsys):
+        # a 100-digit denominator at degree 48 used to compute every norm
+        # and fail only when printing an integer of over 4,300 digits
+        path = write_json(tmp_path / "f.json", dense_series(1, 48))
+        start = time.monotonic()
+        assert main(["norm", "--series", path, "--ring", "Qp:2",
+                     "--rho", "1/" + "7" * 100]) == 1
+        assert time.monotonic() - start < 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_deeply_nested_json(tmp_path, capsys):

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daggeralg.errors import DimensionMismatch, FlavorMismatch
+from daggeralg.errors import DimensionMismatch, FlavorMismatch, NonElement
 from daggeralg.normed_core import (
     MAX,
+    MAX_EXACT_TRIVIAL_RANK,
     SUM,
     ModuleMap,
     StrictWithConstants,
@@ -29,6 +30,7 @@ from daggeralg.scalars import (
     rationals_archimedean,
     rationals_padic,
 )
+from intervals import add, scale
 
 Z = integers_archimedean()
 ZT = integers_trivial()
@@ -95,8 +97,8 @@ def reference_abs(ring, x):
 def reference_vector_norm(M, v):
     out = NormValue.zero()
     for x, w in zip(v, M.weights):
-        term = reference_abs(M.ring, x).scale(w)
-        out = out + term if M.flavor == SUM else out.join_max(term)
+        term = scale(reference_abs(M.ring, x), w)
+        out = add(out, term) if M.flavor == SUM else out.join_max(term)
     return out
 
 
@@ -104,7 +106,7 @@ def reference_column_norm(f):
     best = NormValue.zero()
     for j in range(f.source.rank):
         col = reference_vector_norm(f.target, f.column(j))
-        best = best.join_max(col.scale(1 / f.source.weights[j]))
+        best = best.join_max(scale(col, 1 / f.source.weights[j]))
     return best
 
 
@@ -264,6 +266,88 @@ class TestResidueNorm:
             assert residue_norm(cokernel(rel), v).hi <= vector_norm(amb, v).hi
 
 
+def box_minimum(M, rels, v, box=60):
+    """Least norm of v + sum_j k_j rels[j] over every k in [-box, box]^s,
+    for a module M over Z_triv with at most box relations.  The leading
+    coefficients are stepped through; the last is not, since coordinate i
+    vanishes at one value of it, at every value or at none."""
+    *head, last = rels
+    zero_sets = set()
+    for k in itertools.product(range(-box, box + 1), repeat=len(head)):
+        base = [x + sum(kj * r[i] for kj, r in zip(k, head))
+                for i, x in enumerate(v)]
+        always = frozenset(i for i, b in enumerate(base)
+                           if b == 0 and last[i] == 0)
+        at = {}
+        for i, b in enumerate(base):
+            if last[i] and b % last[i] == 0 and abs(b // last[i]) <= box:
+                at.setdefault(-b // last[i], set()).add(i)
+        # fewer special values than box points: some k_s hits none of them
+        zero_sets.add(always)
+        zero_sets.update(always | extra for extra in at.values())
+    return min(vector_norm(M, [int(i not in Z) for i in range(M.rank)]).hi
+               for Z in zero_sets)
+
+
+class TestTrivialResidueNorm:
+    """Over Z_triv the residue norm is exact: a least cost over zero sets."""
+
+    def presented(self, weights, flavor, rels):
+        amb = WeightedFreeModule(ZT, tuple(weights), flavor)
+        src = WeightedFreeModule(ZT, (Fraction(1),) * len(rels), SUM)
+        return cokernel(ModuleMap(src, amb, tuple(
+            tuple(Fraction(r[i]) for r in rels) for i in range(len(weights)))))
+
+    def test_box_oracle(self):
+        rng = random.Random(12)
+        for _ in range(400):
+            rank = rng.randint(1, 4)
+            rels = [[rng.randint(-4, 4) for _ in range(rank)]
+                    for _ in range(rng.randint(1, 2))]
+            weights = [Fraction(rng.randint(1, 6), rng.randint(1, 3))
+                       for _ in range(rank)]
+            M = self.presented(weights, rng.choice((SUM, MAX)), rels)
+            v = [rng.randint(-5, 5) for _ in range(rank)]
+            assert residue_norm(M, v) == NormValue.exact(
+                box_minimum(M.ambient, rels, v))
+
+    def test_box_oracle_steps_through_every_point(self):
+        # the shortcut over the last coefficient against a plain scan
+        rng = random.Random(3)
+        for _ in range(30):
+            rels = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(2)]
+            M = self.presented([1, 2, 3], SUM, rels)
+            v = [rng.randint(-4, 4) for _ in range(3)]
+            plain = min(
+                vector_norm(M.ambient, [x + a * r + b * t for x, r, t
+                                        in zip(v, *rels)]).hi
+                for a in range(-5, 6) for b in range(-5, 6))
+            assert box_minimum(M.ambient, rels, v, box=5) == plain
+
+    def test_lower_bound_is_not_zero(self):
+        # killing coordinate 2 costs the two others, which no relation
+        # can clear together with it
+        M = self.presented([1, 2, 3], SUM, [[1, 1, 0]])
+        assert residue_norm(M, (1, 1, 1)) == NormValue.exact(3)
+
+    def test_non_integer_entry_rejected(self):
+        M = self.presented([1, 1, 1], SUM, [[1, 1, 0]])
+        with pytest.raises(NonElement):
+            residue_norm(M, (Fraction(1, 2), 0, 0))
+
+    def test_zero_class(self):
+        M = self.presented([1, 1], MAX, [[2, 0], [0, 3]])
+        assert residue_norm(M, (4, -9)) == NormValue.zero()
+        assert residue_norm(M, (4, -8)) == NormValue.exact(1)
+
+    def test_over_the_rank_cap_keeps_the_window(self):
+        rank = MAX_EXACT_TRIVIAL_RANK + 1
+        M = self.presented([1] * rank, SUM, [[2] + [0] * (rank - 1)])
+        v = (2,) + (0,) * (rank - 1)
+        assert residue_norm(M, v) == NormValue(0, 0)
+        assert residue_norm(M, (1,) + v[1:]) == NormValue(0, 1)
+
+
 class TestKernelCokernel:
     def test_kernel_span(self):
         f = ModuleMap(zmod(1, 1), zmod(1), ((Fraction(1), Fraction(-1)),))
@@ -298,3 +382,18 @@ class TestStrictness:
         v = check_strictness(ModuleMap(zmod(1), zmod(1), ((Fraction(0),),)))
         assert isinstance(v, StrictWithConstants)
 
+    def test_trivial_constants_within_operator_norm(self):
+        rng = random.Random(4)
+        for _ in range(40):
+            rs, rt = rng.randint(1, 3), rng.randint(1, 2)
+            src = WeightedFreeModule(ZT, tuple(
+                Fraction(rng.randint(1, 3)) for _ in range(rs)), SUM)
+            tgt = WeightedFreeModule(ZT, tuple(
+                Fraction(rng.randint(1, 3)) for _ in range(rt)), SUM)
+            f = ModuleMap(src, tgt, tuple(
+                tuple(Fraction(rng.randint(-2, 2)) for _ in range(rs))
+                for _ in range(rt)))
+            v = check_strictness(f, search_bound=2)
+            assert isinstance(v, StrictWithConstants)
+            if any(any(row) for row in f.matrix):
+                assert 0 < v.c <= v.C <= operator_norm(f).hi
