@@ -13,10 +13,6 @@ from typing import List, Sequence
 Matrix = List[List[Fraction]]
 
 
-def mat_vec(A: Sequence[Sequence[Fraction]], v: Sequence[Fraction]):
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in A]
-
-
 def mat_mul(A, B):
     n, k = len(A), len(B)
     m = len(B[0]) if B else 0

@@ -96,12 +96,6 @@ class NormValue:
             "hi": "inf" if self.hi is None else str(self.hi),
         }
 
-    @staticmethod
-    def from_json(obj) -> "NormValue":
-        hi = obj["hi"]
-        return NormValue(as_fraction(obj["lo"]),
-                         None if hi == "inf" else as_fraction(hi))
-
     def __repr__(self):
         hi = "inf" if self.hi is None else str(self.hi)
         return f"[{self.lo}, {hi}]"

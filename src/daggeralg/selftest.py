@@ -254,8 +254,13 @@ def criterion_2(seed: int) -> Dict:
 
 
 def criterion_3(seed: int) -> Dict:
-    """Round-trip and uniqueness of the (g*X - 1) division recursion at
-    D = 16, plus the worked geometric-series instance."""
+    """Round-trip of the (g*X - 1) division recursion at D = 16, plus the
+    worked geometric-series instance.
+
+    Uniqueness is an identity, not a check: for t = 0 the recursion
+    starts from the empty slice a_0 = -t_0, and convolving an empty table
+    with g gives an empty one, so laurent_solve(g, 0, D) = 0 for every g
+    and D.  So ``failures`` counts failed round trips only."""
     rng = _rng(seed, "laurent")
     ring = rationals_archimedean()
 
@@ -264,7 +269,6 @@ def criterion_3(seed: int) -> Dict:
             ring, [Fraction(rng.randint(-5, 5)) for _ in range(max_deg + 1)]
         )
 
-    zero = TruncatedSeries.constant(ring, 0, 1)
     failures = 0
     for _ in range(200):
         g, t = rand_poly(2), rand_poly(2)
@@ -272,8 +276,6 @@ def criterion_3(seed: int) -> Dict:
             laurent_solve(g, t, 16)  # verifies the round trip internally
         except ArithmeticError:
             failures += 1
-            continue
-        failures += bool(laurent_solve(g, zero, 16).coeffs)
 
     g2 = TruncatedSeries.constant(ring, 2, 1)
     t = TruncatedSeries.constant(ring, -1, 1)
@@ -434,8 +436,7 @@ def criterion_6(seed: int) -> Dict:
             src, ambient,
             tuple(tuple(Fraction(c[i]) for c in cols) for i in range(3)),
         )
-        nv = residue_norm(cokernel(rel), [Fraction(x) for x in v],
-                          search_bound=15)
+        nv = residue_norm(cokernel(rel), [Fraction(x) for x in v])
         mismatches += not nv.lo == nv.hi == oracle
     return {
         "id": 6,

@@ -25,7 +25,6 @@ from .scalars import (
     pow_interval,
     rationals_archimedean,
     rationals_padic,
-    read_rational,
 )
 from .series import PolyRadius, TruncatedSeries, multiply, norm_S, norm_T
 
@@ -80,16 +79,6 @@ class Place:
         if self.kind == ARCHIMEDEAN:
             return f"arch^{self.eps}"
         return f"{self.p}-adic^{self.eps}"
-
-    def to_json(self):
-        obj = {"kind": self.kind, "eps": str(self.eps)}
-        if self.p is not None:
-            obj["p"] = self.p
-        return obj
-
-    @staticmethod
-    def from_json(obj):
-        return Place(obj["kind"], read_rational(obj["eps"]), obj.get("p"))
 
 
 def _primes_up_to(bound: int) -> List[int]:

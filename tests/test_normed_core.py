@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from daggeralg.errors import DimensionMismatch, FlavorMismatch, NonElement
+from daggeralg.errors import (
+    DimensionMismatch,
+    FlavorMismatch,
+    NonElement,
+    UnsupportedRing,
+)
 from daggeralg.normed_core import (
     MAX,
     MAX_EXACT_TRIVIAL_RANK,
@@ -46,6 +52,11 @@ def identity(M):
     return ModuleMap(M, M, tuple(
         tuple(Fraction(int(i == j)) for j in range(M.rank))
         for i in range(M.rank)))
+
+
+def apply(f, x):
+    return [sum((a * b for a, b in zip(row, x)), Fraction(0))
+            for row in f.matrix]
 
 
 RINGS = (Z, ZT, Q2, QA)
@@ -171,7 +182,7 @@ class TestOperatorNorm:
         f = ModuleMap(src, tgt, ((Fraction(1), Fraction(0)),
                                  (Fraction(0), Fraction(1))))
         assert operator_norm(f) == NormValue(Fraction(1), Fraction(2))
-        assert vector_norm(tgt, f.apply((1, 1))).hi == 2
+        assert vector_norm(tgt, apply(f, (1, 1))).hi == 2
 
     @pytest.mark.parametrize("flavors", FLAVOR_PAIRS,
                              ids=lambda pair: "-".join(pair))
@@ -184,7 +195,7 @@ class TestOperatorNorm:
         best = Fraction(0)
         for x in itertools.product(range(-2, 3), repeat=f.source.rank):
             if any(x):
-                ratio = (vector_norm(f.target, f.apply(x)).hi
+                ratio = (vector_norm(f.target, apply(f, x)).hi
                          / vector_norm(f.source, x).hi)
                 best = max(best, ratio)
         nv = operator_norm(f)
@@ -380,20 +391,117 @@ class TestStrictness:
 
     def test_zero_map(self):
         v = check_strictness(ModuleMap(zmod(1), zmod(1), ((Fraction(0),),)))
-        assert isinstance(v, StrictWithConstants)
+        assert v == StrictWithConstants(Fraction(1), Fraction(1))
 
-    def test_trivial_constants_within_operator_norm(self):
-        rng = random.Random(4)
-        for _ in range(40):
-            rs, rt = rng.randint(1, 3), rng.randint(1, 2)
-            src = WeightedFreeModule(ZT, tuple(
-                Fraction(rng.randint(1, 3)) for _ in range(rs)), SUM)
-            tgt = WeightedFreeModule(ZT, tuple(
-                Fraction(rng.randint(1, 3)) for _ in range(rt)), SUM)
-            f = ModuleMap(src, tgt, tuple(
-                tuple(Fraction(rng.randint(-2, 2)) for _ in range(rs))
-                for _ in range(rt)))
-            v = check_strictness(f, search_bound=2)
-            assert isinstance(v, StrictWithConstants)
-            if any(any(row) for row in f.matrix):
-                assert 0 < v.c <= v.C <= operator_norm(f).hi
+    def test_kernel_basis_spanning_a_sublattice(self):
+        """The saturated kernel basis (-3, 2, 0), (-1, 0, 2) of (-2 -3 -1)
+        misses the kernel vector (-1, 1, -1), which a search over the
+        classes modulo that basis took for a nonzero class sent to 0.
+        The exact ratios on [-1, 1]^3 lie in [1, 3]."""
+        f = ModuleMap(zmod(1, 1, 1), zmod(1),
+                      ((Fraction(-2), Fraction(-3), Fraction(-1)),))
+        assert kernel_lattice_basis(f) == [[-3, 2, 0], [-1, 0, 2]]
+        v = check_strictness(f)
+        assert isinstance(v, StrictWithConstants)
+        assert v.c <= 1 and v.C >= 3
+
+    def test_field_rings_unsupported(self):
+        for ring in (QA, Q2):
+            M = WeightedFreeModule(ring, (Fraction(1),), SUM)
+            with pytest.raises(UnsupportedRing):
+                check_strictness(identity(M))
+
+    @pytest.mark.parametrize("ring", (Z, ZT), ids=("Z", "Ztriv"))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_ratios_within_constants(self, ring, data):
+        """c <= |f x| / |[x]| <= C for every nonzero class of x in the box
+        [-1, 1]^n, with the coimage norm |[x]| found by brute force."""
+        f = data.draw(integer_maps(ring))
+        v = check_strictness(f)
+        coimage_norm = _coimage_norms(f)
+        for x in itertools.product((-1, 0, 1), repeat=f.source.rank):
+            coim = coimage_norm(x)
+            if coim:
+                ratio = vector_norm(f.target, apply(f, x)).hi / coim
+                assert v.c <= ratio <= v.C
+
+
+@st.composite
+def integer_maps(draw, ring):
+    flavors = (SUM, MAX) if ring.non_archimedean else (SUM,)
+
+    def module():
+        weights = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        return WeightedFreeModule(ring, tuple(map(Fraction, weights)),
+                                  draw(st.sampled_from(flavors)))
+
+    src, tgt = module(), module()
+    matrix = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=src.rank, max_size=src.rank)
+        .map(tuple), min_size=tgt.rank, max_size=tgt.rank))
+    return ModuleMap(src, tgt, tuple(matrix))
+
+
+def _coimage_norms(f):
+    """x -> the least |z|_w over the integer z with f z = f x, the
+    residue norm of the class of x modulo the integer kernel.
+
+    Over Z every such z with |z|_w <= |x|_w lies in the box
+    |z_i| <= |x|_w / w_i, and |x|_w <= R = |(1, ..., 1)|_w on [-1, 1]^n,
+    so one pass over the ball of radius R finds the least norm of each
+    image.  Over Z_triv |z|_w depends only on the support S of z, and
+    some z on S has f z = f x exactly when f x lies in the lattice of the
+    columns S."""
+    w = [int(x) for x in f.source.weights]
+    A = [[int(a) for a in row] for row in f.matrix]
+
+    def image(z):
+        return tuple(sum(a * b for a, b in zip(row, z)) for row in A)
+
+    if f.source.ring.non_archimedean:
+        cost = sum if f.source.flavor == SUM else max
+        cols = [[row[j] for row in A] for j in range(len(w))]
+
+        def norm(x):
+            y = list(image(x))
+            if not any(y):
+                return 0
+            return min(cost(w[j] for j in S)
+                       for k in range(1, len(w) + 1)
+                       for S in itertools.combinations(range(len(w)), k)
+                       if _in_lattice([cols[j] for j in S], y))
+        return norm
+    R = sum(w)
+    best = {}
+    for z in itertools.product(*(range(-(R // wi), R // wi + 1) for wi in w)):
+        n = sum(abs(a) * wi for a, wi in zip(z, w))
+        if n <= R:
+            key = image(z)
+            best[key] = min(best.get(key, n), n)
+    return lambda x: best[image(x)]
+
+
+def _minor_gcd(cols, k):
+    """The gcd of the k x k minors of the matrix with the given integer
+    columns (0 when there are none, 1 for k = 0)."""
+    def det(M):
+        return sum((-1) ** sum(p[i] > p[j]
+                               for i, j in itertools.combinations(range(k), 2))
+                   * math.prod(M[i][p[i]] for i in range(k))
+                   for p in itertools.permutations(range(k)))
+    rows = len(cols[0]) if cols else 0
+    return math.gcd(*(det([[cols[j][i] for j in cs] for i in rs])
+                      for cs in itertools.combinations(range(len(cols)), k)
+                      for rs in itertools.combinations(range(rows), k)))
+
+
+def _in_lattice(cols, y):
+    """Whether y is an integer combination of the columns.  With r their
+    rank, adding y keeps the rank exactly when y is a rational
+    combination, and then the lattice of the columns has index
+    d_r(cols) / d_r(cols + y) in that of the columns and y, where d_r is
+    the gcd of the r x r minors."""
+    r = max(k for k in range(len(y) + 1) if _minor_gcd(cols, k))
+    return (not _minor_gcd(cols + [y], r + 1)
+            and _minor_gcd(cols, r) == _minor_gcd(cols + [y], r))

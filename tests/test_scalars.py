@@ -65,10 +65,6 @@ class TestNormValue:
         assert add(a, NormValue.exact(1)).hi is None
         assert a.join_max(NormValue.exact(5)).hi is None
 
-    def test_json_round_trip(self):
-        for v in (NormValue.exact(Fraction(3, 7)), NormValue(1, None)):
-            assert NormValue.from_json(v.to_json()) == v
-
 
 class TestRoots:
     def test_perfect_square(self):

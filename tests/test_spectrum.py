@@ -78,10 +78,6 @@ class TestPlaces:
         with pytest.raises(ValueError):
             Place(PADIC, 1)
 
-    def test_json_round_trip(self):
-        for place in enumerate_places(3, 2):
-            assert Place.from_json(place.to_json()) == place
-
 
 class TestPoints:
     def test_arch_coordinate_bound(self):
