@@ -38,11 +38,20 @@ from .series import (
     norm_S,
     norm_T,
 )
-from .spectrum import global_sup_report, shilov_check, spectral_via_powers
+from .spectrum import (
+    global_sup_report,
+    power_work,
+    shilov_check,
+    spectral_via_powers,
+)
 from .tensor import TensorElement, tensor_norm_certified
 
 # most terms in a tensor element read from JSON (README)
 MAX_TENSOR_TERMS = 64
+
+# most term pairs that `spectrum --powers` may multiply, by the bound of
+# spectrum.power_work: about 5 s with small coefficients (README)
+MAX_POWER_WORK = 4_000_000
 
 SERIES_HELP = (f"series JSON file: n = 1 to {max(MAX_DEGREE)} variables, "
                f"degree bound D <= {', '.join(map(str, MAX_DEGREE.values()))} "
@@ -170,6 +179,11 @@ def cmd_spectrum(args) -> int:
     ring = integers_archimedean()
     f = TruncatedSeries.from_json(_load_json(args.series), ring)
     rho = parse_rho(args.rho, f.n)
+    work = power_work(f, args.powers)
+    if work > MAX_POWER_WORK:
+        raise ValueError(f"--powers {args.powers} may multiply {work} term "
+                         f"pairs for this series, over the cap of "
+                         f"{MAX_POWER_WORK}")
     rep = global_sup_report(f, rho, args.prime_bound, args.grid)
     unlisted = rep.unlisted_primes_bounded_by
     powers = spectral_via_powers(f, rho, args.powers)
@@ -313,7 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", default="1")
     _add_size(p, "--prime-bound", 50, 10000, "largest prime listed")
     _add_size(p, "--grid", 2, 16, "exponent grid size per place family")
-    _add_size(p, "--powers", 8, 32, "powers in the spectral estimate")
+    _add_size(p, "--powers", 8, 32, "powers in the spectral estimate; "
+              "for a series of T terms, n variables and largest total "
+              "degree d, the sum over k < powers of T * min(T^k, "
+              f"C(kd + n, n)) term pairs is at most {MAX_POWER_WORK}")
     add_common(p)
 
     p = sub.add_parser("shilov", help="Archimedean-fiber dominance check")

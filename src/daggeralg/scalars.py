@@ -2,7 +2,9 @@
 
 Every norm in this package is a ``NormValue``: a closed interval of
 non-negative rationals known to contain the real number being certified.
-No floating point is used anywhere.
+Floating point only ranks the torus samples of an Archimedean sup norm,
+to choose which of them to evaluate exactly (``series._torus_max_sq``);
+every bound the package reports is exact.
 """
 
 from __future__ import annotations

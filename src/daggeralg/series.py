@@ -9,11 +9,12 @@ polyradius strictly inside sigma gets a finite certified tail bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
@@ -42,9 +43,10 @@ DEFAULT_DISCARD_SIGMA = Fraction(2)
 # caps on a series read from JSON: the largest degree bound D for each
 # variable count n, and the number of listed coefficients.  The
 # Archimedean sup samples (8(D+1))^n torus points for n <= 2 and 12^n for
-# n >= 3 (evaluating about half of them), and `spectrum --grid 16` does
-# so at 31 radii; at these caps a dense series takes it about 4 s at most
-# (measured table in README)
+# n >= 3 (ranking about half of them in floats and evaluating the top
+# few exactly), and `spectrum --grid 16` does so at 31 radii; at these
+# caps a dense series takes it under 1 s, and took about 4 s when the
+# caps were set (measured table in README)
 MAX_DEGREE = {1: 48, 2: 6, 3: 4, 4: 1}
 MAX_COEFFS = 64
 
@@ -371,6 +373,15 @@ def _indices_of_degree(n: int, total: int):
             yield (first,) + rest
 
 
+def _weighted_ints(terms, L: int, rho: PolyRadius):
+    """The terms a_I rho^I on integers, for coefficients a_I = N_I / L
+    given as (I, N_I) pairs: returns ([(I, w_I)], den) with
+    a_I rho^I == w_I / den, where w_I = N_I P_I and den = L Q for the
+    radius powers rho^I = P_I / Q of ``PolyRadius.powers``."""
+    nums, Q = rho.powers([I for I, _ in terms])
+    return [(I, N * P) for (I, N), P in zip(terms, nums)], L * Q
+
+
 def norm_S(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     """Coefficient-sum norm: sum |a_I| rho^I, tail bounded above."""
     if len(rho) != f.n:
@@ -381,17 +392,15 @@ def norm_S(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
         for I, a in f.coeffs.items():
             poly += abs_value(f.ring, a) * rho.power(I)
     else:
-        # on integers: with a_I = N_I / L and rho^I = P_I / Q the sum is
-        # sum |N_I| P_I over L Q
-        terms, L = _scaled_ints(f.coeffs)
-        nums, Q = rho.powers([I for I, _ in terms])
-        poly = Fraction(sum(abs(N) * P for (_, N), P in zip(terms, nums)),
-                        L * Q)
+        weighted, den = _weighted_ints(*_scaled_ints(f.coeffs), rho)
+        poly = Fraction(sum(abs(w) for _, w in weighted), den)
     return NormValue(poly, poly + _tail_sum_bound(f, rho))
 
 
-# rational points on the unit circle via the tangent half-angle map
-def _unit_circle_points(count: int):
+# rational points on the unit circle via the tangent half-angle map, built
+# once per count (of the last 64 asked for), as an immutable tuple
+@functools.lru_cache(maxsize=64)
+def _unit_circle_points(count: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     pts = [(Fraction(1), Fraction(0))]
     k = 1
     denom = max(count // 8, 1)
@@ -407,7 +416,7 @@ def _unit_circle_points(count: int):
                        (s, c), (-s, c), (s, -c), (-s, -c)):
             out.append((cc, ss))
     # drop repeats, keeping first occurrences in order
-    return list(dict.fromkeys(out))
+    return tuple(dict.fromkeys(out))
 
 
 def _power_table(zr: Fraction, zi: Fraction, E: int):
@@ -457,39 +466,123 @@ def evaluate_complex(f: TruncatedSeries, points):
     return Fraction(re, den), Fraction(im, den)
 
 
-def _torus_lower_bound(f: TruncatedSeries, rho: PolyRadius,
-                       points_per_var: Optional[int] = None) -> Fraction:
-    """Certified lower bound for sup |f(z)| on the torus |z_i| = rho_i of
-    the known coefficients alone: the largest exactly evaluated sample.
+# the float ranking of torus samples is skipped, and every sample is
+# evaluated exactly, when its error bound delta is above this; delta is
+# far below it at every input cap
+MAX_RANKING_ERROR = 2.0**-30
 
-    Each axis's power tables are built once per circle point; a torus
-    point combines one table per axis on integers, and its |f(z)|^2 =
-    (re^2 + im^2) / (L * prod q_i^E_i)^2 is compared by cross-products.
+
+def _float_magnitudes(weighted, axes, exps) -> List[float]:
+    """|g(u)| in floats at every torus sample u, in the order of
+    ``itertools.product`` over the axes, for g(u) = sum beta_I u^I with
+    beta_I = w_I / S and S = sum |w_I|.
+
+    Every axis but the last is folded into a dense coefficient list over
+    the last axis's exponent, which is then evaluated at each point of
+    the last axis."""
+    S = sum(abs(w) for _, w in weighted)
+    beta = [(I, w / S) for I, w in weighted]
+    tables = []
+    for points, E in zip(axes, exps):
+        rows = []
+        for c, s in points:
+            u, powers = complex(float(c), float(s)), [1 + 0j]
+            for _ in range(E):
+                powers.append(powers[-1] * u)
+            rows.append(powers)
+        tables.append(rows)
+    *prefix_axes, last_axis = tables
+    mags = []
+    for prefix in itertools.product(*prefix_axes):
+        h = [0j] * (exps[-1] + 1)
+        for I, b in beta:
+            for powers, e in zip(prefix, I):
+                b = b * powers[e]
+            h[I[-1]] += b
+        mags.extend(abs(sum(map(mul, h, powers))) for powers in last_axis)
+    return mags
+
+
+def _torus_max_sq(f: TruncatedSeries, weighted,
+                  points_per_var: Optional[int] = None) -> Fraction:
+    """Largest |sum w_I u^I|^2 over the torus samples u, exact, for the
+    (I, w_I) pairs of ``_weighted_ints``: this is den^2 times the
+    largest |f(z)|^2 over the samples z = rho * u of |z_i| = rho_i.
+
+    Two passes.  Floats rank every sample by |g(u)|, where
+    g = sum beta_I u^I with beta_I = w_I / S and S = sum |w_I|, so that
+    sum |beta_I| = 1 at any radius and any coefficient size and nothing
+    overflows or underflows beyond an absolute 2^-1074 per operation.
+    Only the samples within 2*delta of the float maximum are then
+    evaluated exactly, and the exact maximum among them is returned.
+
+    The error bound.  Let eps = 2^-53, T the number of terms, n the
+    number of variables and D the largest total degree.  Every sample u
+    has |u_i| = 1 exactly (c^2 + s^2 = 1), so |beta_I u^I| = |beta_I|.
+    Correctly rounded int division and ``float`` of a ``Fraction`` give
+    each beta_I and each u_i within relative eps; a complex product,
+    computed with or without a fused multiply-add, is within
+    sqrt(8)*eps*|x||y| of xy, a complex sum within eps*|x + y| of x + y
+    (a compensated ``sum`` only tightens this), and ``abs`` of a value
+    below 2 within 2*eps.  So the computed power u_i^e is within
+    (1 + sqrt(8))*e*eps < 4*e*eps of u_i^e; a computed term, after its
+    n products, within (1 + 4|I| + 3n)*eps*|beta_I|; and each term meets
+    at most T - 1 + D additions (into its bucket, then across the D + 1
+    buckets).  With sum |beta_I| = 1 the computed |g(u)| is within
+    delta_0 = 1.01*(T + 5D + 3n + 2)*eps + 2^-1000 of the exact one: the
+    factor 1.01 covers the second-order terms and 2^-1000 underflow,
+    since delta <= MAX_RANKING_ERROR keeps T, n and D below 2^20.  That
+    is below delta - 4*eps for delta = 8*eps*(T + n(D + 1) + 4).
+
+    Why the exact maximum survives.  Let u* attain the exact maximum M.
+    Its float magnitude is at least M - delta_0, and no float magnitude
+    exceeds M + delta_0, so u*'s is at least (float max) - 2*delta_0.
+    The cutoff (float max) - 2*delta is rounded by at most 2*eps (it
+    lies below 2), which keeps it below that, so u* is evaluated
+    exactly.  Floats only choose which samples to evaluate: a wrong
+    delta could lower the result, never raise it above a sampled value.
     """
+    if not weighted:
+        return Fraction(0)
     if points_per_var is None:
         points_per_var = 8 * (f.degree_bound + 1) if f.n <= 2 else 8
     circle = _unit_circle_points(points_per_var)
-    terms, L = _scaled_ints(f.coeffs)
-    axis_tables, axis_qpows = [], []
-    for i, r in enumerate(rho):
-        E = max((I[i] for I, _ in terms), default=0)
-        # rational coefficients give |f(conj z)| = |f(z)|, and the circle
-        # is closed under conjugation: the first axis needs only im >= 0
-        points = [(c, s) for c, s in circle if i or s >= 0]
-        tables, qpows = zip(*(_power_table(r * c, r * s, E)
-                              for c, s in points))
-        axis_tables.append(tables)
-        axis_qpows.append(qpows)
+    exps = [max(I[i] for I, _ in weighted) for i in range(f.n)]
+    # rational coefficients give |f(conj z)| = |f(z)|, and the circle is
+    # closed under conjugation: the first axis needs only im >= 0
+    axes = [[p for p in circle if i or p[1] >= 0] for i in range(f.n)]
+    samples = itertools.product(*(range(len(points)) for points in axes))
+    D = max(sum(I) for I, _ in weighted)
+    delta = (len(weighted) + f.n * (D + 1) + 4) * 2.0**-50
+    if delta <= MAX_RANKING_ERROR:
+        mags = _float_magnitudes(weighted, axes, exps)
+        cutoff = max(mags) - 2 * delta
+        samples = itertools.compress(samples, map(cutoff.__le__, mags))
+    # each axis's power tables, built once per evaluated circle point; the
     # largest (re^2 + im^2) / prod(q_i^E_i)^2 so far as num/den
+    tables = [{} for _ in axes]
     num, den = 0, 1
-    for tables, qpows in zip(itertools.product(*axis_tables),
-                             itertools.product(*axis_qpows)):
-        re, im = _combine(terms, tables)
-        q = math.prod(qpows)
+    for sample in samples:
+        row, q = [], 1
+        for points, E, built, j in zip(axes, exps, tables, sample):
+            if j not in built:
+                built[j] = _power_table(*points[j], E)
+            table, qpow = built[j]
+            row.append(table)
+            q *= qpow
+        re, im = _combine(weighted, row)
         sq_num, sq_den = re * re + im * im, q * q
         if sq_num * den > num * sq_den:
             num, den = sq_num, sq_den
-    best_sq = Fraction(num, den * L * L)
+    return Fraction(num, den)
+
+
+def _torus_lower_bound(f: TruncatedSeries, weighted, den: int,
+                       points_per_var: Optional[int] = None) -> Fraction:
+    """Certified lower bound for sup |f(z)| on the torus |z_i| = rho_i of
+    the known coefficients alone, from ``_weighted_ints``: the
+    largest exactly evaluated sample, rounded down by the root bracket."""
+    best_sq = _torus_max_sq(f, weighted, points_per_var) / (den * den)
     return nth_root_interval(NormValue.exact(best_sq), 2, Fraction(1, 10**9)).lo
 
 
@@ -505,14 +598,18 @@ def norm_T(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     if len(rho) != f.n:
         raise DimensionMismatch("polyradius arity mismatch")
     _check_tail_radius(f, rho)
-    cauchy = max((abs_value(f.ring, a) * rho.power(I)
-                  for I, a in f.coeffs.items()), default=Fraction(0))
     if f.ring.non_archimedean:
+        cauchy = max((abs_value(f.ring, a) * rho.power(I)
+                      for I, a in f.coeffs.items()), default=Fraction(0))
         return NormValue(cauchy, max(cauchy, _tail_max_bound(f, rho)))
-    hi = norm_S(f, rho).hi
-    lo = cauchy
+    # the Cauchy bound, the coefficient sum and the torus sampler share
+    # the integers a_I rho^I = w_I / den
+    weighted, den = _weighted_ints(*_scaled_ints(f.coeffs), rho)
+    sizes = [abs(w) for _, w in weighted]
+    hi = Fraction(sum(sizes), den) + _tail_sum_bound(f, rho)
+    lo = Fraction(max(sizes, default=0), den)
     if f.tail is None or not f.tail.C:
-        lo = max(lo, _torus_lower_bound(f, rho))
+        lo = max(lo, _torus_lower_bound(f, weighted, den))
     return NormValue(min(lo, hi), hi)
 
 

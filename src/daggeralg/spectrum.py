@@ -10,6 +10,8 @@ at radii >= 1.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -26,13 +28,26 @@ from .scalars import (
     rationals_archimedean,
     rationals_padic,
 )
-from .series import PolyRadius, TruncatedSeries, multiply, norm_S, norm_T
+from .series import (
+    PolyRadius,
+    TruncatedSeries,
+    _convolve,
+    _scaled_ints,
+    _weighted_ints,
+    multiply,
+    norm_S,
+    norm_T,
+)
 
 TRIVIAL = "Trivial"
 ARCHIMEDEAN = "Archimedean"
 PADIC = "Padic"
 
 ROOT_PRECISION = Fraction(1, 10**9)
+
+# the ring of a prime, built once per prime: building it tests the prime,
+# and the places at the option caps hold 1,229 primes, each on 16 exponents
+_padic_ring = functools.lru_cache(maxsize=2048)(rationals_padic)
 
 
 @dataclass(frozen=True)
@@ -54,7 +69,7 @@ class Place:
         elif self.kind == PADIC:
             if self.p is None or self.eps <= 0:
                 raise ValueError("p-adic place needs a prime and eps > 0")
-            ring = rationals_padic(self.p)
+            ring = _padic_ring(self.p)
         else:
             raise ValueError(f"unknown place kind {self.kind}")
         object.__setattr__(self, "ring", ring)
@@ -158,7 +173,8 @@ def _radius_bracket(rho: PolyRadius, eps: Fraction
     return PolyRadius(tuple(inner)), PolyRadius(tuple(outer))
 
 
-def fiber_sup(f: TruncatedSeries, place: Place, rho: PolyRadius) -> NormValue:
+def fiber_sup(f: TruncatedSeries, place: Place, rho: PolyRadius,
+              powers=None) -> NormValue:
     """Sup of the place seminorm of f over the polydisk of radius rho.
 
     p-adic place: the maximum of |a_I|_p^eps * rho^I over the support.
@@ -169,6 +185,8 @@ def fiber_sup(f: TruncatedSeries, place: Place, rho: PolyRadius) -> NormValue:
     Archimedean place: |z|^eps <= rho means |z| <= rho^(1/eps), so the
     sup-norm over that radius, bracketed between rational radii on either
     side (the sup is monotone in the radius), raised to the exponent.
+    ``powers`` is ``rho.powers(list(f.coeffs))``, which a caller that
+    evaluates many places computes once.
     """
     if len(rho) != f.n:
         raise DimensionMismatch("polyradius arity mismatch")
@@ -193,7 +211,7 @@ def fiber_sup(f: TruncatedSeries, place: Place, rho: PolyRadius) -> NormValue:
     # p-adic unit a_I (p divides neither numerator nor denominator)
     # |a_I|^eps = 1, so only the other coefficients need a root bracket
     p = place.p
-    nums, den = rho.powers(list(f.coeffs))
+    nums, den = powers or rho.powers(list(f.coeffs))
     unit, lo, hi = 0, Fraction(0), Fraction(0)
     for a, P in zip(f.coeffs.values(), nums):
         if p is None or a.numerator % p and a.denominator % p:
@@ -217,10 +235,13 @@ class GlobalSupReport:
 
 def global_sup_report(f: TruncatedSeries, rho: PolyRadius, prime_bound: int,
                       eps_grid_size: int) -> GlobalSupReport:
+    if len(rho) != f.n:
+        raise DimensionMismatch("polyradius arity mismatch")
+    powers = rho.powers(list(f.coeffs))
     table = []
     total = NormValue.zero()
     for place in enumerate_places(prime_bound, eps_grid_size):
-        v = fiber_sup(f, place, rho)
+        v = fiber_sup(f, place, rho, powers)
         table.append((place.label(), v))
         total = total.join_max(v)
     # integer coefficients have p-adic size <= 1 at every prime, so each
@@ -236,18 +257,51 @@ def global_sup(f: TruncatedSeries, rho: PolyRadius, prime_bound: int = 50,
     return global_sup_report(f, rho, prime_bound, eps_grid_size).value
 
 
+def power_work(f: TruncatedSeries, n_max: int) -> int:
+    """Upper bound on the term pairs that ``spectral_via_powers`` multiplies:
+    the sum over k = 1 .. n_max - 1 of T * min(T^k, C(kd + n, n)), since
+    f^k has at most T^k terms and at most C(kd + n, n) monomials of total
+    degree <= kd, for T terms of largest total degree d."""
+    T = len(f.coeffs)
+    d = max(map(sum, f.coeffs), default=0)
+    return sum(T * min(T**k, math.comb(k * d + f.n, f.n))
+               for k in range(1, n_max))
+
+
 def spectral_via_powers(f: TruncatedSeries, rho: PolyRadius,
                         n_max: int) -> List[NormValue]:
     """Upper estimates (norm of the n-th power) ** (1/n) for n up to
-    n_max; each term bounds the global sup from above."""
+    n_max; each term bounds the global sup from above.
+
+    A nonzero untailed series over an Archimedean ring has exact powers:
+    ``multiply`` at its default degree bound drops nothing.  Its powers
+    are chained on the integer numerators instead: with a_I = N_I / L the
+    k-th power has numerators over L^k, and its ``norm_S`` is
+    sum |N| P / (L^k Q).  Any other series takes ``multiply`` and
+    ``norm_S``."""
     if n_max < 1:
         raise ValueError("need at least one power")
+    if len(rho) != f.n:
+        raise DimensionMismatch("polyradius arity mismatch")
     out = []
+    if f.tail is None and f.coeffs and not f.ring.non_archimedean:
+        terms, L = _scaled_ints(f.coeffs)
+        power, den = terms, L
+        for k in range(1, n_max + 1):
+            weighted, d = _weighted_ints(power, den, rho)
+            hi = Fraction(sum(abs(w) for _, w in weighted), d)
+            out.append(nth_root_interval(NormValue.exact(hi), k,
+                                         ROOT_PRECISION))
+            if k < n_max:
+                power = [(K, c) for K, c in _convolve(power, terms).items()
+                         if c]
+                den *= L
+        return out
     power = f
-    for n in range(1, n_max + 1):
+    for k in range(1, n_max + 1):
         hi = norm_S(power, rho).hi
-        out.append(nth_root_interval(NormValue.exact(hi), n, ROOT_PRECISION))
-        if n < n_max:
+        out.append(nth_root_interval(NormValue.exact(hi), k, ROOT_PRECISION))
+        if k < n_max:
             power = multiply(power, f)
     return out
 
@@ -274,11 +328,12 @@ def shilov_check(f: TruncatedSeries, rho: PolyRadius,
         if a.denominator != 1:
             raise DimensionMismatch("integer coefficients required")
     arch = fiber_sup(f, Place(ARCHIMEDEAN, 1), rho)
+    powers = rho.powers(list(f.coeffs))
     other = NormValue.zero()
     for place in enumerate_places(prime_bound, 1):
         if place.kind == ARCHIMEDEAN:
             continue
-        other = other.join_max(fiber_sup(f, place, rho))
+        other = other.join_max(fiber_sup(f, place, rho, powers))
     floor = max(rho.power(I) for I in f.coeffs)
     confirmed = other.hi is not None and other.hi <= arch.lo and floor <= arch.lo
     return ShilovVerdict(confirmed, arch, other, floor)

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import daggeralg
-from daggeralg.cli import main, parse_ring, parse_rho
-from daggeralg.scalars import MAX_RATIONAL_BITS
-from daggeralg.series import polyradius
+from daggeralg.cli import MAX_POWER_WORK, main, parse_ring, parse_rho
+from daggeralg.scalars import MAX_RATIONAL_BITS, integers_archimedean
+from daggeralg.series import TruncatedSeries, polyradius
+from daggeralg.spectrum import power_work
 
 
 def write_json(path, obj):
@@ -469,10 +470,40 @@ class TestInputCaps:
         ("shilov", "D <= 48, 6, 4, 1 for n = 1, 2, 3, 4"),
         ("pi-check", "module JSON file of rank at most 64"),
         ("tensor", "factors of rank at most 64, at most 64 terms"),
+        ("spectrum", "the sum over k < powers of T * min(T^k, C(kd + n, n)) "
+                     "term pairs is at most 4000000"),
     ])
     def test_caps_stated_in_help(self, capsys, command, stated):
         assert main([command, "--help"]) == 0
         assert stated in " ".join(capsys.readouterr().out.split())
+
+
+class TestPowersCap:
+    """``spectrum --powers`` is capped by the term pairs its convolutions
+    may multiply, which the option caps and the series caps would
+    otherwise multiply into minutes of work."""
+
+    def test_over_the_cap_exits_at_once(self, tmp_path, capsys):
+        # dense at n = 3, D = 4: --powers 14 may multiply 3,574,025 term
+        # pairs, under the cap, and --powers 15 4,711,840
+        f = TruncatedSeries.from_json(dense_series(3, 4),
+                                      integers_archimedean())
+        assert power_work(f, 14) <= MAX_POWER_WORK
+        path = write_json(tmp_path / "f.json", dense_series(3, 4))
+        start = time.monotonic()
+        assert main(["spectrum", "--series", path, "--powers", "15",
+                     "--grid", "16", "--prime-bound", "10000"]) == 1
+        assert time.monotonic() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --powers 15 may multiply 4711840 term "
+                              "pairs") and "cap of 4000000" in err
+
+    @pytest.mark.parametrize("n,D", [(1, 48), (4, 1)])
+    def test_every_power_count_within_the_cap(self, n, D):
+        # the widest and the narrowest capped shapes take any --powers
+        f = TruncatedSeries.from_json(dense_series(n, D),
+                                      integers_archimedean())
+        assert power_work(f, 32) <= MAX_POWER_WORK
 
 
 class TestExactRationals:

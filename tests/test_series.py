@@ -28,9 +28,12 @@ from daggeralg.series import (
     TruncatedSeries,
     _global_majorant_constant,
     _poly_growth_constant,
+    _scaled_ints,
     _tail_sum_bound,
     _torus_lower_bound,
+    _torus_max_sq,
     _unit_circle_points,
+    _weighted_ints,
     base_change,
     cofinality_constant,
     evaluate_complex,
@@ -52,6 +55,17 @@ ONE = polyradius(1)
 
 def poly(ring, *coeffs):
     return TruncatedSeries.from_univariate(ring, [Fraction(c) for c in coeffs])
+
+
+def torus_lower_bound(f, rho, points_per_var=None):
+    return _torus_lower_bound(f, *_weighted_ints(*_scaled_ints(f.coeffs), rho),
+                              points_per_var)
+
+
+def torus_max_sq(f, rho, points_per_var=None):
+    """The sampler's exact maximum of |f(z)|^2, before the root bracket."""
+    weighted, den = _weighted_ints(*_scaled_ints(f.coeffs), rho)
+    return _torus_max_sq(f, weighted, points_per_var) / (den * den)
 
 
 small_coeffs = st.lists(st.integers(-6, 6), min_size=1, max_size=5)
@@ -407,17 +421,23 @@ class TestIntegerKernels:
                                Fraction(1, 10**9)).lo
         for I, a in f.coeffs.items():
             lo = max(lo, abs(a) * PolyRadius(tuple(rho)).power(I))
-        assert _torus_lower_bound(f, PolyRadius(tuple(rho)), 8) == lo
+        assert torus_lower_bound(f, PolyRadius(tuple(rho)), 8) == lo
 
     @staticmethod
-    def per_point_torus_bound(f, rho, points_per_var):
-        """One ``evaluate_complex`` call per torus point."""
+    def per_point_torus_max_sq(f, rho, points_per_var):
+        """Largest |f(z)|^2, one ``evaluate_complex`` call per point of
+        the whole torus sample."""
         circle = _unit_circle_points(points_per_var)
         best_sq = Fraction(0)
         for combo in itertools.product(circle, repeat=f.n):
             z = [(r * c, r * s) for r, (c, s) in zip(rho, combo)]
             re, im = evaluate_complex(f, z)
             best_sq = max(best_sq, re * re + im * im)
+        return best_sq
+
+    @classmethod
+    def per_point_torus_bound(cls, f, rho, points_per_var):
+        best_sq = cls.per_point_torus_max_sq(f, rho, points_per_var)
         lo = nth_root_interval(NormValue.exact(best_sq), 2,
                                Fraction(1, 10**9)).lo
         for I, a in f.coeffs.items():
@@ -435,7 +455,9 @@ class TestIntegerKernels:
     def test_torus_lower_bound_matches_per_point_evaluation(self, case):
         f, rho, points_per_var = case
         rho = PolyRadius(tuple(rho))
-        assert _torus_lower_bound(f, rho, points_per_var) == \
+        assert torus_max_sq(f, rho, points_per_var) == \
+            self.per_point_torus_max_sq(f, rho, points_per_var)
+        assert torus_lower_bound(f, rho, points_per_var) == \
             self.per_point_torus_bound(f, rho, points_per_var)
 
     def test_torus_lower_bound_distinct_axis_denominators(self):
@@ -450,7 +472,7 @@ class TestIntegerKernels:
             f = TruncatedSeries(QA, n, coeffs, 5)
             rho = PolyRadius((Fraction(2, 3), Fraction(5, 7),
                               Fraction(9, 4))[:n])
-            assert _torus_lower_bound(f, rho, 16) == \
+            assert torus_lower_bound(f, rho, 16) == \
                 self.per_point_torus_bound(f, rho, 16)
 
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
@@ -503,10 +525,100 @@ class TestIntegerKernels:
             re, im = evaluate_complex(
                 f, [(r * c, r * s) for r, (c, s) in zip(rho, combo)])
             best_sq = max(best_sq, re * re + im * im)
-        assert _torus_lower_bound(f, rho) == nth_root_interval(
+        assert torus_lower_bound(f, rho) == nth_root_interval(
             NormValue.exact(best_sq), 2, Fraction(1, 10**9)).lo
 
     def test_unit_circle_points_closed_under_conjugation(self):
         for count in (8, 9, 16, 56, 392):
             circle = _unit_circle_points(count)
             assert {(c, -s) for c, s in circle} == set(circle)
+
+
+RANKING_RADII = [Fraction(1, 2**64), Fraction(2, 3), Fraction(1),
+                 Fraction(2**40)]
+
+
+class TestTorusRanking:
+    """Floats rank the torus samples and only those near the float
+    maximum are evaluated exactly.  The sampler's exact maximum of
+    |f|^2, taken before the root bracket (which would hide a near-tie
+    error), equals the exhaustive exact scan on families whose largest
+    samples tie to within float rounding."""
+
+    RADII = RANKING_RADII
+    EPSILONS = [Fraction(1, 10**k) for k in range(8, 41)]
+
+    @staticmethod
+    def check(f, rho):
+        rho = PolyRadius(tuple(rho))
+        points = 8 * (f.degree_bound + 1) if f.n <= 2 else 8
+        assert torus_max_sq(f, rho) == \
+            TestIntegerKernels.per_point_torus_max_sq(f, rho, points)
+
+    def cases(self):
+        """Each radius with every epsilon at radius 1 and every eighth
+        elsewhere."""
+        for r in self.RADII:
+            for eps in self.EPSILONS[::1 if r == 1 else 8]:
+                yield r, eps
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_plus_z8(self, sign):
+        # |1 + z^8| = 2 at the samples 1, -1, i and -i, and eps*z decides
+        # among them: the maximum is at 1 or at -1, by the sign
+        for r, eps in self.cases():
+            f = TruncatedSeries(QA, 1, {(0,): 1, (8,): 1, (1,): sign * eps}, 8)
+            self.check(f, [r])
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_plus_z2w2(self, sign):
+        # |1 + z^2 w^2| = 2 wherever zw = 1 or zw = -1, on many samples
+        for r, eps in self.cases():
+            f = TruncatedSeries(QA, 2, {(0, 0): 1, (2, 2): 1,
+                                        (1, 0): sign * eps,
+                                        (0, 1): -sign * eps}, 4)
+            self.check(f, [r, r])
+
+    def test_high_degree_at_every_radius(self):
+        # at radius 2^40 the term z^48 is 2^1920, past the float range
+        for r in self.RADII:
+            for eps in self.EPSILONS[::8]:
+                f = TruncatedSeries(QA, 1, {(0,): 1, (48,): 1, (1,): eps},
+                                    48)
+                self.check(f, [r])
+
+    @pytest.mark.parametrize("r", RADII)
+    def test_coefficients_of_2_to_the_63(self, r):
+        big = 2**63
+        for coeffs, D in (
+            ({(0,): big - 1, (8,): big - 1, (1,): 1}, 8),
+            ({(0,): big - 1, (8,): big - 1, (1,): -1}, 8),
+            ({(0,): big, (5,): -big - 1, (3,): big - 1}, 5),
+        ):
+            self.check(TruncatedSeries(Z, 1, coeffs, D), [r])
+        f = TruncatedSeries(Z, 2, {(0, 0): big, (2, 2): big + 1,
+                                   (1, 0): 1, (0, 1): -1}, 4)
+        self.check(f, [r, r])
+
+    def test_monomials_tie_at_every_sample(self):
+        for f, rho in (
+            (TruncatedSeries(Z, 1, {(5,): 7}, 5), [Fraction(2, 3)]),
+            (TruncatedSeries(QA, 2, {(2, 1): Fraction(-3, 4)}, 3),
+             [Fraction(2, 3), Fraction(5, 4)]),
+            (TruncatedSeries(Z, 3, {(1, 0, 2): 5}, 3),
+             [Fraction(1, 2**64), Fraction(1), Fraction(2**40)]),
+        ):
+            self.check(f, rho)
+
+    @given(st.integers(1, 2).flatmap(lambda n: st.tuples(
+        series(QA, n, tails=False),
+        st.lists(st.sampled_from(RANKING_RADII), min_size=n, max_size=n))))
+    @settings(max_examples=30, deadline=None)
+    def test_exact_scan_when_ranking_is_off(self, case):
+        # with the float ranking switched off every sample is evaluated
+        f, rho = case
+        rho = PolyRadius(tuple(rho))
+        ranked = torus_max_sq(f, rho)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("daggeralg.series.MAX_RANKING_ERROR", -1.0)
+            assert torus_max_sq(f, rho) == ranked

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,22 +6,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from daggeralg import spectrum
 from daggeralg.errors import CoordinateOutOfDisk, DimensionMismatch
 from daggeralg.scalars import (
     NormValue,
     integers_archimedean,
+    nth_root_interval,
     rationals_archimedean,
+    rationals_padic,
 )
 from daggeralg.series import (
     PolyRadius,
     Tail,
     TruncatedSeries,
     multiply,
+    norm_S,
     polyradius,
 )
 from daggeralg.spectrum import (
     ARCHIMEDEAN,
     PADIC,
+    ROOT_PRECISION,
     TRIVIAL,
     Place,
     SpectrumPoint,
@@ -29,6 +35,7 @@ from daggeralg.spectrum import (
     fiber_sup,
     global_sup,
     global_sup_report,
+    power_work,
     shilov_check,
     spectral_via_powers,
 )
@@ -334,6 +341,93 @@ class TestPowers:
         lo = global_sup(f, rho, 7, grid).lo
         for nv in spectral_via_powers(f, rho, 4):
             assert lo <= nv.hi
+
+
+def multiply_chain(f, rho, n_max):
+    """The estimates by ``multiply`` and ``norm_S``, power by power."""
+    out, power = [], f
+    for k in range(1, n_max + 1):
+        hi = norm_S(power, rho).hi
+        out.append(nth_root_interval(NormValue.exact(hi), k, ROOT_PRECISION))
+        if k < n_max:
+            power = multiply(power, f)
+    return out
+
+
+@st.composite
+def untailed_cases(draw):
+    """An untailed series over Z or Q with n <= 3, a radius and a power
+    count up to 8."""
+    ring = draw(st.sampled_from([Z, rationals_archimedean()]))
+    n = draw(st.integers(1, 3))
+    D = draw(st.integers(0, 4 if n < 3 else 2))
+    coeff = st.integers(-9, 9) if ring == Z else st.fractions(
+        min_value=-9, max_value=9, max_denominator=12)
+    entries = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, D)] * n),
+                                      coeff), max_size=5))
+    f = TruncatedSeries(ring, n, {I: c for I, c in entries if sum(I) <= D},
+                        D)
+    rho = draw(st.lists(st.sampled_from([Fraction(1, 2), Fraction(2, 3),
+                                         Fraction(1), Fraction(9, 4)]),
+                        min_size=n, max_size=n))
+    return f, PolyRadius(tuple(rho)), draw(st.integers(1, 8))
+
+
+class TestPowerChain:
+    """A nonzero untailed series over an Archimedean ring has its powers
+    chained on integers; every other series goes through ``multiply``."""
+
+    @given(untailed_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_integer_chain_matches_multiply_chain(self, case):
+        f, rho, n_max = case
+        assert spectral_via_powers(f, rho, n_max) == \
+            multiply_chain(f, rho, n_max)
+
+    def test_which_series_take_multiply(self, monkeypatch):
+        calls = []
+
+        def counted(f, g):
+            calls.append(1)
+            return multiply(f, g)
+
+        monkeypatch.setattr(spectrum, "multiply", counted)
+        # each product shrinks a tail radius by 3/4: 2 * (3/4)^4 > 1/4
+        rho = polyradius(Fraction(1, 4))
+        sigma = polyradius(2)
+        for f, expected in (
+            (zpoly(3, -1, 2), 0),
+            (TruncatedSeries(Z, 1, {(0,): 3, (1,): -1}, 2,
+                             Tail(Fraction(1, 2), sigma)), 4),
+            # a zero tail still truncates each product at D
+            (TruncatedSeries(Z, 1, {(0,): 3, (1,): -1}, 2,
+                             Tail(Fraction(0), sigma)), 4),
+            (zpoly(0), 4),
+            (TruncatedSeries(rationals_padic(2), 1,
+                             {(0,): Fraction(1, 2), (1,): 4}, 1), 4),
+        ):
+            calls.clear()
+            assert spectral_via_powers(f, rho, 5) == \
+                multiply_chain(f, rho, 5)
+            assert len(calls) == expected
+
+    @given(untailed_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_power_work_bounds_the_term_pairs(self, case):
+        f, _, n_max = case
+        pairs, power = 0, f
+        for _ in range(1, n_max):
+            pairs += len(power.coeffs) * len(f.coeffs)
+            power = multiply(power, f)
+        assert pairs <= power_work(f, n_max)
+
+    def test_power_work_of_dense_series(self):
+        # 35 terms of total degree <= 4 in 3 variables: f^k has at most
+        # C(4k + 3, 3) terms
+        f = TruncatedSeries(Z, 3, {I: 1 for I in itertools.product(
+            range(5), repeat=3) if sum(I) <= 4}, 4)
+        assert power_work(f, 2) == 35 * 35
+        assert power_work(f, 3) == 35 * 35 + 35 * 165
 
 
 class TestShilov:
