@@ -145,12 +145,13 @@ def cmd_localize(args) -> int:
 def cmd_koszul(args) -> int:
     A = DaggerPresentation.from_json(_load_json(args.algebra))
     spec = LocalizationSpec.from_json(_load_json(args.spec), A.ring)
-    koszul_h_check(A, spec, args.degree)
+    koszul_h_check(A, spec)
     # H^-1 = 0 because X - f is monic and g*Y - 1 has a unit constant term
     report = {
         "version": REPORT_VERSION,
         "concentrated_in_degree_0": True,
         "kernel_dimension": 0,
+        # only echoed: bench/workloads.py compares it
         "degree": args.degree,
     }
     _emit(report, args)
@@ -203,7 +204,7 @@ def cmd_shilov(args) -> int:
     ring = integers_archimedean()
     f = TruncatedSeries.from_json(_load_json(args.series), ring)
     rho = parse_rho(args.rho, f.n)
-    verdict = shilov_check(f, rho, args.prime_bound)
+    verdict = shilov_check(f, rho)
     report = {
         "version": REPORT_VERSION,
         "confirmed": verdict.confirmed,
@@ -336,7 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shilov", help="Archimedean-fiber dominance check")
     p.add_argument("--series", required=True, help=SERIES_HELP)
     p.add_argument("--rho", default="1")
-    _add_size(p, "--prime-bound", 50, 10000, "largest prime listed")
+    # bench/workloads.py still passes --prime-bound, which is ignored
+    _add_size(p, "--prime-bound", 50, 10000, "ignored: every prime's fiber "
+              "is bounded in closed form")
     add_common(p)
 
     p = sub.add_parser("pi-check", help="validate a module for the max-norm "

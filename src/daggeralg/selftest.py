@@ -49,6 +49,7 @@ from .scalars import (
 )
 from .series import (
     PolyRadius,
+    Tail,
     TruncatedSeries,
     cofinality_constant,
     base_change,
@@ -92,6 +93,14 @@ def _random_weights(rng: random.Random, rank: int):
 
 def _random_vector(rng: random.Random, rank: int):
     return tuple(Fraction(rng.randint(-9, 9)) for _ in range(rank))
+
+
+def _rejects(exc, check, *args) -> bool:
+    try:
+        check(*args)
+    except exc:
+        return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -254,39 +263,28 @@ def criterion_2(seed: int) -> Dict:
 
 
 def criterion_3(seed: int) -> Dict:
-    """Round-trip of the (g*X - 1) division recursion at D = 16, plus the
-    worked geometric-series instance.
+    """The worked geometric instance of the (g*X - 1) division recursion
+    at D = 16, and the rejection of a tailed g.
 
-    Uniqueness is an identity, not a check: for t = 0 the recursion
-    starts from the empty slice a_0 = -t_0, and convolving an empty table
-    with g gives an empty one, so laurent_solve(g, 0, D) = 0 for every g
-    and D.  So ``failures`` counts failed round trips only."""
-    rng = _rng(seed, "laurent")
+    The round trip (g*X - 1)*a = t is an identity of the recursion (see
+    laurent_solve), and so is uniqueness: for t = 0 the recursion starts
+    from the empty slice a_0 = -t_0, and convolving an empty table with
+    g gives an empty one, so laurent_solve(g, 0, D) = 0 for every g and
+    D."""
     ring = rationals_archimedean()
-
-    def rand_poly(max_deg):
-        return TruncatedSeries.from_univariate(
-            ring, [Fraction(rng.randint(-5, 5)) for _ in range(max_deg + 1)]
-        )
-
-    failures = 0
-    for _ in range(200):
-        g, t = rand_poly(2), rand_poly(2)
-        try:
-            laurent_solve(g, t, 16)  # verifies the round trip internally
-        except ArithmeticError:
-            failures += 1
-
     g2 = TruncatedSeries.constant(ring, 2, 1)
     t = TruncatedSeries.constant(ring, -1, 1)
     a = laurent_solve(g2, t, 16)
     worked = all(a.coefficient((0, k)) == 2**k for k in range(17))
+    tailed = TruncatedSeries(ring, 1, {(0,): Fraction(2)}, 0,
+                             Tail(Fraction(1), polyradius(2)))
+    tailed_rejected = _rejects(ValueError, laurent_solve, tailed, t, 16)
     return {
         "id": 3,
         "name": "division-recursion",
-        "passed": failures == 0 and worked,
-        "details": {"pairs": 200, "failures": failures,
-                    "geometric_instance": worked},
+        "passed": worked and tailed_rejected,
+        "details": {"geometric_instance": worked,
+                    "tailed_rejected": tailed_rejected},
     }
 
 
@@ -294,20 +292,12 @@ def criterion_3(seed: int) -> Dict:
 # 4. Koszul concentration
 
 
-def _rejects(exc, check, *args) -> bool:
-    try:
-        check(*args)
-    except exc:
-        return True
-    return False
-
-
 def criterion_4(seed: int) -> Dict:
     """Degree -1 homology of the two-term complex of one added variable
     vanishes by a theorem (see koszul_h_check), so the check is that the
-    one-variable cut and inversion instances at D in {6, 8, 10}, over a
-    p-adic and an Archimedean base, validate while two series, a rational
-    spec and a series outside the algebra are rejected."""
+    one-variable cut and inversion instances, over a p-adic and an
+    Archimedean base, validate while two series, a rational spec and a
+    series outside the algebra are rejected."""
     from .series import unit_polydisk
 
     validated = 0
@@ -315,24 +305,22 @@ def criterion_4(seed: int) -> Dict:
         A = unit_polydisk(ring, 1)
         x = TruncatedSeries.monomial(ring, (1,))
         for spec in (weierstrass_spec([x]), laurent_spec([x])):
-            for D in (6, 8, 10):
-                validated += not _rejects(DaggerAlgError, koszul_h_check,
-                                          A, spec, D)
+            validated += not _rejects(DaggerAlgError, koszul_h_check, A, spec)
 
     ring = rationals_padic(2)
     A = unit_polydisk(ring, 1)
     x = TruncatedSeries.monomial(ring, (1,))
     y = TruncatedSeries.monomial(ring, (0, 1))
     two_series = _rejects(DimensionMismatch, koszul_h_check, A,
-                          weierstrass_spec([x, x]), 8)
+                          weierstrass_spec([x, x]))
     rational = _rejects(DimensionMismatch, koszul_h_check, A,
-                        rational_spec([x], x), 8)
+                        rational_spec([x], x))
     outside = _rejects(DimensionMismatch, koszul_h_check, A,
-                       weierstrass_spec([y]), 8)
+                       weierstrass_spec([y]))
     return {
         "id": 4,
         "name": "koszul-concentration",
-        "passed": validated == 12 and two_series and rational and outside,
+        "passed": validated == 4 and two_series and rational and outside,
         "details": {"instances": validated,
                     "two_series_rejected": two_series,
                     "rational_rejected": rational,
@@ -533,34 +521,29 @@ def criterion_8(seed: int) -> Dict:
 
 
 def criterion_9(seed: int) -> Dict:
+    """The Gauss norm of 2X over Q_2 at radius 1, and the rejection of a
+    source ring other than the Archimedean integers.
+
+    Transport is an identity, not a check: base_change is with_ring, so
+    it keeps every coefficient, and over an Archimedean target norm_S is
+    unchanged because Z and Q share the absolute value abs(x)."""
     Z = integers_archimedean()
     Q2 = rationals_padic(2)
     Qa = rationals_archimedean()
     rho = polyradius(1)
 
-    gens = [
-        TruncatedSeries.from_univariate(Z, [3]),
-        TruncatedSeries.from_univariate(Z, [0, 2]),
-        TruncatedSeries.from_univariate(Z, [1, 0, 1]),
-    ]
-    ok = True
-    for g in gens:
-        over_q2 = base_change(g, Q2)
-        over_qa = base_change(g, Qa)
-        if over_q2.coeffs != g.coeffs or over_qa.coeffs != g.coeffs:
-            ok = False
-        if norm_S(over_qa, rho).hi != norm_S(g, rho).hi:
-            ok = False
-    two_x = base_change(gens[1], Q2)
-    monomial_ok = norm_T(two_x, rho).lo == norm_T(two_x, rho).hi == Fraction(1, 2)
+    two_x = base_change(TruncatedSeries.from_univariate(Z, [0, 2]), Q2)
+    gauss = norm_T(two_x, rho)
+    monomial_ok = gauss.lo == gauss.hi == Fraction(1, 2)
+    non_integer = _rejects(UnsupportedRing, base_change,
+                           TruncatedSeries.from_univariate(Qa, [0, 2]), Q2)
     return {
         "id": 9,
         "name": "base-change",
-        "passed": ok and monomial_ok,
+        "passed": monomial_ok and non_integer,
         "details": {
-            "generators": len(gens),
-            "coefficientwise_transport": ok,
-            "two_X_gauss_norm_over_Q2": str(norm_T(two_x, rho).hi),
+            "two_X_gauss_norm_over_Q2": str(gauss.hi),
+            "non_integer_source_rejected": non_integer,
         },
     }
 

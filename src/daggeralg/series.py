@@ -617,21 +617,17 @@ def norm_T(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
 # multiplication
 
 
-def _poly_growth_constant(n: int, mu: Fraction) -> Fraction:
-    """max over m >= 0 of (m+1)^n * mu^m, exact (the sequence is unimodal)."""
-    best = Fraction(1)
-    term = Fraction(1)
-    m = 0
-    while True:
-        nxt = Fraction((m + 2) ** n) * mu ** (m + 1)
-        cur = Fraction((m + 1) ** n) * mu**m
-        best = max(best, cur)
-        if nxt < cur and (m + 2) * mu.numerator < (m + 1) * mu.denominator:
-            # ratio (1+1/(m+1))^n * mu < 1 from here on once also m >= 4n
-            if m >= 4 * n + 4:
-                break
-        m += 1
-    return best
+def _poly_growth_constant(n: int) -> Fraction:
+    """max over m >= 0 of (m+1)^n * (3/4)^m, exact.
+
+    The ratio of consecutive terms, ((m+2)/(m+1))^n * 3/4, falls with m,
+    so the sequence is unimodal: its maximum is the first term that the
+    next one falls strictly below."""
+    mu = Fraction(3, 4)
+    m, cur = 0, Fraction(1)
+    while (nxt := (m + 2) ** n * mu ** (m + 1)) >= cur:
+        m, cur = m + 1, nxt
+    return cur
 
 
 def multiply(f: TruncatedSeries, g: TruncatedSeries,
@@ -668,9 +664,8 @@ def multiply(f: TruncatedSeries, g: TruncatedSeries,
         )
         Cf = _global_majorant_constant(f, sigma_min)
         Cg = _global_majorant_constant(g, sigma_min)
-        mu = Fraction(3, 4)
-        sigma = PolyRadius(tuple(s * mu for s in sigma_min))
-        tail = Tail(Cf * Cg * _poly_growth_constant(f.n, mu), sigma)
+        sigma = PolyRadius(tuple(s * Fraction(3, 4) for s in sigma_min))
+        tail = Tail(Cf * Cg * _poly_growth_constant(f.n), sigma)
     else:
         discarded = [(K, Fraction(c, L)) for K, c in conv.items()
                      if c and sum(K) > D]

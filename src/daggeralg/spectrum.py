@@ -314,12 +314,17 @@ class ShilovVerdict:
     monomial_floor: Fraction  # max rho^I, dominated by the Archimedean fiber
 
 
-def shilov_check(f: TruncatedSeries, rho: PolyRadius,
-                 prime_bound: int = 50) -> ShilovVerdict:
+def shilov_check(f: TruncatedSeries, rho: PolyRadius) -> ShilovVerdict:
     """At radii >= 1 the Archimedean fiber dominates every other fiber
-    for integer coefficients: each p-adic or trivial fiber sup is at most
-    max rho^I, while the Archimedean lower bound is at least max
-    |a_I| rho^I >= max rho^I."""
+    for integer coefficients.
+
+    The other fibers are in closed form, not enumerated: the trivial
+    fiber sup is exactly the Gauss norm max rho^I, and every p-adic
+    fiber sup at eps = 1 is max |a_I|_p rho^I <= max rho^I, since
+    |a_I|_p <= 1 for an integer a_I.  So the join of the other fibers is
+    exactly max rho^I, with the upper bound open for a nonzero tail, as
+    in fiber_sup.  The Archimedean lower bound is at least max |a_I|
+    rho^I >= max rho^I."""
     if any(r < 1 for r in rho):
         raise ValueError("dominance check requires all radii >= 1")
     if not f.coeffs:
@@ -328,12 +333,8 @@ def shilov_check(f: TruncatedSeries, rho: PolyRadius,
         if a.denominator != 1:
             raise DimensionMismatch("integer coefficients required")
     arch = fiber_sup(f, Place(ARCHIMEDEAN, 1), rho)
-    powers = rho.powers(list(f.coeffs))
-    other = NormValue.zero()
-    for place in enumerate_places(prime_bound, 1):
-        if place.kind == ARCHIMEDEAN:
-            continue
-        other = other.join_max(fiber_sup(f, place, rho, powers))
     floor = max(rho.power(I) for I in f.coeffs)
-    confirmed = other.hi is not None and other.hi <= arch.lo and floor <= arch.lo
+    other = NormValue(floor, None if f.tail is not None and f.tail.C
+                      else floor)
+    confirmed = other.hi is not None and floor <= arch.lo
     return ShilovVerdict(confirmed, arch, other, floor)

@@ -7,12 +7,14 @@ in a default pytest run.
 
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from daggeralg import selftest, tensor
+from daggeralg.localization import laurent_solve
 from daggeralg.normed_core import SUM, WeightedFreeModule
 from daggeralg.scalars import rationals_padic
 from daggeralg.tensor import TensorElement
@@ -75,15 +77,18 @@ def test_criterion_05_disk_annulus_gluing(report, capfd):
 
 
 @pytest.mark.parametrize("k,accept_all", [
-    (4, {"koszul_h_check": lambda A, spec, D: None}),
+    (3, {"laurent_solve": lambda g, t, D: laurent_solve(
+        replace(g, tail=None), replace(t, tail=None), D)}),
+    (4, {"koszul_h_check": lambda A, spec: None}),
     (5, {"mayer_vietoris": lambda ring, D, elements, *radii: len(elements)}),
     (8, {"check_adjunction": lambda source, target: None,
          "pi_tensor_check": lambda U, V: None}),
-], ids=["4", "5", "8"])
+    (9, {"base_change": lambda f, target: f.with_ring(target)}),
+], ids=["3", "4", "5", "8", "9"])
 def test_criterion_fails_when_a_bad_input_is_accepted(monkeypatch, k,
                                                       accept_all):
-    """Criteria 4, 5 and 8 can fail: with validators that reject nothing,
-    every negative instance is reported as accepted."""
+    """Criteria 3, 4, 5, 8 and 9 can fail: with validators that reject
+    nothing, every negative instance is reported as accepted."""
     for name, validator in accept_all.items():
         monkeypatch.setattr(selftest, name, validator)
     c = getattr(selftest, f"criterion_{k}")(SEED)

@@ -202,6 +202,21 @@ class TestLocalizeAndKoszul:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("variant", ["weierstrass", "laurent"])
+    def test_missing_radii_default_to_one(self, tmp_path, capsys, variant):
+        """A spec without radii presents like one with radii ["1"], and
+        koszul validates it."""
+        fs = [{"n": 1, "D": 1, "coeffs": [[[1], "1"]]}]
+        outputs = []
+        for extra in ({}, {"radii": ["1"]}):
+            path = write_json(tmp_path / "spec.json",
+                              {"variant": variant, "fs": fs, **extra})
+            for command in ("localize", "koszul"):
+                assert main([command, "--algebra", self.algebra(tmp_path),
+                             "--spec", path]) == 0
+                outputs.append(capsys.readouterr().out)
+        assert outputs[:2] == outputs[2:]
+
     def test_koszul_has_no_map_option(self, tmp_path, capsys):
         code = main(["koszul", "--algebra", self.algebra(tmp_path),
                      "--spec", self.spec(tmp_path),

@@ -130,15 +130,7 @@ class TestLaurentSolve:
         g = TruncatedSeries.from_univariate(QA, [1, 2])
         t = TruncatedSeries.from_univariate(QA, [2, -1, 3])
         D = 6
-        a = laurent_solve(g, t, D)
-        # rebuild (g*X - 1)*a and compare low X-degrees with t
-        X = TruncatedSeries.monomial(QA, (0, 1))
-        op = multiply(g.embed(2), X).sub(TruncatedSeries.constant(QA, 1, 2, 0))
-        prod = multiply(op, a)
-        te = t.embed(2)
-        for I in set(prod.coeffs) | set(te.coeffs):
-            if I[-1] <= D:
-                assert prod.coefficient(I) == te.coefficient(I)
+        assert_round_trip(g, t, laurent_solve(g, t, D), D)
 
     def test_tails_rejected(self):
         g = TruncatedSeries.constant(QA, 2)
@@ -174,6 +166,20 @@ class TestLaurentSolve:
         a = laurent_solve(g, t, D)
         assert a.coeffs == fraction_laurent_solve(g, t, D)
         assert a.degree_bound == max([sum(I) for I in a.coeffs] + [0])
+        assert_round_trip(g, t, a, D)
+
+
+def assert_round_trip(g, t, a, D):
+    """(g*X - 1)*a = t modulo X^(D+1), rebuilt through ``multiply``: the
+    identity that ``laurent_solve`` satisfies by construction."""
+    n = g.n + 1
+    X = TruncatedSeries.monomial(QA, (0,) * g.n + (1,))
+    op = multiply(g.embed(n), X).sub(TruncatedSeries.constant(QA, 1, n))
+    prod = multiply(op, a)
+    t = t.embed(n)
+    for I in set(prod.coeffs) | set(t.coeffs):
+        if I[-1] <= D:
+            assert prod.coefficient(I) == t.coefficient(I)
 
 
 def fraction_laurent_solve(g, t, D):
@@ -200,21 +206,21 @@ def fraction_laurent_solve(g, t, D):
 class TestKoszul:
     def test_weierstrass_concentrated(self):
         A = unit_polydisk(Q2)
-        assert koszul_h_check(A, weierstrass_spec((x_var(Q2),)), 8) is None
+        assert koszul_h_check(A, weierstrass_spec((x_var(Q2),))) is None
 
     def test_laurent_concentrated(self):
         A = unit_polydisk(QA)
-        assert koszul_h_check(A, laurent_spec((x_var(QA),)), 6) is None
+        assert koszul_h_check(A, laurent_spec((x_var(QA),))) is None
 
     def test_single_variable_only(self):
         A = unit_polydisk(Q2)
         with pytest.raises(DimensionMismatch):
-            koszul_h_check(A, weierstrass_spec((x_var(Q2), x_var(Q2))), 8)
+            koszul_h_check(A, weierstrass_spec((x_var(Q2), x_var(Q2))))
 
     def test_rational_spec_rejected(self):
         A = unit_polydisk(Q2)
         with pytest.raises(DimensionMismatch):
-            koszul_h_check(A, rational_spec((x_var(Q2),), x_var(Q2)), 8)
+            koszul_h_check(A, rational_spec((x_var(Q2),), x_var(Q2)))
 
     def test_spec_validated_as_localize_does(self):
         """A series in two variables over the one-variable disk and a zero
@@ -222,9 +228,9 @@ class TestKoszul:
         A = unit_polydisk(Q2)
         y = TruncatedSeries.monomial(Q2, (0, 1))
         with pytest.raises(DimensionMismatch):
-            koszul_h_check(A, weierstrass_spec((y,)), 8)
+            koszul_h_check(A, weierstrass_spec((y,)))
         with pytest.raises(ValueError):
-            koszul_h_check(A, weierstrass_spec((x_var(Q2),), (0,)), 8)
+            koszul_h_check(A, weierstrass_spec((x_var(Q2),), (0,)))
 
 
 class TestMayerVietoris:

@@ -217,6 +217,19 @@ class TestMultiply:
         assert lhs.lo == lhs.hi == rhs
 
 
+    @pytest.mark.parametrize("n,value", [
+        (1, Fraction(27, 16)),  # a tie: 3 (3/4)^2 = 4 (3/4)^3
+        (2, Fraction(35721, 4096)),
+        (3, Fraction(2460375, 32768)),
+        (4, Fraction(3827969523, 4194304)),
+    ])
+    def test_poly_growth_constant(self, n, value):
+        """max over m of (m+1)^n (3/4)^m, pinned for n = 1..4."""
+        assert _poly_growth_constant(n) == value
+        assert value == max((m + 1) ** n * Fraction(3, 4) ** m
+                            for m in range(64))
+
+
 class TestCofinality:
     def test_univariate(self):
         assert cofinality_constant(polyradius(1), polyradius(2)) == 2
@@ -319,7 +332,7 @@ def fraction_multiply(f, g, D=None):
         mu = Fraction(3, 4)
         C = (_global_majorant_constant(f, sigma_min)
              * _global_majorant_constant(g, sigma_min)
-             * _poly_growth_constant(f.n, mu))
+             * _poly_growth_constant(f.n))
         tail = Tail(C, PolyRadius(tuple(s * mu for s in sigma_min)))
     elif discarded:
         sigma = PolyRadius((DEFAULT_DISCARD_SIGMA,) * f.n)

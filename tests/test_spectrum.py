@@ -455,4 +455,50 @@ class TestShilov:
             coeffs = [rng.randint(-6, 6) for _ in range(4)]
             if not any(coeffs):
                 coeffs[0] = 1
-            assert shilov_check(zpoly(*coeffs), ONE, 20).confirmed
+            assert shilov_check(zpoly(*coeffs), ONE).confirmed
+
+
+def other_fibers_by_place(f, rho, prime_bound):
+    """Reference for ``max_other``: the join of ``fiber_sup`` over the
+    trivial place and every p-adic place at eps = 1 up to the bound."""
+    other = NormValue.zero()
+    for place in enumerate_places(prime_bound, 1):
+        if place.kind != ARCHIMEDEAN:
+            other = other.join_max(fiber_sup(f, place, rho))
+    return other
+
+
+@st.composite
+def shilov_cases(draw):
+    """A nonzero integer series with n <= 2, no tail or a tail with C = 0
+    or C > 0 beyond the radii, radii >= 1 and a prime bound 2..50."""
+    n = draw(st.integers(1, 2))
+    D = draw(st.integers(0, 4))
+    entries = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, D)] * n),
+                                      st.integers(-60, 60)), min_size=1,
+                            max_size=6))
+    coeffs = {I: c for I, c in entries if sum(I) <= D}
+    if not any(coeffs.values()):
+        coeffs = {(0,) * n: 1}
+    rho = draw(st.lists(st.sampled_from([Fraction(1), Fraction(5, 4),
+                                         Fraction(2), Fraction(3)]),
+                        min_size=n, max_size=n))
+    tail = draw(st.sampled_from([None, Fraction(0), Fraction(1, 3),
+                                 Fraction(7)]))
+    if tail is not None:
+        tail = Tail(tail, polyradius(*[r + 1 for r in rho]))
+    f = TruncatedSeries(Z, n, coeffs, D, tail)
+    return f, PolyRadius(tuple(rho)), draw(st.integers(2, 50))
+
+
+class TestShilovClosedForm:
+    @given(shilov_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_max_other_matches_per_place_join(self, case):
+        f, rho, prime_bound = case
+        v = shilov_check(f, rho)
+        other = other_fibers_by_place(f, rho, prime_bound)
+        assert v.max_other == other
+        assert v.confirmed == (other.hi is not None
+                               and other.hi <= v.archimedean_sup.lo)
+
