@@ -48,9 +48,6 @@ from .localization import (
 )
 from .spectrum import (
     Place,
-    SpectrumPoint,
-    enumerate_places,
-    evaluate_seminorm,
     fiber_sup,
     global_sup,
     shilov_check,

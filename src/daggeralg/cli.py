@@ -39,7 +39,7 @@ from .series import (
     norm_T,
 )
 from .spectrum import (
-    global_sup_report,
+    global_sup,
     power_work,
     shilov_check,
     spectral_via_powers,
@@ -185,15 +185,11 @@ def cmd_spectrum(args) -> int:
         raise ValueError(f"--powers {args.powers} may multiply {work} term "
                          f"pairs for this series, over the cap of "
                          f"{MAX_POWER_WORK}")
-    rep = global_sup_report(f, rho, args.prime_bound, args.grid)
-    unlisted = rep.unlisted_primes_bounded_by
+    sup = global_sup(f, rho)
     powers = spectral_via_powers(f, rho, args.powers)
     report = {
         "version": REPORT_VERSION,
-        "global_sup": rep.value.to_json(),
-        "per_place": [[label, nv.to_json()] for label, nv in rep.per_place],
-        "unlisted_primes_bounded_by": None if unlisted is None
-        else str(unlisted),
+        "global_sup": sup.to_json(),
         "power_estimates": [nv.to_json() for nv in powers],
     }
     _emit(report, args)
@@ -322,12 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_size(p, "--degree", 8, 256, "truncation degree")
     add_common(p)
 
-    p = sub.add_parser("spectrum", help="per-place sup norms and spectral "
-                       "estimates over the integers")
+    p = sub.add_parser("spectrum", help="global sup norm over the spectrum "
+                       "of the integers and spectral estimates")
     p.add_argument("--series", required=True, help=SERIES_HELP)
     p.add_argument("--rho", default="1")
-    _add_size(p, "--prime-bound", 50, 10000, "largest prime listed")
-    _add_size(p, "--grid", 2, 16, "exponent grid size per place family")
+    # bench/workloads.py still passes --prime-bound and --grid, which are
+    # ignored
+    _add_size(p, "--prime-bound", 50, 10000, "ignored: every prime's fiber "
+              "is dominated in closed form")
+    _add_size(p, "--grid", 2, 16, "ignored: every exponent's fiber is "
+              "dominated in closed form")
     _add_size(p, "--powers", 8, 32, "powers in the spectral estimate; "
               "for a series of T terms, n variables and largest total "
               "degree d, the sum over k < powers of T * min(T^k, "

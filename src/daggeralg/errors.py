@@ -39,9 +39,6 @@ class NotACover(DaggerAlgError):
     pass
 
 
-class CoordinateOutOfDisk(DaggerAlgError):
-    """A fiber coordinate lies outside the polydisk of the algebra."""
-
 
 def reads_json(what: str):
     """Decorate a ``from_json(obj, ...)`` reader of a JSON object: input of

@@ -61,18 +61,6 @@ class LocalizationSpec:
         if self.variant == RATIONAL and self.h is None:
             raise ValueError("rational variant needs the denominator h")
 
-    def to_json(self):
-        obj = {
-            "variant": self.variant,
-            "fs": [f.to_json() for f in self.fs],
-            "radii": [str(r) for r in self.radii],
-        }
-        if self.h is not None:
-            obj["h"] = self.h.to_json()
-        if self.witness is not None:
-            obj["witness"] = [c.to_json() for c in self.witness]
-        return obj
-
     @staticmethod
     @reads_json("localization spec")
     def from_json(obj, ring: BanachRing) -> "LocalizationSpec":

@@ -59,13 +59,6 @@ class WeightedFreeModule:
     def rank(self) -> int:
         return len(self.weights)
 
-    def to_json(self):
-        return {
-            "ring": self.ring.to_json(),
-            "weights": [str(w) for w in self.weights],
-            "flavor": self.flavor,
-        }
-
     @staticmethod
     @reads_json("module")
     def from_json(obj) -> "WeightedFreeModule":

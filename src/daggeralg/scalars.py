@@ -81,11 +81,6 @@ class NormValue:
     def zero() -> "NormValue":
         return NormValue(ZERO, ZERO)
 
-    def join_max(self, other: "NormValue") -> "NormValue":
-        """Interval enclosing max(self, other)."""
-        hi = None if self.hi is None or other.hi is None else max(self.hi, other.hi)
-        return NormValue(max(self.lo, other.lo), hi)
-
     def pow_int(self, k: int) -> "NormValue":
         if k < 0:
             raise ValueError("negative powers not supported")
@@ -297,10 +292,11 @@ def nth_root_interval(x: NormValue, n: int, precision) -> NormValue:
     """Interval containing [x.lo**(1/n), x.hi**(1/n)] of width <= precision
     beyond the width inherited from x."""
     precision = as_fraction(precision)
-    lo, _ = rational_root_bounds(x.lo, n, precision)
+    lo, hi = rational_root_bounds(x.lo, n, precision)
     if x.hi is None:
         return NormValue(lo, None)
-    _, hi = rational_root_bounds(x.hi, n, precision)
+    if x.hi != x.lo:
+        _, hi = rational_root_bounds(x.hi, n, precision)
     return NormValue(min(lo, hi), hi)
 
 

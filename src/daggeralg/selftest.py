@@ -452,7 +452,7 @@ def criterion_7(seed: int) -> Dict:
     rho = polyradius(1)
 
     f0 = TruncatedSeries.from_univariate(Z, [1, 1])
-    g0 = global_sup(f0, rho, 50, 1)
+    g0 = global_sup(f0, rho)
     worked = g0.lo == g0.hi == 2
 
     dominance_failures = above_failures = certified_increases = 0
@@ -468,7 +468,7 @@ def criterion_7(seed: int) -> Dict:
             for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
         )
         seq = spectral_via_powers(f, rho, 8)
-        gl = global_sup(f, rho, 50, 1)
+        gl = global_sup(f, rho)
         above_failures += not all(term.hi >= gl.lo for term in seq)
         certified_increases += sum(b.lo > a.hi for a, b in zip(seq, seq[1:]))
     monotone = certified_increases == 0

@@ -1,11 +1,39 @@
 """Multiplicative seminorms on the integers and spectral estimates.
 
 The point set over the integers is the classical Ostrowski list: the
-trivial absolute value, powers of the usual one, and powers of the p-adic
-ones.  On top of it: fiberwise evaluation seminorms, polydisk sup norms
-per place, a global spectral estimate, its power-iteration refinement,
-and the check that the usual absolute value dominates every other fiber
-at radii >= 1.
+trivial absolute value, powers |.|^eps of the usual one for eps in
+(0, 1], and powers |.|_p^eps of the p-adic ones for eps > 0.  Over each
+of these places the spectrum of Z{rho^-1 X}+ has a fiber; here are the
+fiber sups at the trivial, the p-adic and the usual place (eps = 1), the
+global sup in closed form, its power-iteration refinement, and the check
+that the usual absolute value dominates every other fiber.
+
+The global sup is the Archimedean fiber at eps = 1.  Let f be a nonzero
+polynomial with integer coefficients a_I, rho any polyradius, and
+M(r) the sup of |f| over the complex polydisk of radius r.
+
+- The trivial fiber's sup is the Gauss norm max rho^I over the support.
+- The p-adic fiber at eps has sup max |a_I|_p^eps rho^I <= max rho^I,
+  since |a_I|_p <= 1 for an integer.
+- The Archimedean fiber at eps = 1/t, t >= 1, is the polydisk
+  |z_i|^eps <= rho_i, that is |z_i| <= rho_i^t, so its sup is
+  M(rho^t)^(1/t).  log M is convex in the log radii (Hadamard's three
+  circles on a polydisk: the log of the sup over a torus is
+  plurisubharmonic and depends only on the real parts of the log
+  coordinates), so g(t) = log M(rho^t) is convex in t.  On [1, T] it
+  lies below its chord a + b t, and (a + b t)/t is monotone in t, so
+  g(t)/t <= max(g(1), g(T)/T).  As T grows, g(T)/T tends to
+  log max rho^I, because max |a_I| r^I <= M(r) <= sum |a_I| r^I.  So
+  every Archimedean fiber sup is at most max(M(rho), max rho^I).
+- Cauchy's estimate gives M(rho) >= max |a_I| rho^I >= max rho^I, since
+  every |a_I| >= 1.
+
+So the sup over the whole spectrum is M(rho), which ``norm_T`` brackets.
+By Berkovich's spectral radius formula (Spectral Theory and Analytic
+Geometry over Non-Archimedean Fields, AMS 1990, Thm 1.3.1; the spectrum
+of Z in 1.4.1) it is also the limit of the power estimates
+norm(f^n)^(1/n), each of which bounds it from above.  The argument holds
+for polynomials: a series with a nonzero tail keeps its upper bound open.
 """
 
 from __future__ import annotations
@@ -14,9 +42,9 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from .errors import CoordinateOutOfDisk, DimensionMismatch
+from .errors import DimensionMismatch
 from .scalars import (
     BanachRing,
     NormValue,
@@ -33,7 +61,6 @@ from .series import (
     TruncatedSeries,
     _convolve,
     _scaled_ints,
-    _weighted_ints,
     multiply,
     norm_S,
     norm_T,
@@ -45,13 +72,16 @@ PADIC = "Padic"
 
 ROOT_PRECISION = Fraction(1, 10**9)
 
-# the ring of a prime, built once per prime: building it tests the prime,
-# and the places at the option caps hold 1,229 primes, each on 16 exponents
+# the ring of a prime, built once per prime: building it tests the prime
 _padic_ring = functools.lru_cache(maxsize=2048)(rationals_padic)
 
 
 @dataclass(frozen=True)
 class Place:
+    """A place of the integers whose fiber has a sup computed here: the
+    trivial one, the usual absolute value (eps = 1; the other powers are
+    dominated by it, see the module docstring) and |.|_p^eps."""
+
     kind: str
     eps: Fraction = Fraction(1)
     p: Optional[int] = None
@@ -63,8 +93,9 @@ class Place:
         if self.kind == TRIVIAL:
             ring = integers_trivial()
         elif self.kind == ARCHIMEDEAN:
-            if not 0 < self.eps <= 1:
-                raise ValueError("Archimedean exponent must lie in (0, 1]")
+            if self.eps != 1:
+                raise ValueError("the Archimedean place is taken at exponent "
+                                 "1, whose fiber dominates the others")
             ring = rationals_archimedean()
         elif self.kind == PADIC:
             if self.p is None or self.eps <= 0:
@@ -88,130 +119,45 @@ class Place:
             return NormValue.zero()
         return pow_interval(NormValue.exact(size), self.eps, ROOT_PRECISION)
 
-    def label(self) -> str:
-        if self.kind == TRIVIAL:
-            return "trivial"
-        if self.kind == ARCHIMEDEAN:
-            return f"arch^{self.eps}"
-        return f"{self.p}-adic^{self.eps}"
+
+def _tail_gauss_bound(f: TruncatedSeries, rho: PolyRadius
+                      ) -> Optional[Fraction]:
+    """Upper bound on |a_I|_v rho^I over the tail coefficients of f at a
+    non-Archimedean place v, or None when there is none.
+
+    A nonzero tail coefficient of an integer series has |a_I|_v <= 1 and
+    1 <= |a_I| <= C sigma^-I, so rho^I <= sigma^I <= C when rho <= sigma
+    componentwise.  Otherwise the majorant, stated in the series' own
+    ring, bounds nothing at v."""
+    tail = f.tail
+    if tail is None or not tail.C:
+        return Fraction(0)
+    if f.ring.integral and all(r <= s for r, s in zip(rho, tail.sigma)):
+        return tail.C
+    return None
 
 
-def _primes_up_to(bound: int) -> List[int]:
-    sieve = [True] * (bound + 1)
-    out = []
-    for q in range(2, bound + 1):
-        if sieve[q]:
-            out.append(q)
-            for m in range(q * q, bound + 1, q):
-                sieve[m] = False
-    return out
-
-
-def enumerate_places(prime_bound: int, eps_grid_size: int) -> List[Place]:
-    """Deterministic list: trivial place, then Archimedean powers on the
-    grid k/grid_size, then each prime up to the bound on the same grid."""
-    if prime_bound < 2:
-        raise ValueError("prime bound must be at least 2")
-    grid = [Fraction(k, eps_grid_size) for k in range(1, eps_grid_size + 1)]
-    places = [Place(TRIVIAL)]
-    for e in grid:
-        places.append(Place(ARCHIMEDEAN, e))
-    for q in _primes_up_to(prime_bound):
-        for e in grid:
-            places.append(Place(PADIC, e, q))
-    return places
-
-
-@dataclass(frozen=True)
-class SpectrumPoint:
-    place: Place
-    coords: Tuple[Fraction, ...]
-    rho: PolyRadius
-
-    def __post_init__(self):
-        coords = tuple(as_fraction(c) for c in self.coords)
-        object.__setattr__(self, "coords", coords)
-        if len(coords) != len(self.rho):
-            raise DimensionMismatch("one coordinate per variable")
-        a, b = self.place.eps.numerator, self.place.eps.denominator
-        for c, r in zip(coords, self.rho):
-            size = self.place.size(c)
-            if size**a > r**b:  # |c|^eps > r, with eps = a/b
-                raise CoordinateOutOfDisk(
-                    f"coordinate {c} has size {size}, and {size}^"
-                    f"({self.place.eps}) > radius {r}"
-                )
-
-
-def evaluate_seminorm(f: TruncatedSeries, pt: SpectrumPoint) -> NormValue:
-    """|f(c)|^eps at the point's place, certified."""
-    if f.n != len(pt.coords):
-        raise DimensionMismatch("arity mismatch")
-    value = Fraction(0)
-    for I, a in f.coeffs.items():
-        term = a
-        for c, e in zip(pt.coords, I):
-            term *= c**e
-        value += term
-    return pt.place.abs_value(value)
-
-
-def _radius_bracket(rho: PolyRadius, eps: Fraction
-                    ) -> Tuple[PolyRadius, PolyRadius]:
-    """Rational polyradii inner <= rho^(1/eps) <= outer, componentwise.
-
-    With eps = a/b the radius is the a-th root of r^b: exact when a = 1.
-    A lower root bracket that rounds to 0 is replaced by min(r^b, 1),
-    which the a-th root of r^b never falls below."""
-    a, b = eps.numerator, eps.denominator
-    inner, outer = [], []
-    for r in rho:
-        x = r**b
-        root = nth_root_interval(NormValue.exact(x), a, ROOT_PRECISION)
-        inner.append(max(root.lo, min(x, 1)))
-        outer.append(root.hi)
-    return PolyRadius(tuple(inner)), PolyRadius(tuple(outer))
-
-
-def fiber_sup(f: TruncatedSeries, place: Place, rho: PolyRadius,
-              powers=None) -> NormValue:
+def fiber_sup(f: TruncatedSeries, place: Place, rho: PolyRadius
+              ) -> NormValue:
     """Sup of the place seminorm of f over the polydisk of radius rho.
 
     p-adic place: the maximum of |a_I|_p^eps * rho^I over the support.
     Trivial place: the indicator maximum of rho^I.  Both are Gauss norms,
-    so the known coefficients give a lower bound; a tail leaves the upper
-    bound open (hi = None), since the majorant bounds the unknown
-    coefficients in the series' own ring, not at this place.
-    Archimedean place: |z|^eps <= rho means |z| <= rho^(1/eps), so the
-    sup-norm over that radius, bracketed between rational radii on either
-    side (the sup is monotone in the radius), raised to the exponent.
-    ``powers`` is ``rho.powers(list(f.coeffs))``, which a caller that
-    evaluates many places computes once.
+    so the known coefficients give a lower bound, and a tail adds the
+    bound of ``_tail_gauss_bound`` above (open when it has none).
+    Archimedean place (eps = 1): ``norm_T`` over the rationals.
     """
     if len(rho) != f.n:
         raise DimensionMismatch("polyradius arity mismatch")
     if f.is_zero():
         return NormValue.zero()
     if place.kind == ARCHIMEDEAN:
-        g = f.with_ring(place.ring)
-        if place.eps == 1:
-            return norm_T(g, rho)
-        inner, outer = _radius_bracket(rho, place.eps)
-        if f.tail is not None and \
-                not all(r < s for r, s in zip(outer, f.tail.sigma)):
-            # a member need not converge out to rho^(1/eps), so the sup is
-            # open above; each member's sup is at least max |a_I| r^I
-            sup = NormValue(max((abs_value(g.ring, a) * inner.power(I)
-                                 for I, a in g.coeffs.items()), default=0),
-                            None)
-        else:
-            sup = NormValue(norm_T(g, inner).lo, norm_T(g, outer).hi)
-        return pow_interval(sup, place.eps, ROOT_PRECISION)
+        return norm_T(f.with_ring(place.ring), rho)
     # the Gauss norm max |a_I|^eps rho^I: at the trivial place and for a
     # p-adic unit a_I (p divides neither numerator nor denominator)
     # |a_I|^eps = 1, so only the other coefficients need a root bracket
     p = place.p
-    nums, den = powers or rho.powers(list(f.coeffs))
+    nums, den = rho.powers(list(f.coeffs))
     unit, lo, hi = 0, Fraction(0), Fraction(0)
     for a, P in zip(f.coeffs.values(), nums):
         if p is None or a.numerator % p and a.denominator % p:
@@ -220,41 +166,21 @@ def fiber_sup(f: TruncatedSeries, place: Place, rho: PolyRadius,
             size, r = place.abs_value(a), Fraction(P, den)
             lo, hi = max(lo, size.lo * r), max(hi, size.hi * r)
     unit = Fraction(unit, den)
-    known = NormValue(max(lo, unit), max(hi, unit))
+    tail = _tail_gauss_bound(f, rho)
+    return NormValue(max(lo, unit),
+                     None if tail is None else max(hi, unit, tail))
+
+
+def global_sup(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
+    """Sup of |f| over the whole spectrum of Z{rho^-1 X}+ for integer
+    coefficients: the Archimedean fiber at eps = 1 (module docstring).
+    A nonzero tail leaves the upper bound open."""
+    if any(a.denominator != 1 for a in f.coeffs.values()):
+        raise DimensionMismatch("integer coefficients required")
+    sup = fiber_sup(f, Place(ARCHIMEDEAN), rho)
     if f.tail is not None and f.tail.C:
-        return NormValue(known.lo, None)
-    return known
-
-
-@dataclass(frozen=True)
-class GlobalSupReport:
-    value: NormValue
-    per_place: Tuple[Tuple[str, NormValue], ...]
-    unlisted_primes_bounded_by: Optional[Fraction]  # None: open
-
-
-def global_sup_report(f: TruncatedSeries, rho: PolyRadius, prime_bound: int,
-                      eps_grid_size: int) -> GlobalSupReport:
-    if len(rho) != f.n:
-        raise DimensionMismatch("polyradius arity mismatch")
-    powers = rho.powers(list(f.coeffs))
-    table = []
-    total = NormValue.zero()
-    for place in enumerate_places(prime_bound, eps_grid_size):
-        v = fiber_sup(f, place, rho, powers)
-        table.append((place.label(), v))
-        total = total.join_max(v)
-    # integer coefficients have p-adic size <= 1 at every prime, so each
-    # prime beyond the enumeration bound contributes at most max rho^I; a
-    # tail leaves it open, as in fiber_sup
-    unlisted = None if f.tail is not None and f.tail.C else \
-        max((rho.power(I) for I in f.coeffs), default=Fraction(0))
-    return GlobalSupReport(total, tuple(table), unlisted)
-
-
-def global_sup(f: TruncatedSeries, rho: PolyRadius, prime_bound: int = 50,
-               eps_grid_size: int = 2) -> NormValue:
-    return global_sup_report(f, rho, prime_bound, eps_grid_size).value
+        return NormValue(sup.lo, None)
+    return sup
 
 
 def power_work(f: TruncatedSeries, n_max: int) -> int:
@@ -268,6 +194,42 @@ def power_work(f: TruncatedSeries, n_max: int) -> int:
                for k in range(1, n_max))
 
 
+def _homogeneous(cs, x: int, y: int) -> int:
+    """sum c_k x^k y^(m - k) over cs = [c_0, ..., c_m]: by Horner's rule
+    for short lists, else as the low half times y^len(high) plus the high
+    half times x^len(low), which keeps the large products balanced."""
+    if len(cs) <= 16:
+        acc, yk = 0, 1
+        for c in reversed(cs):
+            acc, yk = acc * x + c * yk, yk * y
+        return acc
+    h = len(cs) // 2
+    return (_homogeneous(cs[:h], x, y) * y ** (len(cs) - h)
+            + _homogeneous(cs[h:], x, y) * x ** h)
+
+
+def _abs_weighted_sum(terms, rho: PolyRadius):
+    """(S, Q) with sum |N_I| rho^I == S / Q for (I, N_I) pairs: with
+    rho_i = x_i / y_i and E_i the largest exponent of variable i,
+    S = sum |N_I| prod x_i^I_i y_i^(E_i - I_i) and Q = prod y_i^E_i.
+    S is folded one variable at a time, from the last, by
+    ``_homogeneous``: no radius numerator is built per index."""
+    sums = [(I, abs(N)) for I, N in terms]
+    Q = 1
+    for r in reversed(rho.components):
+        E = max(I[-1] for I, _ in sums)
+        columns = {}
+        for I, c in sums:
+            column = columns.get(I[:-1])
+            if column is None:
+                column = columns[I[:-1]] = [0] * (E + 1)
+            column[I[-1]] = c
+        x, y = r.numerator, r.denominator
+        sums = [(J, _homogeneous(cs, x, y)) for J, cs in columns.items()]
+        Q *= y**E
+    return sums[0][1], Q
+
+
 def spectral_via_powers(f: TruncatedSeries, rho: PolyRadius,
                         n_max: int) -> List[NormValue]:
     """Upper estimates (norm of the n-th power) ** (1/n) for n up to
@@ -277,8 +239,8 @@ def spectral_via_powers(f: TruncatedSeries, rho: PolyRadius,
     ``multiply`` at its default degree bound drops nothing.  Its powers
     are chained on the integer numerators instead: with a_I = N_I / L the
     k-th power has numerators over L^k, and its ``norm_S`` is
-    sum |N| P / (L^k Q).  Any other series takes ``multiply`` and
-    ``norm_S``."""
+    sum |N| P / (L^k Q), summed by ``_abs_weighted_sum``.  Any other
+    series takes ``multiply`` and ``norm_S``."""
     if n_max < 1:
         raise ValueError("need at least one power")
     if len(rho) != f.n:
@@ -288,10 +250,9 @@ def spectral_via_powers(f: TruncatedSeries, rho: PolyRadius,
         terms, L = _scaled_ints(f.coeffs)
         power, den = terms, L
         for k in range(1, n_max + 1):
-            weighted, d = _weighted_ints(power, den, rho)
-            hi = Fraction(sum(abs(w) for _, w in weighted), d)
-            out.append(nth_root_interval(NormValue.exact(hi), k,
-                                         ROOT_PRECISION))
+            S, Q = _abs_weighted_sum(power, rho)
+            out.append(nth_root_interval(NormValue.exact(Fraction(S, den * Q)),
+                                         k, ROOT_PRECISION))
             if k < n_max:
                 power = [(K, c) for K, c in _convolve(power, terms).items()
                          if c]
@@ -315,26 +276,24 @@ class ShilovVerdict:
 
 
 def shilov_check(f: TruncatedSeries, rho: PolyRadius) -> ShilovVerdict:
-    """At radii >= 1 the Archimedean fiber dominates every other fiber
+    """At every radius the Archimedean fiber dominates every other fiber
     for integer coefficients.
 
     The other fibers are in closed form, not enumerated: the trivial
     fiber sup is exactly the Gauss norm max rho^I, and every p-adic
     fiber sup at eps = 1 is max |a_I|_p rho^I <= max rho^I, since
     |a_I|_p <= 1 for an integer a_I.  So the join of the other fibers is
-    exactly max rho^I, with the upper bound open for a nonzero tail, as
-    in fiber_sup.  The Archimedean lower bound is at least max |a_I|
-    rho^I >= max rho^I."""
-    if any(r < 1 for r in rho):
-        raise ValueError("dominance check requires all radii >= 1")
+    exactly max rho^I, raised by a nonzero tail to the bound of
+    ``_tail_gauss_bound``, as in fiber_sup.  The Archimedean lower bound
+    is at least max |a_I| rho^I >= max rho^I (Cauchy)."""
     if not f.coeffs:
         raise ValueError("dominance check requires a nonzero series")
     for a in f.coeffs.values():
         if a.denominator != 1:
             raise DimensionMismatch("integer coefficients required")
-    arch = fiber_sup(f, Place(ARCHIMEDEAN, 1), rho)
+    arch = fiber_sup(f, Place(ARCHIMEDEAN), rho)
     floor = max(rho.power(I) for I in f.coeffs)
-    other = NormValue(floor, None if f.tail is not None and f.tail.C
-                      else floor)
-    confirmed = other.hi is not None and floor <= arch.lo
+    tail = _tail_gauss_bound(f, rho)
+    other = NormValue(floor, None if tail is None else max(floor, tail))
+    confirmed = other.hi is not None and other.hi <= arch.lo
     return ShilovVerdict(confirmed, arch, other, floor)

@@ -25,6 +25,12 @@ def scale(a: NormValue, c) -> NormValue:
     return NormValue(a.lo * c, None if a.hi is None else a.hi * c)
 
 
+def join(a: NormValue, b: NormValue) -> NormValue:
+    """The interval enclosing max(x, y) for x in a and y in b."""
+    hi = None if a.hi is None or b.hi is None else max(a.hi, b.hi)
+    return NormValue(max(a.lo, b.lo), hi)
+
+
 def contains(a: NormValue, x) -> bool:
     x = as_fraction(x)
     return a.lo <= x and (a.hi is None or x <= a.hi)

@@ -277,17 +277,26 @@ class TestSpectrumCommands:
         assert main(["spectrum", "--series", f, "--prime-bound", "5",
                      "--powers", "3"]) == 0
         out = json.loads(capsys.readouterr().out)
+        assert sorted(out) == ["global_sup", "power_estimates", "version"]
         assert out["global_sup"] == {"lo": "2", "hi": "2"}
         assert len(out["power_estimates"]) == 3
 
-    def test_spectrum_tail_leaves_unlisted_primes_null(self, tmp_path,
-                                                       capsys):
+    def test_spectrum_ignores_grid_and_prime_bound(self, tmp_path, capsys):
+        f = write_json(tmp_path / "f.json", series_json(1, -2, 3))
+        outs = []
+        for grid, prime_bound in (("1", "2"), ("16", "10000")):
+            assert main(["spectrum", "--series", f, "--rho", "2/3",
+                         "--grid", grid, "--prime-bound", prime_bound]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_spectrum_tail_leaves_global_sup_open(self, tmp_path, capsys):
         series = dict(series_json(1), tail={"C": "100", "sigma": ["2"]})
         f = write_json(tmp_path / "f.json", series)
         assert main(["spectrum", "--series", f, "--rho", "3/2",
                      "--prime-bound", "5", "--powers", "1"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["unlisted_primes_bounded_by"] is None
+        assert out["global_sup"]["hi"] == "inf"
 
     def test_shilov_confirmed(self, tmp_path, capsys):
         f = write_json(tmp_path / "f.json", series_json(1, 1))
@@ -295,9 +304,11 @@ class TestSpectrumCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["confirmed"] is True
 
-    def test_shilov_rejects_small_radius(self, tmp_path, capsys):
+    def test_shilov_confirmed_at_small_radius(self, tmp_path, capsys):
         f = write_json(tmp_path / "f.json", series_json(1, 1))
-        assert main(["shilov", "--series", f, "--rho", "1/2"]) == 1
+        assert main(["shilov", "--series", f, "--rho", "1/2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["confirmed"] is True and out["monomial_floor"] == "1"
 
 
 class TestPiCommand:

@@ -107,8 +107,10 @@ class TestPresentLocalization:
             TruncatedSeries.constant(QA, 0),
         )
         spec = rational_spec((x_var(QA),), h, witness)
-        back = LocalizationSpec.from_json(spec.to_json(), QA)
-        assert back == spec
+        obj = {"variant": "rational", "fs": [x_var(QA).to_json()],
+               "radii": ["1"], "h": h.to_json(),
+               "witness": [c.to_json() for c in witness]}
+        assert LocalizationSpec.from_json(obj, QA) == spec
 
 
 class TestLaurentSolve:

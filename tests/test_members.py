@@ -32,7 +32,13 @@ from daggeralg.series import (
     norm_T,
     polyradius,
 )
-from daggeralg.spectrum import PADIC, TRIVIAL, Place, fiber_sup
+from daggeralg.spectrum import (
+    PADIC,
+    TRIVIAL,
+    Place,
+    fiber_sup,
+    shilov_check,
+)
 from intervals import contains
 
 RINGS = {"Z": integers_archimedean(), "Ztriv": integers_trivial(),
@@ -241,6 +247,29 @@ class TestNormsHoldMembers:
         nv = fiber_sup(f, place, PolyRadius(rho))
         assert nv.lo ** b <= value
         assert nv.hi is None or value <= nv.hi ** b
+
+    @given(single(st.just("Z")), st.booleans(), st.sampled_from(
+        [Place(TRIVIAL), Place(PADIC, Fraction(1, 2), 2), Place(PADIC, 1, 3)]))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_tail_bound(self, case, on_sigma, place):
+        # at rho <= sigma every nonzero tail coefficient c_I of an integer
+        # member has rho^I <= sigma^I <= C, so the trivial and p-adic
+        # fiber sups and shilov's other fibers are bounded; rho = sigma
+        # presses the members' largest coefficients against the bound
+        _, f, member, rho = case
+        if on_sigma:
+            rho = f.tail.sigma.components
+        a, b = place.eps.numerator, place.eps.denominator
+        size = (lambda c: Fraction(1)) if place.kind == TRIVIAL else \
+            (lambda c: Fraction(place.p) ** -_val(place.p, c))
+        value = max((size(c) ** a * _power(rho, I) ** b
+                     for I, c in member.items()), default=Fraction(0))
+        nv = fiber_sup(f, place, PolyRadius(rho))
+        assert nv.hi is not None and nv.lo ** b <= value <= nv.hi ** b
+        if f.coeffs and not on_sigma:
+            # the other fibers of the member are at most its trivial one
+            other = shilov_check(f, PolyRadius(rho)).max_other
+            assert contains(other, max(_power(rho, I) for I in member))
 
     @given(single(st.sampled_from(["Z", "R"])))
     @example(FOUND)

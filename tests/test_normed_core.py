@@ -36,7 +36,7 @@ from daggeralg.scalars import (
     rationals_archimedean,
     rationals_padic,
 )
-from intervals import add, scale
+from intervals import add, join, scale
 
 Z = integers_archimedean()
 ZT = integers_trivial()
@@ -109,7 +109,7 @@ def reference_vector_norm(M, v):
     out = NormValue.zero()
     for x, w in zip(v, M.weights):
         term = scale(reference_abs(M.ring, x), w)
-        out = add(out, term) if M.flavor == SUM else out.join_max(term)
+        out = add(out, term) if M.flavor == SUM else join(out, term)
     return out
 
 
@@ -117,7 +117,7 @@ def reference_column_norm(f):
     best = NormValue.zero()
     for j in range(f.source.rank):
         col = reference_vector_norm(f.target, f.column(j))
-        best = best.join_max(scale(col, 1 / f.source.weights[j]))
+        best = join(best, scale(col, 1 / f.source.weights[j]))
     return best
 
 

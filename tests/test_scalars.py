@@ -19,7 +19,7 @@ from daggeralg.scalars import (
     rationals_archimedean,
     rationals_padic,
 )
-from intervals import add, mul
+from intervals import add, join, mul
 
 Z = integers_archimedean()
 ZT = integers_trivial()
@@ -63,7 +63,7 @@ class TestNormValue:
     def test_unbounded_upper(self):
         a = NormValue(1, None)
         assert add(a, NormValue.exact(1)).hi is None
-        assert a.join_max(NormValue.exact(5)).hi is None
+        assert join(a, NormValue.exact(5)).hi is None
 
 
 class TestRoots:
