@@ -50,7 +50,7 @@ from .tensor import TensorElement, tensor_norm_certified
 MAX_TENSOR_TERMS = 64
 
 # most term pairs that `spectrum --powers` may multiply, by the bound of
-# spectrum.power_work: about 5 s with small coefficients (README)
+# spectrum.power_work: about 2.5 s with small coefficients (README)
 MAX_POWER_WORK = 4_000_000
 
 SERIES_HELP = (f"series JSON file: n = 1 to {max(MAX_DEGREE)} variables, "

@@ -34,7 +34,8 @@ SUM = "sum"
 MAX = "max"
 
 # largest rank of a module read from JSON; a tensor element of two such
-# factors with 64 terms takes about 1.5 s (README)
+# factors with 64 terms takes about 0.2 s with integer entries and 1 s
+# with 64-bit rational ones over Q_3 (README)
 MAX_RANK = 64
 
 

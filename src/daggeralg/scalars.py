@@ -9,9 +9,10 @@ every bound the package reports is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import NonElement, reads_json
 
@@ -209,20 +210,20 @@ def rationals_archimedean() -> BanachRing:
     return BanachRing(KIND_Q_ARCH)
 
 
+def _valuation(N: int, p: int) -> int:
+    """v_p(N) for a nonzero integer N."""
+    v = 0
+    while N % p == 0:
+        N //= p
+        v += 1
+    return v
+
+
 def padic_valuation(x: Fraction, p: int) -> int:
     """v_p(x) for nonzero rational x."""
     if x == 0:
         raise ValueError("valuation of zero is +infinity")
-    v = 0
-    num = x.numerator
-    den = x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _valuation(x.numerator, p) - _valuation(x.denominator, p)
 
 
 def abs_value(ring: BanachRing, x) -> Fraction:
@@ -240,27 +241,54 @@ def abs_value(ring: BanachRing, x) -> Fraction:
     return Fraction(ring.p) ** -padic_valuation(x, ring.p)
 
 
+def abs_ints(ring: BanachRing, nums: Sequence[int],
+             L: int) -> Tuple[List[int], int]:
+    """``abs_value`` of the ring elements N_i / L (L > 0) on integers:
+    returns (A, den) with abs_value(ring, N_i / L) == A_i / den.
+
+    The integer kernels of ``series`` and ``tensor`` compute on these and
+    build a ``Fraction`` only for the result.  Over Q_p, with V the
+    largest v_p(N_i), A_i = p^(V - v_p(N_i) + v_p(L)) and den = p^V."""
+    if ring.kind in (KIND_Z_ARCH, KIND_Q_ARCH):
+        return [abs(N) for N in nums], L
+    if ring.kind == KIND_Z_TRIVIAL:
+        return [int(N != 0) for N in nums], 1
+    p = ring.p
+    vals = [_valuation(N, p) if N else None for N in nums]
+    V = max((v for v in vals if v is not None), default=0)
+    shift = V + _valuation(L, p)
+    return [0 if v is None else p ** (shift - v) for v in vals], p**V
+
+
 # ---------------------------------------------------------------------------
 # certified roots
 
 
 def _integer_nth_root(m: int, n: int) -> int:
-    """floor(m ** (1/n)) for m >= 0, n >= 1, by Newton iteration."""
+    """floor(m ** (1/n)) for m >= 0, n >= 1: ``math.isqrt`` for n = 2,
+    else Newton's iteration from a float estimate of the root.
+
+    One Newton step x -> ((n-1)x + m // x^(n-1)) // n from any x > 0
+    lands at or above the floor r, by the AM-GM inequality, and from any
+    x > r it strictly decreases and stays at least r.  So after the
+    first step the iteration stops exactly at r, however far off the
+    float estimate is; a good one only saves steps."""
     if m < 0:
         raise ValueError("negative radicand")
-    if m == 0:
-        return 0
-    if n == 1:
+    if n == 1 or m < 2:
         return m
-    x = 1 << ((m.bit_length() + n - 1) // n + 1)
+    if n == 2:
+        return math.isqrt(m)
+    # the root is about 2^e; keep 52 bits of it in the float
+    e = math.log2(m) / n
+    k = max(int(e) - 52, 0)
+    x = (int(2.0 ** (e - k)) + 1) << k
+    x = ((n - 1) * x + m // x ** (n - 1)) // n
     while True:
         y = ((n - 1) * x + m // x ** (n - 1)) // n
         if y >= x:
-            break
+            return x
         x = y
-    while x**n > m:
-        x -= 1
-    return x
 
 
 def rational_root_bounds(a: Fraction, n: int, precision: Fraction):

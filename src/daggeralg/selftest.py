@@ -13,6 +13,7 @@ import json
 import random
 import time
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional
 
 from .errors import (
@@ -368,10 +369,11 @@ def _oracle_cvp(columns: List[List[int]], v: List[int]) -> Optional[Fraction]:
     integer span of the columns.
 
     Basis via sympy's Hermite normal form; the coefficient window comes
-    from a rational left inverse: any lattice point x competing with the
-    zero candidate has |x|_1 <= 2|v|_1, and coefficients are bounded by
-    the left inverse's max row sum times that.  Returns None when the
-    window is too large to enumerate (caller regenerates the instance).
+    from the rational left inverse (B^T B)^-1 B^T: any lattice point x
+    competing with the zero candidate has |x|_1 <= 2|v|_1, and
+    coefficients are bounded by the left inverse's max row sum times
+    that.  Returns None when the window is too large to enumerate
+    (caller regenerates the instance).
     """
     import itertools
 
@@ -381,28 +383,34 @@ def _oracle_cvp(columns: List[List[int]], v: List[int]) -> Optional[Fraction]:
     B = hermite_normal_form(Matrix(columns).T)
     cols = [[int(B[i, j]) for i in range(B.rows)] for j in range(B.cols)]
     cols = [c for c in cols if any(c)]
+    norm_v = sum(map(abs, v))
     if not cols:
-        return Fraction(sum(abs(x) for x in v))
-    Bm = Matrix(cols).T
-    left = (Bm.T * Bm).inv() * Bm.T
-    row_sum = max(
-        sum(abs(left[i, j]) for j in range(left.cols))
-        for i in range(left.rows)
-    )
-    norm_v = sum(abs(x) for x in v)
+        return Fraction(norm_v)
+    # Gauss-Jordan on [B^T B | B^T]; B^T B is positive definite (the
+    # columns are independent), so every diagonal pivot is nonzero
+    k = len(cols)
+    rows = [[Fraction(sum(map(mul, a, b))) for b in cols]
+            + list(map(Fraction, a)) for a in cols]
+    for i, pivot_row in enumerate(rows):
+        pivot_row[:] = [x / pivot_row[i] for x in pivot_row]
+        for row in rows:
+            if row is not pivot_row:
+                row[:] = [x - row[i] * y for x, y in zip(row, pivot_row)]
+    row_sum = max(sum(map(abs, row[k:])) for row in rows)
     window = int(row_sum * 2 * norm_v) + 1
     if window > 12:
         return None
-    best = Fraction(norm_v)
-    for combo in itertools.product(range(-window, window + 1), repeat=len(cols)):
-        dist = Fraction(0)
-        for i in range(len(v)):
-            x = v[i] - sum(c * col[i] for c, col in zip(combo, cols))
-            dist += abs(x)
+    coords = list(zip(*cols))  # coords[i][j] = cols[j][i]
+    best = norm_v
+    for combo in itertools.product(range(-window, window + 1), repeat=k):
+        dist = 0
+        for x, row in zip(v, coords):
+            dist += abs(x - sum(map(mul, combo, row)))
             if dist >= best:
                 break
-        best = min(best, dist)
-    return best
+        else:
+            best = dist
+    return Fraction(best)
 
 
 def criterion_6(seed: int) -> Dict:

@@ -27,6 +27,7 @@ from .errors import (
 from .scalars import (
     BanachRing,
     NormValue,
+    abs_ints,
     abs_value,
     as_fraction,
     integers_archimedean,
@@ -382,18 +383,24 @@ def _weighted_ints(terms, L: int, rho: PolyRadius):
     return [(I, N * P) for (I, N), P in zip(terms, nums)], L * Q
 
 
+def _sizes(f: TruncatedSeries, rho: PolyRadius) -> Tuple[List[int], int]:
+    """The sizes |a_I| rho^I on integers, in any ring: returns (sizes,
+    den) with |a_I| rho^I == sizes_I / den, from ``scalars.abs_ints`` of
+    the coefficient numerators and the radius powers of
+    ``PolyRadius.powers``."""
+    terms, L = _scaled_ints(f.coeffs)
+    A, den = abs_ints(f.ring, [N for _, N in terms], L)
+    P, Q = rho.powers([I for I, _ in terms])
+    return list(map(mul, A, P)), den * Q
+
+
 def norm_S(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     """Coefficient-sum norm: sum |a_I| rho^I, tail bounded above."""
     if len(rho) != f.n:
         raise DimensionMismatch("polyradius arity mismatch")
     _check_tail_radius(f, rho)
-    if f.ring.non_archimedean:
-        poly = Fraction(0)
-        for I, a in f.coeffs.items():
-            poly += abs_value(f.ring, a) * rho.power(I)
-    else:
-        weighted, den = _weighted_ints(*_scaled_ints(f.coeffs), rho)
-        poly = Fraction(sum(abs(w) for _, w in weighted), den)
+    sizes, den = _sizes(f, rho)
+    poly = Fraction(sum(sizes), den)
     return NormValue(poly, poly + _tail_sum_bound(f, rho))
 
 
@@ -599,8 +606,8 @@ def norm_T(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
         raise DimensionMismatch("polyradius arity mismatch")
     _check_tail_radius(f, rho)
     if f.ring.non_archimedean:
-        cauchy = max((abs_value(f.ring, a) * rho.power(I)
-                      for I, a in f.coeffs.items()), default=Fraction(0))
+        sizes, den = _sizes(f, rho)
+        cauchy = Fraction(max(sizes, default=0), den)
         return NormValue(cauchy, max(cauchy, _tail_max_bound(f, rho)))
     # the Cauchy bound, the coefficient sum and the torus sampler share
     # the integers a_I rho^I = w_I / den

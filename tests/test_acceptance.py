@@ -13,10 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from daggeralg import selftest, tensor
+from daggeralg import selftest, series, tensor
 from daggeralg.localization import laurent_solve
 from daggeralg.normed_core import SUM, WeightedFreeModule
 from daggeralg.scalars import rationals_padic
+from daggeralg.series import TruncatedSeries, polyradius
 from daggeralg.tensor import TensorElement
 
 SEED = 7
@@ -47,6 +48,11 @@ def test_criterion_01_norm_axioms(report, capfd):
     assert _announce(_criterion(report, 1), capfd)
 
 
+def _archimedean_abs_ints(ring, nums, L):
+    """``scalars.abs_ints`` as if every ring had the usual |x|."""
+    return [abs(N) for N in nums], L
+
+
 def test_criterion_01_tensor_subcheck_counts_a_wrong_absolute_value(
         monkeypatch):
     """A tensor norm that takes the Archimedean |p| = p over Q_p breaks
@@ -56,8 +62,20 @@ def test_criterion_01_tensor_subcheck_counts_a_wrong_absolute_value(
     x = TensorElement(M, M, (((1,), (1,)),))
     inst = (x, x, Fraction(3), SUM)
     assert selftest._check_tensor_axioms(inst) == 0
-    monkeypatch.setattr(tensor, "abs_value", lambda ring, a: abs(a))
+    monkeypatch.setattr(tensor, "abs_ints", _archimedean_abs_ints)
     assert selftest._check_tensor_axioms(inst) == 1
+
+
+def test_criterion_01_series_subcheck_counts_a_wrong_absolute_value(
+        monkeypatch):
+    """Series norms that take the Archimedean |.| over Q_3 break the
+    scalar bound |3 f|_S <= |3|_3 |f|_S and the strong triangle
+    inequality |f + f|_T <= |f|_T, and criterion 1 counts both."""
+    f = TruncatedSeries.constant(rationals_padic(3), 1)
+    inst = (f, f, Fraction(3), polyradius(1))
+    assert selftest._check_series_axioms(inst) == 0
+    monkeypatch.setattr(series, "abs_ints", _archimedean_abs_ints)
+    assert selftest._check_series_axioms(inst) == 2
 
 
 def test_criterion_02_cofinality_bound(report, capfd):

@@ -1,15 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from daggeralg.errors import NonElement
 from daggeralg.scalars import (
     MAX_PRIME_BITS,
     BanachRing,
+    _integer_nth_root,
     _is_prime,
     NormValue,
+    abs_ints,
     abs_value,
     integers_archimedean,
     integers_trivial,
@@ -24,6 +26,7 @@ from intervals import add, join, mul
 Z = integers_archimedean()
 ZT = integers_trivial()
 Q2 = rationals_padic(2)
+Q3 = rationals_padic(3)
 QA = rationals_archimedean()
 
 
@@ -47,6 +50,35 @@ class TestAbsValue:
     def test_non_element(self):
         with pytest.raises(NonElement):
             abs_value(Z, Fraction(1, 2))
+
+
+def _two_three(a, i, j):
+    return a * 2**i * 3**j
+
+
+# integers whose 2- and 3-adic valuations reach 6, zero included
+_numerators = st.builds(_two_three, st.integers(-40, 40), st.integers(0, 6),
+                        st.integers(0, 6))
+_denominators = st.builds(_two_three, st.integers(1, 40), st.integers(0, 6),
+                          st.integers(0, 6))
+
+
+class TestAbsInts:
+    @given(st.sampled_from([Z, ZT, Q2, Q3, QA]), st.lists(_numerators),
+           _denominators)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_abs_value(self, ring, nums, L):
+        if ring.integral:  # N / L must be an integer
+            nums = [N * L for N in nums]
+        A, den = abs_ints(ring, nums, L)
+        assert den > 0 and all(type(a) is int for a in A)
+        assert [Fraction(a, den) for a in A] == \
+            [abs_value(ring, Fraction(N, L)) for N in nums]
+
+    def test_padic_fixed_cases(self):
+        # over L = 40: |12/40|_2 = 2 = 8/4, |0| = 0, |15/40|_2 = 8 = 32/4
+        assert abs_ints(Q2, [12, 0, 15], 40) == ([8, 0, 32], 4)
+        assert abs_ints(Q2, [], 8) == ([], 1)
 
 
 class TestNormValue:
@@ -96,6 +128,44 @@ class TestRoots:
         assert lo**n <= a
         assert hi**n >= a
         assert hi - lo <= precision
+
+    @staticmethod
+    def newton_nth_root(m, n):
+        """The floor root by Newton's iteration from a power of two, which
+        ``_integer_nth_root`` replaced."""
+        if m == 0:
+            return 0
+        if n == 1:
+            return m
+        x = 1 << ((m.bit_length() + n - 1) // n + 1)
+        while True:
+            y = ((n - 1) * x + m // x ** (n - 1)) // n
+            if y >= x:
+                break
+            x = y
+        while x**n > m:
+            x -= 1
+        return x
+
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.integers(1, 100_000 // n).flatmap(
+            lambda b: st.integers(2 ** (b - 1), 2**b - 1)),
+        st.sampled_from([-1, 0, 1]))))
+    @example((32, 2**3125 - 1, 1))
+    @example((3, 2**33333 - 1, -1))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_root_matches_newton(self, case):
+        # k^n - 1, k^n and k^n + 1 for roots k of up to 100,000 / n bits
+        n, k, d = case
+        m = k**n + d
+        assert _integer_nth_root(m, n) == self.newton_nth_root(m, n) \
+            == k - (d < 0)
+
+    @given(st.integers(0, 2**64), st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_root_of_small_numbers(self, m, n):
+        assert _integer_nth_root(m, n) == self.newton_nth_root(m, n)
 
     def test_contraction_toward_one(self):
         x = NormValue.exact(16)

@@ -29,6 +29,7 @@ from daggeralg.series import (
     _global_majorant_constant,
     _poly_growth_constant,
     _scaled_ints,
+    _tail_max_bound,
     _tail_sum_bound,
     _torus_lower_bound,
     _torus_max_sq,
@@ -48,6 +49,7 @@ from intervals import contains
 Z = integers_archimedean()
 ZT = integers_trivial()
 Q2 = rationals_padic(2)
+Q3 = rationals_padic(3)
 QA = rationals_archimedean()
 
 ONE = polyradius(1)
@@ -384,6 +386,17 @@ def series_pairs(draw):
     return f, g, D
 
 
+def series_at_radius(rings):
+    """A series over one of the rings, n = 1..3, and a radius inside
+    every drawn tail radius."""
+    return st.sampled_from(rings).flatmap(lambda ring: st.integers(1, 3)
+                                          .flatmap(lambda n: st.tuples(
+        series(ring, n),
+        st.lists(st.sampled_from([Fraction(1, 2), Fraction(2, 3),
+                                  Fraction(1), Fraction(5, 4)]),
+                 min_size=n, max_size=n))))
+
+
 class TestIntegerKernels:
     @given(series_pairs())
     @settings(max_examples=150, deadline=None)
@@ -500,13 +513,8 @@ class TestIntegerKernels:
         assert [Fraction(P, den) for P in nums] == \
             [rho.power(I) for I in indices]
 
-    @given(st.sampled_from([Z, QA]).flatmap(lambda ring: st.integers(1, 3)
-           .flatmap(lambda n: st.tuples(
-               series(ring, n),
-               st.lists(st.sampled_from([Fraction(1, 2), Fraction(2, 3),
-                                         Fraction(1), Fraction(5, 4)]),
-                        min_size=n, max_size=n)))))
-    @settings(max_examples=150, deadline=None)
+    @given(series_at_radius([Z, ZT, Q2, Q3, QA]))
+    @settings(max_examples=200, deadline=None)
     def test_norm_S_matches_fraction_loop(self, case):
         # every drawn tail radius is at least 3/2, beyond each drawn rho
         f, rho = case
@@ -515,6 +523,16 @@ class TestIntegerKernels:
                         for I, a in f.coeffs.items()), Fraction(0))
         assert norm_S(f, rho) == \
             NormValue(poly_sum, poly_sum + _tail_sum_bound(f, rho))
+
+    @given(series_at_radius([ZT, Q2, Q3]))
+    @settings(max_examples=150, deadline=None)
+    def test_gauss_norm_T_matches_fraction_loop(self, case):
+        f, rho = case
+        rho = PolyRadius(tuple(rho))
+        gauss = max((abs_value(f.ring, a) * rho.power(I)
+                     for I, a in f.coeffs.items()), default=Fraction(0))
+        assert norm_T(f, rho) == \
+            NormValue(gauss, max(gauss, _tail_max_bound(f, rho)))
 
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
         series(QA, n, tails=False),

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from daggeralg.errors import DimensionMismatch, FlavorMismatch, NonElement
 from daggeralg.normed_core import MAX, SUM, WeightedFreeModule, vector_norm
-from daggeralg.scalars import NormValue, integers_archimedean, \
-    integers_trivial, rationals_padic
+from daggeralg.scalars import NormValue, abs_value, integers_archimedean, \
+    integers_trivial, rationals_archimedean, rationals_padic
 from daggeralg.tensor import (
     TensorElement,
     tensor_modules,
@@ -20,6 +20,7 @@ Z = integers_archimedean()
 ZT = integers_trivial()
 Q2 = rationals_padic(2)
 Q3 = rationals_padic(3)
+QA = rationals_archimedean()
 
 
 def zmod(*weights, flavor=SUM):
@@ -130,6 +131,16 @@ class TestCertified:
         assert tensor_norm_upper(x, MAX) <= tensor_norm_upper(x, SUM)
 
 
+def coefficient_matrix(x):
+    """The coefficient matrix T_ij = sum_k m_ki n_kj of x, in Fractions."""
+    T = [[Fraction(0)] * x.right.rank for _ in range(x.left.rank)]
+    for m, n in x.terms:
+        for i in range(x.left.rank):
+            for j in range(x.right.rank):
+                T[i][j] += m[i] * n[j]
+    return T
+
+
 # -- oracle: the certified interval against every small representation
 
 
@@ -149,7 +160,7 @@ def _cheapest_small_representation(x, flavor):
             key = tuple(u * v for u in m for v in n)
             if key not in cheapest or a * b < cheapest[key]:
                 cheapest[key] = a * b
-    target = tuple(v for row in x.coefficient_matrix() for v in row)
+    target = tuple(v for row in coefficient_matrix(x) for v in row)
     best = None
     for key, c1 in cheapest.items():
         c2 = cheapest.get(tuple(t - a for t, a in zip(target, key)))
@@ -162,7 +173,7 @@ def _cheapest_small_representation(x, flavor):
 def _decompositions(x):
     """The given representation and the row, column and single-cell
     decompositions of x's coefficient matrix."""
-    T = x.coefficient_matrix()
+    T = coefficient_matrix(x)
     rl, rr = x.left.rank, x.right.rank
 
     def unit(rank, k):
@@ -260,3 +271,62 @@ class TestScalarContraction:
         x = TensorElement(M, M, (((1,), (1,)),))
         assert tensor_norm_certified(x.scale(3), MAX) == \
             NormValue.exact(Fraction(1, 3))
+
+
+# -- the integer kernel against the Fraction loop it replaced
+
+
+def fraction_tensor_norm(x, flavor):
+    """``tensor_norm_certified`` on Fraction cells, one ``abs_value`` and
+    one ``vector_norm`` per entry and row."""
+    ring, wl, wr = x.left.ring, x.left.weights, x.right.weights
+    if flavor == MAX and not ring.non_archimedean:
+        raise FlavorMismatch("max term cost needs a non-Archimedean ring")
+    T = coefficient_matrix(x)
+    cells = [abs_value(ring, T[i][j]) * wl[i] * wr[j]
+             for i in range(x.left.rank) for j in range(x.right.rank)]
+    lo = max(cells, default=Fraction(0))
+    if flavor == MAX:
+        return NormValue.exact(lo)
+    if x.left.flavor == SUM and x.right.flavor == SUM:
+        return NormValue.exact(sum(cells, Fraction(0)))
+    rows = sum((w * vector_norm(x.right, T[i]).hi for i, w in enumerate(wl)),
+               Fraction(0))
+    cols = sum((v * vector_norm(x.left, [row[j] for row in T]).hi
+                for j, v in enumerate(wr)), Fraction(0))
+    return NormValue(lo, min(tensor_norm_upper(x, SUM), rows, cols))
+
+
+_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=18)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """Elements over every ring, in every module-flavor pair, with ranks
+    0-3, 0-4 terms and entries whose numerators and denominators the
+    prime divides (Q_2, Q_3)."""
+    ring = draw(st.sampled_from([Z, ZT, Q2, Q3, QA]))
+    entry = st.integers(-20, 20) if ring.integral else _fractions
+    flavors = [SUM, MAX] if ring.non_archimedean else [SUM]
+    weight = st.fractions(min_value=Fraction(1, 12), max_value=12,
+                          max_denominator=12)
+    L, R = (WeightedFreeModule(ring, tuple(draw(st.lists(weight, max_size=3))),
+                               draw(st.sampled_from(flavors)))
+            for _ in range(2))
+    terms = draw(st.lists(st.tuples(st.tuples(*[entry] * L.rank),
+                                    st.tuples(*[entry] * R.rank)),
+                          max_size=4))
+    return TensorElement(L, R, tuple(terms)), draw(st.sampled_from([SUM, MAX]))
+
+
+class TestIntegerKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(_kernel_cases())
+    def test_matches_fraction_loop(self, case):
+        x, flavor = case
+        if flavor == MAX and not x.left.ring.non_archimedean:
+            with pytest.raises(FlavorMismatch):
+                tensor_norm_certified(x, flavor)
+            return
+        assert tensor_norm_certified(x, flavor) == \
+            fraction_tensor_norm(x, flavor)
