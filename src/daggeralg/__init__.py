@@ -47,7 +47,6 @@ from .localization import (
     weierstrass_spec,
 )
 from .spectrum import (
-    Place,
     fiber_sup,
     global_sup,
     shilov_check,

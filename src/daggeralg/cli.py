@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from .errors import DaggerAlgError, reads_json
@@ -48,6 +49,13 @@ from .tensor import TensorElement, tensor_norm_certified
 
 # most terms in a tensor element read from JSON (README)
 MAX_TENSOR_TERMS = 64
+
+# largest bit length of a tensor factor's denominator, the lcm of its
+# entries' denominators times the lcm of its weights' denominators: the
+# norm's numerator and denominator then have at most twice this many
+# bits and a few hundred more, under Python's 4,300-digit limit on
+# printing an integer (README)
+MAX_TENSOR_DENOMINATOR_BITS = 4096
 
 # most term pairs that `spectrum --powers` may multiply, by the bound of
 # spectrum.power_work: about 2.5 s with small coefficients (README)
@@ -122,6 +130,17 @@ def _read_tensor_element(obj) -> TensorElement:
         (tuple(read_rational(c) for c in m), tuple(read_rational(c) for c in n))
         for m, n in obj["terms"]
     )
+    # the lcm grows one entry at a time and stops past the cap: one of
+    # 4,096 unrelated 64-bit denominators takes most of a second
+    for side, name, module in ((0, "left", left), (1, "right", right)):
+        weights = math.lcm(*(w.denominator for w in module.weights))
+        den = 1
+        for x in (x for term in terms for x in term[side]):
+            den = math.lcm(den, x.denominator)
+            if (weights * den).bit_length() > MAX_TENSOR_DENOMINATOR_BITS:
+                raise ValueError(f"the {name} factor's denominator is over "
+                                 f"the cap of {MAX_TENSOR_DENOMINATOR_BITS} "
+                                 f"bits")
     return TensorElement(left, right, terms)
 
 
@@ -294,7 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tensor", help="certified tensor norm of an element")
     p.add_argument("--element", required=True,
                    help=f"tensor element JSON file: factors of rank at most "
-                   f"{MAX_RANK}, at most {MAX_TENSOR_TERMS} terms")
+                   f"{MAX_RANK}, at most {MAX_TENSOR_TERMS} terms, each "
+                   f"factor's denominator (the lcm of its entries' "
+                   f"denominators times that of its weights') of at most "
+                   f"{MAX_TENSOR_DENOMINATOR_BITS} bits")
     p.add_argument("--flavor", choices=[SUM, MAX], default=SUM)
     add_common(p)
 

@@ -82,12 +82,6 @@ class NormValue:
     def zero() -> "NormValue":
         return NormValue(ZERO, ZERO)
 
-    def pow_int(self, k: int) -> "NormValue":
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        hi = None if self.hi is None else self.hi**k
-        return NormValue(self.lo**k, hi)
-
     def to_json(self):
         return {
             "lo": str(self.lo),
@@ -327,15 +321,3 @@ def nth_root_interval(x: NormValue, n: int, precision) -> NormValue:
         _, hi = rational_root_bounds(x.hi, n, precision)
     return NormValue(min(lo, hi), hi)
 
-
-def pow_interval(x: NormValue, e: Fraction, precision=Fraction(1, 10**6)) -> NormValue:
-    """x ** e for a positive rational exponent e, certified."""
-    e = as_fraction(e)
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    if e == 0:
-        return NormValue.exact(1)
-    powered = x.pow_int(e.numerator)
-    if e.denominator == 1:
-        return powered
-    return nth_root_interval(powered, e.denominator, precision)

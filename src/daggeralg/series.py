@@ -71,12 +71,6 @@ class PolyRadius:
     def __iter__(self):
         return iter(self.components)
 
-    def power(self, I: Index) -> Fraction:
-        out = Fraction(1)
-        for c, e in zip(self.components, I):
-            out *= c**e
-        return out
-
     def powers(self, indices) -> Tuple[List[int], int]:
         """rho^I for each index I over one denominator, on integers: with
         rho_i = x_i / y_i returns the numerators
@@ -173,9 +167,6 @@ class TruncatedSeries:
 
     def coefficient(self, I: Index) -> Fraction:
         return self.coeffs.get(tuple(I), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs and (self.tail is None or self.tail.C == 0)
 
     def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
         self._check_compatible(other)
@@ -290,8 +281,7 @@ def _combine_tails_add(f: TruncatedSeries, g: TruncatedSeries,
     sigma = PolyRadius(tuple(
         min(t.sigma[i] for t in tails) for i in range(f.n)
     ))
-    extra = max((abs_value(f.ring, a) * sigma.power(I)
-                 for I, a in dropped.items()), default=Fraction(0))
+    extra = _gauss_norm(f.ring, dropped, sigma)
     return Tail(sum(t.C for t in tails) + extra, sigma)
 
 
@@ -319,6 +309,63 @@ def _convolve(fs, gs) -> Dict[Index, int]:
     return conv
 
 
+def _gauss_norm(ring: BanachRing, coeffs: Dict[Index, Fraction],
+                r: PolyRadius) -> Fraction:
+    """max |a_I| r^I over a coefficient table, exact (0 for an empty
+    one): the sizes |a_I| = A_I / den of ``scalars.abs_ints`` times the
+    radius powers r^I = P_I / Q of ``PolyRadius.powers``, compared as
+    integers over the one denominator den * Q."""
+    terms, L = _scaled_ints(coeffs)
+    A, den = abs_ints(ring, [N for _, N in terms], L)
+    P, Q = r.powers(list(coeffs))
+    return Fraction(max(map(mul, A, P), default=0), den * Q)
+
+
+def _homogeneous(cs, x: int, y: int) -> int:
+    """sum c_k x^k y^(m - k) over cs = [c_0, ..., c_m]: by Horner's rule
+    for short lists, else as the low half times y^len(high) plus the high
+    half times x^len(low), which keeps the large products balanced."""
+    if len(cs) <= 16:
+        acc, yk = 0, 1
+        for c in reversed(cs):
+            acc, yk = acc * x + c * yk, yk * y
+        return acc
+    h = len(cs) // 2
+    return (_homogeneous(cs[:h], x, y) * y ** (len(cs) - h)
+            + _homogeneous(cs[h:], x, y) * x ** h)
+
+
+def _weighted_sum(sizes, r: PolyRadius) -> Tuple[int, int]:
+    """(S, Q) with sum s_I r^I == S / Q for (I, s_I) pairs of integers:
+    with r_i = x_i / y_i and E_i the largest exponent of variable i,
+    S = sum s_I prod x_i^I_i y_i^(E_i - I_i) and Q = prod y_i^E_i.
+    S is folded one variable at a time, from the last, by
+    ``_homogeneous``: no radius numerator is built per index."""
+    if not sizes:
+        return 0, 1
+    Q = 1
+    for ri in reversed(r.components):
+        E = max(I[-1] for I, _ in sizes)
+        columns = {}
+        for I, s in sizes:
+            column = columns.get(I[:-1])
+            if column is None:
+                column = columns[I[:-1]] = [0] * (E + 1)
+            column[I[-1]] = s
+        x, y = ri.numerator, ri.denominator
+        sizes = [(J, _homogeneous(cs, x, y)) for J, cs in columns.items()]
+        Q *= y**E
+    return sizes[0][1], Q
+
+
+def _sum_norm(ring: BanachRing, terms, L: int, r: PolyRadius) -> Fraction:
+    """sum |N_I / L| r^I over (I, N_I) pairs of integers, exact: the sizes
+    of ``scalars.abs_ints`` summed by ``_weighted_sum``."""
+    A, den = abs_ints(ring, [N for _, N in terms], L)
+    S, Q = _weighted_sum([(I, a) for (I, _), a in zip(terms, A)], r)
+    return Fraction(S, den * Q)
+
+
 # ---------------------------------------------------------------------------
 # norms
 
@@ -337,18 +384,14 @@ def _tail_sum_bound(f: TruncatedSeries, rho: PolyRadius) -> Fraction:
     C * (prod 1/(1 - rho_i/sigma_i) - partial sum over |I| <= D)."""
     if f.tail is None or f.tail.C == 0:
         return Fraction(0)
-    ratios = [r / s for r, s in zip(rho, f.tail.sigma)]
+    ratios = PolyRadius(tuple(r / s for r, s in zip(rho, f.tail.sigma)))
     full = Fraction(1)
     for q in ratios:
         full /= 1 - q
-    partial = Fraction(0)
     D = f.degree_bound
-    for I in _indices_up_to(f.n, D):
-        term = Fraction(1)
-        for q, e in zip(ratios, I):
-            term *= q**e
-        partial += term
-    return f.tail.C * (full - partial)
+    S, Q = _weighted_sum([(I, 1) for I in itertools.product(
+        range(D + 1), repeat=f.n) if sum(I) <= D], ratios)
+    return f.tail.C * (full - Fraction(S, Q))
 
 
 def _tail_max_bound(f: TruncatedSeries, rho: PolyRadius) -> Fraction:
@@ -357,21 +400,6 @@ def _tail_max_bound(f: TruncatedSeries, rho: PolyRadius) -> Fraction:
         return Fraction(0)
     r = max(x / s for x, s in zip(rho, f.tail.sigma))
     return f.tail.C * r ** (f.degree_bound + 1)
-
-
-def _indices_up_to(n: int, D: int):
-    for total in range(D + 1):
-        for I in _indices_of_degree(n, total):
-            yield I
-
-
-def _indices_of_degree(n: int, total: int):
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _indices_of_degree(n - 1, total - first):
-            yield (first,) + rest
 
 
 def _weighted_ints(terms, L: int, rho: PolyRadius):
@@ -383,24 +411,12 @@ def _weighted_ints(terms, L: int, rho: PolyRadius):
     return [(I, N * P) for (I, N), P in zip(terms, nums)], L * Q
 
 
-def _sizes(f: TruncatedSeries, rho: PolyRadius) -> Tuple[List[int], int]:
-    """The sizes |a_I| rho^I on integers, in any ring: returns (sizes,
-    den) with |a_I| rho^I == sizes_I / den, from ``scalars.abs_ints`` of
-    the coefficient numerators and the radius powers of
-    ``PolyRadius.powers``."""
-    terms, L = _scaled_ints(f.coeffs)
-    A, den = abs_ints(f.ring, [N for _, N in terms], L)
-    P, Q = rho.powers([I for I, _ in terms])
-    return list(map(mul, A, P)), den * Q
-
-
 def norm_S(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     """Coefficient-sum norm: sum |a_I| rho^I, tail bounded above."""
     if len(rho) != f.n:
         raise DimensionMismatch("polyradius arity mismatch")
     _check_tail_radius(f, rho)
-    sizes, den = _sizes(f, rho)
-    poly = Fraction(sum(sizes), den)
+    poly = _sum_norm(f.ring, *_scaled_ints(f.coeffs), rho)
     return NormValue(poly, poly + _tail_sum_bound(f, rho))
 
 
@@ -606,9 +622,8 @@ def norm_T(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
         raise DimensionMismatch("polyradius arity mismatch")
     _check_tail_radius(f, rho)
     if f.ring.non_archimedean:
-        sizes, den = _sizes(f, rho)
-        cauchy = Fraction(max(sizes, default=0), den)
-        return NormValue(cauchy, max(cauchy, _tail_max_bound(f, rho)))
+        gauss = _gauss_norm(f.ring, f.coeffs, rho)
+        return NormValue(gauss, max(gauss, _tail_max_bound(f, rho)))
     # the Cauchy bound, the coefficient sum and the torus sampler share
     # the integers a_I rho^I = w_I / den
     weighted, den = _weighted_ints(*_scaled_ints(f.coeffs), rho)
@@ -674,23 +689,18 @@ def multiply(f: TruncatedSeries, g: TruncatedSeries,
         sigma = PolyRadius(tuple(s * Fraction(3, 4) for s in sigma_min))
         tail = Tail(Cf * Cg * _poly_growth_constant(f.n), sigma)
     else:
-        discarded = [(K, Fraction(c, L)) for K, c in conv.items()
-                     if c and sum(K) > D]
+        discarded = {K: Fraction(c, L) for K, c in conv.items()
+                     if c and sum(K) > D}
         if discarded:
             sigma = PolyRadius((DEFAULT_DISCARD_SIGMA,) * f.n)
-            C = max(abs_value(f.ring, c) * sigma.power(K)
-                    for K, c in discarded)
-            tail = Tail(C, sigma)
+            tail = Tail(_gauss_norm(f.ring, discarded, sigma), sigma)
     return TruncatedSeries(f.ring, f.n, kept, D, tail)
 
 
 def _global_majorant_constant(f: TruncatedSeries, sigma) -> Fraction:
     """Smallest C with |a_I| <= C * sigma^(-I) for all I (known and tail)."""
-    sp = PolyRadius(tuple(sigma))
     C = f.tail.C if f.tail is not None else Fraction(0)
-    for I, a in f.coeffs.items():
-        C = max(C, abs_value(f.ring, a) * sp.power(I))
-    return C
+    return max(C, _gauss_norm(f.ring, f.coeffs, PolyRadius(tuple(sigma))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Arithmetic on ``NormValue`` intervals that only the test oracles use.
 
-Both endpoints of a norm interval are non-negative, so sums, products and
-non-negative multiples are taken endpoint by endpoint; an open upper end
-(``hi = None``) stays open.
+Both endpoints of a norm interval are non-negative, so sums, products,
+non-negative multiples and powers are taken endpoint by endpoint; an
+open upper end (``hi = None``) stays open.
 """
 
-from daggeralg.scalars import NormValue, as_fraction
+from fractions import Fraction
+
+from daggeralg.scalars import NormValue, as_fraction, nth_root_interval
 
 
 def add(a: NormValue, b: NormValue) -> NormValue:
@@ -34,3 +36,17 @@ def join(a: NormValue, b: NormValue) -> NormValue:
 def contains(a: NormValue, x) -> bool:
     x = as_fraction(x)
     return a.lo <= x and (a.hi is None or x <= a.hi)
+
+
+def pow_interval(x: NormValue, e, precision=Fraction(1, 10**6)
+                 ) -> NormValue:
+    """x ** e for a non-negative rational exponent e = a/b, certified: the
+    a-th power of each end, then the root bracket of index b."""
+    e = as_fraction(e)
+    if e < 0:
+        raise ValueError("exponent must be non-negative")
+    a, b = e.numerator, e.denominator
+    powered = NormValue(x.lo**a, None if x.hi is None else x.hi**a)
+    if b == 1:
+        return powered
+    return nth_root_interval(powered, b, precision)

@@ -1,35 +1,40 @@
-"""The place-by-place reference for ``spectrum.global_sup``.
+"""The place-by-place reference for ``spectrum.global_sup`` and
+``spectrum.fiber_sup``.
 
 The global sup over the spectrum of Z{rho^-1 X}+ is, by the theorem in
-the ``spectrum`` docstring, the Archimedean fiber at eps = 1.  Before it
-was computed that way it was the join of the fiber sups over a finite
-grid of places: the trivial place, the usual absolute value raised to
-eps = k/grid, and every prime up to a bound on the same grid.  That
-join, the Archimedean fibers at eps < 1 it needs, and the evaluation
-seminorm at a rational point over any place are kept here as oracles.
+the ``spectrum`` docstring, the Archimedean fiber at eps = 1, and
+``fiber_sup`` takes a fiber at the place of a ring's own absolute value
+only.  Before either was computed that way, the package had a place for
+every kind with its exponent eps, and the global sup was the join of the
+fiber sups over a finite grid of places: the trivial place, the usual
+absolute value raised to eps = k/grid, and every prime up to a bound on
+the same grid.  Those places, their fiber sups coefficient by
+coefficient, that join and the evaluation seminorm at a rational point
+over any place are kept here as oracles.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Tuple
+from typing import Optional, Tuple
 
 from daggeralg.errors import DaggerAlgError, DimensionMismatch
 from daggeralg.scalars import (
+    BanachRing,
     NormValue,
+    abs_value,
+    integers_trivial,
     nth_root_interval,
-    pow_interval,
     rationals_archimedean,
+    rationals_padic,
 )
 from daggeralg.series import PolyRadius, TruncatedSeries, norm_T
-from daggeralg.spectrum import (
-    ARCHIMEDEAN,
-    PADIC,
-    ROOT_PRECISION,
-    TRIVIAL,
-    Place,
-    fiber_sup,
-)
-from intervals import join
+from daggeralg.spectrum import ROOT_PRECISION
+from intervals import join, pow_interval, scale
+from loops import is_zero, rho_power
+
+TRIVIAL = "Trivial"
+ARCHIMEDEAN = "Archimedean"
+PADIC = "Padic"
 
 
 class CoordinateOutOfDisk(DaggerAlgError):
@@ -37,9 +42,52 @@ class CoordinateOutOfDisk(DaggerAlgError):
 
 
 @dataclass(frozen=True)
+class Place:
+    """A place of the integers: the trivial one, the usual absolute value
+    at eps = 1 (``ArchPower`` takes the others) and |.|_p^eps."""
+
+    kind: str
+    eps: Fraction = Fraction(1)
+    p: Optional[int] = None
+    # the base ring whose absolute value this place raises to eps
+    ring: BanachRing = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "eps", Fraction(self.eps))
+        if self.kind == TRIVIAL:
+            ring = integers_trivial()
+        elif self.kind == ARCHIMEDEAN:
+            if self.eps != 1:
+                raise ValueError("the Archimedean place is taken at exponent "
+                                 "1, whose fiber dominates the others")
+            ring = rationals_archimedean()
+        elif self.kind == PADIC:
+            if self.p is None or self.eps <= 0:
+                raise ValueError("p-adic place needs a prime and eps > 0")
+            ring = rationals_padic(self.p)
+        else:
+            raise ValueError(f"unknown place kind {self.kind}")
+        object.__setattr__(self, "ring", ring)
+
+    def size(self, x) -> Fraction:
+        """|x| in the place's ring, extended from the integers to the
+        rationals by multiplicativity (the trivial ring holds integers)."""
+        x = Fraction(x)
+        return (abs_value(self.ring, x.numerator)
+                / abs_value(self.ring, x.denominator))
+
+    def abs_value(self, x) -> NormValue:
+        """|x|^eps at this place, as a certified interval."""
+        size = self.size(x)
+        if size == 0:
+            return NormValue.zero()
+        return pow_interval(NormValue.exact(size), self.eps, ROOT_PRECISION)
+
+
+@dataclass(frozen=True)
 class ArchPower:
-    """The usual absolute value raised to eps in (0, 1], which
-    ``spectrum.Place`` takes at eps = 1 only."""
+    """The usual absolute value raised to eps in (0, 1], which ``Place``
+    takes at eps = 1 only."""
 
     eps: Fraction
     kind = ARCHIMEDEAN
@@ -58,6 +106,25 @@ class ArchPower:
         if size == 0:
             return NormValue.zero()
         return pow_interval(NormValue.exact(size), self.eps, ROOT_PRECISION)
+
+
+def gauss_fiber_loop(f: TruncatedSeries, place: Place, rho: PolyRadius
+                     ) -> NormValue:
+    """The p-adic and trivial fiber sup at any exponent as one certified
+    root bracket per coefficient, joined coefficient by coefficient."""
+    if place.kind == PADIC:
+        known = NormValue.zero()
+        for I, a in f.coeffs.items():
+            known = join(known, scale(place.abs_value(a), rho_power(rho, I)))
+    else:
+        known = NormValue.exact(max((rho_power(rho, I) for I in f.coeffs),
+                                    default=Fraction(0)))
+    if f.tail is None or not f.tail.C:
+        return known
+    # an integer tail coefficient has size <= 1 here and rho^I <= C
+    if f.ring.integral and all(r <= s for r, s in zip(rho, f.tail.sigma)):
+        return NormValue(known.lo, max(known.hi, f.tail.C))
+    return NormValue(known.lo, None)
 
 
 def label(place) -> str:
@@ -108,23 +175,26 @@ def radius_bracket(rho: PolyRadius, eps: Fraction
 
 
 def place_sup(f: TruncatedSeries, place, rho: PolyRadius) -> NormValue:
-    """``fiber_sup`` at any place of ``enumerate_places``.
+    """The fiber sup at any place of ``enumerate_places``.
 
-    At the Archimedean place with eps < 1, |z|^eps <= rho means
-    |z| <= rho^(1/eps), so the sup norm over that radius, bracketed
-    between rational radii on either side (the sup is monotone in the
-    radius), raised to the exponent."""
-    if not isinstance(place, ArchPower):
-        return fiber_sup(f, place, rho)
-    if place.eps == 1 or f.is_zero():
-        return fiber_sup(f, Place(ARCHIMEDEAN), rho)
+    At a p-adic or the trivial place, ``gauss_fiber_loop``.  At the
+    usual absolute value, ``norm_T`` over Q at eps = 1; at eps < 1,
+    |z|^eps <= rho means |z| <= rho^(1/eps), so the sup norm over that
+    radius, bracketed between rational radii on either side (the sup is
+    monotone in the radius), raised to the exponent."""
+    if place.kind != ARCHIMEDEAN:
+        return gauss_fiber_loop(f, place, rho)
+    if is_zero(f):
+        return NormValue.zero()
     g = f.with_ring(rationals_archimedean())
+    if place.eps == 1:
+        return norm_T(g, rho)
     inner, outer = radius_bracket(rho, place.eps)
     if f.tail is not None and \
             not all(r < s for r, s in zip(outer, f.tail.sigma)):
         # a member need not converge out to rho^(1/eps), so the sup is
         # open above; each member's sup is at least max |a_I| r^I
-        sup = NormValue(max((abs(a) * inner.power(I)
+        sup = NormValue(max((abs(a) * rho_power(inner, I)
                              for I, a in g.coeffs.items()), default=0), None)
     else:
         sup = NormValue(norm_T(g, inner).lo, norm_T(g, outer).hi)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +11,14 @@ from pathlib import Path
 import pytest
 
 import daggeralg
-from daggeralg.cli import MAX_POWER_WORK, main, parse_ring, parse_rho
-from daggeralg.scalars import MAX_RATIONAL_BITS, integers_archimedean
+from daggeralg.cli import (
+    MAX_POWER_WORK,
+    MAX_TENSOR_DENOMINATOR_BITS,
+    main,
+    parse_ring,
+    parse_rho,
+)
+from daggeralg.scalars import MAX_RATIONAL_BITS, _is_prime, integers_archimedean
 from daggeralg.series import TruncatedSeries, polyradius
 from daggeralg.spectrum import power_work
 
@@ -298,6 +305,22 @@ class TestSpectrumCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["global_sup"]["hi"] == "inf"
 
+    def test_spectrum_tailed_series_at_the_default_powers(self, tmp_path,
+                                                          capsys):
+        # 1 + 2X - X^3 with tail(C=1, sigma=2) at rho = 1: the estimates
+        # went through multiply, which shrank sigma by 3/4 per power, so
+        # from --powers 4 on, the default 8 included, this exited 1 with
+        # "tail radius (27/32) does not dominate"
+        series = dict(series_json(1, 2, 0, -1),
+                      tail={"C": "1", "sigma": ["2"]})
+        f = write_json(tmp_path / "f.json", series)
+        assert main(["spectrum", "--series", f]) == 0
+        out = json.loads(capsys.readouterr().out)
+        estimates = out["power_estimates"]
+        assert len(estimates) == 8
+        assert estimates[0] == estimates[1] == {"lo": "33/8", "hi": "33/8"}
+        assert out["global_sup"]["hi"] == "inf"
+
     def test_shilov_confirmed(self, tmp_path, capsys):
         f = write_json(tmp_path / "f.json", series_json(1, 1))
         assert main(["shilov", "--series", f, "--prime-bound", "5"]) == 0
@@ -448,6 +471,22 @@ def tensor_json(rank, terms):
             "terms": [[vec, ["1"]]] * terms}
 
 
+def wide_denominator_tensor(weight_denominator):
+    """A rank-64 left factor whose entries have the 64 largest primes
+    below 2^64 as denominators, a product of MAX_TENSOR_DENOMINATOR_BITS
+    bits, and one weight with the given denominator."""
+    primes, q = [], 2**64 - 1
+    while len(primes) < 64:
+        if _is_prime(q):
+            primes.append(q)
+        q -= 2
+    assert math.prod(primes).bit_length() == MAX_TENSOR_DENOMINATOR_BITS
+    left = dict(module_json(64),
+                weights=["1"] * 63 + [f"1/{weight_denominator}"])
+    return {"left": left, "right": module_json(1),
+            "terms": [[[f"1/{p}" for p in primes], ["1"]]]}
+
+
 class TestInputCaps:
     """Sizes set by JSON input are capped: each cap is accepted, and one
     past it exits 1 with an error line."""
@@ -464,13 +503,15 @@ class TestInputCaps:
         ("pi-check", "--module", module_json(64), module_json(65)),
         ("tensor", "--element", tensor_json(64, 1), tensor_json(65, 1)),
         ("tensor", "--element", tensor_json(1, 64), tensor_json(1, 65)),
+        ("tensor", "--element", wide_denominator_tensor(1),
+         wide_denominator_tensor(3)),
     ]
 
     @pytest.mark.parametrize(
         "command,option,at_cap,past_cap", CAPS,
         ids=[f"series-D-at-n{n}" for n in DEGREE_CAPS]
         + ["series-n", "series-coeffs", "module-rank", "tensor-rank",
-           "tensor-terms"])
+           "tensor-terms", "tensor-denominator"])
     def test_cap(self, tmp_path, capsys, command, option, at_cap, past_cap):
         extra = ["--ring", "Qp:2"] if command == "norm" else []
         for obj, code in ((at_cap, 0), (past_cap, 1)):
@@ -496,6 +537,9 @@ class TestInputCaps:
         ("shilov", "D <= 48, 6, 4, 1 for n = 1, 2, 3, 4"),
         ("pi-check", "module JSON file of rank at most 64"),
         ("tensor", "factors of rank at most 64, at most 64 terms"),
+        ("tensor", "each factor's denominator (the lcm of its entries' "
+                   "denominators times that of its weights') of at most "
+                   "4096 bits"),
         ("spectrum", "the sum over k < powers of T * min(T^k, C(kd + n, n)) "
                      "term pairs is at most 4000000"),
     ])

@@ -32,13 +32,7 @@ from daggeralg.series import (
     norm_T,
     polyradius,
 )
-from daggeralg.spectrum import (
-    PADIC,
-    TRIVIAL,
-    Place,
-    fiber_sup,
-    shilov_check,
-)
+from daggeralg.spectrum import fiber_sup, shilov_check, spectral_via_powers
 from intervals import contains
 
 RINGS = {"Z": integers_archimedean(), "Ztriv": integers_trivial(),
@@ -230,28 +224,18 @@ class TestNormsHoldMembers:
                     default=Fraction(0))
         assert contains(norm_T(f, PolyRadius(rho)), value)
 
-    @given(single(st.just("Z")),
-           st.sampled_from([Place(TRIVIAL)] + [
-               Place(PADIC, eps, p) for eps in (Fraction(1, 2), Fraction(1))
-               for p in (2, 3)]))
+    @given(single(st.just("Z")), st.sampled_from([None, 2, 3]))
     @settings(max_examples=100, deadline=None)
-    def test_nonarchimedean_fiber_sup(self, case, place):
-        # compare b-th powers: for eps = a/b the member's sup is
-        # max |c_I|_v^eps rho^I, whose b-th power is rational
+    def test_nonarchimedean_fiber_sup(self, case, p):
+        # the trivial (p = None) or the p-adic fiber sup of the member is
+        # max |c_I|_v rho^I
         _, f, member, rho = case
-        a, b = place.eps.numerator, place.eps.denominator
-        size = (lambda c: Fraction(1)) if place.kind == TRIVIAL else \
-            (lambda c: Fraction(place.p) ** -_val(place.p, c))
-        value = max((size(c) ** a * _power(rho, I) ** b
-                     for I, c in member.items()), default=Fraction(0))
-        nv = fiber_sup(f, place, PolyRadius(rho))
-        assert nv.lo ** b <= value
-        assert nv.hi is None or value <= nv.hi ** b
+        nv = fiber_sup(f, _place_ring(p), PolyRadius(rho))
+        assert contains(nv, _place_gauss(p, member, rho))
 
-    @given(single(st.just("Z")), st.booleans(), st.sampled_from(
-        [Place(TRIVIAL), Place(PADIC, Fraction(1, 2), 2), Place(PADIC, 1, 3)]))
+    @given(single(st.just("Z")), st.booleans(), st.sampled_from([None, 2, 3]))
     @settings(max_examples=100, deadline=None)
-    def test_integer_tail_bound(self, case, on_sigma, place):
+    def test_integer_tail_bound(self, case, on_sigma, p):
         # at rho <= sigma every nonzero tail coefficient c_I of an integer
         # member has rho^I <= sigma^I <= C, so the trivial and p-adic
         # fiber sups and shilov's other fibers are bounded; rho = sigma
@@ -259,13 +243,9 @@ class TestNormsHoldMembers:
         _, f, member, rho = case
         if on_sigma:
             rho = f.tail.sigma.components
-        a, b = place.eps.numerator, place.eps.denominator
-        size = (lambda c: Fraction(1)) if place.kind == TRIVIAL else \
-            (lambda c: Fraction(place.p) ** -_val(place.p, c))
-        value = max((size(c) ** a * _power(rho, I) ** b
-                     for I, c in member.items()), default=Fraction(0))
-        nv = fiber_sup(f, place, PolyRadius(rho))
-        assert nv.hi is not None and nv.lo ** b <= value <= nv.hi ** b
+        nv = fiber_sup(f, _place_ring(p), PolyRadius(rho))
+        assert nv.hi is not None and contains(nv, _place_gauss(p, member,
+                                                               rho))
         if f.coeffs and not on_sigma:
             # the other fibers of the member are at most its trivial one
             other = shilov_check(f, PolyRadius(rho)).max_other
@@ -282,6 +262,35 @@ class TestNormsHoldMembers:
         best_sq, factor = _sampled_sup(member, rho, CIRCLE_N[f.n])
         assert nv.hi ** 2 >= best_sq
         assert (nv.lo * factor) ** 2 <= best_sq
+
+
+def _place_ring(p):
+    return integers_trivial() if p is None else rationals_padic(p)
+
+
+def _place_gauss(p, member, rho):
+    """max |c_I|_v rho^I over the member at the trivial place (p = None)
+    or the p-adic one."""
+    size = (lambda c: Fraction(1)) if p is None else \
+        (lambda c: Fraction(p) ** -_val(p, c))
+    return max((size(c) * _power(rho, I) for I, c in member.items()),
+               default=Fraction(0))
+
+
+class TestPowerEstimatesHoldMembers:
+    @given(single(), st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_spectral_via_powers(self, case, n_max):
+        # each estimate is at least |F^k|_S^(1/k) of the member F: compare
+        # k-th powers, which are rational
+        kind, f, member, rho = case
+        estimates = spectral_via_powers(f, PolyRadius(rho), n_max)
+        power = {(0,) * f.n: Fraction(1)}
+        for k, nv in enumerate(estimates, 1):
+            power = _mul(power, member)
+            value = sum((_abs(kind, c) * _power(rho, I)
+                         for I, c in power.items()), Fraction(0))
+            assert nv.hi ** k >= value
 
 
 def _circle(N, r):

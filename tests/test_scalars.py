@@ -16,12 +16,11 @@ from daggeralg.scalars import (
     integers_archimedean,
     integers_trivial,
     nth_root_interval,
-    pow_interval,
     rational_root_bounds,
     rationals_archimedean,
     rationals_padic,
 )
-from intervals import add, join, mul
+from intervals import add, join, mul, pow_interval
 
 Z = integers_archimedean()
 ZT = integers_trivial()

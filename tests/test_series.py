@@ -13,7 +13,6 @@ from daggeralg.errors import (
 )
 from daggeralg.scalars import (
     NormValue,
-    abs_value,
     integers_archimedean,
     integers_trivial,
     nth_root_interval,
@@ -26,15 +25,17 @@ from daggeralg.series import (
     PolyRadius,
     Tail,
     TruncatedSeries,
-    _global_majorant_constant,
+    _gauss_norm,
     _poly_growth_constant,
     _scaled_ints,
+    _sum_norm,
     _tail_max_bound,
     _tail_sum_bound,
     _torus_lower_bound,
     _torus_max_sq,
     _unit_circle_points,
     _weighted_ints,
+    _weighted_sum,
     base_change,
     cofinality_constant,
     evaluate_complex,
@@ -45,6 +46,7 @@ from daggeralg.series import (
     unit_polydisk,
 )
 from intervals import contains
+from loops import gauss_loop, is_zero, rho_power, sum_loop
 
 Z = integers_archimedean()
 ZT = integers_trivial()
@@ -179,7 +181,7 @@ class TestMultiply:
 
     def test_zero_annihilates(self):
         f = multiply(poly(Z, 0), poly(Z, 1, 2, 3))
-        assert f.is_zero()
+        assert is_zero(f)
 
     def test_truncation_records_tail(self):
         f = multiply(poly(Z, 1, 1), poly(Z, 1, 1), D=1)
@@ -269,7 +271,7 @@ class TestSeriesStructure:
 
     def test_add_cancels(self):
         f = poly(Z, 1, 2).add(poly(Z, -1, -2))
-        assert f.is_zero()
+        assert is_zero(f)
 
     def test_add_records_dropped_coefficients(self):
         # 1 + sum_{k>=1} X^k / 2^k is a member of 1 + tail(C=1, sigma=2);
@@ -332,16 +334,21 @@ def fraction_multiply(f, g, D=None):
             for i in range(f.n)
         )
         mu = Fraction(3, 4)
-        C = (_global_majorant_constant(f, sigma_min)
-             * _global_majorant_constant(g, sigma_min)
+        C = (majorant_loop(f, sigma_min) * majorant_loop(g, sigma_min)
              * _poly_growth_constant(f.n))
         tail = Tail(C, PolyRadius(tuple(s * mu for s in sigma_min)))
     elif discarded:
         sigma = PolyRadius((DEFAULT_DISCARD_SIGMA,) * f.n)
-        C = max(abs_value(f.ring, c) * sigma.power(K)
-                for K, c in discarded.items())
+        C = gauss_loop(f.ring, discarded, sigma)
         tail = Tail(C, sigma)
     return TruncatedSeries(f.ring, f.n, kept, E, tail)
+
+
+def majorant_loop(f, sigma):
+    """The smallest C with |a_I| <= C sigma^-I for the known coefficients
+    and the tail of f."""
+    C = f.tail.C if f.tail is not None else Fraction(0)
+    return max(C, gauss_loop(f.ring, f.coeffs, sigma))
 
 
 def fraction_evaluate(f, points):
@@ -397,6 +404,69 @@ def series_at_radius(rings):
                  min_size=n, max_size=n))))
 
 
+BITS64 = 2**64 - 1
+
+
+@st.composite
+def tables(draw):
+    """A ring, a coefficient table (possibly empty) in n = 1..4
+    variables with 64-bit numerators and denominators (over Q_2 also
+    times powers of 2) and a polyradius of 64-bit components."""
+    ring = draw(st.sampled_from([Z, ZT, Q2, QA]))
+    n = draw(st.integers(1, 4))
+    num = st.integers(-BITS64, BITS64).filter(bool)
+    if ring.integral:
+        coeff = num.map(Fraction)
+    else:
+        coeff = st.builds(lambda a, b, k: Fraction(a, b) * Fraction(2) ** k,
+                          num, st.integers(1, BITS64),
+                          st.integers(-3, 3) if ring == Q2 else st.just(0))
+    # long single-variable columns reach the halving path of the fold
+    top = 40 if n == 1 else 6
+    coeffs = draw(st.dictionaries(st.tuples(*[st.integers(0, top)] * n),
+                                  coeff, max_size=8))
+    radius = st.builds(Fraction, st.integers(1, BITS64),
+                       st.integers(1, BITS64))
+    rho = draw(st.lists(radius, min_size=n, max_size=n))
+    return ring, coeffs, PolyRadius(tuple(rho))
+
+
+class TestSizeKernels:
+    """``_gauss_norm`` and the sum kernel (``_sum_norm`` over
+    ``_weighted_sum``) against the ``Fraction`` loops they replaced."""
+
+    @given(tables())
+    @example((Q2, {}, polyradius(3)))
+    @settings(max_examples=200, deadline=None)
+    def test_gauss_norm_matches_fraction_loop(self, case):
+        ring, coeffs, rho = case
+        assert _gauss_norm(ring, coeffs, rho) == gauss_loop(ring, coeffs, rho)
+
+    @given(tables())
+    @example((Z, {}, polyradius(3)))
+    @settings(max_examples=200, deadline=None)
+    def test_sum_norm_matches_fraction_loop(self, case):
+        ring, coeffs, rho = case
+        assert _sum_norm(ring, *_scaled_ints(coeffs), rho) == \
+            sum_loop(ring, coeffs, rho)
+
+    @given(tables(), st.integers(0, 2**70))
+    @settings(max_examples=100, deadline=None)
+    def test_weighted_sum_of_given_sizes(self, case, size):
+        # sizes other than the coefficients' own, of up to 70 bits
+        _, coeffs, rho = case
+        sizes = [(I, size >> k) for k, I in enumerate(coeffs)]
+        S, Q = _weighted_sum(sizes, rho)
+        assert Fraction(S, Q) == sum((s * rho_power(rho, I)
+                                      for I, s in sizes), Fraction(0))
+
+    def test_empty_tables(self):
+        for ring in (Z, ZT, Q2, QA):
+            assert _gauss_norm(ring, {}, ONE) == 0
+            assert _sum_norm(ring, [], 1, ONE) == 0
+        assert _weighted_sum([], polyradius(2, 3)) == (0, 1)
+
+
 class TestIntegerKernels:
     @given(series_pairs())
     @settings(max_examples=150, deadline=None)
@@ -446,7 +516,7 @@ class TestIntegerKernels:
         lo = nth_root_interval(NormValue.exact(best_sq), 2,
                                Fraction(1, 10**9)).lo
         for I, a in f.coeffs.items():
-            lo = max(lo, abs(a) * PolyRadius(tuple(rho)).power(I))
+            lo = max(lo, abs(a) * rho_power(rho, I))
         assert torus_lower_bound(f, PolyRadius(tuple(rho)), 8) == lo
 
     @staticmethod
@@ -467,7 +537,7 @@ class TestIntegerKernels:
         lo = nth_root_interval(NormValue.exact(best_sq), 2,
                                Fraction(1, 10**9)).lo
         for I, a in f.coeffs.items():
-            lo = max(lo, abs(a) * rho.power(I))
+            lo = max(lo, abs(a) * rho_power(rho, I))
         return lo
 
     @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
@@ -511,7 +581,7 @@ class TestIntegerKernels:
         rho = PolyRadius(tuple(rho))
         nums, den = rho.powers(indices)
         assert [Fraction(P, den) for P in nums] == \
-            [rho.power(I) for I in indices]
+            [rho_power(rho, I) for I in indices]
 
     @given(series_at_radius([Z, ZT, Q2, Q3, QA]))
     @settings(max_examples=200, deadline=None)
@@ -519,8 +589,7 @@ class TestIntegerKernels:
         # every drawn tail radius is at least 3/2, beyond each drawn rho
         f, rho = case
         rho = PolyRadius(tuple(rho))
-        poly_sum = sum((abs_value(f.ring, a) * rho.power(I)
-                        for I, a in f.coeffs.items()), Fraction(0))
+        poly_sum = sum_loop(f.ring, f.coeffs, rho)
         assert norm_S(f, rho) == \
             NormValue(poly_sum, poly_sum + _tail_sum_bound(f, rho))
 
@@ -529,8 +598,7 @@ class TestIntegerKernels:
     def test_gauss_norm_T_matches_fraction_loop(self, case):
         f, rho = case
         rho = PolyRadius(tuple(rho))
-        gauss = max((abs_value(f.ring, a) * rho.power(I)
-                     for I, a in f.coeffs.items()), default=Fraction(0))
+        gauss = gauss_loop(f.ring, f.coeffs, rho)
         assert norm_T(f, rho) == \
             NormValue(gauss, max(gauss, _tail_max_bound(f, rho)))
 

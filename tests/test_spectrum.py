@@ -11,6 +11,7 @@ from daggeralg.errors import DimensionMismatch
 from daggeralg.scalars import (
     NormValue,
     integers_archimedean,
+    integers_trivial,
     nth_root_interval,
     rational_root_bounds,
     rationals_archimedean,
@@ -25,30 +26,35 @@ from daggeralg.series import (
     polyradius,
 )
 from daggeralg.spectrum import (
-    ARCHIMEDEAN,
-    PADIC,
     ROOT_PRECISION,
-    TRIVIAL,
-    Place,
     fiber_sup,
     global_sup,
     power_work,
     shilov_check,
     spectral_via_powers,
 )
-from intervals import contains, join, scale
+from intervals import contains, join
 from places import (
+    ARCHIMEDEAN,
+    PADIC,
+    TRIVIAL,
     ArchPower,
     CoordinateOutOfDisk,
+    Place,
     SpectrumPoint,
     enumerate_places,
     evaluate_seminorm,
+    gauss_fiber_loop,
     global_sup_join,
     label,
     place_sup,
 )
 
 Z = integers_archimedean()
+ZT = integers_trivial()
+Q2 = rationals_padic(2)
+Q3 = rationals_padic(3)
+QA = rationals_archimedean()
 ONE = polyradius(1)
 ORACLE_PLACES = [Place(TRIVIAL)] + [
     place
@@ -140,15 +146,14 @@ class TestPoints:
 
 class TestFiberSup:
     def test_padic_gauss(self):
-        assert fiber_sup(zpoly(2, 1), Place(PADIC, 1, 2), ONE) \
-            == NormValue.exact(1)
+        assert fiber_sup(zpoly(2, 1), Q2, ONE) == NormValue.exact(1)
 
     def test_trivial_indicator(self):
-        assert fiber_sup(zpoly(0, 0, 5), Place(TRIVIAL), polyradius(2)) \
+        assert fiber_sup(zpoly(0, 0, 5), ZT, polyradius(2)) \
             == NormValue.exact(4)
 
     def test_arch_one_plus_x(self):
-        nv = fiber_sup(zpoly(1, 1), Place(ARCHIMEDEAN, 1), ONE)
+        nv = fiber_sup(zpoly(1, 1), QA, ONE)
         assert nv.lo == nv.hi == 2
 
     def test_arch_fractional_exponent_takes_the_root_radius(self):
@@ -183,23 +188,23 @@ class TestFiberSup:
         # radius 1^2 = 1) only the Cauchy bound 1 is certified below
         f = TruncatedSeries(Z, 1, {(0,): Fraction(1), (1,): Fraction(1)}, 1,
                             Tail(Fraction(100), polyradius(2)))
-        assert fiber_sup(f, Place(ARCHIMEDEAN, 1), ONE).lo == 1
+        assert fiber_sup(f, QA, ONE).lo == 1
         assert place_sup(f, ArchPower(Fraction(1, 2)), ONE).lo == 1
 
     def test_zero_series(self):
-        assert fiber_sup(zpoly(0), Place(TRIVIAL), ONE) == NormValue.zero()
+        for ring in (ZT, Q3, QA):
+            assert fiber_sup(zpoly(0), ring, ONE) == NormValue.zero()
 
     def test_tail_leaves_upper_bound_open(self):
         # past the tail radius, or over the rationals, the majorant of
         # 1 + tail(C=100, sigma=2) bounds nothing at these places: over Z
         # it has the member 1 + X^6, whose sup at rho = 3 is 729, and over
         # Q the member 1 + X/3^k, which reaches 3^k at the 3-adic place
-        for ring, rho in ((Z, polyradius(3)),
-                          (rationals_archimedean(), polyradius(1))):
-            f = TruncatedSeries(ring, 1, {(0,): Fraction(1)}, 0,
+        for base, rho in ((Z, polyradius(3)), (QA, polyradius(1))):
+            f = TruncatedSeries(base, 1, {(0,): Fraction(1)}, 0,
                                 Tail(Fraction(100), polyradius(2)))
-            for place in (Place(TRIVIAL), Place(PADIC, 1, 3)):
-                assert fiber_sup(f, place, rho) == NormValue(Fraction(1), None)
+            for ring in (ZT, Q3):
+                assert fiber_sup(f, ring, rho) == NormValue(Fraction(1), None)
 
     def test_integer_tail_bounds_the_upper_end(self):
         # a nonzero integer coefficient past the degree bound has
@@ -210,11 +215,10 @@ class TestFiberSup:
                             Tail(Fraction(100), polyradius(2)))
         for rho, member in ((Fraction(3, 2), zpoly(1, 1)),
                             (Fraction(2), zpoly(1, 0, 0, 0, 0, 0, 1))):
-            for place in (Place(TRIVIAL), Place(PADIC, 1, 3),
-                          Place(PADIC, Fraction(1, 2), 2)):
-                nv = fiber_sup(f, place, polyradius(rho))
+            for ring in (ZT, Q3, Q2):
+                nv = fiber_sup(f, ring, polyradius(rho))
                 assert nv == NormValue(Fraction(1), Fraction(100))
-                assert contains(nv, fiber_sup(member, place,
+                assert contains(nv, fiber_sup(member, ring,
                                               polyradius(rho)).hi)
 
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=4),
@@ -244,32 +248,14 @@ class TestFiberSup:
             pt = SpectrumPoint(place, (Fraction(3 * rng.randint(-2, 2)),),
                                ONE)
             assert evaluate_seminorm(f, pt).hi <= \
-                fiber_sup(f, place, ONE).hi
-
-
-def gauss_fiber_loop(f, place, rho):
-    """The p-adic and trivial fiber sup as one certified root bracket
-    per coefficient, joined coefficient by coefficient."""
-    if place.kind == PADIC:
-        known = NormValue.zero()
-        for I, a in f.coeffs.items():
-            known = join(known, scale(place.abs_value(a), rho.power(I)))
-    else:
-        known = NormValue.exact(
-            max((rho.power(I) for I in f.coeffs), default=Fraction(0)))
-    if f.tail is None or not f.tail.C:
-        return known
-    # an integer tail coefficient has size <= 1 here and rho^I <= C
-    if f.ring == Z and all(r <= s for r, s in zip(rho, f.tail.sigma)):
-        return NormValue(known.lo, max(known.hi, f.tail.C))
-    return NormValue(known.lo, None)
+                fiber_sup(f, place.ring, ONE).hi
 
 
 @st.composite
 def padic_cases(draw):
     """A rational series whose coefficients carry powers of p in the
     numerator and the denominator, or an integer one with powers of p in
-    the numerator, and a p-adic or trivial place."""
+    the numerator, and a p-adic or trivial place at eps = 1."""
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 2))
     D = draw(st.integers(0, 4))
@@ -284,9 +270,7 @@ def padic_cases(draw):
                                  Tail(3, polyradius(*[2] * n))]))
     f = TruncatedSeries(Z if integral else rationals_archimedean(), n,
                         {I: a for I, a in entries if sum(I) <= D}, D, tail)
-    eps = draw(st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(1),
-                                Fraction(2)]))
-    place = draw(st.sampled_from([Place(PADIC, eps, p), Place(TRIVIAL)]))
+    place = draw(st.sampled_from([Place(PADIC, 1, p), Place(TRIVIAL)]))
     # the tail radius is 2: radii inside it, on it and beyond it
     rho = draw(st.lists(st.sampled_from([Fraction(1, 3), Fraction(1),
                                          Fraction(7, 4), Fraction(2),
@@ -300,19 +284,20 @@ class TestGaussFibers:
     @settings(max_examples=200, deadline=None)
     def test_fiber_sup_matches_per_coefficient_loop(self, case):
         f, place, rho = case
-        assert fiber_sup(f, place, rho) == gauss_fiber_loop(f, place, rho)
+        assert fiber_sup(f, place.ring, rho) == \
+            gauss_fiber_loop(f, place, rho)
 
-    def test_units_and_non_units_at_a_fractional_exponent(self):
-        # 3 and 5/7 are 2-adic units; |1/2|_2^(2/3) = 4^(1/3) is bracketed
-        f = TruncatedSeries(rationals_archimedean(), 1,
-                            {(0,): Fraction(3), (1,): Fraction(1, 2),
-                             (2,): Fraction(5, 7)}, 2)
-        place = Place(PADIC, Fraction(2, 3), 2)
-        nv = fiber_sup(f, place, ONE)
-        assert nv.lo < nv.hi and nv.lo**3 <= 4 <= nv.hi**3
-        assert fiber_sup(f, place, polyradius(Fraction(1, 2))) \
+    def test_units_and_non_units(self):
+        # 3 and 5/7 are 2-adic units, |1/2|_2 = 2; the oracle's fiber at
+        # eps = 2/3 brackets |1/2|_2^(2/3) = 4^(1/3)
+        f = TruncatedSeries(QA, 1, {(0,): Fraction(3), (1,): Fraction(1, 2),
+                                    (2,): Fraction(5, 7)}, 2)
+        assert fiber_sup(f, Q2, ONE) == NormValue.exact(2)
+        assert fiber_sup(f, Q2, polyradius(Fraction(1, 2))) \
             == NormValue.exact(1)
-        assert fiber_sup(f, place, polyradius(2)) == NormValue.exact(4)
+        assert fiber_sup(f, Q2, polyradius(2)) == NormValue.exact(4)
+        nv = place_sup(f, Place(PADIC, Fraction(2, 3), 2), ONE)
+        assert nv.lo < nv.hi and nv.lo**3 <= 4 <= nv.hi**3
 
 
 @st.composite
@@ -486,9 +471,43 @@ def untailed_cases(draw):
     return f, PolyRadius(tuple(rho)), draw(st.integers(1, 8))
 
 
+def binomial_chain(f, rho, n_max):
+    """The estimates by the binomial bound, power by power through
+    ``multiply``: |p^k|_S of the known polynomial p of f, plus
+    (P + tau)^k - P^k for [P, P + tau] = norm_S(f)."""
+    known = norm_S(f, rho)
+    p = TruncatedSeries(f.ring, f.n, f.coeffs, f.degree_bound)
+    out, power = [], p
+    for k in range(1, n_max + 1):
+        bound = norm_S(power, rho).hi + known.hi**k - known.lo**k
+        out.append(nth_root_interval(NormValue.exact(bound), k,
+                                     ROOT_PRECISION))
+        if k < n_max:
+            power = multiply(power, p)
+    return out
+
+
+@st.composite
+def tailed_cases(draw):
+    """``untailed_cases`` over Z, Z_triv, Q_2 or Q with a tail whose
+    constant may be 0 and whose radius lies beyond rho."""
+    f, rho, n_max = draw(untailed_cases())
+    ring = draw(st.sampled_from([f.ring, ZT, Q2]))
+    if ring == ZT:
+        f = TruncatedSeries(ring, f.n, {I: Fraction(a.numerator)
+                                        for I, a in f.coeffs.items()},
+                            f.degree_bound)
+    C = draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(5)]))
+    sigma = PolyRadius(tuple(r + draw(st.sampled_from([Fraction(1, 8), 1]))
+                             for r in rho))
+    tailed = TruncatedSeries(ring, f.n, f.coeffs, f.degree_bound,
+                             Tail(C, sigma))
+    return tailed, rho, n_max
+
+
 class TestPowerChain:
-    """A nonzero untailed series over an Archimedean ring has its powers
-    chained on integers; every other series goes through ``multiply``."""
+    """Every series has the powers of its known part chained on integers,
+    and a tail adds the binomial bound; none goes through ``multiply``."""
 
     @given(untailed_cases())
     @settings(max_examples=80, deadline=None)
@@ -497,32 +516,44 @@ class TestPowerChain:
         assert spectral_via_powers(f, rho, n_max) == \
             multiply_chain(f, rho, n_max)
 
-    def test_which_series_take_multiply(self, monkeypatch):
-        calls = []
+    @given(tailed_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_tailed_chain_matches_binomial_oracle(self, case):
+        f, rho, n_max = case
+        assert spectral_via_powers(f, rho, n_max) == \
+            binomial_chain(f, rho, n_max)
 
-        def counted(f, g):
-            calls.append(1)
-            return multiply(f, g)
-
-        monkeypatch.setattr(spectrum, "multiply", counted)
-        # each product shrinks a tail radius by 3/4: 2 * (3/4)^4 > 1/4
+    def test_no_series_takes_multiply(self):
+        # the untailed, tailed, zero-tail, zero and p-adic series that the
+        # old fork sent through multiply
+        assert "multiply" not in vars(spectrum)
         rho = polyradius(Fraction(1, 4))
         sigma = polyradius(2)
-        for f, expected in (
-            (zpoly(3, -1, 2), 0),
-            (TruncatedSeries(Z, 1, {(0,): 3, (1,): -1}, 2,
-                             Tail(Fraction(1, 2), sigma)), 4),
-            # a zero tail still truncates each product at D
-            (TruncatedSeries(Z, 1, {(0,): 3, (1,): -1}, 2,
-                             Tail(Fraction(0), sigma)), 4),
-            (zpoly(0), 4),
-            (TruncatedSeries(rationals_padic(2), 1,
-                             {(0,): Fraction(1, 2), (1,): 4}, 1), 4),
+        for f in (
+            zpoly(3, -1, 2),
+            TruncatedSeries(Z, 1, {(0,): 3, (1,): -1}, 2,
+                            Tail(Fraction(1, 2), sigma)),
+            TruncatedSeries(Z, 1, {(0,): 3, (1,): -1}, 2,
+                            Tail(Fraction(0), sigma)),
+            zpoly(0),
+            TruncatedSeries(Q2, 1, {(0,): Fraction(1, 2), (1,): 4}, 1),
         ):
-            calls.clear()
-            assert spectral_via_powers(f, rho, 5) == \
-                multiply_chain(f, rho, 5)
-            assert len(calls) == expected
+            estimates = spectral_via_powers(f, rho, 5)
+            assert estimates == binomial_chain(f, rho, 5)
+            if f.tail is None or not f.tail.C:
+                p = TruncatedSeries(f.ring, 1, f.coeffs, f.degree_bound)
+                assert estimates == multiply_chain(p, rho, 5)
+
+    def test_tailed_estimates_at_eight_powers(self):
+        # 1 + 2X - X^3 with tail(C=1, sigma=2) at rho = 1: P = 4 and
+        # tau = 2 - 15/8, so the first two estimates are 33/8; multiply
+        # shrank sigma by 3/4 per power and failed from the fourth on
+        f = TruncatedSeries(Z, 1, {(0,): 1, (1,): 2, (3,): -1}, 3,
+                            Tail(Fraction(1), polyradius(2)))
+        estimates = spectral_via_powers(f, ONE, 8)
+        assert estimates[0] == estimates[1] == NormValue.exact(Fraction(33, 8))
+        assert [round(float(nv.hi), 3) for nv in estimates[2:]] == \
+            [4.004, 3.926, 3.881, 3.862, 3.853, 3.848]
 
     @given(untailed_cases())
     @settings(max_examples=40, deadline=None)
@@ -574,12 +605,12 @@ class TestShilov:
 
 
 def other_fibers_by_place(f, rho, prime_bound):
-    """Reference for ``max_other``: the join of ``fiber_sup`` over the
+    """Reference for ``max_other``: the join of the fiber sups over the
     trivial place and every p-adic place at eps = 1 up to the bound."""
     other = NormValue.zero()
     for place in enumerate_places(prime_bound, 1):
         if place.kind != ARCHIMEDEAN:
-            other = join(other, fiber_sup(f, place, rho))
+            other = join(other, place_sup(f, place, rho))
     return other
 
 
