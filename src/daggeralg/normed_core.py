@@ -3,13 +3,16 @@
 A weighted free module of rank n carries either the sum norm
 ``|(c_i)| = sum |c_i| w_i`` (Archimedean flavor) or the max norm
 ``|(c_i)| = max |c_i| w_i`` (non-Archimedean flavor, only over a
-non-Archimedean base ring).
+non-Archimedean base ring).  A module holds its weights twice: as
+``Fraction``s, and as integers ``W_i`` over one denominator ``Dw``, on
+which ``vector_norm`` computes.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
@@ -23,7 +26,7 @@ from .errors import (
 from .scalars import (
     BanachRing,
     NormValue,
-    abs_value,
+    abs_ints,
     as_fraction,
     integers_archimedean,
     rationals_archimedean,
@@ -41,16 +44,25 @@ MAX_RANK = 64
 
 @dataclass(frozen=True)
 class WeightedFreeModule:
+    """The weights w_i, also held as integers: w_i = int_weights[i] /
+    weight_den, with weight_den the lcm of their denominators."""
+
     ring: BanachRing
     weights: Tuple[Fraction, ...]
     flavor: str
+    int_weights: Tuple[int, ...] = field(init=False, repr=False,
+                                         compare=False)
+    weight_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "weights", tuple(as_fraction(w) for w in self.weights)
-        )
-        if any(w <= 0 for w in self.weights):
+        weights = tuple(as_fraction(w) for w in self.weights)
+        object.__setattr__(self, "weights", weights)
+        if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
+        Dw = math.lcm(*(w.denominator for w in weights))
+        object.__setattr__(self, "int_weights", tuple(
+            w.numerator * (Dw // w.denominator) for w in weights))
+        object.__setattr__(self, "weight_den", Dw)
         if self.flavor not in (SUM, MAX):
             raise ValueError(f"unknown norm flavor {self.flavor}")
         if self.flavor == MAX and not self.ring.non_archimedean:
@@ -74,11 +86,20 @@ class WeightedFreeModule:
 
 
 def vector_norm(M: WeightedFreeModule, v: Sequence) -> NormValue:
+    """|v|_w, exact, on integers: the entries of v are numerators N_i
+    over the lcm L of their denominators, ``abs_ints`` gives
+    |N_i / L| = A_i / den, and the norm is the sum or the max of
+    A_i W_i over den Dw, with W_i / Dw the module's integer weights.
+    One ``Fraction`` is built, for the result."""
     if len(v) != M.rank:
         raise DimensionMismatch(f"vector length {len(v)} != rank {M.rank}")
-    terms = [abs_value(M.ring, x) * w for x, w in zip(v, M.weights)]
-    return NormValue.exact(sum(terms, Fraction(0)) if M.flavor == SUM
-                           else max(terms, default=Fraction(0)))
+    xs = [M.ring.check_element(x) for x in v]
+    L = math.lcm(*(x.denominator for x in xs))
+    A, den = abs_ints(M.ring, [x.numerator * (L // x.denominator)
+                               for x in xs], L)
+    terms = [a * W for a, W in zip(A, M.int_weights)]
+    top = sum(terms) if M.flavor == SUM else max(terms, default=0)
+    return NormValue.exact(Fraction(top, den * M.weight_den))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ every bound the package reports is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -25,7 +25,8 @@ def as_fraction(x) -> Fraction:
 
     Floats (a JSON 0.1 is not 1/10), booleans and exponent notation
     ("1e999999999" would build a billion-digit integer) are rejected."""
-    if isinstance(x, Fraction):
+    # the exact type first: the common case, and cheaper than isinstance
+    if type(x) is Fraction or isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
@@ -65,8 +66,9 @@ class NormValue:
     hi: Optional[Fraction]
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", as_fraction(self.lo))
-        if self.hi is not None:
+        if type(self.lo) is not Fraction:
+            object.__setattr__(self, "lo", as_fraction(self.lo))
+        if self.hi is not None and type(self.hi) is not Fraction:
             object.__setattr__(self, "hi", as_fraction(self.hi))
         if self.lo < 0:
             raise ValueError("norm lower bound must be non-negative")
@@ -143,11 +145,14 @@ class BanachRing:
 
     Every built-in absolute value is multiplicative.  This module is the
     only place that reads ``kind``; elsewhere rings are compared whole or
-    through ``integral`` and ``non_archimedean``.
+    through ``integral`` (the carrier is the integers, a lattice) and
+    ``non_archimedean``, both read from ``kind`` once, at construction.
     """
 
     kind: str
     p: Optional[int] = None
+    integral: bool = field(init=False, repr=False, compare=False)
+    non_archimedean: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -160,18 +165,14 @@ class BanachRing:
                 raise ValueError("p-adic ring needs a prime p")
         elif self.p is not None:
             raise ValueError("p only meaningful for the p-adic kind")
-
-    @property
-    def non_archimedean(self) -> bool:
-        return self.kind in (KIND_Z_TRIVIAL, KIND_Q_PADIC)
-
-    @property
-    def integral(self) -> bool:
-        """True when the carrier is the integers (a lattice)."""
-        return self.kind in (KIND_Z_ARCH, KIND_Z_TRIVIAL)
+        object.__setattr__(self, "integral",
+                           self.kind in (KIND_Z_ARCH, KIND_Z_TRIVIAL))
+        object.__setattr__(self, "non_archimedean",
+                           self.kind in (KIND_Z_TRIVIAL, KIND_Q_PADIC))
 
     def check_element(self, x) -> Fraction:
-        x = as_fraction(x)
+        if type(x) is not Fraction:
+            x = as_fraction(x)
         if self.integral and x.denominator != 1:
             raise NonElement(f"{x} is not an integer")
         return x

@@ -106,15 +106,15 @@ def _coefficient_ints(terms, rl: int, rr: int):
     return S, R, C
 
 
-def _scaled_weights(ring, L: List[int], weights) -> Tuple[List[int], int]:
+def _scaled_weights(M: WeightedFreeModule,
+                    L: List[int]) -> Tuple[List[int], int]:
     """The factors |1/L_i| w_i on integers: returns (G, d) with
     |1/L_i| w_i == G_i / d.  Over the lcm P of the L_i,
-    |1/L_i| = |(P/L_i)/P|, from ``abs_ints``."""
+    |1/L_i| = |(P/L_i)/P|, from ``abs_ints``, times the module's
+    integer weights."""
     P = math.lcm(*L)
-    F, dF = abs_ints(ring, [P // q for q in L], P)
-    Lw = math.lcm(*(w.denominator for w in weights))
-    return ([f * w.numerator * (Lw // w.denominator)
-             for f, w in zip(F, weights)], dF * Lw)
+    F, dF = abs_ints(M.ring, [P // q for q in L], P)
+    return [f * W for f, W in zip(F, M.int_weights)], dF * M.weight_den
 
 
 # bench/workloads.py still passes the retired search bounds positionally
@@ -132,8 +132,8 @@ def tensor_norm_certified(x: TensorElement, flavor: str,
         raise FlavorMismatch("max term cost needs a non-Archimedean ring")
     S, R, C = _coefficient_ints(x.terms, rl, rr)
     A, den = abs_ints(ring, S, 1)
-    gl, dl = _scaled_weights(ring, R, x.left.weights)
-    gr, dr = _scaled_weights(ring, C, x.right.weights)
+    gl, dl = _scaled_weights(x.left, R)
+    gr, dr = _scaled_weights(x.right, C)
     cells = [A[i * rr + j] * u * v for i, u in enumerate(gl)
              for j, v in enumerate(gr)]
     den *= dl * dr

@@ -1,11 +1,13 @@
-"""The ``Fraction`` loops that the integer kernels of ``series`` replaced,
-kept as oracles: the radius power rho^I (once ``PolyRadius.power``) and
-the Gauss and sum norms of a coefficient table, one coefficient at a
-time through ``abs_value``.
+"""The ``Fraction`` loops that the integer kernels of ``series`` and
+``normed_core`` replaced, kept as oracles: the radius power rho^I (once
+``PolyRadius.power``), the Gauss and sum norms of a coefficient table
+and the norm of a vector in a weighted free module, one coefficient at
+a time through ``abs_value``.
 """
 
 from fractions import Fraction
 
+from daggeralg.normed_core import SUM
 from daggeralg.scalars import abs_value
 
 
@@ -26,6 +28,14 @@ def sum_loop(ring, coeffs, rho) -> Fraction:
     """sum |a_I| rho^I."""
     return sum((abs_value(ring, a) * rho_power(rho, I)
                 for I, a in coeffs.items()), Fraction(0))
+
+
+def vector_norm_loop(M, v) -> Fraction:
+    """sum or max of |v_i| w_i, by the module's flavor (once
+    ``normed_core.vector_norm``)."""
+    terms = [abs_value(M.ring, x) * w for x, w in zip(v, M.weights)]
+    return sum(terms, Fraction(0)) if M.flavor == SUM \
+        else max(terms, default=Fraction(0))
 
 
 def is_zero(f) -> bool:

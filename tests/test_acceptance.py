@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from daggeralg import selftest, series, tensor
+from daggeralg import normed_core, selftest, series, tensor
 from daggeralg.localization import laurent_solve
-from daggeralg.normed_core import SUM, WeightedFreeModule
+from daggeralg.normed_core import MAX, SUM, WeightedFreeModule
 from daggeralg.scalars import rationals_padic
 from daggeralg.series import TruncatedSeries, polyradius
 from daggeralg.tensor import TensorElement
@@ -51,6 +51,18 @@ def test_criterion_01_norm_axioms(report, capfd):
 def _archimedean_abs_ints(ring, nums, L):
     """``scalars.abs_ints`` as if every ring had the usual |x|."""
     return [abs(N) for N in nums], L
+
+
+def test_criterion_01_vector_subcheck_counts_a_wrong_absolute_value(
+        monkeypatch):
+    """A vector norm that takes the Archimedean |.| over Q_3 breaks the
+    strong triangle inequality |x + x| <= |x| of the max flavor and the
+    scalar bound |3 x| <= |3|_3 |x|, and criterion 1 counts both."""
+    M = WeightedFreeModule(rationals_padic(3), (Fraction(1),), MAX)
+    inst = (M, (Fraction(1),), (Fraction(1),), Fraction(3))
+    assert selftest._check_vector_axioms(inst) == 0
+    monkeypatch.setattr(normed_core, "abs_ints", _archimedean_abs_ints)
+    assert selftest._check_vector_axioms(inst) == 2
 
 
 def test_criterion_01_tensor_subcheck_counts_a_wrong_absolute_value(

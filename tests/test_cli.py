@@ -402,6 +402,24 @@ class TestArgumentErrors:
         assert capsys.readouterr().out == fresh.stdout
 
 
+def test_selftest_runs_without_sympy():
+    """sympy is only a test dependency: with it hidden, ``selftest``
+    prints its report and no traceback.  Every criterion but 7 (a
+    recorded failure, a strict xfail of the acceptance tests) passes, so
+    the exit code is 2."""
+    src = str(Path(daggeralg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; sys.modules['sympy'] = None; "
+            "from daggeralg.cli import main; sys.exit(main(['selftest']))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert "Traceback" not in run.stderr
+    status = [line.split()[-1] for line in run.stderr.splitlines()]
+    assert status == ["PASS"] * 6 + ["FAIL"] + ["PASS"] * 3
+    assert run.returncode == 2
+
+
 class TestSizeCaps:
     # (subcommand, option, cap, values the selftest, the defaults and
     # the benchmark fixtures use)

@@ -1,10 +1,13 @@
-"""Every top-level import of a module in the package is used in it.
+"""Every top-level import of a module in the package is used in it, and
+every import anywhere in the package is of the standard library or the
+package itself.
 
-The package ``__init__`` re-exports what it imports and is skipped.
-Names quoted in annotations count as used.
+The package ``__init__`` re-exports what it imports and is skipped by
+the first check.  Names quoted in annotations count as used.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +45,26 @@ def test_no_unused_top_level_import(path):
     tree = ast.parse(path.read_text())
     unused = sorted(set(_imported(tree)) - _used(tree))
     assert not unused, f"{path.name} imports unused {unused}"
+
+
+def _imported_roots(tree):
+    """The top-level module of every absolute import, function-level
+    ones too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_imports_only_the_standard_library(path):
+    """``pyproject.toml`` declares ``dependencies = []``: the package may
+    import nothing a plain Python install lacks (sympy, pytest and
+    hypothesis are for the tests only)."""
+    allowed = set(sys.stdlib_module_names) | {"daggeralg"}
+    foreign = sorted(set(_imported_roots(ast.parse(path.read_text())))
+                     - allowed)
+    assert not foreign, f"{path.name} imports {foreign}"

@@ -37,10 +37,12 @@ from daggeralg.scalars import (
     rationals_padic,
 )
 from intervals import add, join, scale
+from loops import vector_norm_loop
 
 Z = integers_archimedean()
 ZT = integers_trivial()
 Q2 = rationals_padic(2)
+Q3 = rationals_padic(3)
 QA = rationals_archimedean()
 
 
@@ -139,6 +141,54 @@ class TestVectorNorm:
     def test_max_requires_non_archimedean(self):
         with pytest.raises(FlavorMismatch):
             WeightedFreeModule(Z, (Fraction(1),), MAX)
+
+
+def _two_three(a, i, j):
+    return a * 2**i * 3**j
+
+
+# integers up to 64 bits, and ones whose 2- and 3-adic valuations reach 12
+_ints = st.one_of(st.integers(-2**64, 2**64),
+                  st.builds(_two_three, st.integers(-2**40, 2**40),
+                            st.integers(0, 12), st.integers(0, 12)))
+_positive = st.one_of(st.integers(1, 2**64),
+                      st.builds(_two_three, st.integers(1, 2**40),
+                                st.integers(0, 12), st.integers(0, 12)))
+_rationals = st.builds(Fraction, _ints, _positive)
+
+
+@st.composite
+def vectors_in_modules(draw):
+    ring = draw(st.sampled_from((Z, ZT, QA, Q2, Q3)))
+    flavor = draw(st.sampled_from((SUM, MAX) if ring.non_archimedean
+                                  else (SUM,)))
+    rank = draw(st.integers(0, 5))
+    weights = draw(st.lists(st.builds(Fraction, _positive, _positive),
+                            min_size=rank, max_size=rank))
+    entries = st.builds(Fraction, _ints) if ring.integral else _rationals
+    v = draw(st.lists(entries, min_size=rank, max_size=rank))
+    return WeightedFreeModule(ring, tuple(weights), flavor), v
+
+
+class TestVectorNormKernel:
+    """The integer kernel of ``vector_norm`` against the ``Fraction``
+    loop it replaced."""
+
+    @given(vectors_in_modules())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_fraction_loop(self, case):
+        M, v = case
+        assert vector_norm(M, v) == NormValue.exact(vector_norm_loop(M, v))
+
+    @given(st.sampled_from((Z, ZT)), st.lists(st.builds(Fraction, _ints),
+                                              max_size=4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_non_integer_rejected_over_lattices(self, ring, v, data):
+        x = data.draw(_rationals.filter(lambda x: x.denominator != 1))
+        v.insert(data.draw(st.integers(0, len(v))), x)
+        M = WeightedFreeModule(ring, (Fraction(1),) * len(v), SUM)
+        with pytest.raises(NonElement):
+            vector_norm(M, v)
 
 
 class TestOperatorNorm:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from daggeralg.selftest import _oracle_cvp
+from daggeralg.selftest import _hnf_columns, _oracle_cvp
 
 
 def sympy_oracle_cvp(columns, v):
@@ -57,3 +57,20 @@ def test_oracle_cvp_matches_sympy_inverse(columns, v):
     """The same distance, and the same keep (a distance) or regenerate
     (None) decision, on the instances criterion 6 draws."""
     assert _oracle_cvp(columns, v) == sympy_oracle_cvp(columns, v)
+
+
+@given(st.lists(st.lists(st.integers(-50, 50), min_size=3, max_size=3)
+                .filter(any) | _vector, min_size=1, max_size=5))
+@example([[0, 0, 0]])  # the zero lattice
+@example([[2, 4, 6], [1, 2, 3]])  # rank 1 from two columns
+@example([[0, 0, -3], [0, 5, 7], [4, 1, 1]])  # a negative pivot
+@settings(max_examples=300, deadline=None)
+def test_hnf_columns_matches_sympy(columns):
+    """The inline Hermite normal form is sympy's, column for column; the
+    HNF of a lattice is unique, so criterion 6 keeps the same windows."""
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    B = hermite_normal_form(Matrix(columns).T)
+    expected = [[int(B[i, j]) for i in range(B.rows)] for j in range(B.cols)]
+    assert _hnf_columns(columns) == [c for c in expected if any(c)]
