@@ -33,7 +33,10 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, str):
         if "e" in x or "E" in x:
             raise ValueError(f"{x!r}: exponent notation is not accepted")
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r}: zero denominator") from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 

@@ -1,10 +1,11 @@
 """Seeded self-verification suite.
 
 Ten checks exercising the load-bearing guarantees of the package, each
-returning a structured verdict.  All randomness is derived from one seed
-and the suite runs serially.  Criterion 10 runs criteria 1-9 a second
-time in reverse order and byte-compares the two runs, so state leaking
-from one criterion into the next shows as a failure.
+returning a structured verdict.  All randomness is derived from one seed.
+Criterion 10 runs criteria 1-9 twice at once from the caller's state, in
+id order in the calling process and in reverse order in a child process,
+and byte-compares the two runs, so a criterion whose result depends on
+what ran before it shows as a failure.
 """
 
 from __future__ import annotations
@@ -633,12 +634,38 @@ def _without_timings(results: List[Dict]) -> List[Dict]:
             for r in results]
 
 
+def _reverse_pass(sender, seed: int) -> None:
+    """``run_all``'s child process: sends back criteria 1-9 run in reverse
+    order, or the exception they raised."""
+    try:
+        sender.send(_run_first_nine(seed, True))
+    except Exception as exc:
+        sender.send(exc)
+
+
 def run_all(seed: int = 7, *_threads) -> Dict:
     """Full report: criteria 1-9 plus the determinism comparison, which
-    re-runs them in reverse order and byte-compares the two runs."""
+    runs them in reverse order in a child process meanwhile and
+    byte-compares the two runs."""
+    import multiprocessing   # here, so that importing the CLI stays cheap
+
     # bench/workloads.py still passes a thread count, which is ignored
-    forward = _run_first_nine(seed, False)
-    backward = _run_first_nine(seed, True)
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_reverse_pass, args=(sender, seed))
+    child.start()
+    sender.close()
+    try:
+        forward = _run_first_nine(seed, False)
+        backward = receiver.recv()   # EOFError if the child died first
+        child.join()
+    finally:
+        child.terminate()   # a no-op unless the child is still running
+        child.join()
+        receiver.close()
+    if isinstance(backward, Exception):
+        raise backward
     identical = canonical_json(_without_timings(forward)) == \
         canonical_json(_without_timings(backward))
     criteria = forward + [

@@ -374,8 +374,8 @@ def _check_tail_radius(f: TruncatedSeries, rho: PolyRadius):
     if f.tail is not None:
         if not all(r < s for r, s in zip(rho, f.tail.sigma)):
             raise TailDiverges(
-                f"tail radius {f.tail.sigma.components} does not dominate "
-                f"evaluation radius {rho.components}"
+                f"tail radius {','.join(map(str, f.tail.sigma))} does not "
+                f"dominate evaluation radius {','.join(map(str, rho))}"
             )
 
 

@@ -6,7 +6,10 @@ in a default pytest run.
 """
 
 import json
+import multiprocessing
+import os
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from daggeralg import normed_core, selftest, series, tensor
+from daggeralg.errors import NonElement
 from daggeralg.localization import laurent_solve
 from daggeralg.normed_core import MAX, SUM, WeightedFreeModule
 from daggeralg.scalars import rationals_padic
@@ -174,6 +178,70 @@ def test_criterion_10_catches_state_leaking_between_criteria(monkeypatch):
     c10 = _criterion(selftest.run_all(SEED), 10)
     assert c10["details"]["byte_identical"] is False
     assert c10["passed"] is False
+
+
+def test_criterion_10_runs_both_orders_from_the_callers_state(monkeypatch):
+    """Both runs start from the state ``run_all`` was called in, so a
+    criterion that asks whether another has ever run in this process sees
+    it only in the forward run, and criterion 10 fails."""
+    state = {}
+
+    def first(seed):
+        state["ran"] = True
+        return {"id": 1, "name": "first", "passed": True, "details": {}}
+
+    def second(seed):
+        return {"id": 2, "name": "second", "passed": True,
+                "details": {"first_ever_ran": "ran" in state}}
+
+    monkeypatch.setattr(selftest, "_CRITERIA", {1: first, 2: second})
+    c10 = _criterion(selftest.run_all(SEED), 10)
+    assert c10["details"]["byte_identical"] is False
+    assert c10["passed"] is False
+
+
+@pytest.mark.parametrize("raising,exc", [
+    ("caller", NonElement("raised in the caller's run")),
+    ("caller", KeyboardInterrupt("interrupted in the caller's run")),
+    ("child", NonElement("raised in the child's run")),
+], ids=["caller-error", "caller-interrupt", "child-error"])
+def test_an_exception_in_either_run_reaches_the_caller(monkeypatch, raising,
+                                                       exc):
+    """An exception raised in either run leaves ``run_all`` with its type
+    and message, and no child process outlives the call: when the caller
+    raises, the child's run, which takes a minute, is stopped."""
+    caller = os.getpid()
+
+    def criterion(seed):
+        if (os.getpid() == caller) == (raising == "caller"):
+            raise exc
+        if raising == "caller":
+            time.sleep(60)
+        return {"id": 1, "name": "one", "passed": True, "details": {}}
+
+    monkeypatch.setattr(selftest, "_CRITERIA", {1: criterion})
+    start = time.monotonic()
+    with pytest.raises(type(exc)) as info:
+        selftest.run_all(SEED)
+    assert str(info.value) == str(exc)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_dies_without_a_result_ends_the_call(monkeypatch):
+    """A child that exits without sending its run leaves the caller an
+    end of file on the pipe, not a wait that never ends."""
+    caller = os.getpid()
+
+    def criterion(seed):
+        if os.getpid() != caller:
+            os._exit(3)
+        return {"id": 1, "name": "one", "passed": True, "details": {}}
+
+    monkeypatch.setattr(selftest, "_CRITERIA", {1: criterion})
+    with pytest.raises(EOFError):
+        selftest.run_all(SEED)
+    assert multiprocessing.active_children() == []
 
 
 def _without_host_details(report):

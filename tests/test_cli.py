@@ -107,7 +107,12 @@ class TestNormCommand:
         f = write_json(tmp_path / "f.json",
                        {"n": 1, "D": 0, "coeffs": [[[0], "1/0"]]})
         assert main(["norm", "--series", f]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err == "error: '1/0': zero denominator\n"
+
+    def test_zero_denominator_rho(self, tmp_path, capsys):
+        f = write_json(tmp_path / "f.json", series_json(1, 1))
+        assert main(["norm", "--series", f, "--rho", "1/0"]) == 1
+        assert capsys.readouterr().err == "error: '1/0': zero denominator\n"
 
     def test_series_not_an_object(self, tmp_path, capsys):
         f = write_json(tmp_path / "f.json", [[[0], "1"]])
@@ -305,6 +310,14 @@ class TestSpectrumCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["global_sup"]["hi"] == "inf"
 
+    @pytest.mark.parametrize("command", ["shilov", "spectrum"])
+    def test_tail_radius_message(self, tmp_path, capsys, command):
+        series = dict(series_json(1), tail={"C": "1", "sigma": ["2"]})
+        f = write_json(tmp_path / "f.json", series)
+        assert main([command, "--series", f, "--rho", "3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: tail radius 2 does not dominate evaluation radius 3\n")
+
     def test_spectrum_tailed_series_at_the_default_powers(self, tmp_path,
                                                           capsys):
         # 1 + 2X - X^3 with tail(C=1, sigma=2) at rho = 1: the estimates
@@ -406,11 +419,13 @@ def test_selftest_runs_without_sympy():
     """sympy is only a test dependency: with it hidden, ``selftest``
     prints its report and no traceback.  Every criterion but 7 (a
     recorded failure, a strict xfail of the acceptance tests) passes, so
-    the exit code is 2."""
+    the exit code is 2.  Text the process buffered on stdout before
+    ``main`` comes out once, before the one report: the child process of
+    criterion 10 prints nothing."""
     src = str(Path(daggeralg.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys; sys.modules['sympy'] = None; "
+    code = ("import sys; sys.modules['sympy'] = None; print('before main'); "
             "from daggeralg.cli import main; sys.exit(main(['selftest']))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=120)
@@ -418,6 +433,9 @@ def test_selftest_runs_without_sympy():
     status = [line.split()[-1] for line in run.stderr.splitlines()]
     assert status == ["PASS"] * 6 + ["FAIL"] + ["PASS"] * 3
     assert run.returncode == 2
+    before, report = run.stdout.split("\n", 1)
+    assert before == "before main"
+    assert json.loads(report)["criteria"][-1]["passed"] is True
 
 
 class TestSizeCaps:

@@ -1,12 +1,14 @@
 """Every top-level import of a module in the package is used in it, and
 every import anywhere in the package is of the standard library or the
-package itself.
+package itself, and importing the CLI leaves ``multiprocessing`` out.
 
 The package ``__init__`` re-exports what it imports and is skipped by
 the first check.  Names quoted in annotations count as used.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -68,3 +70,15 @@ def test_imports_only_the_standard_library(path):
     foreign = sorted(set(_imported_roots(ast.parse(path.read_text())))
                      - allowed)
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    """Only ``selftest.run_all`` starts a process, and it imports
+    ``multiprocessing`` itself: every other command, and every process
+    that imports the CLI, does without it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, daggeralg.cli; print('multiprocessing' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert run.stdout == "False\n", run.stderr
