@@ -14,6 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from . import linalg
@@ -55,13 +56,13 @@ class WeightedFreeModule:
     weight_den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        weights = tuple(as_fraction(w) for w in self.weights)
+        weights = tuple(map(as_fraction, self.weights))
         object.__setattr__(self, "weights", weights)
-        if any(w <= 0 for w in weights):
+        if any(w.numerator <= 0 for w in weights):
             raise ValueError("weights must be positive")
-        Dw = math.lcm(*(w.denominator for w in weights))
+        Dw = math.lcm(*[w.denominator for w in weights])
         object.__setattr__(self, "int_weights", tuple(
-            w.numerator * (Dw // w.denominator) for w in weights))
+            [w.numerator * (Dw // w.denominator) for w in weights]))
         object.__setattr__(self, "weight_den", Dw)
         if self.flavor not in (SUM, MAX):
             raise ValueError(f"unknown norm flavor {self.flavor}")
@@ -91,13 +92,13 @@ def vector_norm(M: WeightedFreeModule, v: Sequence) -> NormValue:
     |N_i / L| = A_i / den, and the norm is the sum or the max of
     A_i W_i over den Dw, with W_i / Dw the module's integer weights.
     One ``Fraction`` is built, for the result."""
-    if len(v) != M.rank:
+    if len(v) != len(M.weights):
         raise DimensionMismatch(f"vector length {len(v)} != rank {M.rank}")
-    xs = [M.ring.check_element(x) for x in v]
-    L = math.lcm(*(x.denominator for x in xs))
+    xs = list(map(M.ring.check_element, v))
+    L = math.lcm(*[x.denominator for x in xs])
     A, den = abs_ints(M.ring, [x.numerator * (L // x.denominator)
                                for x in xs], L)
-    terms = [a * W for a, W in zip(A, M.int_weights)]
+    terms = map(mul, A, M.int_weights)
     top = sum(terms) if M.flavor == SUM else max(terms, default=0)
     return NormValue.exact(Fraction(top, den * M.weight_den))
 

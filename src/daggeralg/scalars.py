@@ -69,14 +69,21 @@ class NormValue:
     hi: Optional[Fraction]
 
     def __post_init__(self):
-        if type(self.lo) is not Fraction:
-            object.__setattr__(self, "lo", as_fraction(self.lo))
-        if self.hi is not None and type(self.hi) is not Fraction:
-            object.__setattr__(self, "hi", as_fraction(self.hi))
-        if self.lo < 0:
+        lo, hi = self.lo, self.hi
+        if type(lo) is not Fraction:
+            lo = as_fraction(lo)
+            object.__setattr__(self, "lo", lo)
+        if hi is not None and type(hi) is not Fraction:
+            hi = as_fraction(hi)
+            object.__setattr__(self, "hi", hi)
+        # lo < 0 and lo > hi tested on the numerators and the (positive)
+        # denominators, which costs fewer calls than comparing Fractions;
+        # an exact value, hi is lo, needs no order test
+        if lo.numerator < 0:
             raise ValueError("norm lower bound must be non-negative")
-        if self.hi is not None and self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+        if hi is not None and hi is not lo and \
+                lo.numerator * hi.denominator > hi.numerator * lo.denominator:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
 
     @staticmethod
     def exact(x) -> "NormValue":
@@ -248,7 +255,7 @@ def abs_ints(ring: BanachRing, nums: Sequence[int],
     build a ``Fraction`` only for the result.  Over Q_p, with V the
     largest v_p(N_i), A_i = p^(V - v_p(N_i) + v_p(L)) and den = p^V."""
     if ring.kind in (KIND_Z_ARCH, KIND_Q_ARCH):
-        return [abs(N) for N in nums], L
+        return list(map(abs, nums)), L
     if ring.kind == KIND_Z_TRIVIAL:
         return [int(N != 0) for N in nums], 1
     p = ring.p

@@ -74,25 +74,44 @@ def _rng(seed: int, tag: str) -> random.Random:
     return random.Random(f"{seed}:{tag}")
 
 
+# the p-adic rings of the primes below 50: criterion 1 draws from the
+# first four, and criterion 7 checks the fibers of all of them
+_PADIC_RINGS = tuple(map(rationals_padic, (2, 3, 5, 7, 11, 13, 17, 19, 23,
+                                           29, 31, 37, 41, 43, 47)))
+
+# Criterion 1 draws its rings and rationals from shared tables, built
+# once.  In CPython's random module, rng.choice of a sequence of length n
+# and rng.randint of a range of n integers both draw one
+# rng._randbelow(n), so choosing from a table draws what building the
+# value afresh did.  None stands for a p-adic ring, whose prime is drawn
+# next.
+_AXIOM_RINGS = (integers_archimedean(), integers_trivial(), None,
+                rationals_archimedean())
+_DIGITS = tuple(map(Fraction, range(-9, 10)))
+
+
+def _ratio_table(m: int):
+    """Rows a = 1..m of the ratios a/b, b = 1..m: a choice of a row, then
+    of an entry, draws as Fraction(randint(1, m), randint(1, m)) did."""
+    return tuple(tuple(Fraction(a, b) for b in range(1, m + 1))
+                 for a in range(1, m + 1))
+
+
+_RATIOS_9 = _ratio_table(9)
+_RATIOS_4 = _ratio_table(4)
+
+
 def _random_ring(rng: random.Random) -> BanachRing:
-    k = rng.randrange(4)
-    if k == 0:
-        return integers_archimedean()
-    if k == 1:
-        return integers_trivial()
-    if k == 2:
-        return rationals_padic(rng.choice([2, 3, 5, 7]))
-    return rationals_archimedean()
+    ring = rng.choice(_AXIOM_RINGS)
+    return rng.choice(_PADIC_RINGS[:4]) if ring is None else ring
 
 
 def _random_weights(rng: random.Random, rank: int):
-    return tuple(
-        Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(rank)
-    )
+    return tuple(rng.choice(rng.choice(_RATIOS_9)) for _ in range(rank))
 
 
 def _random_vector(rng: random.Random, rank: int):
-    return tuple(Fraction(rng.randint(-9, 9)) for _ in range(rank))
+    return tuple(rng.choice(_DIGITS) for _ in range(rank))
 
 
 def _rejects(exc, check, *args) -> bool:
@@ -155,48 +174,47 @@ def _check_series_axioms(inst) -> int:
 def _vector_instances(rng: random.Random):
     for _ in range(1000):
         ring = _random_ring(rng)
-        rank = rng.randint(1, 4)
+        rank = rng.choice(range(1, 5))
         flavor = MAX if (ring.non_archimedean and rng.random() < 0.5) else SUM
         M = WeightedFreeModule(ring, _random_weights(rng, rank), flavor)
         yield (M, _random_vector(rng, rank), _random_vector(rng, rank),
-               Fraction(rng.randint(-9, 9)))
+               rng.choice(_DIGITS))
 
 
 def _tensor_instances(rng: random.Random):
     for _ in range(1000):
         ring = _random_ring(rng)
         flavor = MAX if (ring.non_archimedean and rng.random() < 0.5) else SUM
-        rl, rr = rng.randint(1, 3), rng.randint(1, 3)
+        rl, rr = rng.choice(range(1, 4)), rng.choice(range(1, 4))
         L = WeightedFreeModule(ring, _random_weights(rng, rl), flavor)
         R = WeightedFreeModule(ring, _random_weights(rng, rr), flavor)
         terms = tuple(
             (_random_vector(rng, rl), _random_vector(rng, rr))
-            for _ in range(rng.randint(1, 3))
+            for _ in range(rng.choice(range(1, 4)))
         )
         x = TensorElement(L, R, terms)
         y = TensorElement(L, R, terms[:1])
-        yield (x, y, Fraction(rng.randint(-9, 9)), flavor)
+        yield (x, y, rng.choice(_DIGITS), flavor)
 
 
 def _series_instances(rng: random.Random):
     for _ in range(1000):
         ring = _random_ring(rng)
-        n = rng.randint(1, 2)
+        n = rng.choice(range(1, 3))
         D = 6
 
         def rand_series():
             coeffs = {}
-            for _ in range(rng.randint(1, 6)):
-                I = tuple(rng.randint(0, 3) for _ in range(n))
+            for _ in range(rng.choice(range(1, 7))):
+                I = tuple(rng.choice(range(4)) for _ in range(n))
                 if sum(I) <= D:
-                    coeffs[I] = Fraction(rng.randint(-9, 9))
+                    coeffs[I] = rng.choice(_DIGITS)
             return TruncatedSeries(ring, n, coeffs, D)
 
         rho = PolyRadius(
-            tuple(Fraction(rng.randint(1, 4), rng.randint(1, 4))
-                  for _ in range(n))
+            tuple(rng.choice(rng.choice(_RATIOS_4)) for _ in range(n))
         )
-        yield (rand_series(), rand_series(), Fraction(rng.randint(-9, 9)), rho)
+        yield (rand_series(), rand_series(), rng.choice(_DIGITS), rho)
 
 
 def criterion_1(seed: int) -> Dict:
@@ -428,18 +446,24 @@ def _oracle_cvp(columns: List[List[int]], v: List[int]) -> Optional[Fraction]:
     norm_v = sum(map(abs, v))
     if not cols:
         return Fraction(norm_v)
-    # Gauss-Jordan on [B^T B | B^T]; B^T B is positive definite (the
-    # columns are independent), so every diagonal pivot is nonzero
+    # fraction-free Gauss-Jordan (Bareiss) on [B^T B | B^T]: B^T B is
+    # positive definite (the columns are independent), so each pivot, a
+    # leading principal minor, is positive and each division is exact.
+    # It ends at [d I | d X], with d = det(B^T B) the last pivot and X the
+    # left inverse, so the window is floor(2 |v|_1 max_i sum_j |X_ij|) + 1
     k = len(cols)
-    rows = [[Fraction(sum(map(mul, a, b))) for b in cols]
-            + list(map(Fraction, a)) for a in cols]
+    rows = [[sum(map(mul, a, b)) for b in cols] + a for a in cols]
+    prev = 1
     for i, pivot_row in enumerate(rows):
-        pivot_row[:] = [x / pivot_row[i] for x in pivot_row]
+        p = pivot_row[i]
         for row in rows:
             if row is not pivot_row:
-                row[:] = [x - row[i] * y for x, y in zip(row, pivot_row)]
+                f = row[i]
+                row[:] = [(x * p - f * y) // prev
+                          for x, y in zip(row, pivot_row)]
+        prev = p
     row_sum = max(sum(map(abs, row[k:])) for row in rows)
-    window = int(row_sum * 2 * norm_v) + 1
+    window = 2 * norm_v * row_sum // prev + 1
     if window > 12:
         return None
     coords = list(zip(*cols))  # coords[i][j] = cols[j][i]
@@ -455,20 +479,25 @@ def _oracle_cvp(columns: List[List[int]], v: List[int]) -> Optional[Fraction]:
     return Fraction(best)
 
 
+def _residue_instances(rng: random.Random):
+    """Criterion 6's lattices, without end: (columns, v, oracle distance)
+    for each draw whose oracle window is small enough to enumerate."""
+    while True:
+        s = rng.randint(1, 3)
+        cols = [[rng.randint(-10, 10) for _ in range(3)] for _ in range(s)]
+        v = [rng.randint(-10, 10) for _ in range(3)]
+        oracle = _oracle_cvp(cols, v)
+        if oracle is not None:
+            yield cols, v, oracle
+
+
 def criterion_6(seed: int) -> Dict:
     rng = _rng(seed, "residue")
     ring = integers_archimedean()
     ambient = WeightedFreeModule(ring, (Fraction(1),) * 3, SUM)
 
-    checked = mismatches = 0
-    while checked < 100:
-        s = rng.randint(1, 3)
-        cols = [[rng.randint(-10, 10) for _ in range(3)] for _ in range(s)]
-        v = [rng.randint(-10, 10) for _ in range(3)]
-        oracle = _oracle_cvp(cols, v)
-        if oracle is None:
-            continue
-        checked += 1
+    mismatches = 0
+    for cols, v, oracle in itertools.islice(_residue_instances(rng), 100):
         src = WeightedFreeModule(ring, (Fraction(1),) * len(cols), SUM)
         rel = ModuleMap(
             src, ambient,
@@ -486,11 +515,6 @@ def criterion_6(seed: int) -> Dict:
 
 # ---------------------------------------------------------------------------
 # 7. spectral estimates and boundary dominance
-
-# the p-adic rings of the primes below 50, whose fibers criterion 7 checks
-_PADIC_RINGS = tuple(map(rationals_padic, (2, 3, 5, 7, 11, 13, 17, 19, 23,
-                                           29, 31, 37, 41, 43, 47)))
-
 
 def criterion_7(seed: int) -> Dict:
     """Global sup of 1+X, fiberwise dominance of the usual absolute value

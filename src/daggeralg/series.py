@@ -57,9 +57,9 @@ class PolyRadius:
     components: Tuple[Fraction, ...]
 
     def __post_init__(self):
-        comps = tuple(as_fraction(c) for c in self.components)
+        comps = tuple(map(as_fraction, self.components))
         object.__setattr__(self, "components", comps)
-        if any(c <= 0 for c in comps):
+        if any(c.numerator <= 0 for c in comps):
             raise ValueError("polyradius components must be positive")
 
     def __len__(self):
@@ -177,11 +177,14 @@ class TruncatedSeries:
                                            other.degree_bound)
         coeffs = dict(self.coeffs)
         for I, a in other.coeffs.items():
-            coeffs[I] = coeffs.get(I, Fraction(0)) + a
-        dropped = {I: a for I, a in coeffs.items() if sum(I) > D and a != 0}
-        coeffs = {I: a for I, a in coeffs.items() if sum(I) <= D and a != 0}
+            b = coeffs.get(I)
+            coeffs[I] = a if b is None else b + a
+        kept, dropped = {}, {}
+        for I, a in coeffs.items():
+            if a:
+                (kept if sum(I) <= D else dropped)[I] = a
         tail = _combine_tails_add(self, other, dropped)
-        return TruncatedSeries(self.ring, self.n, coeffs, D, tail)
+        return TruncatedSeries(self.ring, self.n, kept, D, tail)
 
     def scale(self, c) -> "TruncatedSeries":
         c = as_fraction(c)
@@ -257,17 +260,23 @@ class TruncatedSeries:
         if len(obj["coeffs"]) > MAX_COEFFS:
             raise ValueError(f"{len(obj['coeffs'])} series coefficients are "
                              f"over the cap of {MAX_COEFFS}")
+        coeffs = {}
+        for I, a in obj["coeffs"]:
+            # each exponent a JSON integer: int() read 1.9, "2" and true
+            # as 1, 2 and 1
+            if any(type(e) is not int for e in I):
+                raise ValueError(f"series exponents must be integers, "
+                                 f"not {I!r}")
+            I = tuple(I)
+            if I in coeffs:
+                raise ValueError(f"series multi-index {list(I)} is listed "
+                                 f"twice")
+            coeffs[I] = read_rational(a)
         tail = None
         if obj.get("tail"):
             tail = Tail(read_rational(obj["tail"]["C"]),
                         PolyRadius.from_json(obj["tail"]["sigma"]))
-        return TruncatedSeries(
-            ring,
-            n,
-            {tuple(I): read_rational(a) for I, a in obj["coeffs"]},
-            D,
-            tail,
-        )
+        return TruncatedSeries(ring, n, coeffs, D, tail)
 
 
 def _combine_tails_add(f: TruncatedSeries, g: TruncatedSeries,
@@ -294,7 +303,7 @@ def _scaled_ints(coeffs: Dict[Index, Fraction]):
     returns ([(I, N_I)], L) with coeffs[I] == N_I / L, L the lcm of the
     coefficients' denominators.  The series kernels compute on these
     numerators and build a ``Fraction`` only when they write a result."""
-    L = math.lcm(*(a.denominator for a in coeffs.values()))
+    L = math.lcm(*[a.denominator for a in coeffs.values()])
     return [(I, a.numerator * (L // a.denominator))
             for I, a in coeffs.items()], L
 
@@ -345,12 +354,13 @@ def _weighted_sum(sizes, r: PolyRadius) -> Tuple[int, int]:
         return 0, 1
     Q = 1
     for ri in reversed(r.components):
-        E = max(I[-1] for I, _ in sizes)
+        E = max([I[-1] for I, _ in sizes])
         columns = {}
         for I, s in sizes:
-            column = columns.get(I[:-1])
+            J = I[:-1]
+            column = columns.get(J)
             if column is None:
-                column = columns[I[:-1]] = [0] * (E + 1)
+                column = columns[J] = [0] * (E + 1)
             column[I[-1]] = s
         x, y = ri.numerator, ri.denominator
         sizes = [(J, _homogeneous(cs, x, y)) for J, cs in columns.items()]
@@ -417,6 +427,8 @@ def norm_S(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
         raise DimensionMismatch("polyradius arity mismatch")
     _check_tail_radius(f, rho)
     poly = _sum_norm(f.ring, *_scaled_ints(f.coeffs), rho)
+    if f.tail is None:
+        return NormValue(poly, poly)
     return NormValue(poly, poly + _tail_sum_bound(f, rho))
 
 
@@ -623,6 +635,8 @@ def norm_T(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     _check_tail_radius(f, rho)
     if f.ring.non_archimedean:
         gauss = _gauss_norm(f.ring, f.coeffs, rho)
+        if f.tail is None:
+            return NormValue(gauss, gauss)
         return NormValue(gauss, max(gauss, _tail_max_bound(f, rho)))
     # the Cauchy bound, the coefficient sum and the torus sampler share
     # the integers a_I rho^I = w_I / den

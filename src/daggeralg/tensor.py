@@ -18,11 +18,11 @@ over an Archimedean ring is not bounded below by the cells, since
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import mul
 from typing import List, Tuple
 
 from .errors import DimensionMismatch, FlavorMismatch
@@ -51,11 +51,11 @@ class TensorElement:
         ring = self.left.ring
         if ring != self.right.ring:
             raise DimensionMismatch("tensor factors must share the ring")
+        check, rl, rr = ring.check_element, self.left.rank, self.right.rank
         clean = []
         for m, n in self.terms:
-            m = tuple(ring.check_element(x) for x in m)
-            n = tuple(ring.check_element(x) for x in n)
-            if len(m) != self.left.rank or len(n) != self.right.rank:
+            m, n = tuple(map(check, m)), tuple(map(check, n))
+            if len(m) != rl or len(n) != rr:
                 raise DimensionMismatch("tensor term has wrong shape")
             clean.append((m, n))
         object.__setattr__(self, "terms", tuple(clean))
@@ -65,7 +65,7 @@ class TensorElement:
         return TensorElement(
             self.left,
             self.right,
-            tuple((tuple(lam * x for x in m), n) for m, n in self.terms),
+            tuple((tuple([lam * x for x in m]), n) for m, n in self.terms),
         )
 
 
@@ -91,18 +91,20 @@ def _coefficient_ints(terms, rl: int, rr: int):
     if len(terms) <= 1:
         m, n = terms[0] if terms else ((0,) * rl, (0,) * rr)
         R, C = [a.denominator for a in m], [b.denominator for b in n]
-        return [a.numerator * b.numerator for a in m for b in n], R, C
+        ns = [b.numerator for b in n]
+        return [a.numerator * b for a in m for b in ns], R, C
     h = len(terms) // 2
     (S1, R1, C1), (S2, R2, C2) = (_coefficient_ints(half, rl, rr)
                                   for half in (terms[:h], terms[h:]))
     R = list(map(math.lcm, R1, R2))
     C = list(map(math.lcm, C1, C2))
-    r1 = [r // q for r, q in zip(R, R1)]
-    r2 = [r // q for r, q in zip(R, R2)]
-    c1 = [c // q for c, q in zip(C, C1)]
-    c2 = [c // q for c, q in zip(C, C2)]
-    S = [S1[k] * r1[i] * c1[j] + S2[k] * r2[i] * c2[j]
-         for k, (i, j) in enumerate(itertools.product(range(rl), range(rr)))]
+    # a half's entry (i, j) scales by its row factor times its column one
+    factors = []
+    for Rh, Ch in ((R1, C1), (R2, C2)):
+        col = [c // q for c, q in zip(C, Ch)]
+        factors.append([r // q * c for r, q in zip(R, Rh) for c in col])
+    f1, f2 = factors
+    S = [a * x + b * y for a, x, b, y in zip(S1, f1, S2, f2)]
     return S, R, C
 
 
@@ -134,14 +136,13 @@ def tensor_norm_certified(x: TensorElement, flavor: str,
     A, den = abs_ints(ring, S, 1)
     gl, dl = _scaled_weights(x.left, R)
     gr, dr = _scaled_weights(x.right, C)
-    cells = [A[i * rr + j] * u * v for i, u in enumerate(gl)
-             for j, v in enumerate(gr)]
+    cells = list(map(mul, A, [u * v for u in gl for v in gr]))
     den *= dl * dr
-    lo = Fraction(max(cells, default=0), den)
     if flavor == MAX:
-        return NormValue.exact(lo)
+        return NormValue.exact(Fraction(max(cells, default=0), den))
     if x.left.flavor == SUM and x.right.flavor == SUM:
         return NormValue.exact(Fraction(sum(cells), den))
+    lo = Fraction(max(cells, default=0), den)
     # the row decomposition sum_i e_i (x) T_i costs sum_i |e_i| |T_i|,
     # an aggregate of row i's cells in the right module's flavor; the
     # column one likewise

@@ -132,6 +132,49 @@ class TestNormCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
+# coefficient lists whose exponents are not distinct JSON integers: the
+# first three were read as X^1, X^2 and X^1, the last as 5 X
+BAD_EXPONENTS = [
+    [[[1.9], "1"]],
+    [[["2"], "1"]],
+    [[[True], "1"]],
+    [[[1], "1"], [[1], "5"]],
+]
+
+
+class TestSeriesExponents:
+    @pytest.mark.parametrize("coeffs", BAD_EXPONENTS)
+    @pytest.mark.parametrize("command", [["norm", "--ring", "Z"],
+                                         ["spectrum"], ["shilov"]])
+    def test_rejected_series(self, tmp_path, capsys, command, coeffs):
+        f = write_json(tmp_path / "f.json", {"n": 1, "D": 2, "coeffs": coeffs})
+        assert main(command + ["--series", f, "--rho", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("coeffs", BAD_EXPONENTS)
+    @pytest.mark.parametrize("command", ["localize", "koszul"])
+    def test_rejected_spec_series(self, tmp_path, capsys, command, coeffs):
+        algebra = write_json(tmp_path / "A.json", {
+            "ring": {"kind": "Rationals_pAdic", "p": 2}, "n": 1,
+            "rho": ["1"], "relations": []})
+        spec = write_json(tmp_path / "spec.json", {
+            "variant": "weierstrass",
+            "fs": [{"n": 1, "D": 2, "coeffs": coeffs}], "radii": ["1"]})
+        assert main([command, "--algebra", algebra, "--spec", spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_repeated_index_is_named(self, tmp_path, capsys):
+        f = write_json(tmp_path / "f.json",
+                       {"n": 2, "D": 2, "coeffs": [[[0, 1], "1"],
+                                                   [[1, 0], "2"],
+                                                   [[0, 1], "3"]]})
+        assert main(["norm", "--series", f, "--rho", "1"]) == 1
+        assert capsys.readouterr().err == \
+            "error: series multi-index [0, 1] is listed twice\n"
+
+
 class TestTensorCommand:
     def test_certified_norm(self, tmp_path, capsys):
         ring = {"kind": "IntegersArchimedean"}
@@ -535,7 +578,9 @@ class TestInputCaps:
         *[("norm", "--series", dense_series(n, D), dense_series(n, D + 1))
           for n, D in DEGREE_CAPS.items()],
         ("norm", "--series", dense_series(4, 0), dense_series(5, 0)),
-        ("norm", "--series", dense_series(1, 0, 64), dense_series(1, 0, 65)),
+        # a multi-index is listed once, so the degree caps allow at most
+        # 49 listed coefficients; 65 copies of one are rejected by count
+        ("norm", "--series", dense_series(1, 48), dense_series(1, 0, 65)),
         ("pi-check", "--module", module_json(64), module_json(65)),
         ("tensor", "--element", tensor_json(64, 1), tensor_json(65, 1)),
         ("tensor", "--element", tensor_json(1, 64), tensor_json(1, 65)),

@@ -13,6 +13,7 @@ from daggeralg.scalars import (
     NormValue,
     abs_ints,
     abs_value,
+    as_fraction,
     integers_archimedean,
     integers_trivial,
     nth_root_interval,
@@ -80,6 +81,20 @@ class TestAbsInts:
         assert abs_ints(Q2, [], 8) == ([], 1)
 
 
+_BIG = 10**40
+# signed rationals with large denominators, and the same as int and str
+# inputs, which NormValue reads with as_fraction
+_RATIONALS = st.builds(Fraction, st.integers(-_BIG, _BIG),
+                       st.integers(1, _BIG))
+BOUNDS = st.one_of(
+    _RATIONALS,
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    st.integers(-_BIG, _BIG),
+    _RATIONALS.map(str),
+    st.integers(-100, 100).map(lambda k: f"{k // 4}.25"),
+)
+
+
 class TestNormValue:
     def test_interval_order_enforced(self):
         with pytest.raises(ValueError):
@@ -95,6 +110,36 @@ class TestNormValue:
         a = NormValue(1, None)
         assert add(a, NormValue.exact(1)).hi is None
         assert join(a, NormValue.exact(5)).hi is None
+
+    @given(BOUNDS, st.one_of(st.none(), BOUNDS,
+                             st.sampled_from(["lo", "equal", "equal str"])))
+    @example(Fraction(-1, _BIG), None)
+    @example(0, "lo")
+    @example(Fraction(1, 3), "equal")
+    @example(Fraction(_BIG + 1, _BIG), 1)
+    @example("-0.25", "1/2")
+    @settings(max_examples=300, deadline=None)
+    def test_validation_matches_fraction_comparisons(self, lo, hi):
+        """NormValue compares its bounds on numerators and denominators;
+        it raises exactly when the Fraction comparisons lo < 0 or lo > hi
+        hold, with the same message.  hi is lo itself, an equal Fraction
+        or its string when drawn as "lo", "equal" or "equal str"."""
+        hi = {"lo": lo, "equal": Fraction(as_fraction(lo)),
+              "equal str": str(as_fraction(lo))}.get(hi, hi)
+        flo = as_fraction(lo)
+        fhi = None if hi is None else as_fraction(hi)
+        if flo < 0:
+            message = "norm lower bound must be non-negative"
+        elif fhi is not None and flo > fhi:
+            message = f"empty interval [{flo}, {fhi}]"
+        else:
+            nv = NormValue(lo, hi)
+            assert (nv.lo, nv.hi) == (flo, fhi)
+            assert type(nv.lo) is Fraction
+            return
+        with pytest.raises(ValueError) as info:
+            NormValue(lo, hi)
+        assert str(info.value) == message
 
 
 class TestRoots:
