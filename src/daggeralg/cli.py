@@ -31,7 +31,6 @@ from .scalars import (
 )
 from .selftest import REPORT_VERSION, run_all
 from .series import (
-    MAX_COEFFS,
     MAX_DEGREE,
     DaggerPresentation,
     PolyRadius,
@@ -64,7 +63,7 @@ MAX_POWER_WORK = 4_000_000
 SERIES_HELP = (f"series JSON file: n = 1 to {max(MAX_DEGREE)} variables, "
                f"degree bound D <= {', '.join(map(str, MAX_DEGREE.values()))} "
                f"for n = {', '.join(map(str, MAX_DEGREE))}, at most "
-               f"{MAX_COEFFS} coefficients")
+               f"C(D + n, n) coefficients, one per multi-index")
 
 
 def parse_ring(text: str) -> BanachRing:
@@ -86,9 +85,19 @@ def parse_rho(text: str, n: int) -> PolyRadius:
     return PolyRadius(tuple(parts))
 
 
+def _unique_keys(pairs):
+    """A JSON object from its (key, value) pairs, none repeating a key."""
+    obj = {}
+    for k, v in pairs:
+        if k in obj:
+            raise ValueError(f"a JSON object repeats the key {k!r}")
+        obj[k] = v
+    return obj
+
+
 def _parse_json(text: str, where: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError(f"{where}: JSON nested too deeply") from None
 
@@ -179,6 +188,10 @@ def cmd_koszul(args) -> int:
 
 @reads_json("mv-check element")
 def _read_laurent_element(obj):
+    # int() alone reads "01" as 1 and "1_0" as 10
+    if any(k != str(int(k)) for k in obj):
+        raise ValueError(f"mv-check exponents must be plain integers, not "
+                         f"{list(obj)}")
     return {int(k): read_rational(v) for k, v in obj.items()}
 
 

@@ -13,22 +13,11 @@ from typing import List, Sequence
 Matrix = List[List[Fraction]]
 
 
-def mat_mul(A, B):
-    n, k = len(A), len(B)
-    m = len(B[0]) if B else 0
-    return [
-        [sum((A[i][t] * B[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
-        for i in range(n)
-    ]
-
-
 def identity(n: int) -> Matrix:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def transpose(A):
-    if not A:
-        return []
     return [list(col) for col in zip(*A)]
 
 
@@ -77,10 +66,6 @@ def rref(A: Matrix):
 
 def kernel_basis(A: Matrix, cols: int) -> List[List[Fraction]]:
     """Basis of {x : A x = 0} over Q."""
-    if not A:
-        return [
-            [Fraction(int(i == j)) for i in range(cols)] for j in range(cols)
-        ]
     R, pivots = rref(A)
     free = [c for c in range(cols) if c not in pivots]
     basis = []

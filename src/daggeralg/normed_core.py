@@ -29,7 +29,6 @@ from .scalars import (
     NormValue,
     abs_ints,
     as_fraction,
-    integers_archimedean,
     rationals_archimedean,
     read_rational,
 )
@@ -167,27 +166,26 @@ def cokernel(f: ModuleMap) -> PresentedModule:
 
 
 def kernel_lattice_basis(f: ModuleMap) -> List[List[Fraction]]:
-    """A Q-basis of ker(f).  For integer kinds each vector is saturated to
-    a primitive integer vector, one at a time, so their span can be a
-    proper sublattice of the integer vectors of ker(f): for (-2 -3 -1)
-    it is (-3, 2, 0) and (-1, 0, 2), which miss (-1, 1, -1)."""
-    A = [list(row) for row in f.matrix]
-    basis = linalg.kernel_basis(A, f.source.rank)
-    if f.source.ring.integral:
-        return [[Fraction(x) for x in linalg.saturate_integer(v)] for v in basis]
-    return basis
+    """A Q-basis of ker(f), of a map over Z or Z_triv.  Each vector is
+    saturated to a primitive integer vector, one at a time, so their span
+    can be a proper sublattice of the integer vectors of ker(f): for
+    (-2 -3 -1) it is (-3, 2, 0) and (-1, 0, 2), which miss (-1, 1, -1)."""
+    return [[Fraction(x) for x in linalg.saturate_integer(v)]
+            for v in linalg.kernel_basis(f.matrix, f.source.rank)]
 
 
 # ---------------------------------------------------------------------------
 # residue norms over lattices
 
 
+def _relation_columns(M: PresentedModule) -> List[List[int]]:
+    """The relation columns, as integer vectors."""
+    return [[int(x) for x in col] for col in zip(*M.relations.matrix)]
+
+
 def _relation_lattice(M: PresentedModule) -> List[List[int]]:
-    cols = [
-        [int(x) for x in M.relations.column(j)]
-        for j in range(M.relations.source.rank)
-    ]
-    return linalg.reduce_lattice_basis(linalg.hnf_column_basis(cols))
+    return linalg.reduce_lattice_basis(
+        linalg.hnf_column_basis(_relation_columns(M)))
 
 
 # half-width of the coefficient window enumerated when no certified window
@@ -222,17 +220,11 @@ def residue_norm(M: PresentedModule, v: Sequence) -> NormValue:
     if not basis:
         return vector_norm(M.ambient, v)
 
-    s = len(basis)
-    windows = _certified_windows(M, basis, v)
-    budget = 200_000
-    certified = windows is not None
-    if certified:
-        size = 1
-        for w in windows:
-            size *= 2 * w + 1
-        certified = size <= budget
+    windows = None if ring.non_archimedean else _certified_windows(M, basis, v)
+    certified = windows is not None \
+        and math.prod(2 * w + 1 for w in windows) <= 200_000
     if not certified:
-        windows = (FALLBACK_WINDOW,) * s
+        windows = (FALLBACK_WINDOW,) * len(basis)
     best = vector_norm(M.ambient, v).hi
     ranges = [range(-w, w + 1) for w in windows]
     for ks in itertools.product(*ranges):
@@ -270,8 +262,7 @@ def _trivial_residue_norm(M: PresentedModule, v: List[int]) -> NormValue:
     every branch whose weights left out already cost at least the best
     found."""
     w = M.ambient.weights
-    cols = [[int(x) for x in M.relations.column(j)]
-            for j in range(M.relations.source.rank)]
+    cols = _relation_columns(M)
     cost = sum if M.ambient.flavor == SUM \
         else (lambda ws: max(ws, default=Fraction(0)))
     order = sorted(range(M.ambient.rank), key=lambda i: -w[i])
@@ -300,35 +291,24 @@ def _trivial_residue_norm(M: PresentedModule, v: List[int]) -> NormValue:
 
 
 def _certified_windows(M, basis, v):
-    """Per-coordinate coefficient windows outside which no coset
+    """Per-coordinate coefficient windows, over Z, outside which no coset
     representative can beat the zero candidate.
 
-    A competing representative v + A k has sum-norm at most |v|_w, so
-    |A k|_w <= 2|v|_w and each |k_j| is bounded through a rational left
-    inverse of the basis matrix.  Only the Archimedean sum norm over the
-    integers grows with the coefficients; the trivial-valuation max norm
-    is bounded, so no finite window is conclusive there (returns None).
+    A competing representative v + B k (the basis vectors are the
+    columns of B, and a module over Z has the sum flavor) has norm at
+    most |v|_w, so each entry of B k is at most 2|v|_w / w_min, and |k_j|
+    at most that times the l1 norm of row j of the left inverse
+    (B^T B)^-1 B^T.  One ``linalg.rref`` of the integer rows
+    [B^T B | B^T] gives [I | (B^T B)^-1 B^T].  B^T B is invertible: each
+    column from ``hnf_column_basis`` leads in a row of its own with
+    zeros above, so they are independent, and ``reduce_lattice_basis``
+    keeps them so, as it only adds integer multiples of one to another.
     """
-    if M.ambient.ring != integers_archimedean() or M.ambient.flavor != SUM:
-        return None
-    n = M.ambient.rank
-    A = [[Fraction(basis[j][i]) for j in range(len(basis))] for i in range(n)]
-    # left inverse of the basis matrix (columns independent by construction)
-    AtA = linalg.mat_mul(linalg.transpose(A), A)
-    inv_rows = []
-    for e in linalg.identity(len(basis)):
-        x = linalg.solve(AtA, e)
-        if x is None:
-            return None
-        inv_rows.append(x)
-    left_inv = linalg.mat_mul(linalg.transpose(inv_rows), linalg.transpose(A))
-    w_min = min(M.ambient.weights)
-    v_norm = vector_norm(M.ambient, v).hi
-    windows = []
-    for row in left_inv:
-        C = sum(abs(x) for x in row)
-        windows.append(int(C * 2 * v_norm / w_min) + 1)
-    return tuple(windows)
+    R, _ = linalg.rref([[sum(map(mul, b, c)) for c in basis] + b
+                        for b in basis])
+    bound = 2 * vector_norm(M.ambient, v).hi / min(M.ambient.weights)
+    return tuple(int(sum(map(abs, row[len(basis):])) * bound) + 1
+                 for row in R)
 
 
 # ---------------------------------------------------------------------------

@@ -37,19 +37,19 @@ from .scalars import (
 
 Index = Tuple[int, ...]
 
-# radius assumed for tail majorants synthesised out of discarded exact
-# terms when no input majorant supplies one
+# tail radius along a variable that no majorant constrains: the new
+# variables of ``embed`` and an untailed factor of a tailed ``multiply``
 DEFAULT_DISCARD_SIGMA = Fraction(2)
 
 # caps on a series read from JSON: the largest degree bound D for each
-# variable count n, and the number of listed coefficients.  The
+# variable count n, which allows C(D + n, n) <= 49 listed coefficients,
+# one per multi-index.  The
 # Archimedean sup samples (8(D+1))^n torus points for n <= 2 and 12^n for
 # n >= 3 (ranking about half of them in floats and evaluating the top
 # few exactly), and `spectrum --grid 16` does so at 31 radii; at these
 # caps a dense series takes it under 1 s, and took about 4 s when the
 # caps were set (measured table in README)
 MAX_DEGREE = {1: 48, 2: 6, 3: 4, 4: 1}
-MAX_COEFFS = 64
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,10 @@ class TruncatedSeries:
         n, D, check = self.n, self.degree_bound, self.ring.check_element
         clean = {}
         for I, a in self.coeffs.items():
-            I = tuple(map(int, I))
+            if any(type(e) is not int for e in I):  # int() reads 1.9 as 1
+                raise ValueError(f"series exponents must be integers, "
+                                 f"not {list(I)!r}")
+            I = tuple(I)
             if len(I) != n or (n and min(I) < 0):
                 raise DimensionMismatch(f"bad multi-index {I}")
             if sum(I) > D:
@@ -148,20 +151,17 @@ class TruncatedSeries:
         return TruncatedSeries(ring, n, {(0,) * n: as_fraction(c)}, degree_bound)
 
     @staticmethod
-    def monomial(ring: BanachRing, I: Index, c=1, degree_bound=None,
-                 n=None) -> "TruncatedSeries":
+    def monomial(ring: BanachRing, I: Index, c=1,
+                 degree_bound=None) -> "TruncatedSeries":
         I = tuple(I)
-        n = len(I) if n is None else n
         D = sum(I) if degree_bound is None else degree_bound
-        return TruncatedSeries(ring, n, {I: as_fraction(c)}, D)
+        return TruncatedSeries(ring, len(I), {I: as_fraction(c)}, D)
 
     @staticmethod
-    def from_univariate(ring: BanachRing, coeff_list,
-                        degree_bound=None) -> "TruncatedSeries":
-        D = len(coeff_list) - 1 if degree_bound is None else degree_bound
+    def from_univariate(ring: BanachRing, coeff_list) -> "TruncatedSeries":
         return TruncatedSeries(
-            ring, 1, {(i,): as_fraction(c) for i, c in enumerate(coeff_list)}, D
-        )
+            ring, 1, {(i,): as_fraction(c) for i, c in enumerate(coeff_list)},
+            len(coeff_list) - 1)
 
     # -- basic algebra ----------------------------------------------------
 
@@ -206,24 +206,18 @@ class TruncatedSeries:
     def sub(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self.add(other.negate())
 
-    def embed(self, n: int, offset: int = 0) -> "TruncatedSeries":
-        """View in a larger variable set; original variable i becomes
-        variable offset + i."""
-        if offset + self.n > n:
+    def embed(self, n: int) -> "TruncatedSeries":
+        """View in a larger variable set: the variables keep their
+        places, and the new ones come last."""
+        new = n - self.n
+        if new < 0:
             raise DimensionMismatch("embedding does not fit")
-        coeffs = {}
-        for I, a in self.coeffs.items():
-            J = [0] * n
-            for i, e in enumerate(I):
-                J[offset + i] = e
-            coeffs[tuple(J)] = a
-        tail = None
-        if self.tail is not None:
+        coeffs = {I + (0,) * new: a for I, a in self.coeffs.items()}
+        tail = self.tail
+        if tail is not None:
             # unconstrained new variables get the discard radius
-            sigma = [DEFAULT_DISCARD_SIGMA] * n
-            for i, s in enumerate(self.tail.sigma):
-                sigma[offset + i] = s
-            tail = Tail(self.tail.C, PolyRadius(tuple(sigma)))
+            tail = Tail(tail.C, PolyRadius(
+                tail.sigma.components + (DEFAULT_DISCARD_SIGMA,) * new))
         return TruncatedSeries(self.ring, n, coeffs, self.degree_bound, tail)
 
     def with_ring(self, ring: BanachRing) -> "TruncatedSeries":
@@ -257,17 +251,14 @@ class TruncatedSeries:
         if not 0 <= D <= MAX_DEGREE[n]:
             raise ValueError(f"series degree bound {D} is outside 0.."
                              f"{MAX_DEGREE[n]} for {n} variables")
-        if len(obj["coeffs"]) > MAX_COEFFS:
+        cap = math.comb(D + n, n)
+        if len(obj["coeffs"]) > cap:
             raise ValueError(f"{len(obj['coeffs'])} series coefficients are "
-                             f"over the cap of {MAX_COEFFS}")
+                             f"over the cap of C(D + n, n) = {cap}")
         coeffs = {}
         for I, a in obj["coeffs"]:
-            # each exponent a JSON integer: int() read 1.9, "2" and true
-            # as 1, 2 and 1
-            if any(type(e) is not int for e in I):
-                raise ValueError(f"series exponents must be integers, "
-                                 f"not {I!r}")
             I = tuple(I)
+            # a dict cannot repeat a key, but a JSON list can
             if I in coeffs:
                 raise ValueError(f"series multi-index {list(I)} is listed "
                                  f"twice")
@@ -666,26 +657,22 @@ def _poly_growth_constant(n: int) -> Fraction:
     return cur
 
 
-def multiply(f: TruncatedSeries, g: TruncatedSeries,
-             D: Optional[int] = None) -> TruncatedSeries:
-    """Coefficient convolution truncated at D with a combined tail majorant.
-
-    Known coefficients below the bound are exact; anything discarded or
-    unknown is folded into a geometric tail with radius shrunk by 3/4 to
-    absorb the polynomial count of convolution cross terms.  A factor
-    with a tail leaves its product coefficients above its own degree
-    bound unknown, so the exact part then stops there.
-    """
+def multiply(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
+    """Coefficient convolution, exact to degree f.D + g.D, which no
+    product of known coefficients exceeds.  A factor with a tail leaves
+    the product coefficients above its own degree bound unknown, so the
+    exact part then stops there, and a geometric tail with radius shrunk
+    by 3/4 (to absorb the polynomial count of convolution cross terms)
+    bounds the rest."""
     f._check_compatible(g)
-    if D is None:
-        D = f.degree_bound + g.degree_bound
     tailed = [h for h in (f, g) if h.tail is not None]
-    D = min([D] + [h.degree_bound for h in tailed])
+    D = min([f.degree_bound + g.degree_bound]
+            + [h.degree_bound for h in tailed])
     fs, Lf = _scaled_ints(f.coeffs)
     gs, Lg = _scaled_ints(g.coeffs)
-    conv = _convolve(fs, gs)
     L = Lf * Lg
-    kept = {K: Fraction(c, L) for K, c in conv.items() if c and sum(K) <= D}
+    kept = {K: Fraction(c, L) for K, c in _convolve(fs, gs).items()
+            if c and sum(K) <= D}
 
     tail = None
     if tailed:
@@ -702,12 +689,6 @@ def multiply(f: TruncatedSeries, g: TruncatedSeries,
         Cg = _global_majorant_constant(g, sigma_min)
         sigma = PolyRadius(tuple(s * Fraction(3, 4) for s in sigma_min))
         tail = Tail(Cf * Cg * _poly_growth_constant(f.n), sigma)
-    else:
-        discarded = {K: Fraction(c, L) for K, c in conv.items()
-                     if c and sum(K) > D}
-        if discarded:
-            sigma = PolyRadius((DEFAULT_DISCARD_SIGMA,) * f.n)
-            tail = Tail(_gauss_norm(f.ring, discarded, sigma), sigma)
     return TruncatedSeries(f.ring, f.n, kept, D, tail)
 
 
@@ -769,12 +750,12 @@ class DaggerPresentation:
     @reads_json("algebra")
     def from_json(obj):
         ring = BanachRing.from_json(obj["ring"])
-        return DaggerPresentation(
-            ring,
-            obj["n"],
-            PolyRadius.from_json(obj["rho"]),
-            tuple(TruncatedSeries.from_json(r, ring) for r in obj["relations"]),
-        )
+        n = obj["n"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"algebra n must be an integer >= 1, not {n!r}")
+        return DaggerPresentation(ring, n, PolyRadius.from_json(obj["rho"]),
+                                  tuple(TruncatedSeries.from_json(r, ring)
+                                        for r in obj["relations"]))
 
 
 def unit_polydisk(ring: BanachRing, n: int = 1) -> DaggerPresentation:

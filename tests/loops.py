@@ -2,12 +2,14 @@
 ``normed_core`` replaced, kept as oracles: the radius power rho^I (once
 ``PolyRadius.power``), the Gauss and sum norms of a coefficient table
 and the norm of a vector in a weighted free module, one coefficient at
-a time through ``abs_value``.
+a time through ``abs_value``, and the residue norm's coefficient
+windows from a ``Fraction`` left inverse.
 """
 
 from fractions import Fraction
 
-from daggeralg.normed_core import SUM
+from daggeralg import linalg
+from daggeralg.normed_core import SUM, vector_norm
 from daggeralg.scalars import abs_value
 
 
@@ -36,6 +38,26 @@ def vector_norm_loop(M, v) -> Fraction:
     terms = [abs_value(M.ring, x) * w for x, w in zip(v, M.weights)]
     return sum(terms, Fraction(0)) if M.flavor == SUM \
         else max(terms, default=Fraction(0))
+
+
+def windows_loop(M, basis, v):
+    """The coefficient windows of ``normed_core._certified_windows`` for
+    a module over Z with the sum flavor, from the left inverse
+    (B^T B)^-1 B^T built in ``Fraction``s: B^T B by a matrix product,
+    one ``linalg.solve`` per basis vector, and a second product (once
+    ``_certified_windows`` itself)."""
+
+    def mat_mul(A, B):
+        return [[sum((a * b for a, b in zip(row, col)), Fraction(0))
+                 for col in zip(*B)] for row in A]
+
+    Bt = [[Fraction(x) for x in b] for b in basis]
+    BtB = mat_mul(Bt, linalg.transpose(Bt))
+    inv_rows = [linalg.solve(BtB, e) for e in linalg.identity(len(basis))]
+    left_inv = mat_mul(linalg.transpose(inv_rows), Bt)
+    bound = 2 * vector_norm(M.ambient, v).hi / min(M.ambient.weights)
+    return tuple(int(sum(abs(x) for x in row) * bound) + 1
+                 for row in left_inv)
 
 
 def is_zero(f) -> bool:

@@ -285,6 +285,20 @@ class TestLocalizeAndKoszul:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["localize", "koszul"])
+    @pytest.mark.parametrize("n", [1.0, True, "1", 0],
+                             ids=["float", "boolean", "string", "zero"])
+    def test_algebra_n_is_a_positive_integer(self, tmp_path, capsys,
+                                             command, n):
+        # 1.0 once ended in a TypeError traceback and true was printed back
+        A = write_json(tmp_path / "A.json", {
+            "ring": {"kind": "Rationals_pAdic", "p": 2}, "n": n,
+            "rho": ["1"], "relations": []})
+        assert main([command, "--algebra", A,
+                     "--spec", self.spec(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_spec_not_an_object(self, tmp_path, capsys):
         spec = write_json(tmp_path / "spec.json", ["weierstrass"])
         code = main(["koszul", "--algebra", self.algebra(tmp_path),
@@ -324,6 +338,25 @@ class TestMVCommand:
         f = write_json(tmp_path / "e.json", [{"0": "1", "1": "1/2"}])
         assert main(["mv-check", "--elements", f, "--ring", "Z"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("text", [
+        '[{"1": "1/2", "01": "3"}]',
+        '[{"1": "1/2", "1": "3"}]',
+        '[{"1_0": "1"}]',
+        '[{"+1": "1"}]',
+        '[{" 1": "1"}]',
+    ], ids=["leading-zero", "repeated", "underscore", "plus", "space"])
+    def test_exponent_keys_are_plain_integers_listed_once(self, tmp_path,
+                                                          capsys, text):
+        # each of these was read as an integer key, and in the first two
+        # the exponent 1 kept only the coefficient 3, so the 1/2 outside
+        # Z went unchecked
+        path = tmp_path / "e.json"
+        path.write_text(text)
+        assert main(["mv-check", "--elements", str(path), "--ring", "Z",
+                     "--degree", "16"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestSpectrumCommands:
@@ -613,7 +646,8 @@ class TestInputCaps:
 
     @pytest.mark.parametrize("command,stated", [
         ("norm", "n = 1 to 4 variables, degree bound D <= 48, 6, 4, 1 for "
-                 "n = 1, 2, 3, 4, at most 64 coefficients"),
+                 "n = 1, 2, 3, 4, at most C(D + n, n) coefficients, one per "
+                 "multi-index"),
         ("spectrum", "D <= 48, 6, 4, 1 for n = 1, 2, 3, 4"),
         ("shilov", "D <= 48, 6, 4, 1 for n = 1, 2, 3, 4"),
         ("pi-check", "module JSON file of rank at most 64"),
@@ -750,6 +784,24 @@ class TestRationalSizes:
                      "--rho", "1/" + "7" * 100]) == 1
         assert time.monotonic() - start < 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command,option,text", [
+    # a later "tail": null once dropped the tail, and the exact norm of
+    # the known part was printed
+    ("norm", "--series", '{"n": 1, "D": 1, "coeffs": [[[1], "1"]], '
+     '"tail": {"C": "1", "sigma": ["2"]}, "tail": null}'),
+    ("norm", "--series", '{"n": 1, "D": 0, "coeffs": [], "D": 48}'),
+    ("pi-check", "--module", '{"ring": {"kind": "Rationals_pAdic", "p": 2, '
+     '"p": 3}, "weights": ["1"], "flavor": "sum"}'),
+], ids=["series-tail", "series-D", "ring-prime"])
+def test_repeated_json_key(tmp_path, capsys, command, option, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert main([command, option, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a JSON object repeats the key") \
+        and "Traceback" not in err
 
 
 def test_deeply_nested_json(tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from daggeralg.errors import (
@@ -20,6 +20,8 @@ from daggeralg.normed_core import (
     ModuleMap,
     StrictWithConstants,
     WeightedFreeModule,
+    _certified_windows,
+    _relation_lattice,
     check_strictness,
     cokernel,
     kernel_lattice_basis,
@@ -37,7 +39,7 @@ from daggeralg.scalars import (
     rationals_padic,
 )
 from intervals import add, join, scale
-from loops import vector_norm_loop
+from loops import vector_norm_loop, windows_loop
 
 Z = integers_archimedean()
 ZT = integers_trivial()
@@ -325,6 +327,34 @@ class TestResidueNorm:
             )
             v = tuple(Fraction(rng.randint(-6, 6)) for _ in range(3))
             assert residue_norm(cokernel(rel), v).hi <= vector_norm(amb, v).hi
+
+
+@st.composite
+def window_cases(draw):
+    """A cokernel over Z of ambient rank 1-5, weights 1-3 and 1-3
+    relations with entries in -6..6, and a class v with |v_i| <= 10."""
+    n = draw(st.integers(1, 5))
+    s = draw(st.integers(1, 3))
+    amb = zmod(*draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=s,
+                                  max_size=s), min_size=n, max_size=n))
+    v = draw(st.lists(st.integers(-10, 10), min_size=n, max_size=n))
+    return cokernel(ModuleMap(zmod(*[1] * s), amb, tuple(
+        tuple(map(Fraction, row)) for row in rows))), v
+
+
+class TestCertifiedWindows:
+    @given(window_cases())
+    # dependent relation columns: the third is the sum of the first two
+    @example((cokernel(ModuleMap(zmod(1, 1, 1), zmod(1, 2, 3), (
+        (Fraction(2), Fraction(1), Fraction(3)),
+        (Fraction(-1), Fraction(4), Fraction(3)),
+        (Fraction(5), Fraction(0), Fraction(5))))), [7, -3, 10]))
+    @settings(max_examples=200, deadline=None)
+    def test_match_the_fraction_left_inverse(self, case):
+        M, v = case
+        basis = _relation_lattice(M)
+        assert _certified_windows(M, basis, v) == windows_loop(M, basis, v)
 
 
 def box_minimum(M, rels, v, box=60):

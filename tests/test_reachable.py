@@ -18,6 +18,10 @@ name that no other package class or top-level function defines may also
 be matched by name alone.  A shared name (``to_json``, say) matched by
 name alone counts only when ``ALLOWED`` lists ``Class.method``, so that a
 method which shares its name with a used one never passes unchecked.
+
+Every parameter with a default is also passed, by position or by
+keyword, at some package or ``bench/`` call of a function of its name
+outside its own body, unless ``ALLOWED_DEFAULTS`` says why it is kept.
 """
 
 import ast
@@ -58,8 +62,9 @@ def _names(trees, strings=False):
             for word in _words(node, strings)}
 
 
-BENCH = _names((ast.parse(p.read_text())
-                for p in sorted((ROOT / "bench").glob("*.py"))), strings=True)
+BENCH_TREES = [ast.parse(p.read_text())
+               for p in sorted((ROOT / "bench").glob("*.py"))]
+BENCH = _names(BENCH_TREES, strings=True)
 
 
 def _public(body):
@@ -228,3 +233,105 @@ def test_a_method_sharing_a_used_name_is_caught():
     assert "scale" in package.shared
     assert "NormValue.scale" in package.unused(path)
     assert "TruncatedSeries.scale" not in package.unused(PACKAGE / "series.py")
+
+
+# ---------------------------------------------------------------------------
+# defaulted parameters
+
+# parameters with a default that no package or bench call passes, kept
+# with the reason
+ALLOWED_DEFAULTS = {
+    "weierstrass_spec.radii": "public constructor mirroring the optional "
+    "JSON field",
+    "laurent_spec.radii": "public constructor mirroring the optional JSON "
+    "field",
+    "rational_spec.radii": "public constructor mirroring the optional "
+    "JSON field",
+    "rational_spec.witness": "public constructor mirroring the optional "
+    "JSON field",
+    "mayer_vietoris.disk_radius": "criterion 5 passes it through _rejects",
+    "mayer_vietoris.annulus_inner": "criterion 5 passes it through "
+    "_rejects",
+    "_torus_lower_bound.points_per_var": "the tests' small-grid oracle",
+}
+
+
+def _defaulted(tree):
+    """(qualified name, function node, parameter, position) for every
+    parameter with a default of a function or method in a module; the
+    position counts the arguments a caller writes (not a method's
+    ``self``), and is None for a keyword-only parameter."""
+    todo = [(node, None) for node in tree.body]
+    while todo:
+        node, cls = todo.pop()
+        if isinstance(node, ast.ClassDef):
+            todo += [(n, node.name) for n in node.body]
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        todo += [(n, None) for n in node.body]
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in node.decorator_list)
+        name = f"{cls}.{node.name}" if cls else node.name
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield f"{name}.{arg.arg}", node, arg.arg, i - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{name}.{arg.arg}", node, arg.arg, None
+
+
+def _calls(trees):
+    """(callee name, positional count, keyword names, node) for every
+    call by name or attribute; a ``*`` argument passes every position
+    and a ``**`` argument every keyword."""
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _words(node.func)
+            if not name:
+                continue
+            count = len(node.args)
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                count = float("inf")
+            keywords = {k.arg for k in node.keywords}
+            yield name.pop(), count, keywords, node
+
+
+CALLS = list(_calls([*TREES.values(), *BENCH_TREES]))
+
+
+def unpassed_defaults(trees, calls):
+    out = []
+    for tree in trees.values():
+        for key, node, param, position in _defaulted(tree):
+            inside = set(map(id, ast.walk(node)))
+            if not any(name == node.name and id(call) not in inside
+                       and (param in keywords or None in keywords
+                            or position is not None and count > position)
+                       for name, count, keywords, call in calls):
+                out.append(key)
+    return out
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Each parameter with a default is passed, by position or by
+    keyword, at some package or bench call outside its own function, or
+    ``ALLOWED_DEFAULTS`` says why it is kept."""
+    unpassed = set(unpassed_defaults(TREES, CALLS))
+    assert unpassed == ALLOWED_DEFAULTS.keys(), \
+        f"unpassed {sorted(unpassed - ALLOWED_DEFAULTS.keys())}, passed " \
+        f"but allowed {sorted(ALLOWED_DEFAULTS.keys() - unpassed)}"
+
+
+def test_an_unpassed_default_is_caught():
+    # a call inside the function's own body does not count
+    tree = ast.parse("def _fresh(x, scale=2, *, shift=0):\n"
+                     "    return _fresh(x, 3, shift=1)\n\n"
+                     "def _user(y):\n"
+                     "    return _fresh(y, shift=y)\n")
+    assert unpassed_defaults({"m": tree}, list(_calls([tree]))) \
+        == ["_fresh.scale"]
