@@ -303,10 +303,11 @@ def _add_size(p, flag: str, default: int, cap: int, what: str) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it
-    unchanged, and building it is most of a small command's time.
-    Callers share it and must not change it."""
+def _parsers():
+    """The argument parser and each subcommand's own parser by name, built
+    once per process: parsing leaves them unchanged, and building them is
+    most of a small command's time.  Callers share them and must not
+    change them."""
     parser = argparse.ArgumentParser(
         prog="daggeralg",
         description="Exact-arithmetic normed modules and overconvergent "
@@ -389,12 +390,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     add_common(p)
 
-    return parser
+    return parser, dict(sub.choices)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full argument parser, shared as ``_parsers`` says."""
+    return _parsers()[0]
+
+
+def _parse_args(argv):
+    """The arguments of one call, read once.  A call that names a
+    subcommand first is read by that subcommand's parser alone, as the
+    full parser would hand it over; every other call, and any call that
+    leaves arguments unrecognized, goes through the full parser, so help,
+    errors and exit codes are its own to the byte."""
+    if argv is None:
+        argv = sys.argv[1:]
+    subparsers = _parsers()[1]
+    if argv and argv[0] in subparsers:
+        args, extra = subparsers[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

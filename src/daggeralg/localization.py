@@ -245,8 +245,11 @@ def mayer_vietoris(ring: BanachRing, D: int,
             "the intermediate spectrum points"
         )
     for coeffs in elements:
+        if any(type(k) is not int for k in coeffs):  # int() reads 1.9 as 1
+            raise ValueError(f"Laurent exponents must be integers, not "
+                             f"{list(coeffs)!r}")
         for k, c in coeffs.items():
-            if abs(int(k)) > D:
+            if abs(k) > D:
                 raise DimensionMismatch("element exceeds truncation degree")
             ring.check_element(c)
     return len(elements)

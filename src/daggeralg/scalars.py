@@ -25,18 +25,33 @@ def as_fraction(x) -> Fraction:
 
     Floats (a JSON 0.1 is not 1/10), booleans and exponent notation
     ("1e999999999" would build a billion-digit integer) are rejected."""
-    # the exact type first: the common case, and cheaper than isinstance
-    if type(x) is Fraction or isinstance(x, Fraction):
+    # the exact types first: the common cases, and cheaper than the
+    # isinstance of an abstract base class
+    if type(x) is Fraction:
         return x
-    if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
     if isinstance(x, str):
+        # plain ASCII digits, "-12" or "3/4", through int() alone: the
+        # fractions regex costs more than the rest of the read.  Any other
+        # string, and a zero denominator, takes the regex path below, so
+        # each value, error and message is the same on either path
+        num, slash, den = x.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit() and (
+                not slash or den.isascii() and den.isdigit()):
+            n = int(num)
+            d = int(den) if slash else 1
+            if d:
+                return Fraction(n, d)
         if "e" in x or "E" in x:
             raise ValueError(f"{x!r}: exponent notation is not accepted")
         try:
             return Fraction(x)
         except ZeroDivisionError:
             raise ValueError(f"{x!r}: zero denominator") from None
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    if isinstance(x, Fraction):
+        return x
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 

@@ -445,6 +445,26 @@ def _unit_circle_points(count: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     return tuple(dict.fromkeys(out))
 
 
+# one torus axis, built once per (count, half, largest exponent) of the
+# last 64 asked for, as immutable tuples; the largest at the series caps
+# (n = 1, D = 48) holds 195 points and 49 powers of each
+@functools.lru_cache(maxsize=64)
+def _circle_axis(count: int, upper: bool, E: int):
+    """The points (c, s) of ``_unit_circle_points(count)``, only those of
+    s >= 0 when ``upper``, and the float powers u^0, ..., u^E of each
+    u = c + i*s, by point and by exponent: (points, rows, columns) with
+    rows[j][e] == columns[e][j] == u_j^e."""
+    points = tuple(p for p in _unit_circle_points(count)
+                   if not upper or p[1] >= 0)
+    rows = []
+    for c, s in points:
+        u, powers = complex(float(c), float(s)), [1 + 0j]
+        for _ in range(E):
+            powers.append(powers[-1] * u)
+        rows.append(tuple(powers))
+    return points, tuple(rows), tuple(zip(*rows))
+
+
 def _power_table(zr: Fraction, zi: Fraction, E: int):
     """Powers of z = zr + i*zi = (x + iy)/q over one denominator: returns
     ([(re, im) of (x + iy)^e * q^(E - e) for e = 0..E], q^E)."""
@@ -498,34 +518,30 @@ def evaluate_complex(f: TruncatedSeries, points):
 MAX_RANKING_ERROR = 2.0**-30
 
 
-def _float_magnitudes(weighted, axes, exps) -> List[float]:
+def _float_magnitudes(weighted, axes) -> List[float]:
     """|g(u)| in floats at every torus sample u, in the order of
-    ``itertools.product`` over the axes, for g(u) = sum beta_I u^I with
-    beta_I = w_I / S and S = sum |w_I|.
+    ``itertools.product`` over the ``_circle_axis`` tables ``axes``, for
+    g(u) = sum beta_I u^I with beta_I = w_I / S and S = sum |w_I|.
 
-    Every axis but the last is folded into a dense coefficient list over
-    the last axis's exponent, which is then evaluated at each point of
-    the last axis."""
+    Every axis but the last is folded into a dense coefficient list h over
+    the last axis's exponent, which is then evaluated at all the last
+    axis's points one exponent column at a time: the products h_k u^k are
+    added in the order k = 0, 1, ..., as a ``sum`` over one sample's
+    products adds them, so each magnitude is that sum's to the bit."""
     S = sum(abs(w) for _, w in weighted)
     beta = [(I, w / S) for I, w in weighted]
-    tables = []
-    for points, E in zip(axes, exps):
-        rows = []
-        for c, s in points:
-            u, powers = complex(float(c), float(s)), [1 + 0j]
-            for _ in range(E):
-                powers.append(powers[-1] * u)
-            rows.append(powers)
-        tables.append(rows)
-    *prefix_axes, last_axis = tables
+    *prefix_axes, (_, _, columns) = axes
     mags = []
-    for prefix in itertools.product(*prefix_axes):
-        h = [0j] * (exps[-1] + 1)
+    for prefix in itertools.product(*(rows for _, rows, _ in prefix_axes)):
+        h = [0j] * len(columns)
         for I, b in beta:
             for powers, e in zip(prefix, I):
                 b = b * powers[e]
             h[I[-1]] += b
-        mags.extend(abs(sum(map(mul, h, powers))) for powers in last_axis)
+        values = map(h[0].__mul__, columns[0])
+        for h_k, column in zip(h[1:], columns[1:]):
+            values = map(add, values, map(h_k.__mul__, column))
+        mags.extend(map(abs, values))
     return mags
 
 
@@ -572,16 +588,17 @@ def _torus_max_sq(f: TruncatedSeries, weighted,
         return Fraction(0)
     if points_per_var is None:
         points_per_var = 8 * (f.degree_bound + 1) if f.n <= 2 else 8
-    circle = _unit_circle_points(points_per_var)
     exps = [max(I[i] for I, _ in weighted) for i in range(f.n)]
     # rational coefficients give |f(conj z)| = |f(z)|, and the circle is
     # closed under conjugation: the first axis needs only im >= 0
-    axes = [[p for p in circle if i or p[1] >= 0] for i in range(f.n)]
-    samples = itertools.product(*(range(len(points)) for points in axes))
+    axes = [_circle_axis(points_per_var, not i, E)
+            for i, E in enumerate(exps)]
+    samples = itertools.product(*(range(len(points))
+                                  for points, _, _ in axes))
     D = max(sum(I) for I, _ in weighted)
     delta = (len(weighted) + f.n * (D + 1) + 4) * 2.0**-50
     if delta <= MAX_RANKING_ERROR:
-        mags = _float_magnitudes(weighted, axes, exps)
+        mags = _float_magnitudes(weighted, axes)
         cutoff = max(mags) - 2 * delta
         samples = itertools.compress(samples, map(cutoff.__le__, mags))
     # each axis's power tables, built once per evaluated circle point; the
@@ -590,7 +607,7 @@ def _torus_max_sq(f: TruncatedSeries, weighted,
     num, den = 0, 1
     for sample in samples:
         row, q = [], 1
-        for points, E, built, j in zip(axes, exps, tables, sample):
+        for (points, _, _), E, built, j in zip(axes, exps, tables, sample):
             if j not in built:
                 built[j] = _power_table(*points[j], E)
             table, qpow = built[j]

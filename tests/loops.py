@@ -2,11 +2,14 @@
 ``normed_core`` replaced, kept as oracles: the radius power rho^I (once
 ``PolyRadius.power``), the Gauss and sum norms of a coefficient table
 and the norm of a vector in a weighted free module, one coefficient at
-a time through ``abs_value``, and the residue norm's coefficient
-windows from a ``Fraction`` left inverse.
+a time through ``abs_value``, the residue norm's coefficient
+windows from a ``Fraction`` left inverse, and the torus ranking's float
+magnitudes one sample at a time.
 """
 
+import itertools
 from fractions import Fraction
+from operator import mul
 
 from daggeralg import linalg
 from daggeralg.normed_core import SUM, vector_norm
@@ -64,3 +67,31 @@ def is_zero(f) -> bool:
     """No known coefficient and no tail mass (once
     ``TruncatedSeries.is_zero``)."""
     return not f.coeffs and (f.tail is None or f.tail.C == 0)
+
+
+def float_magnitudes_loop(weighted, axes, exps):
+    """|g(u)| in floats at every torus sample u over the circle points
+    ``axes``, one ``sum`` of h_k u^k per sample u of the last axis, with
+    float tables rebuilt from the points at each call (once
+    ``series._float_magnitudes``)."""
+    S = sum(abs(w) for _, w in weighted)
+    beta = [(I, w / S) for I, w in weighted]
+    tables = []
+    for points, E in zip(axes, exps):
+        rows = []
+        for c, s in points:
+            u, powers = complex(float(c), float(s)), [1 + 0j]
+            for _ in range(E):
+                powers.append(powers[-1] * u)
+            rows.append(powers)
+        tables.append(rows)
+    *prefix_axes, last_axis = tables
+    mags = []
+    for prefix in itertools.product(*prefix_axes):
+        h = [0j] * (exps[-1] + 1)
+        for I, b in beta:
+            for powers, e in zip(prefix, I):
+                b = b * powers[e]
+            h[I[-1]] += b
+        mags.extend(abs(sum(map(mul, h, powers))) for powers in last_axis)
+    return mags

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import math
@@ -11,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import daggeralg
+from daggeralg import cli
 from daggeralg.cli import (
     MAX_POWER_WORK,
     MAX_TENSOR_DENOMINATOR_BITS,
+    build_parser,
     main,
     parse_ring,
     parse_rho,
@@ -489,6 +492,120 @@ class TestArgumentErrors:
                                timeout=60)
         assert fresh.returncode == 0
         assert capsys.readouterr().out == fresh.stdout
+
+
+def valid_calls(tmp_path):
+    """A valid call of every subcommand, by name."""
+    ring = {"kind": "Rationals_pAdic", "p": 2}
+    series = write_json(tmp_path / "f.json", series_json(1, -2, 3))
+    module = write_json(tmp_path / "M.json", {"ring": ring, "weights": ["1"],
+                                              "flavor": "sum"})
+    element = write_json(tmp_path / "x.json", {
+        "left": {"ring": ring, "weights": ["2"], "flavor": "sum"},
+        "right": {"ring": ring, "weights": ["3"], "flavor": "sum"},
+        "terms": [[["1"], ["1"]]]})
+    algebra = write_json(tmp_path / "A.json", {"ring": ring, "n": 1,
+                                               "rho": ["1"], "relations": []})
+    spec = write_json(tmp_path / "spec.json", {
+        "variant": "weierstrass",
+        "fs": [{"n": 1, "D": 1, "coeffs": [[[1], "1"]]}], "radii": ["1"]})
+    elements = write_json(tmp_path / "e.json", [{"-1": "1", "3": "1/2"}])
+    return {
+        "norm": ["norm", "--series", series, "--rho", "2/3"],
+        "tensor": ["tensor", "--element", element, "--flavor", "max"],
+        "localize": ["localize", "--algebra", algebra, "--spec", spec],
+        "koszul": ["koszul", "--algebra", algebra, "--spec", spec,
+                   "--degree", "6"],
+        "mv-check": ["mv-check", "--elements", elements, "--degree", "8"],
+        "spectrum": ["spectrum", "--series", series, "--powers", "3",
+                     "--json-out", str(tmp_path / "report.json")],
+        "shilov": ["shilov", "--series", series, "--rho", "1/2"],
+        "pi-check": ["pi-check", "--module", module, "--samples", "20",
+                     "--seed", "3"],
+        "selftest": ["selftest", "--seed", "11"],
+    }
+
+
+# per subcommand: (a call missing a required option, a bad type, a value
+# outside its cap); selftest requires nothing, and norm, tensor and
+# localize have no capped option, so an option missing its value and an
+# extra token stand in for them
+ARGUMENT_ERRORS = {
+    "norm": (["norm"], ["norm", "--series"], ["norm", "--rho", "1", "x"]),
+    "tensor": (["tensor", "--flavor", "max"],
+               ["tensor", "--element", "x", "--flavor", "dense"],
+               ["tensor", "--element"]),
+    "localize": (["localize", "--spec", "s"], ["localize", "--algebra"],
+                 ["localize", "--algebra", "a", "--spec", "s", "t"]),
+    "koszul": (["koszul", "--algebra", "a"],
+               ["koszul", "--algebra", "a", "--spec", "s", "--degree", "x"],
+               ["koszul", "--algebra", "a", "--spec", "s", "--degree", "21"]),
+    "mv-check": (["mv-check", "--degree", "8"],
+                 ["mv-check", "--elements", "e", "--degree", "1.5"],
+                 ["mv-check", "--elements", "e", "--degree", "257"]),
+    "spectrum": (["spectrum", "--powers", "3"],
+                 ["spectrum", "--series", "f", "--grid", "two"],
+                 ["spectrum", "--series", "f", "--powers", "33"]),
+    "shilov": (["shilov", "--rho", "1"],
+               ["shilov", "--series", "f", "--prime-bound", "-"],
+               ["shilov", "--series", "f", "--prime-bound", "0"]),
+    "pi-check": (["pi-check", "--samples", "5"],
+                 ["pi-check", "--module", "m", "--seed", "7.0"],
+                 ["pi-check", "--module", "m", "--samples", "10001"]),
+    "selftest": (["selftest", "--seed"], ["selftest", "--seed", "x"],
+                 ["selftest", "extra"]),
+}
+
+
+class TestDispatch:
+    """A call that names a subcommand first is parsed by that
+    subcommand's parser alone; every call still exits, prints and writes
+    as when the full parser reads it."""
+
+    @staticmethod
+    def stub_selftest(monkeypatch):
+        # the dispatch is under test, not the report: a stub keeps the
+        # valid selftest call fast
+        report = {"criteria": [{"id": 1, "name": "stub", "passed": True}],
+                  "passed": True}
+        monkeypatch.setattr(cli, "run_all", lambda seed: dict(report, seed=seed))
+
+    def table(self, tmp_path):
+        valid = valid_calls(tmp_path)
+        argvs = [[], ["--help"], ["-h"], ["frobnicate"],
+                 ["frobnicate", "--help"], ["--bogus"], ["--", "norm"]]
+        for name, call in valid.items():
+            argvs += [call, [name, "--help"], call + ["-h"],
+                      *ARGUMENT_ERRORS[name], call + ["--bogus", "1"],
+                      call + ["--"], call + ["--", "x"], [name, "--", *call[1:]]]
+        return argvs
+
+    def test_same_as_the_full_parser(self, tmp_path, capsys, monkeypatch):
+        self.stub_selftest(monkeypatch)
+        table = self.table(tmp_path)
+        here = [(main(argv), *capsys.readouterr()) for argv in table]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parse_args", build_parser().parse_args)
+            full = [(main(argv), *capsys.readouterr()) for argv in table]
+        for argv, outcome, expected in zip(table, here, full):
+            assert outcome == expected, argv
+        assert {code for code, _, _ in here} == {0, 1}
+
+    def test_a_valid_call_parses_once(self, tmp_path, capsys, monkeypatch):
+        self.stub_selftest(monkeypatch)
+        calls = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            calls.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            counted)
+        for name, argv in valid_calls(tmp_path).items():
+            calls.clear()
+            assert main(argv) == 0
+            assert calls == [f"daggeralg {name}"]
 
 
 def test_selftest_runs_without_sympy():

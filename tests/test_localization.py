@@ -253,3 +253,12 @@ class TestMayerVietoris:
     def test_degree_guard(self):
         with pytest.raises(DimensionMismatch):
             mayer_vietoris(Q2, 2, [{5: Fraction(1)}])
+
+    @pytest.mark.parametrize("key", [1.9, True, "3", Fraction(2)])
+    def test_exponent_keys_must_be_ints(self, key):
+        # int() would read 1.9 as 1, True as 1 and "3" as 3
+        elements = [{0: Fraction(1), key: Fraction(2)}]
+        with pytest.raises(ValueError, match="Laurent exponents must be "
+                           "integers") as info:
+            mayer_vietoris(integers_archimedean(), 8, elements)
+        assert repr(key) in str(info.value)

@@ -271,3 +271,60 @@ class TestPrimality:
     def test_ring_needs_a_prime_integer(self, p):
         with pytest.raises(ValueError, match="needs a prime"):
             BanachRing("Rationals_pAdic", p)
+
+
+def regex_as_fraction(x):
+    """``as_fraction`` of a string through the fractions regex alone:
+    Fraction(x), with exponent notation rejected and a zero denominator
+    read as a ValueError."""
+    if "e" in x or "E" in x:
+        raise ValueError(f"{x!r}: exponent notation is not accepted")
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"{x!r}: zero denominator") from None
+
+
+def outcome(read, x):
+    """(type, value) of what ``read(x)`` returns, or (type, message) of
+    what it raises."""
+    try:
+        value = read(x)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+OVER_INT_LIMIT = "7" * 4301
+
+
+class TestStringRationals:
+    """Plain strings of ASCII digits are read with int(), every other
+    string with the fractions regex; both give the same results."""
+
+    @given(st.one_of(
+        st.text(alphabet="0123456789-+/_. eE\t\u0663\uff11\u00b2",
+                max_size=12),
+        st.builds(lambda sign, n, slash, d: f"{sign}{n}{slash}{d}",
+                  st.sampled_from(["", "-", "+", "--"]),
+                  st.integers(0, 10**30),
+                  st.sampled_from(["", "/"]),
+                  st.sampled_from(["", "0", "00", "-3", "007"])
+                  | st.integers(0, 10**30).map(str))))
+    @example(OVER_INT_LIMIT)
+    @example("-" + OVER_INT_LIMIT)
+    @example(OVER_INT_LIMIT + "/3")
+    @example("3/" + OVER_INT_LIMIT)
+    @example(OVER_INT_LIMIT + "/0")
+    @example("1/0")
+    @example("-0/7")
+    @example("007/010")
+    @example("")
+    @example("-")
+    @example("/")
+    @example("1/-2")
+    @example("1/")
+    @example("\u0663/4")
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_regex_reader(self, x):
+        assert outcome(as_fraction, x) == outcome(regex_as_fraction, x)

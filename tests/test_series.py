@@ -25,6 +25,8 @@ from daggeralg.series import (
     PolyRadius,
     Tail,
     TruncatedSeries,
+    _circle_axis,
+    _float_magnitudes,
     _gauss_norm,
     _poly_growth_constant,
     _scaled_ints,
@@ -46,7 +48,13 @@ from daggeralg.series import (
     unit_polydisk,
 )
 from intervals import contains
-from loops import gauss_loop, is_zero, rho_power, sum_loop
+from loops import (
+    float_magnitudes_loop,
+    gauss_loop,
+    is_zero,
+    rho_power,
+    sum_loop,
+)
 
 Z = integers_archimedean()
 ZT = integers_trivial()
@@ -617,6 +625,56 @@ class TestIntegerKernels:
         for count in (8, 9, 16, 56, 392):
             circle = _unit_circle_points(count)
             assert {(c, -s) for c, s in circle} == set(circle)
+
+
+@st.composite
+def ranked_terms(draw):
+    """(weighted, count): up to 8 distinct (I, w_I) terms in n = 1 to 3
+    variables with nonzero integers w_I, as ``_weighted_ints`` gives
+    them, and a circle point count."""
+    n = draw(st.integers(1, 3))
+    D = draw(st.integers(0, (6, 3, 2)[n - 1]))
+    indices = draw(st.lists(
+        st.tuples(*[st.integers(0, D)] * n).filter(lambda I: sum(I) <= D),
+        min_size=1, max_size=8, unique=True))
+    weights = draw(st.lists(st.integers(-2**70, 2**70).filter(bool),
+                            min_size=len(indices), max_size=len(indices)))
+    count = draw(st.sampled_from([8, 9, 16, 8 * (D + 1)]))
+    return list(zip(indices, weights)), count
+
+
+class TestColumnRanking:
+    """The float magnitudes that rank the torus samples, one exponent
+    column at a time over cached tables, are those of the per-sample
+    loop to the bit."""
+
+    @given(ranked_terms())
+    # monomials, and a row (z = -1) whose folded coefficients all cancel
+    @example(([((3,), 5)], 32))
+    @example(([((0, 2), -7)], 16))
+    @example(([((0, 1), 3), ((1, 1), 3)], 16))
+    @example(([((0, 0, 1), 1), ((1, 0, 1), 1), ((0, 1, 0), 2)], 8))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_sample_loop(self, case):
+        weighted, count = case
+        n = len(weighted[0][0])
+        exps = [max(I[i] for I, _ in weighted) for i in range(n)]
+        circle = _unit_circle_points(count)
+        points = [[p for p in circle if i or p[1] >= 0] for i in range(n)]
+        axes = [_circle_axis(count, not i, E) for i, E in enumerate(exps)]
+        assert [list(a[0]) for a in axes] == points
+        assert list(map(float.hex, _float_magnitudes(weighted, axes))) == \
+            list(map(float.hex, float_magnitudes_loop(weighted, points, exps)))
+
+    def test_tables_are_bounded_tuples(self):
+        points, rows, columns = _circle_axis(392, True, 48)
+        assert (len(points), len(rows), len(columns)) == (195, 195, 49)
+        for table in (points, rows, columns, *rows, *columns):
+            assert type(table) is tuple
+        assert all(rows[j][e] == columns[e][j]
+                   for j in range(195) for e in range(49))
+        assert _circle_axis(392, True, 48) is _circle_axis(392, True, 48)
+        assert _circle_axis.cache_info().maxsize == 64
 
 
 RANKING_RADII = [Fraction(1, 2**64), Fraction(2, 3), Fraction(1),
