@@ -445,24 +445,27 @@ def _unit_circle_points(count: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     return tuple(dict.fromkeys(out))
 
 
-# one torus axis, built once per (count, half, largest exponent) of the
-# last 64 asked for, as immutable tuples; the largest at the series caps
-# (n = 1, D = 48) holds 195 points and 49 powers of each
+# one torus axis's points and their floats, built once per (count, half)
+# of the last 64 asked for, as immutable tuples.  ``_torus_max_sq`` asks
+# for 56 keys at most under the series caps (49 first axes for n = 1, 7
+# second axes for n = 2), so none is evicted; the largest entry holds 195
+# points.  The powers, which grow with the exponent, are built per call
 @functools.lru_cache(maxsize=64)
-def _circle_axis(count: int, upper: bool, E: int):
+def _circle_axis(count: int, upper: bool):
     """The points (c, s) of ``_unit_circle_points(count)``, only those of
-    s >= 0 when ``upper``, and the float powers u^0, ..., u^E of each
-    u = c + i*s, by point and by exponent: (points, rows, columns) with
-    rows[j][e] == columns[e][j] == u_j^e."""
+    s >= 0 when ``upper``, and each as the complex float c + i*s."""
     points = tuple(p for p in _unit_circle_points(count)
                    if not upper or p[1] >= 0)
-    rows = []
-    for c, s in points:
-        u, powers = complex(float(c), float(s)), [1 + 0j]
-        for _ in range(E):
-            powers.append(powers[-1] * u)
-        rows.append(tuple(powers))
-    return points, tuple(rows), tuple(zip(*rows))
+    return points, tuple(complex(float(c), float(s)) for c, s in points)
+
+
+def _power_columns(us, E):
+    """The float powers u^0, ..., u^E of the points ``us`` by exponent:
+    columns[e][j] == u_j^e, computed as u_j^(e-1) * u_j."""
+    columns = [(1 + 0j,) * len(us)]
+    for _ in range(E):
+        columns.append(tuple(map(mul, columns[-1], us)))
+    return columns
 
 
 def _power_table(zr: Fraction, zi: Fraction, E: int):
@@ -518,21 +521,20 @@ def evaluate_complex(f: TruncatedSeries, points):
 MAX_RANKING_ERROR = 2.0**-30
 
 
-def _float_magnitudes(weighted, axes) -> List[float]:
+def _float_magnitudes(weighted, axes, exps) -> List[float]:
     """|g(u)| in floats at every torus sample u, in the order of
-    ``itertools.product`` over the ``_circle_axis`` tables ``axes``, for
+    ``itertools.product`` over the axes' complex floats ``axes``, for
     g(u) = sum beta_I u^I with beta_I = w_I / S and S = sum |w_I|.
 
     Every axis but the last is folded into a dense coefficient list h over
     the last axis's exponent, which is then evaluated at all the last
     axis's points one exponent column at a time: the products h_k u^k are
-    added in the order k = 0, 1, ..., as a ``sum`` over one sample's
-    products adds them, so each magnitude is that sum's to the bit."""
+    added left to right, k = 0, 1, ..., as the error bound assumes."""
     S = sum(abs(w) for _, w in weighted)
     beta = [(I, w / S) for I, w in weighted]
-    *prefix_axes, (_, _, columns) = axes
+    *prefix_axes, columns = map(_power_columns, axes, exps)
     mags = []
-    for prefix in itertools.product(*(rows for _, rows, _ in prefix_axes)):
+    for prefix in itertools.product(*(zip(*c) for c in prefix_axes)):
         h = [0j] * len(columns)
         for I, b in beta:
             for powers, e in zip(prefix, I):
@@ -591,14 +593,12 @@ def _torus_max_sq(f: TruncatedSeries, weighted,
     exps = [max(I[i] for I, _ in weighted) for i in range(f.n)]
     # rational coefficients give |f(conj z)| = |f(z)|, and the circle is
     # closed under conjugation: the first axis needs only im >= 0
-    axes = [_circle_axis(points_per_var, not i, E)
-            for i, E in enumerate(exps)]
-    samples = itertools.product(*(range(len(points))
-                                  for points, _, _ in axes))
+    axes = [_circle_axis(points_per_var, not i) for i in range(f.n)]
+    samples = itertools.product(*(range(len(points)) for points, _ in axes))
     D = max(sum(I) for I, _ in weighted)
     delta = (len(weighted) + f.n * (D + 1) + 4) * 2.0**-50
     if delta <= MAX_RANKING_ERROR:
-        mags = _float_magnitudes(weighted, axes)
+        mags = _float_magnitudes(weighted, [us for _, us in axes], exps)
         cutoff = max(mags) - 2 * delta
         samples = itertools.compress(samples, map(cutoff.__le__, mags))
     # each axis's power tables, built once per evaluated circle point; the
@@ -607,7 +607,7 @@ def _torus_max_sq(f: TruncatedSeries, weighted,
     num, den = 0, 1
     for sample in samples:
         row, q = [], 1
-        for (points, _, _), E, built, j in zip(axes, exps, tables, sample):
+        for (points, _), E, built, j in zip(axes, exps, tables, sample):
             if j not in built:
                 built[j] = _power_table(*points[j], E)
             table, qpow = built[j]

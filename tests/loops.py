@@ -7,9 +7,10 @@ windows from a ``Fraction`` left inverse, and the torus ranking's float
 magnitudes one sample at a time.
 """
 
+import functools
 import itertools
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 
 from daggeralg import linalg
 from daggeralg.normed_core import SUM, vector_norm
@@ -71,9 +72,11 @@ def is_zero(f) -> bool:
 
 def float_magnitudes_loop(weighted, axes, exps):
     """|g(u)| in floats at every torus sample u over the circle points
-    ``axes``, one ``sum`` of h_k u^k per sample u of the last axis, with
-    float tables rebuilt from the points at each call (once
-    ``series._float_magnitudes``)."""
+    ``axes``, adding h_k u^k left to right for each sample u of the last
+    axis, with float tables rebuilt from the points at each call (once
+    ``series._float_magnitudes``; it used ``sum``, which compensates
+    complex additions from Python 3.14 on, so the order is spelled out
+    here)."""
     S = sum(abs(w) for _, w in weighted)
     beta = [(I, w / S) for I, w in weighted]
     tables = []
@@ -93,5 +96,6 @@ def float_magnitudes_loop(weighted, axes, exps):
             for powers, e in zip(prefix, I):
                 b = b * powers[e]
             h[I[-1]] += b
-        mags.extend(abs(sum(map(mul, h, powers))) for powers in last_axis)
+        mags.extend(abs(functools.reduce(add, map(mul, h, powers)))
+                    for powers in last_axis)
     return mags

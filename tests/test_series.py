@@ -21,6 +21,7 @@ from daggeralg.scalars import (
 )
 from daggeralg.series import (
     DEFAULT_DISCARD_SIGMA,
+    MAX_DEGREE,
     DaggerPresentation,
     PolyRadius,
     Tail,
@@ -645,8 +646,8 @@ def ranked_terms(draw):
 
 class TestColumnRanking:
     """The float magnitudes that rank the torus samples, one exponent
-    column at a time over cached tables, are those of the per-sample
-    loop to the bit."""
+    column at a time over the cached circle floats, are those of the
+    per-sample loop to the bit."""
 
     @given(ranked_terms())
     # monomials, and a row (z = -1) whose folded coefficients all cancel
@@ -661,20 +662,24 @@ class TestColumnRanking:
         exps = [max(I[i] for I, _ in weighted) for i in range(n)]
         circle = _unit_circle_points(count)
         points = [[p for p in circle if i or p[1] >= 0] for i in range(n)]
-        axes = [_circle_axis(count, not i, E) for i, E in enumerate(exps)]
+        axes = [_circle_axis(count, not i) for i in range(n)]
         assert [list(a[0]) for a in axes] == points
-        assert list(map(float.hex, _float_magnitudes(weighted, axes))) == \
+        mags = _float_magnitudes(weighted, [us for _, us in axes], exps)
+        assert list(map(float.hex, mags)) == \
             list(map(float.hex, float_magnitudes_loop(weighted, points, exps)))
 
-    def test_tables_are_bounded_tuples(self):
-        points, rows, columns = _circle_axis(392, True, 48)
-        assert (len(points), len(rows), len(columns)) == (195, 195, 49)
-        for table in (points, rows, columns, *rows, *columns):
-            assert type(table) is tuple
-        assert all(rows[j][e] == columns[e][j]
-                   for j in range(195) for e in range(49))
-        assert _circle_axis(392, True, 48) is _circle_axis(392, True, 48)
-        assert _circle_axis.cache_info().maxsize == 64
+    def test_cached_axes_are_bounded_tuples(self):
+        points, us = _circle_axis(392, True)
+        assert len(points) == len(us) == 195
+        assert type(points) is type(us) is tuple
+        assert us == tuple(complex(float(c), float(s)) for c, s in points)
+        assert _circle_axis(392, True) is _circle_axis(392, True)
+        # every (count, first axis or not) the sampler asks for under the
+        # series caps fits at once
+        keys = {(8 * (D + 1), i == 0) for n in (1, 2) for i in range(n)
+                for D in range(MAX_DEGREE[n] + 1)} | {(8, True), (8, False)}
+        assert len(keys) == 56
+        assert len(keys) <= _circle_axis.cache_info().maxsize == 64
 
 
 RANKING_RADII = [Fraction(1, 2**64), Fraction(2, 3), Fraction(1),
