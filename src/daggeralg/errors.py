@@ -42,9 +42,10 @@ class NotACover(DaggerAlgError):
 
 def reads_json(what: str):
     """Decorate a ``from_json(obj, ...)`` reader of a JSON object: input of
-    the wrong shape (not an object, or a list where a pair or an object
-    belongs) raises ``ValueError`` naming ``what``, not the ``TypeError``
-    or ``AttributeError`` the reader would hit."""
+    the wrong shape (not an object, a list where a pair or an object
+    belongs, or an object without a key the reader needs) raises
+    ``ValueError`` naming ``what``, not the ``TypeError``,
+    ``AttributeError`` or ``KeyError`` the reader would hit."""
 
     def decorate(read):
         @functools.wraps(read)
@@ -55,6 +56,9 @@ def reads_json(what: str):
                 return read(obj, *args)
             except (TypeError, AttributeError) as exc:
                 raise ValueError(f"malformed {what}: {exc}") from None
+            except KeyError as exc:
+                raise ValueError(f"malformed {what}: missing key "
+                                 f"{exc.args[0]!r}") from None
 
         return reader
 

@@ -34,7 +34,7 @@ LAURENT = "laurent"
 RATIONAL = "rational"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalizationSpec:
     """One localization step.
 

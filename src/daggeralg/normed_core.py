@@ -5,7 +5,10 @@ A weighted free module of rank n carries either the sum norm
 ``|(c_i)| = max |c_i| w_i`` (non-Archimedean flavor, only over a
 non-Archimedean base ring).  A module holds its weights twice: as
 ``Fraction``s, and as integers ``W_i`` over one denominator ``Dw``, on
-which ``vector_norm`` computes.
+which ``vector_norm`` and the window search of ``residue_norm`` compute.
+
+Every class here is a frozen, slotted dataclass, so that a caller that
+holds many small modules and maps pays for no per-instance ``__dict__``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ MAX = "max"
 MAX_RANK = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightedFreeModule:
     """The weights w_i, also held as integers: w_i = int_weights[i] /
     weight_den, with weight_den the lcm of their denominators."""
@@ -102,7 +105,7 @@ def vector_norm(M: WeightedFreeModule, v: Sequence) -> NormValue:
     return NormValue.exact(Fraction(top, den * M.weight_den))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModuleMap:
     """Matrix of ring scalars sending source generators to target vectors.
 
@@ -148,7 +151,7 @@ def operator_norm(f: ModuleMap) -> NormValue:
     return NormValue.exact(best)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PresentedModule:
     """Cokernel of a map, with the residue norm: the ambient module modulo
     the image of relations."""
@@ -207,15 +210,20 @@ def residue_norm(M: PresentedModule, v: Sequence) -> NormValue:
       enumeration is exact whenever they hold at most 200,000 points.
     - Z over that budget: the +-``FALLBACK_WINDOW`` window is enumerated,
       and ``hi`` is its minimum but ``lo`` is 0.
+
+    The window search runs on integers: v and the basis are integer
+    vectors, each candidate v + sum k_j b_j is sized as the sum (or the
+    max) of ``abs_ints`` times the module's integer weights, and one
+    ``Fraction``, over ``weight_den``, is built for the result.
     """
     ring = M.ambient.ring
     if not ring.integral:
         raise UnsupportedRing("residue norms are certified on lattice rings only")
-    v = [ring.check_element(x) for x in v]
+    v = [int(ring.check_element(x)) for x in v]
     if len(v) != M.ambient.rank:
         raise DimensionMismatch("class representative has wrong length")
     if ring.non_archimedean and M.ambient.rank <= MAX_EXACT_TRIVIAL_RANK:
-        return _trivial_residue_norm(M, [int(x) for x in v])
+        return _trivial_residue_norm(M, v)
     basis = _relation_lattice(M)
     if not basis:
         return vector_norm(M.ambient, v)
@@ -225,20 +233,23 @@ def residue_norm(M: PresentedModule, v: Sequence) -> NormValue:
         and math.prod(2 * w + 1 for w in windows) <= 200_000
     if not certified:
         windows = (FALLBACK_WINDOW,) * len(basis)
-    best = vector_norm(M.ambient, v).hi
-    ranges = [range(-w, w + 1) for w in windows]
-    for ks in itertools.product(*ranges):
-        if all(k == 0 for k in ks):
+    W, flavor = M.ambient.int_weights, M.ambient.flavor
+
+    def size(x):
+        terms = map(mul, abs_ints(ring, x, 1)[0], W)
+        return sum(terms) if flavor == SUM else max(terms, default=0)
+
+    rows = list(zip(*basis))
+    best = size(v)
+    for ks in itertools.product(*[range(-w, w + 1) for w in windows]):
+        if not any(ks):
             continue
-        cand = list(v)
-        for k, b in zip(ks, basis):
-            for i in range(M.ambient.rank):
-                cand[i] += k * b[i]
-        val = vector_norm(M.ambient, cand).hi
+        val = size([x + sum(map(mul, ks, r)) for x, r in zip(v, rows)])
         if val < best:
             best = val
     if best == 0:
         return NormValue.zero()
+    best = Fraction(best, M.ambient.weight_den)
     return NormValue(best if certified else Fraction(0), best)
 
 
@@ -315,14 +326,14 @@ def _certified_windows(M, basis, v):
 # strictness
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrictWithConstants:
     c: Fraction
     C: Fraction
 
 
 # bench/workloads.py still names it in isinstance checks; nothing returns it
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NotStrictWitness:
     vector: Tuple[Fraction, ...]
 

@@ -9,6 +9,7 @@ every bound the package reports is exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -73,7 +74,7 @@ def read_rational(x) -> Fraction:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NormValue:
     """Certified two-sided bound on a norm: lo <= value <= hi.
 
@@ -164,7 +165,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BanachRing:
     """Descriptor of a base Banach ring: carrier + absolute value.
 
@@ -214,10 +215,14 @@ class BanachRing:
         return BanachRing(obj["kind"], p=obj.get("p"))
 
 
+# the rings without parameters are built once and shared: a ring is
+# frozen, and callers that build one per object then hold one between them
+@functools.cache
 def integers_archimedean() -> BanachRing:
     return BanachRing(KIND_Z_ARCH)
 
 
+@functools.cache
 def integers_trivial() -> BanachRing:
     return BanachRing(KIND_Z_TRIVIAL)
 
@@ -226,6 +231,7 @@ def rationals_padic(p: int) -> BanachRing:
     return BanachRing(KIND_Q_PADIC, p=p)
 
 
+@functools.cache
 def rationals_archimedean() -> BanachRing:
     return BanachRing(KIND_Q_ARCH)
 

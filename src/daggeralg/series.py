@@ -52,7 +52,7 @@ DEFAULT_DISCARD_SIGMA = Fraction(2)
 MAX_DEGREE = {1: 48, 2: 6, 3: 4, 4: 1}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolyRadius:
     components: Tuple[Fraction, ...]
 
@@ -105,7 +105,7 @@ def polyradius(*cs) -> PolyRadius:
     return PolyRadius(tuple(as_fraction(c) for c in cs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tail:
     C: Fraction
     sigma: PolyRadius
@@ -116,7 +116,7 @@ class Tail:
             raise ValueError("tail constant must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruncatedSeries:
     ring: BanachRing
     n: int
@@ -738,7 +738,7 @@ def base_change(f: TruncatedSeries, target: BanachRing) -> TruncatedSeries:
 # dagger-algebra presentations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DaggerPresentation:
     """Quotient presentation of an overconvergent polydisk algebra:
     n variables at the given polyradius, modulo the listed relations."""

@@ -152,7 +152,7 @@ def spectral_via_powers(f: TruncatedSeries, rho: PolyRadius,
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ShilovVerdict:
     confirmed: bool
     archimedean_sup: NormValue

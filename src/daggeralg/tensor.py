@@ -39,7 +39,7 @@ def tensor_modules(M: WeightedFreeModule, N: WeightedFreeModule,
     return WeightedFreeModule(M.ring, weights, flavor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TensorElement:
     """Finite representation sum m_k (x) n_k of an element of M (x) N."""
 

@@ -3,18 +3,20 @@
 ``PolyRadius.power``), the Gauss and sum norms of a coefficient table
 and the norm of a vector in a weighted free module, one coefficient at
 a time through ``abs_value``, the residue norm's coefficient
-windows from a ``Fraction`` left inverse, and the torus ranking's float
-magnitudes one sample at a time.
+windows from a ``Fraction`` left inverse and its window search over
+``Fraction`` candidates, and the torus ranking's float magnitudes one
+sample at a time.
 """
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from operator import add, mul
 
-from daggeralg import linalg
+from daggeralg import linalg, normed_core
 from daggeralg.normed_core import SUM, vector_norm
-from daggeralg.scalars import abs_value
+from daggeralg.scalars import NormValue, abs_value
 
 
 def rho_power(rho, I) -> Fraction:
@@ -62,6 +64,37 @@ def windows_loop(M, basis, v):
     bound = 2 * vector_norm(M.ambient, v).hi / min(M.ambient.weights)
     return tuple(int(sum(abs(x) for x in row) * bound) + 1
                  for row in left_inv)
+
+
+def residue_window_loop(M, v) -> NormValue:
+    """The window search of ``normed_core.residue_norm``, over Z and over
+    Z_triv above ``MAX_EXACT_TRIVIAL_RANK``, with each candidate
+    v + sum k_j b_j built in ``Fraction``s and sized by ``vector_norm``
+    (once the loop of ``residue_norm`` itself)."""
+    v = [M.ambient.ring.check_element(x) for x in v]
+    basis = normed_core._relation_lattice(M)
+    if not basis:
+        return vector_norm(M.ambient, v)
+    windows = None if M.ambient.ring.non_archimedean \
+        else normed_core._certified_windows(M, basis, v)
+    certified = windows is not None \
+        and math.prod(2 * w + 1 for w in windows) <= 200_000
+    if not certified:
+        windows = (normed_core.FALLBACK_WINDOW,) * len(basis)
+    best = vector_norm(M.ambient, v).hi
+    for ks in itertools.product(*[range(-w, w + 1) for w in windows]):
+        if all(k == 0 for k in ks):
+            continue
+        cand = list(v)
+        for k, b in zip(ks, basis):
+            for i in range(M.ambient.rank):
+                cand[i] += k * b[i]
+        val = vector_norm(M.ambient, cand).hi
+        if val < best:
+            best = val
+    if best == 0:
+        return NormValue.zero()
+    return NormValue(best if certified else Fraction(0), best)
 
 
 def is_zero(f) -> bool:

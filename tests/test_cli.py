@@ -454,6 +454,56 @@ class TestPiCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestMissingKeys:
+    """Each JSON reader names a missing key, under the name of what it
+    reads, and the CLI prints that as one error line."""
+
+    RING = {"kind": "Rationals_pAdic", "p": 2}
+    MODULE = {"ring": RING, "weights": ["1"], "flavor": "sum"}
+    ALGEBRA = {"ring": RING, "n": 1, "rho": ["1"], "relations": []}
+    SPEC = {"variant": "weierstrass",
+            "fs": [{"n": 1, "D": 1, "coeffs": [[[1], "1"]]}]}
+
+    @staticmethod
+    def without(obj, key):
+        return {k: v for k, v in obj.items() if k != key}
+
+    def argv(self, tmp_path, reader):
+        def file(name, obj):
+            return write_json(tmp_path / name, obj)
+
+        series = file("f.json", series_json(1, 2))
+        if reader == "series":
+            return ["norm", "--series",
+                    file("g.json", self.without(series_json(1, 2),
+                                                "coeffs"))]
+        if reader == "ring":
+            return ["norm", "--series", series, "--ring", '{"p": 3}']
+        if reader == "module":
+            return ["pi-check", "--module",
+                    file("M.json", self.without(self.MODULE, "flavor"))]
+        if reader == "tensor element":
+            return ["tensor", "--element",
+                    file("x.json", {"right": self.MODULE,
+                                    "terms": [[["1"], ["1"]]]})]
+        spec, algebra = self.SPEC, self.ALGEBRA
+        if reader == "algebra":
+            algebra = self.without(algebra, "relations")
+        else:
+            spec = self.without(spec, "variant")
+        return ["localize", "--algebra", file("A.json", algebra),
+                "--spec", file("spec.json", spec)]
+
+    @pytest.mark.parametrize("reader, key", [
+        ("series", "coeffs"), ("ring", "kind"), ("module", "flavor"),
+        ("tensor element", "left"), ("algebra", "relations"),
+        ("localization spec", "variant")])
+    def test_missing_key_is_named(self, tmp_path, capsys, reader, key):
+        assert main(self.argv(tmp_path, reader)) == 1
+        assert capsys.readouterr().err == \
+            f"error: malformed {reader}: missing key {key!r}\n"
+
+
 class TestDeterminism:
     def test_repeated_reports_identical(self, tmp_path, capsys):
         f = write_json(tmp_path / "f.json", series_json(1, -2, 3))

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from daggeralg.errors import (
@@ -39,7 +39,7 @@ from daggeralg.scalars import (
     rationals_padic,
 )
 from intervals import add, join, scale
-from loops import vector_norm_loop, windows_loop
+from loops import residue_window_loop, vector_norm_loop, windows_loop
 
 Z = integers_archimedean()
 ZT = integers_trivial()
@@ -355,6 +355,67 @@ class TestCertifiedWindows:
         M, v = case
         basis = _relation_lattice(M)
         assert _certified_windows(M, basis, v) == windows_loop(M, basis, v)
+
+
+def presented(ring, weights, flavor, rows, s):
+    """The cokernel of the relation columns ``rows`` (one row per ambient
+    coordinate, s entries each), with unit relation weights."""
+    return cokernel(ModuleMap(
+        WeightedFreeModule(ring, (Fraction(1),) * s, SUM),
+        WeightedFreeModule(ring, tuple(map(Fraction, weights)), flavor),
+        tuple(tuple(map(Fraction, row)) for row in rows)))
+
+
+def window_points(M, v):
+    """The number of points in the certified windows of a class over Z."""
+    return math.prod(2 * w + 1 for w in
+                     _certified_windows(M, _relation_lattice(M), v))
+
+
+@st.composite
+def residue_cases(draw, ring, ranks, flavors, entries):
+    """A cokernel of 1-2 relations with entries in -6..6 over ``ring``,
+    weights 1-3, a flavor from ``flavors`` and a class drawn from
+    ``entries``."""
+    n = draw(st.sampled_from(ranks))
+    s = draw(st.integers(1, 2))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=s,
+                                  max_size=s), min_size=n, max_size=n))
+    v = draw(st.lists(entries, min_size=n, max_size=n))
+    M = presented(ring, weights, draw(st.sampled_from(flavors)), rows, s)
+    return M, v
+
+
+class TestResidueWindowLoop:
+    """The integer window search of ``residue_norm`` against the
+    ``Fraction`` candidate loop it replaced, on each path it runs."""
+
+    @given(residue_cases(Z, range(1, 5), (SUM,), st.integers(-4, 4)))
+    @settings(max_examples=150, deadline=None)
+    def test_certified_windows(self, case):
+        M, v = case
+        assume(_relation_lattice(M) and window_points(M, v) <= 20_000)
+        nv = residue_norm(M, v)
+        assert nv == residue_window_loop(M, v) and nv.lo == nv.hi
+
+    @given(residue_cases(Z, range(2, 5), (SUM,),
+                         st.integers(-10**6, 10**6)))
+    @settings(max_examples=60, deadline=None)
+    def test_fallback_window(self, case):
+        M, v = case
+        assume(_relation_lattice(M) and window_points(M, v) > 200_000)
+        nv = residue_norm(M, v)
+        assert nv == residue_window_loop(M, v) and nv.lo == 0
+
+    @given(residue_cases(ZT, (MAX_EXACT_TRIVIAL_RANK + 1,
+                              MAX_EXACT_TRIVIAL_RANK + 2),
+                         (SUM, MAX), st.integers(-4, 4)))
+    @settings(max_examples=60, deadline=None)
+    def test_trivial_over_the_rank_cap(self, case):
+        M, v = case
+        nv = residue_norm(M, v)
+        assert nv == residue_window_loop(M, v) and nv.lo == 0
 
 
 def box_minimum(M, rels, v, box=60):
