@@ -357,7 +357,7 @@ class TestCertifiedWindows:
         assert _certified_windows(M, basis, v) == windows_loop(M, basis, v)
 
 
-def presented(ring, weights, flavor, rows, s):
+def cokernel_of_rows(ring, weights, flavor, rows, s):
     """The cokernel of the relation columns ``rows`` (one row per ambient
     coordinate, s entries each), with unit relation weights."""
     return cokernel(ModuleMap(
@@ -383,7 +383,8 @@ def residue_cases(draw, ring, ranks, flavors, entries):
     rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=s,
                                   max_size=s), min_size=n, max_size=n))
     v = draw(st.lists(entries, min_size=n, max_size=n))
-    M = presented(ring, weights, draw(st.sampled_from(flavors)), rows, s)
+    M = cokernel_of_rows(ring, weights, draw(st.sampled_from(flavors)),
+                         rows, s)
     return M, v
 
 

@@ -110,4 +110,3 @@ def test_pickle_round_trip(x):
                                   rationals_archimedean])
 def test_rings_without_parameters_are_shared(make):
     assert make() is make()
-    assert pickle.loads(pickle.dumps(make())) == make()
