@@ -12,7 +12,7 @@ import json
 import math
 import sys
 
-from .errors import DaggerAlgError, reads_json
+from .errors import DaggerAlgError, members
 from .localization import (
     LocalizationSpec,
     koszul_h_check,
@@ -74,8 +74,18 @@ def parse_ring(text: str) -> BanachRing:
     if text == "R":
         return rationals_archimedean()
     if text.startswith("Qp:"):
-        return rationals_padic(int(text.split(":", 1)[1]))
+        return rationals_padic(_plain_int(text[3:], f"--ring {text}"))
     return BanachRing.from_json(_parse_json(text, "--ring"))
+
+
+def _plain_int(text: str, where: str) -> int:
+    """An integer as str() writes it, in ASCII digits: not "+1", " 1", "01"
+    or "1_0", all of which int() reads."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()) or \
+            digits[0] == "0" and text != "0":
+        raise ValueError(f"{where}: {text!r} is not a plain integer")
+    return int(text)
 
 
 def parse_rho(text: str, n: int) -> PolyRadius:
@@ -128,17 +138,20 @@ def cmd_norm(args) -> int:
     return 0
 
 
-@reads_json("tensor element")
 def _read_tensor_element(obj) -> TensorElement:
-    left = WeightedFreeModule.from_json(obj["left"])
-    right = WeightedFreeModule.from_json(obj["right"])
-    if len(obj["terms"]) > MAX_TENSOR_TERMS:
-        raise ValueError(f"{len(obj['terms'])} tensor terms are over the "
-                         f"cap of {MAX_TENSOR_TERMS}")
-    terms = tuple(
-        (tuple(read_rational(c) for c in m), tuple(read_rational(c) for c in n))
-        for m, n in obj["terms"]
-    )
+    left, right, terms = members(obj, "tensor element", {
+        "left": dict, "right": dict, "terms": list})
+    left = WeightedFreeModule.from_json(left)
+    right = WeightedFreeModule.from_json(right)
+    if len(terms) > MAX_TENSOR_TERMS:
+        raise ValueError(f"{len(terms)} tensor terms are over the cap of "
+                         f"{MAX_TENSOR_TERMS}")
+    if any(type(t) is not list or list(map(type, t)) != [list, list]
+           for t in terms):
+        raise ValueError("malformed tensor element: a term is a pair of "
+                         "lists of rationals")
+    terms = tuple((tuple(map(read_rational, m)), tuple(map(read_rational, n)))
+                  for m, n in terms)
     # the lcm grows one entry at a time and stops past the cap: one of
     # 4,096 unrelated 64-bit denominators takes most of a second
     for side, name, module in ((0, "left", left), (1, "right", right)):
@@ -186,21 +199,14 @@ def cmd_koszul(args) -> int:
     return 0
 
 
-@reads_json("mv-check element")
-def _read_laurent_element(obj):
-    # int() alone reads "01" as 1 and "1_0" as 10
-    if any(k != str(int(k)) for k in obj):
-        raise ValueError(f"mv-check exponents must be plain integers, not "
-                         f"{list(obj)}")
-    return {int(k): read_rational(v) for k, v in obj.items()}
-
-
 def cmd_mv_check(args) -> int:
     ring = parse_ring(args.ring)
     elements = _load_json(args.elements)
-    if not isinstance(elements, list):
-        raise ValueError("mv-check elements must be a JSON list")
-    elements = [_read_laurent_element(e) for e in elements]
+    if type(elements) is not list or \
+            any(type(e) is not dict for e in elements):
+        raise ValueError("mv-check elements must be a JSON list of objects")
+    elements = [{_plain_int(k, "mv-check exponent"): read_rational(v)
+                 for k, v in e.items()} for e in elements]
     checked = mayer_vietoris(ring, args.degree, elements)
     # exact by the unique split of a Laurent polynomial by exponent sign
     _emit({"version": REPORT_VERSION, "exact": True,
@@ -422,8 +428,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except (DaggerAlgError, ValueError, KeyError, OSError,
-            ZeroDivisionError) as exc:
+    except (DaggerAlgError, ValueError, OSError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,6 +1,5 @@
-"""Exception types shared across the package."""
-
-import functools
+"""Exception types shared across the package, and ``members``, the one
+reader of the shape of a JSON object read from input."""
 
 
 class DaggerAlgError(Exception):
@@ -39,27 +38,29 @@ class NotACover(DaggerAlgError):
     pass
 
 
+NULL = type(None)
 
-def reads_json(what: str):
-    """Decorate a ``from_json(obj, ...)`` reader of a JSON object: input of
-    the wrong shape (not an object, a list where a pair or an object
-    belongs, or an object without a key the reader needs) raises
-    ``ValueError`` naming ``what``, not the ``TypeError``,
-    ``AttributeError`` or ``KeyError`` the reader would hit."""
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer", NULL: "null"}
 
-    def decorate(read):
-        @functools.wraps(read)
-        def reader(obj, *args):
-            if not isinstance(obj, dict):
-                raise ValueError(f"{what} must be a JSON object")
-            try:
-                return read(obj, *args)
-            except (TypeError, AttributeError) as exc:
-                raise ValueError(f"malformed {what}: {exc}") from None
-            except KeyError as exc:
-                raise ValueError(f"malformed {what}: missing key "
-                                 f"{exc.args[0]!r}") from None
 
-        return reader
-
-    return decorate
+def members(obj, what: str, schema: dict) -> list:
+    """The members of the JSON object ``obj`` in the order of ``schema``,
+    which maps each key to its exact JSON type or a tuple of them (a
+    bool is not an int, and a string is not a list).  A key whose types
+    include null may be absent, and reads as None; any key the schema
+    does not name is an error.  Each error is a ``ValueError`` naming
+    ``what``."""
+    if type(obj) is not dict:
+        raise ValueError(f"{what} must be a JSON object")
+    for key in obj:
+        if key not in schema:
+            raise ValueError(f"malformed {what}: unknown key {key!r}")
+    for key, types in schema.items():
+        types = types if type(types) is tuple else (types,)
+        if key not in obj and NULL not in types:
+            raise ValueError(f"malformed {what}: missing key {key!r}")
+        if type(obj.get(key)) not in types:
+            raise ValueError(f"malformed {what}: {key!r} must be "
+                             + " or ".join(map(_JSON_NAMES.get, types)))
+    return [obj.get(key) for key in schema]

@@ -14,10 +14,11 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
+    NULL,
     DimensionMismatch,
     NotACover,
     UnitIdealWitnessMissing,
-    reads_json,
+    members,
 )
 from .scalars import BanachRing, as_fraction, read_rational
 from .series import (
@@ -46,7 +47,7 @@ class LocalizationSpec:
 
     variant: str
     fs: Tuple[TruncatedSeries, ...] = ()
-    radii: Tuple[Fraction, ...] = ()
+    radii: Optional[Tuple[Fraction, ...]] = None
     h: Optional[TruncatedSeries] = None
     witness: Optional[Tuple[TruncatedSeries, ...]] = None
 
@@ -54,7 +55,7 @@ class LocalizationSpec:
         if self.variant not in (WEIERSTRASS, LAURENT, RATIONAL):
             raise ValueError(f"unknown localization variant {self.variant}")
         # no radii: one radius of 1 per series
-        radii = self.radii or (1,) * len(self.fs)
+        radii = (1,) * len(self.fs) if self.radii is None else self.radii
         object.__setattr__(self, "radii", tuple(map(as_fraction, radii)))
         if len(self.radii) != len(self.fs):
             raise DimensionMismatch("one radius per localization series")
@@ -62,29 +63,28 @@ class LocalizationSpec:
             raise ValueError("rational variant needs the denominator h")
 
     @staticmethod
-    @reads_json("localization spec")
     def from_json(obj, ring: BanachRing) -> "LocalizationSpec":
+        variant, fs, radii, h, witness = members(obj, "localization spec", {
+            "variant": str, "fs": list, "radii": (list, NULL),
+            "h": (dict, NULL), "witness": (list, NULL)})
         return LocalizationSpec(
-            obj["variant"],
-            tuple(TruncatedSeries.from_json(f, ring) for f in obj["fs"]),
-            tuple(read_rational(r) for r in obj.get("radii", [])),
-            TruncatedSeries.from_json(obj["h"], ring) if obj.get("h") else None,
-            tuple(TruncatedSeries.from_json(c, ring) for c in obj["witness"])
-            if obj.get("witness")
-            else None,
-        )
+            variant, tuple(TruncatedSeries.from_json(f, ring) for f in fs),
+            None if radii is None else tuple(map(read_rational, radii)),
+            None if h is None else TruncatedSeries.from_json(h, ring),
+            None if witness is None else
+            tuple(TruncatedSeries.from_json(c, ring) for c in witness))
 
 
-def weierstrass_spec(fs, radii=()) -> LocalizationSpec:
-    return LocalizationSpec(WEIERSTRASS, tuple(fs), tuple(radii))
+def weierstrass_spec(fs, radii=None) -> LocalizationSpec:
+    return LocalizationSpec(WEIERSTRASS, tuple(fs), radii)
 
 
-def laurent_spec(gs, radii=()) -> LocalizationSpec:
-    return LocalizationSpec(LAURENT, tuple(gs), tuple(radii))
+def laurent_spec(gs, radii=None) -> LocalizationSpec:
+    return LocalizationSpec(LAURENT, tuple(gs), radii)
 
 
-def rational_spec(fs, h, witness=None, radii=()) -> LocalizationSpec:
-    return LocalizationSpec(RATIONAL, tuple(fs), tuple(radii), h,
+def rational_spec(fs, h, witness=None, radii=None) -> LocalizationSpec:
+    return LocalizationSpec(RATIONAL, tuple(fs), radii, h,
                             tuple(witness) if witness else None)
 
 

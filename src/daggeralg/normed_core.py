@@ -25,7 +25,7 @@ from .errors import (
     DimensionMismatch,
     FlavorMismatch,
     UnsupportedRing,
-    reads_json,
+    members,
 )
 from .scalars import (
     BanachRing,
@@ -76,16 +76,14 @@ class WeightedFreeModule:
         return len(self.weights)
 
     @staticmethod
-    @reads_json("module")
     def from_json(obj) -> "WeightedFreeModule":
-        if len(obj["weights"]) > MAX_RANK:
-            raise ValueError(f"module rank {len(obj['weights'])} is over "
-                             f"the cap of {MAX_RANK}")
-        return WeightedFreeModule(
-            BanachRing.from_json(obj["ring"]),
-            tuple(read_rational(w) for w in obj["weights"]),
-            obj["flavor"],
-        )
+        ring, weights, flavor = members(obj, "module", {
+            "ring": dict, "weights": list, "flavor": str})
+        if len(weights) > MAX_RANK:
+            raise ValueError(f"module rank {len(weights)} is over the cap "
+                             f"of {MAX_RANK}")
+        return WeightedFreeModule(BanachRing.from_json(ring),
+                                  tuple(map(read_rational, weights)), flavor)
 
 
 def vector_norm(M: WeightedFreeModule, v: Sequence) -> NormValue:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import NonElement, reads_json
+from .errors import NULL, NonElement, members
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -24,8 +24,9 @@ ONE = Fraction(1)
 def as_fraction(x) -> Fraction:
     """Coerce ints, strings like "3/4" or "0.5" and Fractions to Fraction.
 
-    Floats (a JSON 0.1 is not 1/10), booleans and exponent notation
-    ("1e999999999" would build a billion-digit integer) are rejected."""
+    Floats (a JSON 0.1 is not 1/10), booleans, exponent notation
+    ("1e999999999" would build a billion-digit integer) and every other
+    value raise ``ValueError``."""
     # the exact types first: the common cases, and cheaper than the
     # isinstance of an abstract base class
     if type(x) is Fraction:
@@ -53,7 +54,7 @@ def as_fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, Fraction):
         return x
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    raise ValueError(f"cannot interpret {x!r} as an exact rational")
 
 
 # largest bit length of the numerator or the denominator of a rational
@@ -64,8 +65,12 @@ MAX_RATIONAL_BITS = 64
 
 
 def read_rational(x) -> Fraction:
-    """``as_fraction`` for a number read from input, with its numerator
-    and denominator capped at ``MAX_RATIONAL_BITS`` bits."""
+    """``as_fraction`` for a number read from input: a string of ASCII
+    digits and "+-./" alone, with the numerator and denominator capped at
+    ``MAX_RATIONAL_BITS`` bits."""
+    if type(x) is str and x.strip("0123456789+-./"):
+        raise ValueError(f"{x!r}: a rational is written with ASCII digits, "
+                         f"'+', '-', '/' and '.' alone")
     x = as_fraction(x)
     bits = max(x.numerator.bit_length(), x.denominator.bit_length())
     if bits > MAX_RATIONAL_BITS:
@@ -210,9 +215,9 @@ class BanachRing:
         return obj
 
     @staticmethod
-    @reads_json("ring")
     def from_json(obj) -> "BanachRing":
-        return BanachRing(obj["kind"], p=obj.get("p"))
+        kind, p = members(obj, "ring", {"kind": str, "p": (int, NULL)})
+        return BanachRing(kind, p)
 
 
 # the rings without parameters are built once and shared: a ring is

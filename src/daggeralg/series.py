@@ -18,11 +18,12 @@ from operator import add, mul
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (
+    NULL,
     DimensionMismatch,
     NotStrictlySmaller,
     TailDiverges,
     UnsupportedRing,
-    reads_json,
+    members,
 )
 from .scalars import (
     BanachRing,
@@ -240,11 +241,9 @@ class TruncatedSeries:
         return obj
 
     @staticmethod
-    @reads_json("series")
     def from_json(obj, ring: BanachRing) -> "TruncatedSeries":
-        n, D = obj["n"], obj["D"]
-        if type(n) is not int or type(D) is not int:
-            raise ValueError("series n and D must be integers")
+        n, D, pairs, tail = members(obj, "series", {
+            "n": int, "D": int, "coeffs": list, "tail": (dict, NULL)})
         if n not in MAX_DEGREE:
             raise ValueError(f"series in {n} variables: 1 to "
                              f"{max(MAX_DEGREE)} are accepted")
@@ -252,21 +251,26 @@ class TruncatedSeries:
             raise ValueError(f"series degree bound {D} is outside 0.."
                              f"{MAX_DEGREE[n]} for {n} variables")
         cap = math.comb(D + n, n)
-        if len(obj["coeffs"]) > cap:
-            raise ValueError(f"{len(obj['coeffs'])} series coefficients are "
-                             f"over the cap of C(D + n, n) = {cap}")
+        if len(pairs) > cap:
+            raise ValueError(f"{len(pairs)} series coefficients are over "
+                             f"the cap of C(D + n, n) = {cap}")
         coeffs = {}
-        for I, a in obj["coeffs"]:
+        for pair in pairs:
+            I = pair[0] if type(pair) is list and len(pair) == 2 else None
+            # the exponents are checked before the multi-index is hashed
+            if type(I) is not list or any(type(e) is not int for e in I):
+                raise ValueError("malformed series: a coefficient is "
+                                 "[[integer exponents], rational]")
             I = tuple(I)
             # a dict cannot repeat a key, but a JSON list can
             if I in coeffs:
                 raise ValueError(f"series multi-index {list(I)} is listed "
                                  f"twice")
-            coeffs[I] = read_rational(a)
-        tail = None
-        if obj.get("tail"):
-            tail = Tail(read_rational(obj["tail"]["C"]),
-                        PolyRadius.from_json(obj["tail"]["sigma"]))
+            coeffs[I] = read_rational(pair[1])
+        if tail is not None:
+            C, sigma = members(tail, "series tail", {"C": (str, int),
+                                                     "sigma": list})
+            tail = Tail(read_rational(C), PolyRadius.from_json(sigma))
         return TruncatedSeries(ring, n, coeffs, D, tail)
 
 
@@ -749,8 +753,9 @@ class DaggerPresentation:
     relations: Tuple[TruncatedSeries, ...] = ()
 
     def __post_init__(self):
-        if len(self.rho) != self.n:
-            raise DimensionMismatch("polyradius arity mismatch")
+        if self.n < 1 or len(self.rho) != self.n:
+            raise DimensionMismatch(f"an algebra needs n >= 1 and n radii, "
+                                    f"not n = {self.n} and {len(self.rho)}")
         for rel in self.relations:
             if rel.ring != self.ring or rel.n != self.n:
                 raise DimensionMismatch("relation in the wrong algebra")
@@ -764,15 +769,13 @@ class DaggerPresentation:
         }
 
     @staticmethod
-    @reads_json("algebra")
     def from_json(obj):
-        ring = BanachRing.from_json(obj["ring"])
-        n = obj["n"]
-        if type(n) is not int or n < 1:
-            raise ValueError(f"algebra n must be an integer >= 1, not {n!r}")
-        return DaggerPresentation(ring, n, PolyRadius.from_json(obj["rho"]),
+        ring, n, rho, relations = members(obj, "algebra", {
+            "ring": dict, "n": int, "rho": list, "relations": list})
+        ring = BanachRing.from_json(ring)
+        return DaggerPresentation(ring, n, PolyRadius.from_json(rho),
                                   tuple(TruncatedSeries.from_json(r, ring)
-                                        for r in obj["relations"]))
+                                        for r in relations))
 
 
 def unit_polydisk(ring: BanachRing, n: int = 1) -> DaggerPresentation:

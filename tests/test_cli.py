@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import daggeralg
 from daggeralg import cli
@@ -199,6 +201,7 @@ class TestTensorCommand:
     @pytest.mark.parametrize("terms, extra", [
         ([[["2"], ["1"]]], ["--flavor", "max"]),  # max cost over Z
         ([[["1/2"], ["2"]]], []),  # an entry outside Z
+        ([["1", "3"]], []),  # was read as (1) (x) (3)
     ])
     def test_rejected_element(self, tmp_path, capsys, terms, extra):
         ring = {"kind": "IntegersArchimedean"}
@@ -251,7 +254,10 @@ class TestLocalizeAndKoszul:
          "fs": [{"n": 2, "D": 1, "coeffs": [[[0, 1], "1"]]}], "radii": ["1"]},
         {"variant": "weierstrass",
          "fs": [{"n": 1, "D": 1, "coeffs": [[[1], "1"]]}], "radii": ["0"]},
-    ], ids=["two-variable-series", "zero-radius"])
+        # was read as no radii, one radius of 1 per series
+        {"variant": "weierstrass",
+         "fs": [{"n": 1, "D": 1, "coeffs": [[[1], "1"]]}], "radii": []},
+    ], ids=["two-variable-series", "zero-radius", "empty-radii"])
     def test_koszul_rejects_what_localize_rejects(self, tmp_path, capsys,
                                                   spec):
         path = write_json(tmp_path / "spec.json", spec)
@@ -301,6 +307,23 @@ class TestLocalizeAndKoszul:
                      "--spec", self.spec(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_presentation_reads_back_as_an_algebra(self, tmp_path, capsys):
+        """The presentation a localize report prints, with no "version"
+        inside, is an algebra that localize reads again."""
+        report = tmp_path / "report.json"
+        assert main(["localize", "--algebra", self.algebra(tmp_path),
+                     "--spec", self.spec(tmp_path),
+                     "--json-out", str(report)]) == 0
+        B = json.loads(report.read_text())["presentation"]
+        assert sorted(B) == ["n", "relations", "rho", "ring"]
+        spec = write_json(tmp_path / "spec2.json", {
+            "variant": "laurent",
+            "fs": [{"n": 2, "D": 1, "coeffs": [[[0, 1], "1"]]}]})
+        capsys.readouterr()
+        assert main(["localize", "--algebra",
+                     write_json(tmp_path / "B.json", B), "--spec", spec]) == 0
+        assert json.loads(capsys.readouterr().out)["presentation"]["n"] == 3
 
     def test_spec_not_an_object(self, tmp_path, capsys):
         spec = write_json(tmp_path / "spec.json", ["weierstrass"])
@@ -862,8 +885,10 @@ class TestExactRationals:
     """Only exact rationals are read: no JSON float, no exponent
     notation, no boolean."""
 
+    # "1_0", " 3" and "\u0661\u0662" were read as 10, 3 and 12
     @pytest.mark.parametrize("coefficient", ['0.1', '1e400', '"1e999999999"',
-                                             '"1E5"', 'true'])
+                                             '"1E5"', 'true', '"1_0"', '" 3"',
+                                             '"\\u0661\\u0662"'])
     def test_series_coefficient(self, tmp_path, capsys, coefficient):
         path = tmp_path / "f.json"
         path.write_text('{"n": 1, "D": 0, "coeffs": [[[0], %s]]}' % coefficient)
@@ -887,6 +912,19 @@ class TestExactRationals:
         path = write_json(tmp_path / "f.json", series_json(1, 1))
         assert main(["norm", "--series", path, "--rho", "1e999999999"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    # the first four were read as 10, 1, 3 and 3; "abc" was named only as
+    # an invalid literal for int()
+    @pytest.mark.parametrize("option,value", [
+        ("--rho", "1_0"), ("--rho", " 1"), ("--ring", "Qp:+3"),
+        ("--ring", "Qp: 3"), ("--ring", "Qp:03"), ("--ring", "Qp:abc")])
+    def test_numbers_on_the_command_line(self, tmp_path, capsys, option,
+                                         value):
+        path = write_json(tmp_path / "f.json", series_json(1, 1))
+        assert main(["norm", "--series", path, option, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {option} " if option == "--ring"
+                              else "error:") and err.count("\n") == 1
 
     def test_decimal_string_is_exact(self, tmp_path, capsys):
         path = write_json(tmp_path / "f.json", series_json("0.1"))
@@ -977,3 +1015,162 @@ def test_deeply_nested_json(tmp_path, capsys):
     assert main(["norm", "--series", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "nested too deeply" in err
+
+
+# the key that marks each kind of JSON object, and the name its reader
+# gives it in an error line
+READER_OF_KEY = {"kind": "ring", "coeffs": "series", "sigma": "series tail",
+                 "weights": "module", "terms": "tensor element",
+                 "relations": "algebra", "variant": "localization spec"}
+
+# the keys that a reader lets a JSON object leave out
+OPTIONAL_KEYS = {"p", "tail", "radii", "h", "witness"}
+
+
+def json_objects(value):
+    """Every JSON object in ``value``, at any depth."""
+    if type(value) is dict:
+        yield value
+        value = list(value.values())
+    if type(value) is list:
+        for child in value:
+            yield from json_objects(child)
+
+
+class TestMutatedInput:
+    """One always-invalid change to one member of one JSON object of a
+    valid call, at any depth, exits 1 with one error line and no
+    traceback.  An unknown, missing or wrongly typed key is named as
+    malformed input of the reader it belongs to, and a repeated key keeps
+    the message of the JSON parser."""
+
+    MUTATIONS = ["rename", "drop", "true", "1.5", "digits", "{}", "wrap",
+                 "repeat"]
+
+    @staticmethod
+    def calls(tmp_path):
+        """The valid calls of every subcommand that reads JSON, and calls
+        with a tailed series, a ring given as JSON and a rational spec."""
+        calls = valid_calls(tmp_path)
+        del calls["selftest"]
+        ring = '{"kind": "Rationals_pAdic", "p": 3}'
+        tailed = write_json(tmp_path / "tailed.json", dict(
+            series_json(1, -2, 3), tail={"C": "1", "sigma": ["1"]}))
+        one = {"n": 1, "D": 0, "coeffs": [[[0], "1"]]}
+        spec = write_json(tmp_path / "rational.json", {
+            "variant": "rational",
+            "fs": [{"n": 1, "D": 1, "coeffs": [[[1], "1"]]}], "radii": ["1"],
+            "h": one, "witness": [one, {"n": 1, "D": 0, "coeffs": []}]})
+        calls["norm-tailed"] = ["norm", "--series", tailed, "--rho", "2/3",
+                                "--ring", ring]
+        calls["mv-check-ring"] = calls["mv-check"] + ["--ring", ring]
+        calls["localize-rational"] = ["localize", "--algebra",
+                                      calls["localize"][2], "--spec", spec]
+        return calls
+
+    @staticmethod
+    def mutate(obj, key, mutation):
+        """``obj`` with one member changed, a repeated key standing as the
+        key "\\0", or None when the change could leave the input valid."""
+        value = obj[key]
+        changed = {k: v for k, v in obj.items() if k != key}
+        if mutation == "rename":
+            changed[key + "_"] = value
+        elif mutation == "drop":
+            if key in OPTIONAL_KEYS:
+                return None
+        elif mutation in ("digits", "{}"):
+            if type(value) is not list:
+                return None
+            changed[key] = "12" if mutation == "digits" else {}
+        elif mutation == "wrap":
+            if type(value) is list:
+                return None
+            changed[key] = [value]
+        elif mutation == "repeat":
+            changed[key] = value
+            changed["\0"] = value
+        else:
+            changed[key] = json.loads(mutation)
+        return changed
+
+    # each was read as another input and exited 0
+    @pytest.mark.parametrize("command,option,obj", [
+        ("norm", "--series", dict(series_json(1), tail={})),
+        ("norm", "--series", dict(series_json(1), tail=0)),
+        ("norm", "--series", dict(series_json(1),
+                                  tial={"C": "5", "sigma": ["3"]})),
+        ("norm", "--series", dict(series_json(1, n=2),
+                                  tail={"C": "1", "sigma": "34"})),
+        ("norm", "--series", dict(series_json(1), coeffs={})),
+        ("localize", "--algebra", {"ring": {"kind": "IntegersArchimedean"},
+                                   "n": 2, "rho": "12", "relations": []}),
+        ("pi-check", "--module", dict(module_json(2), weights="12")),
+        ("tensor", "--element", dict(tensor_json(2, 1), terms=[["12", "3"]])),
+        ("norm", "--ring", {"kind": "IntegersArchimedean", "q": 3}),
+    ], ids=["tail-empty", "tail-zero", "tail-misspelled", "sigma-digits",
+            "coeffs-empty", "rho-digits", "weights-digits", "term-digits",
+            "ring-unknown-key"])
+    def test_wrong_shapes(self, tmp_path, capsys, command, option, obj):
+        if option == "--ring":
+            argv = ["norm", "--series",
+                    write_json(tmp_path / "f.json", series_json(1)),
+                    "--ring", json.dumps(obj)]
+        else:
+            argv = [command, option, write_json(tmp_path / "in.json", obj)]
+        if command == "localize":
+            argv += ["--spec", write_json(tmp_path / "spec.json", {
+                "variant": "weierstrass", "fs": []})]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed ") and err.count("\n") == 1
+
+    @settings(max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_exits_with_one_error_line(self, tmp_path, capsys, data):
+        calls = self.calls(tmp_path)
+        argv = list(calls[data.draw(st.sampled_from(sorted(calls)))])
+        # the JSON inputs of the call: files, and a ring given as JSON
+        slots = [i for i, a in enumerate(argv) if a.startswith("{")
+                 or a.endswith(".json") and argv[i - 1] != "--json-out"]
+        i = data.draw(st.sampled_from(slots))
+        is_file = argv[i].endswith(".json")
+        root = json.loads(Path(argv[i]).read_text() if is_file else argv[i])
+        obj = data.draw(st.sampled_from(list(json_objects(root))))
+        key = data.draw(st.sampled_from(sorted(obj)))
+        laurent = argv[i - 1] == "--elements"
+        mutation = data.draw(st.sampled_from(
+            ["rename", "true", "1.5", "[1]", "repeat"] if laurent
+            else self.MUTATIONS))
+        changed = self.mutate(obj, key, mutation)
+        assume(changed is not None)
+        # swap the changed object in by identity, then spell the repeat
+        swap = id(obj)
+
+        def rebuild(value):
+            if id(value) == swap:
+                return changed
+            if type(value) is dict:
+                return {k: rebuild(v) for k, v in value.items()}
+            if type(value) is list:
+                return [rebuild(v) for v in value]
+            return value
+
+        text = json.dumps(rebuild(root)).replace('"\\u0000"', json.dumps(key))
+        if is_file:
+            path = tmp_path / "mutated.json"
+            path.write_text(text)
+            argv[i] = str(path)
+        else:
+            argv[i] = text
+        capsys.readouterr()
+        assert main(argv) == 1, (argv, text)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") \
+            and "Traceback" not in err, (text, err)
+        if mutation == "repeat":
+            assert err.startswith("error: a JSON object repeats the key")
+        elif not laurent:
+            what = next(READER_OF_KEY[k] for k in READER_OF_KEY if k in obj)
+            assert err.startswith(f"error: malformed {what}"), (text, err)

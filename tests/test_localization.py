@@ -106,9 +106,9 @@ class TestPresentLocalization:
             TruncatedSeries.constant(QA, Fraction(1, 2)),
             TruncatedSeries.constant(QA, 0),
         )
-        spec = rational_spec((x_var(QA),), h, witness)
+        spec = rational_spec((x_var(QA),), h, witness, (Fraction(1, 2),))
         obj = {"variant": "rational", "fs": [x_var(QA).to_json()],
-               "radii": ["1"], "h": h.to_json(),
+               "radii": ["1/2"], "h": h.to_json(),
                "witness": [c.to_json() for c in witness]}
         assert LocalizationSpec.from_json(obj, QA) == spec
 

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from daggeralg.errors import NonElement
+from daggeralg.normed_core import SUM, WeightedFreeModule
 from daggeralg.scalars import (
     MAX_PRIME_BITS,
     BanachRing,
@@ -234,6 +235,11 @@ class TestRingAxioms:
     def test_ring_json_round_trip(self):
         for ring in (Z, ZT, Q2, QA):
             assert BanachRing.from_json(ring.to_json()) == ring
+            # and a module over it
+            obj = {"ring": ring.to_json(), "weights": ["1", "3/2"],
+                   "flavor": SUM}
+            assert WeightedFreeModule.from_json(obj) == WeightedFreeModule(
+                ring, (Fraction(1), Fraction(3, 2)), SUM)
 
     def test_padic_requires_prime(self):
         with pytest.raises(ValueError):
@@ -271,6 +277,13 @@ class TestPrimality:
     def test_ring_needs_a_prime_integer(self, p):
         with pytest.raises(ValueError, match="needs a prime"):
             BanachRing("Rationals_pAdic", p)
+
+
+@pytest.mark.parametrize("x", [0.5, True, None, [1], {"1": 2}])
+def test_what_is_not_a_rational_is_a_value_error(x):
+    # cli.main prints a ValueError as one error line
+    with pytest.raises(ValueError, match="cannot interpret"):
+        as_fraction(x)
 
 
 def regex_as_fraction(x):

@@ -307,6 +307,10 @@ class TestSeriesStructure:
                             Tail(Fraction(7, 2), polyradius(3)))
         g = TruncatedSeries.from_json(f.to_json(), Z)
         assert g == f
+        # an algebra over a p-adic ring whose relation has a tail
+        A = DaggerPresentation(Q2, 1, polyradius(Fraction(1, 2)),
+                               (f.with_ring(Q2),))
+        assert DaggerPresentation.from_json(A.to_json()) == A
 
     def test_unit_polydisk_presentation(self):
         A = unit_polydisk(Q2, 2)
