@@ -189,9 +189,20 @@ def _relation_lattice(M: PresentedModule) -> List[List[int]]:
         linalg.hnf_column_basis(_relation_columns(M)))
 
 
-# half-width of the coefficient window enumerated when no certified window
-# fits the budget
+# half-width of the coefficient window enumerated when the exact search is
+# out of reach
 FALLBACK_WINDOW = 10
+
+# coefficients the search of ``_pruned_residue_norm`` visits before it
+# gives up.  The most it visited on classes over Z that the certified
+# windows it replaced held (at most 200,000 points), 9,000 random classes
+# for each bound on |v_i| (ambient rank 1-5, 1-3 relations with entries
+# in -6..6, weights 1-3):
+#     |v_i| <= 10: 3,261    |v_i| <= 100: 946    |v_i| <= 1,000: 1,462
+# A call past the budget then costs 50-141 ms, median 101 ms, before the
+# window fallback (104 of 300 classes past the windows at |v_i| <= 10^6;
+# a budget of 10,000 would cost 25-55 ms).  Figures on 2 CPUs, Python 3.11.
+NODE_BUDGET = 20_000
 
 
 def residue_norm(M: PresentedModule, v: Sequence) -> NormValue:
@@ -200,19 +211,14 @@ def residue_norm(M: PresentedModule, v: Sequence) -> NormValue:
     Three regimes, by ring and size:
 
     - Z_triv up to ambient rank ``MAX_EXACT_TRIVIAL_RANK``: exact, by the
-      zero-set search of ``_trivial_residue_norm``.  Above that rank the
-      window search below runs with ``FALLBACK_WINDOW`` and returns
-      ``[0, hi]``, since a trivial norm does not grow with the window.
-    - Z with the sum flavor: the coefficient windows of
-      ``_certified_windows`` provably hold the coset minimum, so the
-      enumeration is exact whenever they hold at most 200,000 points.
-    - Z over that budget: the +-``FALLBACK_WINDOW`` window is enumerated,
-      and ``hi`` is its minimum but ``lo`` is 0.
-
-    The window search runs on integers: v and the basis are integer
-    vectors, each candidate v + sum k_j b_j is sized as the sum (or the
-    max) of ``abs_ints`` times the module's integer weights, and one
-    ``Fraction``, over ``weight_den``, is built for the result.
+      zero-set search of ``_trivial_residue_norm``.
+    - Z: exact, by the pruned depth-first search of
+      ``_pruned_residue_norm`` over the Hermite basis of L, whenever it
+      ends within ``NODE_BUDGET`` visited coefficients.
+    - Z past that budget, and Z_triv above ``MAX_EXACT_TRIVIAL_RANK``:
+      ``_window_residue_norm`` enumerates the +-``FALLBACK_WINDOW``
+      window of a size-reduced basis and returns ``[0, hi]``, with
+      ``hi`` its minimum (a trivial norm does not grow with the window).
     """
     ring = M.ambient.ring
     if not ring.integral:
@@ -220,18 +226,108 @@ def residue_norm(M: PresentedModule, v: Sequence) -> NormValue:
     v = [int(ring.check_element(x)) for x in v]
     if len(v) != M.ambient.rank:
         raise DimensionMismatch("class representative has wrong length")
-    if ring.non_archimedean and M.ambient.rank <= MAX_EXACT_TRIVIAL_RANK:
-        return _trivial_residue_norm(M, v)
+    if ring.non_archimedean:
+        if M.ambient.rank <= MAX_EXACT_TRIVIAL_RANK:
+            return _trivial_residue_norm(M, v)
+    else:
+        best = _pruned_residue_norm(M, v)
+        if best is not None:
+            return NormValue.exact(Fraction(best, M.ambient.weight_den))
+    return _window_residue_norm(M, v)
+
+
+class _OverBudget(Exception):
+    """The search of ``_pruned_residue_norm`` visited more than
+    ``NODE_BUDGET`` coefficients."""
+
+
+def _pruned_residue_norm(M: PresentedModule, v: List[int]):
+    """The least sum of |x_i| W_i over x in v + L, for a module over Z
+    with integer weights W and relation lattice L, by a depth-first
+    search; None when it visits more than ``NODE_BUDGET`` coefficients.
+
+    The coordinates are put heaviest first, and L gets the basis b_t of
+    ``linalg.hnf_column_basis`` in that order.  Column t is zero above
+    its lead row l_t, and the leads increase.  So rows before l_0 are
+    fixed by v, and once k_0..k_t are fixed, so are the rows before
+    l_(t+1): their cost is a lower bound for every completion, and a
+    branch whose cost reaches the best found (at first |v|_w) is
+    pruned (Fincke-Pohst).  Heaviest first makes each step at a lead
+    row cost the most, and leaves the lightest rows to the last
+    segment, which only the last level counts.  At level t the cost
+    is convex in k_t.  Its real minimum is the weighted median of the
+    breakpoints -x_i / b_i of the rows of the segment, weights
+    |b_i| W_i; the median of their floors is its floor m, so the
+    integer minimum is at m or m + 1.  From there the search walks
+    down from m and up from m + 1, always to the cheaper side next,
+    until both sides cost at least the best (Schnorr-Euchner).  At the
+    last level every row is fixed, and only the minimum is visited."""
+    W = M.ambient.int_weights
+    order = sorted(range(len(v)), key=lambda i: -W[i])
+    W, v = [W[i] for i in order], [v[i] for i in order]
+    basis = linalg.hnf_column_basis([[c[i] for i in order]
+                                     for c in _relation_columns(M)])
+    best = sum(map(mul, map(abs, v), W))
+    if not basis:
+        return best
+    leads = [next(i for i, x in enumerate(b) if x) for b in basis]
+    levels = [(b, [(i, b[i], W[i]) for i in range(lead, end) if b[i]],
+               [i for i in range(lead, end) if not b[i]])
+              for b, lead, end in zip(basis, leads, leads[1:] + [len(v)])]
+    last = len(basis) - 1
+    nodes = 0
+
+    def search(t, x, partial):
+        nonlocal best, nodes
+        b, moving, fixed = levels[t]
+        for i in fixed:
+            partial += abs(x[i]) * W[i]
+
+        def cost(k):
+            return partial + sum([abs(x[i] + k * bi) * wi
+                                  for i, bi, wi in moving])
+
+        floors = sorted([(-x[i] // bi, abs(bi) * wi) for i, bi, wi in moving])
+        total, acc = sum([w for _, w in floors]), 0
+        for m, w in floors:
+            acc += 2 * w
+            if acc >= total:
+                break
+        down, up = [m, cost(m)], [m + 1, cost(m + 1)]
+        if t == last:
+            nodes += 1
+            best = min(best, down[1], up[1])
+            return
+        while True:
+            side, step = (down, -1) if down[1] <= up[1] else (up, 1)
+            k, c = side
+            if c >= best:
+                return
+            nodes += 1
+            if nodes > NODE_BUDGET:
+                raise _OverBudget
+            search(t + 1, [xi + k * bi for xi, bi in zip(x, b)], c)
+            side[0] = k + step
+            side[1] = cost(k + step)
+
+    try:
+        search(0, v, sum(map(mul, map(abs, v[:leads[0]]), W)))
+    except _OverBudget:
+        return None
+    return best
+
+
+def _window_residue_norm(M: PresentedModule, v: List[int]) -> NormValue:
+    """``[0, hi]``, with hi the least |v + sum k_j b_j|_w over the
+    +-``FALLBACK_WINDOW`` window of each coefficient, b_j the size-reduced
+    basis ``_relation_lattice``.  It runs on integers: each candidate is
+    sized as the sum (or the max) of ``abs_ints`` times the module's
+    integer weights, and one ``Fraction``, over ``weight_den``, is built
+    for the result."""
     basis = _relation_lattice(M)
     if not basis:
         return vector_norm(M.ambient, v)
-
-    windows = None if ring.non_archimedean else _certified_windows(M, basis, v)
-    certified = windows is not None \
-        and math.prod(2 * w + 1 for w in windows) <= 200_000
-    if not certified:
-        windows = (FALLBACK_WINDOW,) * len(basis)
-    W, flavor = M.ambient.int_weights, M.ambient.flavor
+    ring, W, flavor = M.ambient.ring, M.ambient.int_weights, M.ambient.flavor
 
     def size(x):
         terms = map(mul, abs_ints(ring, x, 1)[0], W)
@@ -239,16 +335,14 @@ def residue_norm(M: PresentedModule, v: Sequence) -> NormValue:
 
     rows = list(zip(*basis))
     best = size(v)
-    for ks in itertools.product(*[range(-w, w + 1) for w in windows]):
+    for ks in itertools.product(range(-FALLBACK_WINDOW, FALLBACK_WINDOW + 1),
+                                repeat=len(basis)):
         if not any(ks):
             continue
         val = size([x + sum(map(mul, ks, r)) for x, r in zip(v, rows)])
         if val < best:
             best = val
-    if best == 0:
-        return NormValue.zero()
-    best = Fraction(best, M.ambient.weight_den)
-    return NormValue(best if certified else Fraction(0), best)
+    return NormValue(Fraction(0), Fraction(best, M.ambient.weight_den))
 
 
 # largest ambient rank of the exact Z_triv search, which tests up to
@@ -297,27 +391,6 @@ def _trivial_residue_norm(M: PresentedModule, v: List[int]) -> NormValue:
 
     search(0, [], [])
     return NormValue.exact(best)
-
-
-def _certified_windows(M, basis, v):
-    """Per-coordinate coefficient windows, over Z, outside which no coset
-    representative can beat the zero candidate.
-
-    A competing representative v + B k (the basis vectors are the
-    columns of B, and a module over Z has the sum flavor) has norm at
-    most |v|_w, so each entry of B k is at most 2|v|_w / w_min, and |k_j|
-    at most that times the l1 norm of row j of the left inverse
-    (B^T B)^-1 B^T.  One ``linalg.rref`` of the integer rows
-    [B^T B | B^T] gives [I | (B^T B)^-1 B^T].  B^T B is invertible: each
-    column from ``hnf_column_basis`` leads in a row of its own with
-    zeros above, so they are independent, and ``reduce_lattice_basis``
-    keeps them so, as it only adds integer multiples of one to another.
-    """
-    R, _ = linalg.rref([[sum(map(mul, b, c)) for c in basis] + b
-                        for b in basis])
-    bound = 2 * vector_norm(M.ambient, v).hi / min(M.ambient.weights)
-    return tuple(int(sum(map(abs, row[len(basis):])) * bound) + 1
-                 for row in R)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 ``normed_core`` replaced, kept as oracles: the radius power rho^I (once
 ``PolyRadius.power``), the Gauss and sum norms of a coefficient table
 and the norm of a vector in a weighted free module, one coefficient at
-a time through ``abs_value``, the residue norm's coefficient
-windows from a ``Fraction`` left inverse and its window search over
-``Fraction`` candidates, and the torus ranking's float magnitudes one
-sample at a time.
+a time through ``abs_value``, the certified coefficient windows that
+the residue norm over Z once enumerated, from a ``Fraction`` left
+inverse, and that window search over ``Fraction`` candidates, and the
+torus ranking's float magnitudes one sample at a time.
 """
 
 import functools
@@ -47,11 +47,15 @@ def vector_norm_loop(M, v) -> Fraction:
 
 
 def windows_loop(M, basis, v):
-    """The coefficient windows of ``normed_core._certified_windows`` for
-    a module over Z with the sum flavor, from the left inverse
-    (B^T B)^-1 B^T built in ``Fraction``s: B^T B by a matrix product,
-    one ``linalg.solve`` per basis vector, and a second product (once
-    ``_certified_windows`` itself)."""
+    """Per-coordinate coefficient windows, for a module over Z with the
+    sum flavor, outside which no coset representative v + B k (the
+    basis vectors are the columns of B) beats v itself: each entry of
+    B k is at most 2|v|_w / w_min, and |k_j| at most that times the l1
+    norm of row j of the left inverse (B^T B)^-1 B^T, built in
+    ``Fraction``s: B^T B by a matrix product, one ``linalg.solve`` per
+    basis vector, and a second product.  ``residue_norm`` enumerated
+    these windows over Z, when they held at most 200,000 points, until
+    its pruned search replaced them."""
 
     def mat_mul(A, B):
         return [[sum((a * b for a, b in zip(row, col)), Fraction(0))
@@ -67,16 +71,19 @@ def windows_loop(M, basis, v):
 
 
 def residue_window_loop(M, v) -> NormValue:
-    """The window search of ``normed_core.residue_norm``, over Z and over
-    Z_triv above ``MAX_EXACT_TRIVIAL_RANK``, with each candidate
-    v + sum k_j b_j built in ``Fraction``s and sized by ``vector_norm``
-    (once the loop of ``residue_norm`` itself)."""
+    """The window search of ``normed_core.residue_norm`` before its
+    pruned search, over Z and over Z_triv above
+    ``MAX_EXACT_TRIVIAL_RANK``: exact over Z within the certified
+    windows of ``windows_loop`` when they hold at most 200,000 points,
+    else ``[0, hi]`` over the +-``FALLBACK_WINDOW`` window, with each
+    candidate v + sum k_j b_j built in ``Fraction``s and sized by
+    ``vector_norm``."""
     v = [M.ambient.ring.check_element(x) for x in v]
     basis = normed_core._relation_lattice(M)
     if not basis:
         return vector_norm(M.ambient, v)
     windows = None if M.ambient.ring.non_archimedean \
-        else normed_core._certified_windows(M, basis, v)
+        else windows_loop(M, basis, v)
     certified = windows is not None \
         and math.prod(2 * w + 1 for w in windows) <= 200_000
     if not certified:

@@ -20,7 +20,6 @@ from daggeralg.normed_core import (
     ModuleMap,
     StrictWithConstants,
     WeightedFreeModule,
-    _certified_windows,
     _relation_lattice,
     check_strictness,
     cokernel,
@@ -329,34 +328,6 @@ class TestResidueNorm:
             assert residue_norm(cokernel(rel), v).hi <= vector_norm(amb, v).hi
 
 
-@st.composite
-def window_cases(draw):
-    """A cokernel over Z of ambient rank 1-5, weights 1-3 and 1-3
-    relations with entries in -6..6, and a class v with |v_i| <= 10."""
-    n = draw(st.integers(1, 5))
-    s = draw(st.integers(1, 3))
-    amb = zmod(*draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
-    rows = draw(st.lists(st.lists(st.integers(-6, 6), min_size=s,
-                                  max_size=s), min_size=n, max_size=n))
-    v = draw(st.lists(st.integers(-10, 10), min_size=n, max_size=n))
-    return cokernel(ModuleMap(zmod(*[1] * s), amb, tuple(
-        tuple(map(Fraction, row)) for row in rows))), v
-
-
-class TestCertifiedWindows:
-    @given(window_cases())
-    # dependent relation columns: the third is the sum of the first two
-    @example((cokernel(ModuleMap(zmod(1, 1, 1), zmod(1, 2, 3), (
-        (Fraction(2), Fraction(1), Fraction(3)),
-        (Fraction(-1), Fraction(4), Fraction(3)),
-        (Fraction(5), Fraction(0), Fraction(5))))), [7, -3, 10]))
-    @settings(max_examples=200, deadline=None)
-    def test_match_the_fraction_left_inverse(self, case):
-        M, v = case
-        basis = _relation_lattice(M)
-        assert _certified_windows(M, basis, v) == windows_loop(M, basis, v)
-
-
 def cokernel_of_rows(ring, weights, flavor, rows, s):
     """The cokernel of the relation columns ``rows`` (one row per ambient
     coordinate, s entries each), with unit relation weights."""
@@ -369,7 +340,7 @@ def cokernel_of_rows(ring, weights, flavor, rows, s):
 def window_points(M, v):
     """The number of points in the certified windows of a class over Z."""
     return math.prod(2 * w + 1 for w in
-                     _certified_windows(M, _relation_lattice(M), v))
+                     windows_loop(M, _relation_lattice(M), v))
 
 
 @st.composite
@@ -388,11 +359,23 @@ def residue_cases(draw, ring, ranks, flavors, entries):
     return M, v
 
 
+# dependent relation columns: the third is the sum of the first two
+DEPENDENT = (cokernel_of_rows(Z, (1, 2, 3), SUM,
+                              ((2, 1, 3), (-1, 4, 3), (5, 0, 5)), 3),
+             [7, -3, 10])
+# the relation lattice has rank 2 in Z^3, so the rows after the last lead
+# enter no level's bound, and the search reaches ``NODE_BUDGET``
+RANK_DEFICIENT = (cokernel_of_rows(Z, (1, 1, 2), SUM,
+                                   ((1, 1), (1, -2), (-5, -4)), 2),
+                  [-785698, 572180, -281441])
+
+
 class TestResidueWindowLoop:
-    """The integer window search of ``residue_norm`` against the
-    ``Fraction`` candidate loop it replaced, on each path it runs."""
+    """``residue_norm`` against the ``Fraction`` window search it
+    replaced, on each path that search ran."""
 
     @given(residue_cases(Z, range(1, 5), (SUM,), st.integers(-4, 4)))
+    @example(DEPENDENT)
     @settings(max_examples=150, deadline=None)
     def test_certified_windows(self, case):
         M, v = case
@@ -400,14 +383,31 @@ class TestResidueWindowLoop:
         nv = residue_norm(M, v)
         assert nv == residue_window_loop(M, v) and nv.lo == nv.hi
 
+    def test_certified_past_the_oracle_window(self):
+        # certified by 152,079 window points, on which
+        # ``residue_window_loop`` takes seconds and gives [323, 323]; a
+        # search that starts each level at the lead-row rounding, not at
+        # the segment minimum, visits more than 20,000 coefficients here
+        M = cokernel_of_rows(Z, (1, 2, 2, 3, 2), SUM,
+                             ((-1, 0), (3, 2), (-1, -4), (-6, 1), (2, 3)), 2)
+        v = [52, 94, -5, 5, -35]
+        assert window_points(M, v) <= 200_000
+        assert residue_norm(M, v) == NormValue.exact(323)
+
     @given(residue_cases(Z, range(2, 5), (SUM,),
                          st.integers(-10**6, 10**6)))
+    @example(RANK_DEFICIENT)
     @settings(max_examples=60, deadline=None)
     def test_fallback_window(self, case):
+        # past the certified windows the search is exact when it ends
+        # within its budget, and else falls back to the window search
         M, v = case
         assume(_relation_lattice(M) and window_points(M, v) > 200_000)
-        nv = residue_norm(M, v)
-        assert nv == residue_window_loop(M, v) and nv.lo == 0
+        nv, loop = residue_norm(M, v), residue_window_loop(M, v)
+        assert nv == loop or nv.lo == nv.hi <= loop.hi
+
+    def test_over_the_node_budget(self):
+        assert residue_norm(*RANK_DEFICIENT) == NormValue(0, 1920660)
 
     @given(residue_cases(ZT, (MAX_EXACT_TRIVIAL_RANK + 1,
                               MAX_EXACT_TRIVIAL_RANK + 2),
