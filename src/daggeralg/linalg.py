@@ -103,35 +103,6 @@ def saturate_integer(v: Sequence[Fraction]) -> List[int]:
     return ints
 
 
-def reduce_lattice_basis(basis: List[List[int]]) -> List[List[int]]:
-    """Pairwise size reduction: repeatedly subtract the nearest integer
-    multiple of one vector from another while the Euclidean norm drops.
-    Keeps the lattice, improves conditioning for small ranks."""
-
-    def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
-
-    vecs = [list(v) for v in basis]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vecs)):
-            for j in range(len(vecs)):
-                if i == j:
-                    continue
-                d = dot(vecs[j], vecs[j])
-                if d == 0:
-                    continue
-                q = round(Fraction(dot(vecs[i], vecs[j]), d))
-                if q == 0:
-                    continue
-                cand = [a - q * b for a, b in zip(vecs[i], vecs[j])]
-                if dot(cand, cand) < dot(vecs[i], vecs[i]):
-                    vecs[i] = cand
-                    changed = True
-    return vecs
-
-
 def hnf_column_basis(columns: List[List[int]]) -> List[List[int]]:
     """Basis of the integer lattice spanned by the given columns.
 

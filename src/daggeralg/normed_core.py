@@ -5,7 +5,7 @@ A weighted free module of rank n carries either the sum norm
 ``|(c_i)| = max |c_i| w_i`` (non-Archimedean flavor, only over a
 non-Archimedean base ring).  A module holds its weights twice: as
 ``Fraction``s, and as integers ``W_i`` over one denominator ``Dw``, on
-which ``vector_norm`` and the window search of ``residue_norm`` compute.
+which ``vector_norm`` and the two searches of ``residue_norm`` compute.
 
 Every class here is a frozen, slotted dataclass, so that a caller that
 holds many small modules and maps pays for no per-instance ``__dict__``.
@@ -13,7 +13,6 @@ holds many small modules and maps pays for no per-instance ``__dict__``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -184,41 +183,25 @@ def _relation_columns(M: PresentedModule) -> List[List[int]]:
     return [[int(x) for x in col] for col in zip(*M.relations.matrix)]
 
 
-def _relation_lattice(M: PresentedModule) -> List[List[int]]:
-    return linalg.reduce_lattice_basis(
-        linalg.hnf_column_basis(_relation_columns(M)))
-
-
-# half-width of the coefficient window enumerated when the exact search is
-# out of reach
-FALLBACK_WINDOW = 10
-
-# coefficients the search of ``_pruned_residue_norm`` visits before it
-# gives up.  The most it visited on classes over Z that the certified
-# windows it replaced held (at most 200,000 points), 9,000 random classes
-# for each bound on |v_i| (ambient rank 1-5, 1-3 relations with entries
-# in -6..6, weights 1-3):
+# search nodes a residue search visits before it stops: coefficients
+# over Z, membership tests over Z_triv.  The most the Z search visited on
+# classes that the certified windows it replaced held (at most 200,000
+# points), 9,000 random classes for each bound on |v_i| (ambient rank
+# 1-5, 1-3 relations with entries in -6..6, weights 1-3):
 #     |v_i| <= 10: 3,261    |v_i| <= 100: 946    |v_i| <= 1,000: 1,462
-# A call past the budget then costs 50-141 ms, median 101 ms, before the
-# window fallback (104 of 300 classes past the windows at |v_i| <= 10^6;
-# a budget of 10,000 would cost 25-55 ms).  Figures on 2 CPUs, Python 3.11.
+# The zero-set tree over Z_triv makes at most 2^rank - 1 tests, so it
+# ends within the budget up to rank 14.  Figures on 2 CPUs, Python 3.11.
 NODE_BUDGET = 20_000
 
 
 def residue_norm(M: PresentedModule, v: Sequence) -> NormValue:
     """Quotient norm: the inf of |v + u|_w over the relation lattice L.
 
-    Three regimes, by ring and size:
-
-    - Z_triv up to ambient rank ``MAX_EXACT_TRIVIAL_RANK``: exact, by the
-      zero-set search of ``_trivial_residue_norm``.
-    - Z: exact, by the pruned depth-first search of
-      ``_pruned_residue_norm`` over the Hermite basis of L, whenever it
-      ends within ``NODE_BUDGET`` visited coefficients.
-    - Z past that budget, and Z_triv above ``MAX_EXACT_TRIVIAL_RANK``:
-      ``_window_residue_norm`` enumerates the +-``FALLBACK_WINDOW``
-      window of a size-reduced basis and returns ``[0, hi]``, with
-      ``hi`` its minimum (a trivial norm does not grow with the window).
+    One search per ring, ``_pruned_residue_norm`` over Z and
+    ``_trivial_residue_norm`` over Z_triv, each stopped after
+    ``NODE_BUDGET`` nodes.  The best coset member a search has found is
+    attained, so its norm hi is a sound upper bound: the result is
+    ``[hi, hi]`` when the search ended and ``[0, hi]`` when it stopped.
     """
     ring = M.ambient.ring
     if not ring.integral:
@@ -226,25 +209,22 @@ def residue_norm(M: PresentedModule, v: Sequence) -> NormValue:
     v = [int(ring.check_element(x)) for x in v]
     if len(v) != M.ambient.rank:
         raise DimensionMismatch("class representative has wrong length")
-    if ring.non_archimedean:
-        if M.ambient.rank <= MAX_EXACT_TRIVIAL_RANK:
-            return _trivial_residue_norm(M, v)
-    else:
-        best = _pruned_residue_norm(M, v)
-        if best is not None:
-            return NormValue.exact(Fraction(best, M.ambient.weight_den))
-    return _window_residue_norm(M, v)
+    search = _trivial_residue_norm if ring.non_archimedean \
+        else _pruned_residue_norm
+    best, ended = search(M, v)
+    hi = Fraction(best, M.ambient.weight_den)
+    return NormValue(hi if ended else Fraction(0), hi)
 
 
 class _OverBudget(Exception):
-    """The search of ``_pruned_residue_norm`` visited more than
-    ``NODE_BUDGET`` coefficients."""
+    """A residue search went past ``NODE_BUDGET`` nodes."""
 
 
 def _pruned_residue_norm(M: PresentedModule, v: List[int]):
-    """The least sum of |x_i| W_i over x in v + L, for a module over Z
-    with integer weights W and relation lattice L, by a depth-first
-    search; None when it visits more than ``NODE_BUDGET`` coefficients.
+    """(best, ended): the least sum of |x_i| W_i over x in v + L, for a
+    module over Z with integer weights W and relation lattice L, by a
+    depth-first search, or the least it found when it stopped after
+    ``NODE_BUDGET`` visited coefficients.
 
     The coordinates are put heaviest first, and L gets the basis b_t of
     ``linalg.hnf_column_basis`` in that order.  Column t is zero above
@@ -269,7 +249,7 @@ def _pruned_residue_norm(M: PresentedModule, v: List[int]):
                                      for c in _relation_columns(M)])
     best = sum(map(mul, map(abs, v), W))
     if not basis:
-        return best
+        return best, True
     leads = [next(i for i, x in enumerate(b) if x) for b in basis]
     levels = [(b, [(i, b[i], W[i]) for i in range(lead, end) if b[i]],
                [i for i in range(lead, end) if not b[i]])
@@ -295,7 +275,6 @@ def _pruned_residue_norm(M: PresentedModule, v: List[int]):
                 break
         down, up = [m, cost(m)], [m + 1, cost(m + 1)]
         if t == last:
-            nodes += 1
             best = min(best, down[1], up[1])
             return
         while True:
@@ -303,7 +282,8 @@ def _pruned_residue_norm(M: PresentedModule, v: List[int]):
             k, c = side
             if c >= best:
                 return
-            nodes += 1
+            # k, and the minimum of the next level when it is the last
+            nodes += 1 + (t + 1 == last)
             if nodes > NODE_BUDGET:
                 raise _OverBudget
             search(t + 1, [xi + k * bi for xi, bi in zip(x, b)], c)
@@ -313,46 +293,14 @@ def _pruned_residue_norm(M: PresentedModule, v: List[int]):
     try:
         search(0, v, sum(map(mul, map(abs, v[:leads[0]]), W)))
     except _OverBudget:
-        return None
-    return best
+        return best, False
+    return best, True
 
 
-def _window_residue_norm(M: PresentedModule, v: List[int]) -> NormValue:
-    """``[0, hi]``, with hi the least |v + sum k_j b_j|_w over the
-    +-``FALLBACK_WINDOW`` window of each coefficient, b_j the size-reduced
-    basis ``_relation_lattice``.  It runs on integers: each candidate is
-    sized as the sum (or the max) of ``abs_ints`` times the module's
-    integer weights, and one ``Fraction``, over ``weight_den``, is built
-    for the result."""
-    basis = _relation_lattice(M)
-    if not basis:
-        return vector_norm(M.ambient, v)
-    ring, W, flavor = M.ambient.ring, M.ambient.int_weights, M.ambient.flavor
-
-    def size(x):
-        terms = map(mul, abs_ints(ring, x, 1)[0], W)
-        return sum(terms) if flavor == SUM else max(terms, default=0)
-
-    rows = list(zip(*basis))
-    best = size(v)
-    for ks in itertools.product(range(-FALLBACK_WINDOW, FALLBACK_WINDOW + 1),
-                                repeat=len(basis)):
-        if not any(ks):
-            continue
-        val = size([x + sum(map(mul, ks, r)) for x, r in zip(v, rows)])
-        if val < best:
-            best = val
-    return NormValue(Fraction(0), Fraction(best, M.ambient.weight_den))
-
-
-# largest ambient rank of the exact Z_triv search, which tests up to
-# 2^rank zero sets: the slowest measured residue took about 20 ms at
-# rank 8 and about 70 ms at rank 10 (README)
-MAX_EXACT_TRIVIAL_RANK = 8
-
-
-def _trivial_residue_norm(M: PresentedModule, v: List[int]) -> NormValue:
-    """Exact residue norm over Z_triv, by the zero set of a representative.
+def _trivial_residue_norm(M: PresentedModule, v: List[int]):
+    """(best, ended): the residue norm over Z_triv times ``weight_den``,
+    by the zero set of a representative, or the least cost found when
+    the search stopped after ``NODE_BUDGET`` membership tests.
 
     |v + u|_w depends only on the set Z of coordinates where v + u
     vanishes: it is the sum (or the max) of the weights outside Z.  A set
@@ -364,21 +312,26 @@ def _trivial_residue_norm(M: PresentedModule, v: List[int]) -> NormValue:
     heaviest first, prunes every extension of a set outside them, and
     every branch whose weights left out already cost at least the best
     found."""
-    w = M.ambient.weights
+    W = M.ambient.int_weights
     cols = _relation_columns(M)
     cost = sum if M.ambient.flavor == SUM \
-        else (lambda ws: max(ws, default=Fraction(0)))
-    order = sorted(range(M.ambient.rank), key=lambda i: -w[i])
+        else (lambda ws: max(ws, default=0))
+    order = sorted(range(M.ambient.rank), key=lambda i: -W[i])
+    tests = 0
 
     def reachable(S):
+        nonlocal tests
+        tests += 1
+        if tests > NODE_BUDGET:
+            raise _OverBudget
         basis = linalg.hnf_column_basis([[c[i] for i in S] for c in cols])
         return linalg.lattice_contains(basis, [-v[i] for i in S])
 
-    best = cost([w[i] for i in order if v[i]])  # v itself
+    best = cost([W[i] for i in order if v[i]])  # v itself
 
     def search(pos, S, out):
         nonlocal best
-        out_cost = cost([w[i] for i in out])
+        out_cost = cost([W[i] for i in out])
         if out_cost >= best:
             return
         if pos == len(order):
@@ -389,8 +342,11 @@ def _trivial_residue_norm(M: PresentedModule, v: List[int]) -> NormValue:
             search(pos + 1, S + [i], out)
         search(pos + 1, S, out + [i])
 
-    search(0, [], [])
-    return NormValue.exact(best)
+    try:
+        search(0, [], [])
+    except _OverBudget:
+        return best, False
+    return best, True
 
 
 # ---------------------------------------------------------------------------

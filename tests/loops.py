@@ -4,13 +4,13 @@
 and the norm of a vector in a weighted free module, one coefficient at
 a time through ``abs_value``, the certified coefficient windows that
 the residue norm over Z once enumerated, from a ``Fraction`` left
-inverse, and that window search over ``Fraction`` candidates, and the
-torus ranking's float magnitudes one sample at a time.
+inverse, and that window search over ``Fraction`` candidates, exact
+within those windows, and the torus ranking's float magnitudes one
+sample at a time.
 """
 
 import functools
 import itertools
-import math
 from fractions import Fraction
 from operator import add, mul
 
@@ -71,24 +71,16 @@ def windows_loop(M, basis, v):
 
 
 def residue_window_loop(M, v) -> NormValue:
-    """The window search of ``normed_core.residue_norm`` before its
-    pruned search, over Z and over Z_triv above
-    ``MAX_EXACT_TRIVIAL_RANK``: exact over Z within the certified
-    windows of ``windows_loop`` when they hold at most 200,000 points,
-    else ``[0, hi]`` over the +-``FALLBACK_WINDOW`` window, with each
-    candidate v + sum k_j b_j built in ``Fraction``s and sized by
-    ``vector_norm``."""
+    """The certified window search that ``normed_core.residue_norm`` ran
+    over Z before its pruned search: the least |v + sum k_j b_j|_w over
+    the windows of ``windows_loop``, with b_j the Hermite basis of the
+    relation lattice, each candidate built in ``Fraction``s and sized
+    by ``vector_norm``.  Exact, at the cost of every point of the
+    windows, which the callers keep small."""
     v = [M.ambient.ring.check_element(x) for x in v]
-    basis = normed_core._relation_lattice(M)
-    if not basis:
-        return vector_norm(M.ambient, v)
-    windows = None if M.ambient.ring.non_archimedean \
-        else windows_loop(M, basis, v)
-    certified = windows is not None \
-        and math.prod(2 * w + 1 for w in windows) <= 200_000
-    if not certified:
-        windows = (normed_core.FALLBACK_WINDOW,) * len(basis)
+    basis = linalg.hnf_column_basis(normed_core._relation_columns(M))
     best = vector_norm(M.ambient, v).hi
+    windows = windows_loop(M, basis, v) if basis else ()
     for ks in itertools.product(*[range(-w, w + 1) for w in windows]):
         if all(k == 0 for k in ks):
             continue
@@ -99,9 +91,7 @@ def residue_window_loop(M, v) -> NormValue:
         val = vector_norm(M.ambient, cand).hi
         if val < best:
             best = val
-    if best == 0:
-        return NormValue.zero()
-    return NormValue(best if certified else Fraction(0), best)
+    return NormValue.exact(best)
 
 
 def is_zero(f) -> bool:

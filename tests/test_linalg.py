@@ -3,6 +3,8 @@ from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import hermite_normal_form
 
 from daggeralg import linalg
 
@@ -95,3 +97,64 @@ class TestRref:
                                  [Fraction(1, 2), 0, 1]])
         assert pivots == [0, 1]
         assert R == [[1, 0, 2], [0, 1, Fraction(-11, 12)], [0, 0, 0]]
+
+
+@st.composite
+def lattices(draw):
+    """Up to 5 integer columns of length 1-5, entries in -9..9, with a
+    duplicated column, a zero column or a sum of two mixed in, and a
+    target vector."""
+    n = draw(st.integers(1, 5))
+    vec = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    cols = draw(st.lists(vec, max_size=5))
+    if cols and draw(st.booleans()):
+        a, b = draw(st.lists(st.integers(0, len(cols) - 1),
+                             min_size=2, max_size=2))
+        cols.append(draw(st.sampled_from(
+            [list(cols[a]), [0] * n,
+             [x + y for x, y in zip(cols[a], cols[b])]])))
+    return n, cols, draw(vec)
+
+
+def sympy_hnf(n, cols):
+    """The columns of sympy's Hermite normal form of the matrix with
+    columns cols: a basis of their lattice, upper triangular."""
+    if not cols:
+        return []
+    H = hermite_normal_form(Matrix(n, len(cols), lambda i, j: cols[j][i]))
+    return [[int(x) for x in H.col(j)] for j in range(H.cols)]
+
+
+def in_span_over_z(basis, t):
+    """Whether t is an integer combination of independent columns: the one
+    rational solution of B x = t, by ``linalg.solve``, is integral."""
+    if not basis:
+        return not any(t)
+    x = linalg.solve(linalg.transpose(basis), t)
+    return x is not None and all(c.denominator == 1 for c in x)
+
+
+class TestLattices:
+    @given(lattices())
+    @settings(max_examples=200, deadline=None)
+    def test_hnf_column_basis_against_sympy(self, case):
+        n, cols, t = case
+        basis, ref = linalg.hnf_column_basis(cols), sympy_hnf(n, cols)
+        # the same lattice: each contains the other's columns
+        assert all(linalg.lattice_contains(basis, c) for c in ref + cols)
+        assert all(in_span_over_z(ref, b) for b in basis)
+        # independent nonzero columns; the lead of each, its first
+        # nonzero row, is below the leads of those before it, so each
+        # column is zero in the lead rows above its own
+        assert len(basis) == len(ref) == len(linalg.rref(
+            [[Fraction(x) for x in b] for b in basis])[1])
+        leads = [next(i for i, x in enumerate(b) if x) for b in basis]
+        assert leads == sorted(set(leads))
+        # membership of any vector agrees with sympy's basis
+        assert linalg.lattice_contains(basis, t) == in_span_over_z(ref, t)
+
+    def test_empty(self):
+        assert linalg.hnf_column_basis([]) == []
+        assert linalg.hnf_column_basis([[0, 0]]) == []
+        assert linalg.lattice_contains([], [0, 0])
+        assert not linalg.lattice_contains([], [0, 1])

@@ -1,12 +1,15 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from daggeralg import linalg, normed_core
 from daggeralg.errors import (
     DimensionMismatch,
     FlavorMismatch,
@@ -15,12 +18,10 @@ from daggeralg.errors import (
 )
 from daggeralg.normed_core import (
     MAX,
-    MAX_EXACT_TRIVIAL_RANK,
     SUM,
     ModuleMap,
     StrictWithConstants,
     WeightedFreeModule,
-    _relation_lattice,
     check_strictness,
     cokernel,
     kernel_lattice_basis,
@@ -337,10 +338,25 @@ def cokernel_of_rows(ring, weights, flavor, rows, s):
         tuple(tuple(map(Fraction, row)) for row in rows)))
 
 
+def hnf_basis(M):
+    """The Hermite basis of the relation lattice of M."""
+    return linalg.hnf_column_basis(normed_core._relation_columns(M))
+
+
 def window_points(M, v):
     """The number of points in the certified windows of a class over Z."""
-    return math.prod(2 * w + 1 for w in
-                     windows_loop(M, _relation_lattice(M), v))
+    return math.prod(2 * w + 1 for w in windows_loop(M, hnf_basis(M), v))
+
+
+def coset_hi(M, v, reach=2):
+    """The least |v + sum_j k_j b_j|_w over |k_j| <= reach, b_j the
+    Hermite basis: the norm of a coset member, so an upper bound on the
+    residue norm."""
+    basis = hnf_basis(M)
+    return min(vector_norm(M.ambient, [x + sum(k * b for k, b in zip(ks, r))
+                                       for x, r in zip(v, zip(*basis))]).hi
+               for ks in itertools.product(range(-reach, reach + 1),
+                                           repeat=len(basis)))
 
 
 @st.composite
@@ -370,16 +386,29 @@ RANK_DEFICIENT = (cokernel_of_rows(Z, (1, 1, 2), SUM,
                   [-785698, 572180, -281441])
 
 
+# four relations past the budget: a stopped search costs its budget,
+# whatever the relation count
+FOUR_RELATIONS = (cokernel_of_rows(
+    Z, (3, 2, 2, 1, 1, 2), SUM,
+    ((-3, -2, -5, 5), (0, 1, -4, -5), (-5, -6, 0, 2), (-2, 6, 6, -6),
+     (-3, 2, 2, -1), (-2, 6, -4, -5)), 4),
+    [-451135, -550370, 977529, 945057, -946230, 738371])
+
+# past the budget, and a budget of 2 * 10**6 ends in 0.07 s
+CAPPED = (cokernel_of_rows(Z, (1, 2, 3), SUM, ((-2, -4), (0, 4), (4, -6)), 2),
+          [-68700, 231576, -745223])
+
+
 class TestResidueWindowLoop:
-    """``residue_norm`` against the ``Fraction`` window search it
-    replaced, on each path that search ran."""
+    """``residue_norm`` over Z against the ``Fraction`` window search it
+    replaced, and its budget past the windows that search certified."""
 
     @given(residue_cases(Z, range(1, 5), (SUM,), st.integers(-4, 4)))
     @example(DEPENDENT)
     @settings(max_examples=150, deadline=None)
     def test_certified_windows(self, case):
         M, v = case
-        assume(_relation_lattice(M) and window_points(M, v) <= 20_000)
+        assume(hnf_basis(M) and window_points(M, v) <= 20_000)
         nv = residue_norm(M, v)
         assert nv == residue_window_loop(M, v) and nv.lo == nv.hi
 
@@ -400,23 +429,94 @@ class TestResidueWindowLoop:
     @settings(max_examples=60, deadline=None)
     def test_fallback_window(self, case):
         # past the certified windows the search is exact when it ends
-        # within its budget, and else falls back to the window search
+        # within its budget, and else returns the best coset member it
+        # found as hi
         M, v = case
-        assume(_relation_lattice(M) and window_points(M, v) > 200_000)
-        nv, loop = residue_norm(M, v), residue_window_loop(M, v)
-        assert nv == loop or nv.lo == nv.hi <= loop.hi
+        assume(hnf_basis(M) and window_points(M, v) > 200_000)
+        nv = residue_norm(M, v)
+        if nv.lo == nv.hi:
+            assert nv.hi <= coset_hi(M, v)
+        else:
+            assert nv.lo == 0 and nv.hi <= vector_norm(M.ambient, v).hi
 
     def test_over_the_node_budget(self):
-        assert residue_norm(*RANK_DEFICIENT) == NormValue(0, 1920660)
+        # the same search with the budget raised to 10**7 ends at exactly
+        # [805139, 805139], in 5.1 s (2 CPUs, Python 3.11)
+        assert residue_norm(*RANK_DEFICIENT) == NormValue(0, 805139)
 
-    @given(residue_cases(ZT, (MAX_EXACT_TRIVIAL_RANK + 1,
-                              MAX_EXACT_TRIVIAL_RANK + 2),
-                         (SUM, MAX), st.integers(-4, 4)))
-    @settings(max_examples=60, deadline=None)
-    def test_trivial_over_the_rank_cap(self, case):
-        M, v = case
+    def test_four_relations_over_the_node_budget(self):
+        M, v = FOUR_RELATIONS
+        assert residue_norm(M, v) == NormValue(0, 4346783)
+
+    def test_capped_hi_bounds_the_norm(self, monkeypatch):
+        M, v = CAPPED
+        capped = residue_norm(M, v)
+        monkeypatch.setattr(normed_core, "NODE_BUDGET", 2 * 10**6)
+        exact = residue_norm(M, v)
+        assert capped.lo == 0 and exact.lo == exact.hi <= capped.hi
+
+
+def search_nodes(M, v):
+    """``residue_norm(M, v)`` over Z and the nodes its search visits: the
+    coefficient fixed by each call of its nested ``search`` below the
+    root, and the minimum each of them takes on the last level."""
+    search, = [c for c in normed_core._pruned_residue_norm.__code__.co_consts
+               if getattr(c, "co_name", None) == "search"]
+    last = len(hnf_basis(M)) - 1
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code is search:
+            t = frame.f_locals["t"]
+            nodes += (t > 0) + (t == last)
+
+    sys.setprofile(profile)
+    try:
         nv = residue_norm(M, v)
-        assert nv == residue_window_loop(M, v) and nv.lo == 0
+    finally:
+        sys.setprofile(None)
+    return nv, nodes
+
+
+class TestNodeBudget:
+    """Both searches stop after ``NODE_BUDGET`` nodes, whatever the rank
+    and the relation count, with a sound hi."""
+
+    # odd, so that on two levels, a coefficient and a minimum per step,
+    # a last minimum taken past the budget would show
+    BUDGET = 49
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(normed_core, "NODE_BUDGET", self.BUDGET)
+
+    def wide_case(self, ring, rank, s, seed):
+        rng = random.Random(seed)
+        rows = [[rng.randint(-4, 4) for _ in range(s)] for _ in range(rank)]
+        M = cokernel_of_rows(ring, [1] * rank, SUM, rows, s)
+        return M, [rng.randint(-5, 5) for _ in range(rank)]
+
+    def assert_capped(self, M, v, nv):
+        assert nv.lo == 0 < nv.hi <= vector_norm(M.ambient, v).hi
+
+    def test_z_search(self):
+        cases = [RANK_DEFICIENT, FOUR_RELATIONS,
+                 self.wide_case(Z, 64, 16, 1)]
+        for M, v in cases:
+            nv, nodes = search_nodes(M, v)
+            assert nodes <= self.BUDGET
+            self.assert_capped(M, v, nv)
+
+    def test_trivial_search(self):
+        cases = [self.wide_case(ZT, rank, s, rank)
+                 for rank, s in ((9, 4), (16, 2), (64, 4), (64, 16))]
+        for M, v in cases:
+            with mock.patch.object(linalg, "lattice_contains",
+                                   wraps=linalg.lattice_contains) as tests:
+                nv = residue_norm(M, v)
+            assert tests.call_count <= self.BUDGET
+            self.assert_capped(M, v, nv)
 
 
 def box_minimum(M, rels, v, box=60):
@@ -493,12 +593,30 @@ class TestTrivialResidueNorm:
         assert residue_norm(M, (4, -9)) == NormValue.zero()
         assert residue_norm(M, (4, -8)) == NormValue.exact(1)
 
-    def test_over_the_rank_cap_keeps_the_window(self):
-        rank = MAX_EXACT_TRIVIAL_RANK + 1
-        M = self.presented([1] * rank, SUM, [[2] + [0] * (rank - 1)])
-        v = (2,) + (0,) * (rank - 1)
-        assert residue_norm(M, v) == NormValue(0, 0)
-        assert residue_norm(M, (1,) + v[1:]) == NormValue(0, 1)
+    @given(residue_cases(ZT, range(9, 15), (SUM, MAX), st.integers(-4, 4)))
+    @settings(max_examples=40, deadline=None)
+    def test_box_oracle_at_ranks_9_to_14(self, case):
+        # the zero-set tree makes at most 2^14 - 1 membership tests, within
+        # ``NODE_BUDGET``, so every class up to rank 14 is exact
+        M, v = case
+        rels = normed_core._relation_columns(M)
+        assert residue_norm(M, v) == NormValue.exact(
+            box_minimum(M.ambient, rels, v))
+
+    def test_rank_9(self):
+        M = self.presented([1] * 9, SUM, [[2] + [0] * 8])
+        v = (2,) + (0,) * 8
+        assert residue_norm(M, v) == NormValue.zero()
+        assert residue_norm(M, (1,) + v[1:]) == NormValue.exact(1)
+
+    def test_rank_9_four_relations(self):
+        # exact within 511 membership tests, whatever the relation count
+        M = self.presented([1] * 9, SUM, list(zip(
+            (3, 1, 0, -2), (-2, -4, 1, 4), (3, -3, 1, 4), (-4, 2, -2, 3),
+            (2, -2, -2, -1), (-4, -3, -2, 4), (-3, 2, -3, 0),
+            (-1, -1, 2, -3), (0, -1, 2, 0))))
+        v = (0, -5, -2, -5, 1, -5, 1, 2, -3)
+        assert residue_norm(M, v) == NormValue.exact(5)
 
 
 class TestKernelCokernel:
