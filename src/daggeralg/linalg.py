@@ -64,33 +64,32 @@ def rref(A: Matrix):
     return R, pivots
 
 
-def kernel_basis(A: Matrix, cols: int) -> List[List[Fraction]]:
-    """Basis of {x : A x = 0} over Q."""
-    R, pivots = rref(A)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -R[r][fc]
-        basis.append(v)
-    return basis
+def solve(A: Matrix, B: Matrix, cols: int):
+    """(X, K): for each column b of B, the solution of A x = b over Q
+    whose free coordinates are 0, or None if there is none; and the
+    basis of {x : A x = 0} over Q read from the free columns.  A has
+    ``cols`` columns and B as many rows as A.
 
+    One ``rref`` of [A | B].  Its rows past the rank of A are zero in A,
+    so a column of B has a solution exactly when it is zero in them.
+    Adding those rows to the first ones changes neither the part in A
+    nor such a column, so both read as in the reduction of [A | b] alone.
+    """
+    R, pivots = rref([list(a) + list(b) for a, b in zip(A, B, strict=True)])
+    pivots = [c for c in pivots if c < cols]
 
-def solve(A: Matrix, b: Sequence[Fraction]):
-    """One solution of A x = b over Q, or None if inconsistent."""
-    if not A:
-        return [] if all(x == 0 for x in b) else None
-    cols = len(A[0])
-    aug = [list(row) + [b[i]] for i, row in enumerate(A)]
-    R, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][cols]
-    return x
+    def column(c):
+        x = [Fraction(0)] * cols
+        for row, pc in zip(R, pivots):
+            x[pc] = row[c]
+        return x
+
+    X = [None if any(row[j] for row in R[len(pivots):]) else column(j)
+         for j in range(cols, len(R[0]) if R else cols)]
+    # e_fc - column(fc): 1 at fc, and -R[r][fc] at the pivot of row r
+    K = [[int(c == fc) - x for c, x in enumerate(column(fc))]
+         for fc in range(cols) if fc not in pivots]
+    return X, K
 
 
 def saturate_integer(v: Sequence[Fraction]) -> List[int]:
@@ -103,47 +102,40 @@ def saturate_integer(v: Sequence[Fraction]) -> List[int]:
     return ints
 
 
+def reduce_row(columns: List[List[int]], row: int):
+    """(lead, rest): the nonzero integer columns, reduced against each
+    other in ``row`` by Euclid's steps until at most one, lead (None if
+    none), is nonzero there.  A step builds new lists, so the given
+    columns never change; those it did not touch come back as they are.
+    The steps are unimodular, so lead and rest span the lattice of the
+    columns, and rest spans its vectors that vanish in ``row``."""
+    cols = [c for c in columns if any(c)]
+    while True:
+        nz = [j for j, c in enumerate(cols) if c[row]]
+        if len(nz) <= 1:
+            break
+        k = min(nz, key=lambda j: abs(cols[j][row]))
+        small = cols[k]
+        for j in nz:
+            if j != k:
+                q = cols[j][row] // small[row]
+                cols[j] = [x - q * y for x, y in zip(cols[j], small)]
+        cols = [c for c in cols if any(c)]
+    lead = cols.pop(nz[0]) if nz else None
+    return lead, cols
+
+
 def hnf_column_basis(columns: List[List[int]]) -> List[List[int]]:
     """Basis of the integer lattice spanned by the given columns.
 
-    Column-style Hermite reduction; returns a list of independent integer
-    columns generating the same lattice.
+    Column-style Hermite reduction, one ``reduce_row`` per row: the lead
+    of each row joins the basis, so each basis column is zero in the
+    rows above its first nonzero one, and those increase.  A given
+    column that no step touched is returned as the same list.
     """
-    if not columns:
-        return []
-    n = len(columns[0])
-    cols = [list(c) for c in columns if any(x != 0 for x in c)]
-    basis: List[List[int]] = []
-    for row in range(n):
-        # reduce all remaining columns against each other in this row
-        while True:
-            nz = [c for c in cols if c[row] != 0]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda c: abs(c[row]))
-            small = nz[0]
-            for c in nz[1:]:
-                q = c[row] // small[row]
-                for i in range(n):
-                    c[i] -= q * small[i]
-            cols = [c for c in cols if any(x != 0 for x in c)]
-        lead = next((c for c in cols if c[row] != 0), None)
+    basis, rest = [], columns
+    for row in range(len(columns[0]) if columns else 0):
+        lead, rest = reduce_row(rest, row)
         if lead is not None:
             basis.append(lead)
-            cols = [c for c in cols if c is not lead]
     return basis
-
-
-def lattice_contains(basis: List[List[int]], t: Sequence[int]) -> bool:
-    """Whether the integer vector t lies in the lattice spanned by a
-    basis from ``hnf_column_basis``.  Each basis column leads in its own
-    row, with zeros above and rows in increasing order, so subtracting
-    from t, column by column, the multiple that clears the lead row
-    leaves zero exactly when t is a member: a remainder left in a lead
-    row stays, since no later column touches that row."""
-    t = list(t)
-    for b in basis:
-        r = next(i for i, x in enumerate(b) if x)
-        q = t[r] // b[r]
-        t = [x - q * y for x, y in zip(t, b)]
-    return not any(t)

@@ -13,10 +13,11 @@ holds many small modules and maps pays for no per-instance ``__dict__``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import List, Sequence, Tuple
 
 from . import linalg
@@ -165,15 +166,6 @@ def cokernel(f: ModuleMap) -> PresentedModule:
     return PresentedModule(ambient=f.target, relations=f)
 
 
-def kernel_lattice_basis(f: ModuleMap) -> List[List[Fraction]]:
-    """A Q-basis of ker(f), of a map over Z or Z_triv.  Each vector is
-    saturated to a primitive integer vector, one at a time, so their span
-    can be a proper sublattice of the integer vectors of ker(f): for
-    (-2 -3 -1) it is (-3, 2, 0) and (-1, 0, 2), which miss (-1, 1, -1)."""
-    return [[Fraction(x) for x in linalg.saturate_integer(v)]
-            for v in linalg.kernel_basis(f.matrix, f.source.rank)]
-
-
 # ---------------------------------------------------------------------------
 # residue norms over lattices
 
@@ -304,46 +296,44 @@ def _trivial_residue_norm(M: PresentedModule, v: List[int]):
 
     |v + u|_w depends only on the set Z of coordinates where v + u
     vanishes: it is the sum (or the max) of the weights outside Z.  A set
-    S lies inside the zero set of some representative exactly when -v_S
-    lies in the lattice L_S spanned by the rows S of the relation
-    columns, and the cost only falls as S grows.  So the norm is the
-    least cost outside a set S with -v_S in L_S.  These sets are closed
-    under subsets, so a depth-first search over the coordinates,
+    S lies inside such a zero set exactly when some u in L has
+    u_S = -v_S, and the cost only falls as S grows.  These sets are
+    closed under subsets, so a depth-first search over the coordinates,
     heaviest first, prunes every extension of a set outside them, and
     every branch whose weights left out already cost at least the best
-    found."""
+    found.  Each set S carries columns K spanning the vectors of L zero
+    on S, and t = -v - u, zero on S.  Adding i is one test:
+    ``linalg.reduce_row`` leaves one column of K nonzero in row i, and
+    S + i is reachable exactly when its entry there divides t_i."""
     W = M.ambient.int_weights
-    cols = _relation_columns(M)
-    cost = sum if M.ambient.flavor == SUM \
-        else (lambda ws: max(ws, default=0))
+    join = add if M.ambient.flavor == SUM else max
     order = sorted(range(M.ambient.rank), key=lambda i: -W[i])
     tests = 0
+    best = functools.reduce(join, [W[i] for i in order if v[i]], 0)  # |v|_w
 
-    def reachable(S):
-        nonlocal tests
+    def search(pos, K, t, out):
+        # out: the cost of the weights left out so far
+        nonlocal best, tests
+        if out >= best:
+            return
+        if pos == len(order):
+            best = out
+            return
+        i = order[pos]
         tests += 1
         if tests > NODE_BUDGET:
             raise _OverBudget
-        basis = linalg.hnf_column_basis([[c[i] for i in S] for c in cols])
-        return linalg.lattice_contains(basis, [-v[i] for i in S])
-
-    best = cost([W[i] for i in order if v[i]])  # v itself
-
-    def search(pos, S, out):
-        nonlocal best
-        out_cost = cost([W[i] for i in out])
-        if out_cost >= best:
-            return
-        if pos == len(order):
-            best = out_cost
-            return
-        i = order[pos]
-        if reachable(S + [i]):
-            search(pos + 1, S + [i], out)
-        search(pos + 1, S, out + [i])
+        lead, rest = linalg.reduce_row(K, i)
+        if lead is None:
+            if not t[i]:
+                search(pos + 1, rest, t, out)
+        elif t[i] % lead[i] == 0:
+            q = t[i] // lead[i]
+            search(pos + 1, rest, [x - q * y for x, y in zip(t, lead)], out)
+        search(pos + 1, K, t, join(out, W[i]))
 
     try:
-        search(0, [], [])
+        search(0, _relation_columns(M), [-x for x in v], 0)
     except _OverBudget:
         return best, False
     return best, True
@@ -374,10 +364,12 @@ def check_strictness(f: ModuleMap) -> StrictWithConstants:
     target weight.  Over Z_triv no class has norm above |(1, ..., 1)|_w,
     so c = w'_min / |(1, ..., 1)|_w.  Over Z, with g a rational right
     inverse on the image (f g f = f), x - g f x lies in ker_Q, and
-    rounding its coordinates in the integer vectors b_j of
-    ``kernel_lattice_basis`` gives a kernel vector k with
-    |x - k| <= ||g|| |f x| + mu, mu = 1/2 sum_j |b_j|_w.  So
-    c = 1 / (||g|| + mu / w'_min).  The zero map gets (1, 1)."""
+    rounding its coordinates in b_j, the Q-basis of ker_Q from
+    ``linalg.solve`` each saturated to a primitive integer vector, gives
+    a kernel vector k with |x - k| <= ||g|| |f x| + mu,
+    mu = 1/2 sum_j |b_j|_w.  So c = 1 / (||g|| + mu / w'_min).  The b_j
+    can span a proper sublattice of the integer kernel: for (-2 -3 -1)
+    they miss (-1, 1, -1).  The zero map gets (1, 1)."""
     ring = f.source.ring
     if not ring.integral:
         raise UnsupportedRing("strictness constants need Z or Z_triv")
@@ -389,15 +381,15 @@ def check_strictness(f: ModuleMap) -> StrictWithConstants:
         ones = vector_norm(f.source, [1] * f.source.rank).hi
         return StrictWithConstants(w_min / ones, C)
     # g sends e_i, for each row i of an independent set R of rows of f,
-    # to a solution of f_R x = e_i, and the other generators to 0
+    # to a solution of f_R x = e_i, and the other generators to 0; f_R
+    # has the row space, so the kernel, of f
     _, rows = linalg.rref(linalg.transpose(f.matrix))
-    f_R = [f.matrix[i] for i in rows]
+    g, kernel = linalg.solve([f.matrix[i] for i in rows],
+                             linalg.identity(len(rows)), f.source.rank)
     source_Q = WeightedFreeModule(rationals_archimedean(), f.source.weights,
                                   SUM)
-    g_norm = max(vector_norm(source_Q, linalg.solve(f_R, e)).hi
-                 / f.target.weights[i]
-                 for i, e in zip(rows, linalg.identity(len(rows))))
-    mu = sum((vector_norm(f.source, b).hi for b in kernel_lattice_basis(f)),
-             Fraction(0)) / 2
+    g_norm = max(vector_norm(source_Q, x).hi / f.target.weights[i]
+                 for i, x in zip(rows, g))
+    mu = sum((vector_norm(f.source, linalg.saturate_integer(b)).hi
+              for b in kernel), Fraction(0)) / 2
     return StrictWithConstants(1 / (g_norm + mu / w_min), C)
-

@@ -246,7 +246,7 @@ def criterion_1(seed: int) -> Dict:
 
 
 def criterion_2(seed: int) -> Dict:
-    """Restriction constant 2 for rho=(1,1), rho'=(2,3), and the sum-norm
+    """Restriction constant 3 for rho=(1,1), rho'=(2,3), and the sum-norm
     versus sup-norm inequality on 200 random p-adic series."""
     rng = _rng(seed, "cofinality")
     rho, rhop = polyradius(1, 1), polyradius(2, 3)
@@ -272,7 +272,7 @@ def criterion_2(seed: int) -> Dict:
     return {
         "id": 2,
         "name": "cofinality-bound",
-        "passed": K == 2 and failures == 0,
+        "passed": K == 3 and failures == 0,
         "details": {"constant": str(K), "series": 200, "failures": failures},
     }
 

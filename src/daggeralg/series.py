@@ -724,11 +724,21 @@ def _global_majorant_constant(f: TruncatedSeries, sigma) -> Fraction:
 
 
 def cofinality_constant(rho: PolyRadius, rho_prime: PolyRadius) -> Fraction:
-    """Bound constant for restriction from the sup norm at rho' to the sum
-    norm at rho: max over i of rho'_i / (rho'_i - rho_i)."""
+    """K with |f|_S,rho <= K |f|_T,rho' for rho < rho': the product over i
+    of rho'_i / (rho'_i - rho_i).
+
+    Cauchy's bound |a_I| rho'^I <= |f|_T,rho' holds for each coefficient:
+    over a non-Archimedean ring |f|_T is the Gauss norm max_I |a_I| rho'^I,
+    and over an Archimedean one a_I is the mean of f z^-I over the torus
+    |z_i| = rho'_i, where |z^-I| = rho'^-I.  So sum_I |a_I| rho^I is at
+    most |f|_T,rho' times sum_I (rho / rho')^I, a geometric series that
+    factors into prod_i 1 / (1 - rho_i / rho'_i).  The max of these
+    factors is no bound for n >= 2: over Q_2, a_I = 2^v_I with v_I the
+    least integer with rho'^I <= 2^v_I gives |f|_T = 1 at (2, 3) and
+    |f|_S = 2.71 at (1, 1), over the total degrees up to 12."""
     if not rho.strictly_less(rho_prime):
         raise NotStrictlySmaller("need rho < rho' componentwise")
-    return max(rp / (rp - r) for r, rp in zip(rho, rho_prime))
+    return math.prod(rp / (rp - r) for r, rp in zip(rho, rho_prime))
 
 
 def base_change(f: TruncatedSeries, target: BanachRing) -> TruncatedSeries:

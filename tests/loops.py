@@ -52,8 +52,8 @@ def windows_loop(M, basis, v):
     basis vectors are the columns of B) beats v itself: each entry of
     B k is at most 2|v|_w / w_min, and |k_j| at most that times the l1
     norm of row j of the left inverse (B^T B)^-1 B^T, built in
-    ``Fraction``s: B^T B by a matrix product, one ``linalg.solve`` per
-    basis vector, and a second product.  ``residue_norm`` enumerated
+    ``Fraction``s: B^T B by a matrix product, its inverse by one
+    ``linalg.solve``, and a second product.  ``residue_norm`` enumerated
     these windows over Z, when they held at most 200,000 points, until
     its pruned search replaced them."""
 
@@ -63,8 +63,8 @@ def windows_loop(M, basis, v):
 
     Bt = [[Fraction(x) for x in b] for b in basis]
     BtB = mat_mul(Bt, linalg.transpose(Bt))
-    inv_rows = [linalg.solve(BtB, e) for e in linalg.identity(len(basis))]
-    left_inv = mat_mul(linalg.transpose(inv_rows), Bt)
+    inv_cols, _ = linalg.solve(BtB, linalg.identity(len(basis)), len(basis))
+    left_inv = mat_mul(linalg.transpose(inv_cols), Bt)
     bound = 2 * vector_norm(M.ambient, v).hi / min(M.ambient.weights)
     return tuple(int(sum(abs(x) for x in row) * bound) + 1
                  for row in left_inv)

@@ -1,5 +1,4 @@
 from fractions import Fraction
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +61,31 @@ def matrices(draw, max_rows=6, max_cols=6):
     return A
 
 
+def fraction_solve(A, b, cols):
+    """The solution of A x = b whose free coordinates are 0, by
+    ``fraction_rref`` of [A | b], or None if there is none."""
+    R, pivots = fraction_rref([list(row) + [c] for row, c in zip(A, b)])
+    if cols in pivots:
+        return None
+    x = [Fraction(0)] * cols
+    for row, pc in zip(R, pivots):
+        x[pc] = row[cols]
+    return x
+
+
+def fraction_kernel(A, cols):
+    """The basis of ker A read from the free columns of ``fraction_rref``."""
+    R, pivots = fraction_rref(A)
+    basis = []
+    for fc in range(cols):
+        if fc not in pivots:
+            v = [Fraction(int(c == fc)) for c in range(cols)]
+            for row, pc in zip(R, pivots):
+                v[pc] = -row[fc]
+            basis.append(v)
+    return basis
+
+
 class TestRref:
     @given(matrices())
     @settings(max_examples=250, deadline=None)
@@ -76,15 +100,20 @@ class TestRref:
         assert all(type(x) is Fraction for row in R for x in row)
         assert all(len(row) == len(A[0]) for row in R)
 
-    @given(matrices())
+    @given(matrices(), st.lists(entries, min_size=6, max_size=6))
     @settings(max_examples=120, deadline=None)
-    def test_kernel_basis_and_solve_match(self, A):
+    def test_kernel_basis_and_solve_match(self, A, x):
+        # one reduction of [A | B] against one ``fraction_rref`` of
+        # [A | b] per column b, and one of A for the kernel: a column
+        # with no solution, one with, and zero
         cols = len(A[0]) if A else 0
-        rhs = [sum(row, Fraction(0)) + i for i, row in enumerate(A)]
-        got = (linalg.kernel_basis(A, cols), linalg.solve(A, rhs))
-        with mock.patch.object(linalg, "rref", fraction_rref):
-            ref = (linalg.kernel_basis(A, cols), linalg.solve(A, rhs))
-        assert got == ref
+        B = [[sum(row, Fraction(0)) + i,
+              sum((a * b for a, b in zip(row, x)), Fraction(0)), 0]
+             for i, row in enumerate(A)]
+        X, K = linalg.solve(A, B, cols)
+        assert K == fraction_kernel(A, cols)
+        assert X == ([fraction_solve(A, [r[j] for r in B], cols)
+                      for j in range(3)] if A else [])
 
     def test_fixed_cases(self):
         assert linalg.rref([]) == ([], [])
@@ -130,7 +159,8 @@ def in_span_over_z(basis, t):
     rational solution of B x = t, by ``linalg.solve``, is integral."""
     if not basis:
         return not any(t)
-    x = linalg.solve(linalg.transpose(basis), t)
+    (x,), _ = linalg.solve(linalg.transpose(basis), [[c] for c in t],
+                           len(basis))
     return x is not None and all(c.denominator == 1 for c in x)
 
 
@@ -141,7 +171,7 @@ class TestLattices:
         n, cols, t = case
         basis, ref = linalg.hnf_column_basis(cols), sympy_hnf(n, cols)
         # the same lattice: each contains the other's columns
-        assert all(linalg.lattice_contains(basis, c) for c in ref + cols)
+        assert all(in_span_over_z(basis, c) for c in ref + cols)
         assert all(in_span_over_z(ref, b) for b in basis)
         # independent nonzero columns; the lead of each, its first
         # nonzero row, is below the leads of those before it, so each
@@ -151,10 +181,46 @@ class TestLattices:
         leads = [next(i for i, x in enumerate(b) if x) for b in basis]
         assert leads == sorted(set(leads))
         # membership of any vector agrees with sympy's basis
-        assert linalg.lattice_contains(basis, t) == in_span_over_z(ref, t)
+        assert in_span_over_z(basis, t) == in_span_over_z(ref, t)
 
     def test_empty(self):
         assert linalg.hnf_column_basis([]) == []
         assert linalg.hnf_column_basis([[0, 0]]) == []
-        assert linalg.lattice_contains([], [0, 0])
-        assert not linalg.lattice_contains([], [0, 1])
+        assert linalg.reduce_row([[0, 0]], 1) == (None, [])
+
+    @given(lattices(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_reduce_row(self, case, data):
+        n, cols, _ = case
+        row = data.draw(st.integers(0, n - 1))
+        before = [list(c) for c in cols]
+        lead, rest = linalg.reduce_row(cols, row)
+        assert cols == before
+        assert lead is None or lead[row]
+        assert all(c[row] == 0 and any(c) for c in rest)
+        reduced = rest + ([lead] if lead else [])
+        ref, ref_reduced = sympy_hnf(n, cols), sympy_hnf(n, reduced)
+        assert all(in_span_over_z(ref, c) for c in reduced)
+        assert all(in_span_over_z(ref_reduced, c) for c in cols)
+
+    @given(lattices(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_incremental_membership(self, case, data):
+        """Rows added one at a time, as the Z_triv residue search adds
+        coordinates to S: K spans the lattice vectors zero on S, and u is
+        t less a lattice vector, zero on S.  t_S is in the lattice of the
+        columns cut to the rows S exactly when every step's lead entry
+        divides u_i, and once it is not, no larger S is either."""
+        n, cols, t = case
+        rows = data.draw(st.permutations(range(n)))
+        K, u, reachable = cols, list(t), True
+        for k, i in enumerate(rows, 1):
+            S = rows[:k]
+            ref = sympy_hnf(k, [[c[j] for j in S] for c in cols])
+            if reachable:
+                lead, K = linalg.reduce_row(K, i)
+                q, r = divmod(u[i], lead[i]) if lead else (0, u[i])
+                reachable = not r
+                u = [x - q * y for x, y in zip(u, lead or u)]
+                assert not any(u[j] for j in S) or not reachable
+            assert in_span_over_z(ref, [t[j] for j in S]) == reachable

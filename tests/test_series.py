@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -231,12 +232,52 @@ class TestMultiply:
                             for m in range(64))
 
 
+def extremal_series(p, rho_prime, D):
+    """The series over Q_p of total degree up to D with a_I = p^v_I, v_I
+    the least integer with rho'^I <= p^v_I.  Each term of its Gauss norm
+    at rho' is at most 1, and the constant term is 1, so |f|_T,rho' = 1,
+    while each |a_I| is within a factor p of Cauchy's bound rho'^-I."""
+    coeffs = {}
+    for I in itertools.product(range(D + 1), repeat=len(rho_prime)):
+        if sum(I) <= D:
+            r = math.prod(rp ** i for rp, i in zip(rho_prime, I))
+            v = 0
+            while Fraction(p) ** v < r:
+                v += 1
+            while Fraction(p) ** (v - 1) >= r:
+                v -= 1
+            coeffs[I] = Fraction(p) ** v
+    return TruncatedSeries(rationals_padic(p), len(rho_prime), coeffs, D)
+
+
+radius = st.fractions(min_value=Fraction(1, 4), max_value=4,
+                      max_denominator=4)
+
+
 class TestCofinality:
     def test_univariate(self):
         assert cofinality_constant(polyradius(1), polyradius(2)) == 2
 
     def test_bivariate(self):
-        assert cofinality_constant(polyradius(1, 1), polyradius(2, 3)) == 2
+        # the product 2 * 3/2 of the factors, not their max 2
+        assert cofinality_constant(polyradius(1, 1), polyradius(2, 3)) == 3
+
+    @given(st.sampled_from((2, 3, 5)),
+           st.lists(st.tuples(radius, radius), min_size=1, max_size=3),
+           st.integers(0, 12))
+    @example(2, [(1, 1), (1, 2)], 12)
+    @example(3, [(1, 1), (1, 2)], 12)
+    @settings(max_examples=60, deadline=None)
+    def test_extremal_gauss_norm_series(self, p, radii, D):
+        """|f|_S,rho <= K |f|_T,rho' on the series that meets every Cauchy
+        bound up to the value group of Q_p; at rho = (1, 1) and
+        rho' = (2, 3) its S-norm is 2.713 over Q_2 and 2.438 over Q_3,
+        above the max 2 of the per-variable factors."""
+        rho = polyradius(*[r for r, _ in radii])
+        rho_prime = polyradius(*[r + gap for r, gap in radii])
+        f = extremal_series(p, rho_prime, D)
+        assert norm_T(f, rho_prime) == NormValue.exact(1)
+        assert norm_S(f, rho).hi <= cofinality_constant(rho, rho_prime)
 
     def test_large_outer_radius_near_one(self):
         K = cofinality_constant(polyradius(1), polyradius(100))
