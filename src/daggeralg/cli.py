@@ -118,23 +118,31 @@ def _load_json(path: str):
 
 
 def _emit(report, args) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
+    """Print the report stamped with REPORT_VERSION, also to --json-out."""
+    text = json.dumps(dict(report, version=REPORT_VERSION), sort_keys=True,
+                      indent=2)
     if getattr(args, "json_out", None):
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
     print(text)
 
 
-def cmd_norm(args) -> int:
-    ring = parse_ring(args.ring)
+def _series_and_rho(args, ring: BanachRing):
+    """The series of --series over the ring, and the polyradius --rho."""
     f = TruncatedSeries.from_json(_load_json(args.series), ring)
-    rho = parse_rho(args.rho, f.n)
-    report = {
-        "version": REPORT_VERSION,
-        "S": norm_S(f, rho).to_json(),
-        "T": norm_T(f, rho).to_json(),
-    }
-    _emit(report, args)
+    return f, parse_rho(args.rho, f.n)
+
+
+def _algebra_and_spec(args):
+    """The presentation --algebra, and the localization --spec over it."""
+    A = DaggerPresentation.from_json(_load_json(args.algebra))
+    return A, LocalizationSpec.from_json(_load_json(args.spec), A.ring)
+
+
+def cmd_norm(args) -> int:
+    f, rho = _series_and_rho(args, parse_ring(args.ring))
+    _emit({"S": norm_S(f, rho).to_json(), "T": norm_T(f, rho).to_json()},
+          args)
     return 0
 
 
@@ -168,34 +176,23 @@ def _read_tensor_element(obj) -> TensorElement:
 
 def cmd_tensor(args) -> int:
     x = _read_tensor_element(_load_json(args.element))
-    flavor = args.flavor
-    nv = tensor_norm_certified(x, flavor)
-    _emit({"version": REPORT_VERSION, "norm": nv.to_json(),
-           "flavor": flavor}, args)
+    nv = tensor_norm_certified(x, args.flavor)
+    _emit({"norm": nv.to_json(), "flavor": args.flavor}, args)
     return 0
 
 
 def cmd_localize(args) -> int:
-    A = DaggerPresentation.from_json(_load_json(args.algebra))
-    spec = LocalizationSpec.from_json(_load_json(args.spec), A.ring)
-    B = present_localization(A, spec)
-    _emit({"version": REPORT_VERSION, "presentation": B.to_json()}, args)
+    B = present_localization(*_algebra_and_spec(args))
+    _emit({"presentation": B.to_json()}, args)
     return 0
 
 
 def cmd_koszul(args) -> int:
-    A = DaggerPresentation.from_json(_load_json(args.algebra))
-    spec = LocalizationSpec.from_json(_load_json(args.spec), A.ring)
-    koszul_h_check(A, spec)
-    # H^-1 = 0 because X - f is monic and g*Y - 1 has a unit constant term
-    report = {
-        "version": REPORT_VERSION,
-        "concentrated_in_degree_0": True,
-        "kernel_dimension": 0,
-        # only echoed: bench/workloads.py compares it
-        "degree": args.degree,
-    }
-    _emit(report, args)
+    koszul_h_check(*_algebra_and_spec(args))
+    # H^-1 = 0 because X - f is monic and g*Y - 1 has a unit constant
+    # term; the degree is only echoed, as bench/workloads.py compares it
+    _emit({"concentrated_in_degree_0": True, "kernel_dimension": 0,
+           "degree": args.degree}, args)
     return 0
 
 
@@ -209,44 +206,30 @@ def cmd_mv_check(args) -> int:
                  for k, v in e.items()} for e in elements]
     checked = mayer_vietoris(ring, args.degree, elements)
     # exact by the unique split of a Laurent polynomial by exponent sign
-    _emit({"version": REPORT_VERSION, "exact": True,
-           "elements_checked": checked}, args)
+    _emit({"exact": True, "elements_checked": checked}, args)
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    ring = integers_archimedean()
-    f = TruncatedSeries.from_json(_load_json(args.series), ring)
-    rho = parse_rho(args.rho, f.n)
+    f, rho = _series_and_rho(args, integers_archimedean())
     work = power_work(f, args.powers)
     if work > MAX_POWER_WORK:
         raise ValueError(f"--powers {args.powers} may multiply {work} term "
                          f"pairs for this series, over the cap of "
                          f"{MAX_POWER_WORK}")
-    sup = global_sup(f, rho)
-    powers = spectral_via_powers(f, rho, args.powers)
-    report = {
-        "version": REPORT_VERSION,
-        "global_sup": sup.to_json(),
-        "power_estimates": [nv.to_json() for nv in powers],
-    }
-    _emit(report, args)
+    _emit({"global_sup": global_sup(f, rho).to_json(),
+           "power_estimates": [nv.to_json() for nv in
+                               spectral_via_powers(f, rho, args.powers)]},
+          args)
     return 0
 
 
 def cmd_shilov(args) -> int:
-    ring = integers_archimedean()
-    f = TruncatedSeries.from_json(_load_json(args.series), ring)
-    rho = parse_rho(args.rho, f.n)
-    verdict = shilov_check(f, rho)
-    report = {
-        "version": REPORT_VERSION,
-        "confirmed": verdict.confirmed,
-        "archimedean_sup": verdict.archimedean_sup.to_json(),
-        "max_other_fiber": verdict.max_other.to_json(),
-        "monomial_floor": str(verdict.monomial_floor),
-    }
-    _emit(report, args)
+    verdict = shilov_check(*_series_and_rho(args, integers_archimedean()))
+    _emit({"confirmed": verdict.confirmed,
+           "archimedean_sup": verdict.archimedean_sup.to_json(),
+           "max_other_fiber": verdict.max_other.to_json(),
+           "monomial_floor": str(verdict.monomial_floor)}, args)
     return 0 if verdict.confirmed else 2
 
 
@@ -257,13 +240,8 @@ def cmd_pi_check(args) -> int:
     # bench/workloads.py still passes --samples and --seed, which are
     # ignored
     check_adjunction(M, M)
-    report = {
-        "version": REPORT_VERSION,
-        "samples": args.samples,
-        "adjunction_all_equal": True,
-        "tensor_intertwine_confirmed": True,
-    }
-    _emit(report, args)
+    _emit({"samples": args.samples, "adjunction_all_equal": True,
+           "tensor_intertwine_confirmed": True}, args)
     return 0
 
 

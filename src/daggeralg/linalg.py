@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Sequence
+from typing import List
+
+from .scalars import over_lcm
 
 Matrix = List[List[Fraction]]
 
@@ -30,10 +32,7 @@ def rref(A: Matrix):
     pivot row is divided by its pivot once, at the end.  R holds
     Fractions; its rows past the rank are zero.
     """
-    M = []
-    for row in A:
-        L = math.lcm(*(x.denominator for x in row))
-        M.append([x.numerator * (L // x.denominator) for x in row])
+    M = [over_lcm(row)[0] for row in A]
     rows = len(M)
     cols = len(M[0]) if rows else 0
     pivots = []
@@ -90,16 +89,6 @@ def solve(A: Matrix, B: Matrix, cols: int):
     K = [[int(c == fc) - x for c, x in enumerate(column(fc))]
          for fc in range(cols) if fc not in pivots]
     return X, K
-
-
-def saturate_integer(v: Sequence[Fraction]) -> List[int]:
-    """Scale a rational vector to a primitive integer vector."""
-    den = math.lcm(*(x.denominator for x in v))
-    ints = [int(x * den) for x in v]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
 
 
 def reduce_row(columns: List[List[int]], row: int):

@@ -14,7 +14,6 @@ holds many small modules and maps pays for no per-instance ``__dict__``.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
@@ -32,6 +31,7 @@ from .scalars import (
     NormValue,
     abs_ints,
     as_fraction,
+    over_lcm,
     rationals_archimedean,
     read_rational,
 )
@@ -62,9 +62,8 @@ class WeightedFreeModule:
         object.__setattr__(self, "weights", weights)
         if any(w.numerator <= 0 for w in weights):
             raise ValueError("weights must be positive")
-        Dw = math.lcm(*[w.denominator for w in weights])
-        object.__setattr__(self, "int_weights", tuple(
-            [w.numerator * (Dw // w.denominator) for w in weights]))
+        W, Dw = over_lcm(weights)
+        object.__setattr__(self, "int_weights", tuple(W))
         object.__setattr__(self, "weight_den", Dw)
         if self.flavor not in (SUM, MAX):
             raise ValueError(f"unknown norm flavor {self.flavor}")
@@ -87,17 +86,12 @@ class WeightedFreeModule:
 
 
 def vector_norm(M: WeightedFreeModule, v: Sequence) -> NormValue:
-    """|v|_w, exact, on integers: the entries of v are numerators N_i
-    over the lcm L of their denominators, ``abs_ints`` gives
-    |N_i / L| = A_i / den, and the norm is the sum or the max of
-    A_i W_i over den Dw, with W_i / Dw the module's integer weights.
-    One ``Fraction`` is built, for the result."""
+    """|v|_w, exact, on integers: with v_i = N_i / L by ``over_lcm`` and
+    |N_i / L| = A_i / den by ``abs_ints``, the norm is the sum or the max
+    of A_i W_i over den Dw, for the module's integer weights W_i / Dw."""
     if len(v) != len(M.weights):
         raise DimensionMismatch(f"vector length {len(v)} != rank {M.rank}")
-    xs = list(map(M.ring.check_element, v))
-    L = math.lcm(*[x.denominator for x in xs])
-    A, den = abs_ints(M.ring, [x.numerator * (L // x.denominator)
-                               for x in xs], L)
+    A, den = abs_ints(M.ring, *over_lcm(list(map(M.ring.check_element, v))))
     terms = map(mul, A, M.int_weights)
     top = sum(terms) if M.flavor == SUM else max(terms, default=0)
     return NormValue.exact(Fraction(top, den * M.weight_den))
@@ -365,8 +359,8 @@ def check_strictness(f: ModuleMap) -> StrictWithConstants:
     so c = w'_min / |(1, ..., 1)|_w.  Over Z, with g a rational right
     inverse on the image (f g f = f), x - g f x lies in ker_Q, and
     rounding its coordinates in b_j, the Q-basis of ker_Q from
-    ``linalg.solve`` each saturated to a primitive integer vector, gives
-    a kernel vector k with |x - k| <= ||g|| |f x| + mu,
+    ``linalg.solve`` each scaled by ``over_lcm`` to a primitive integer
+    vector, gives a kernel vector k with |x - k| <= ||g|| |f x| + mu,
     mu = 1/2 sum_j |b_j|_w.  So c = 1 / (||g|| + mu / w'_min).  The b_j
     can span a proper sublattice of the integer kernel: for (-2 -3 -1)
     they miss (-1, 1, -1).  The zero map gets (1, 1)."""
@@ -390,6 +384,9 @@ def check_strictness(f: ModuleMap) -> StrictWithConstants:
                                   SUM)
     g_norm = max(vector_norm(source_Q, x).hi / f.target.weights[i]
                  for i, x in zip(rows, g))
-    mu = sum((vector_norm(f.source, linalg.saturate_integer(b)).hi
-              for b in kernel), Fraction(0)) / 2
+    # over_lcm(b) is primitive: b is 1 at its free coordinate, where the
+    # numerator is L, and the full power in L of a prime p of L divides
+    # some entry's denominator, whose numerator p then misses
+    mu = sum((vector_norm(f.source, over_lcm(b)[0]).hi for b in kernel),
+             Fraction(0)) / 2
     return StrictWithConstants(1 / (g_norm + mu / w_min), C)

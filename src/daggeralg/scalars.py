@@ -111,10 +111,6 @@ class NormValue:
         x = as_fraction(x)
         return NormValue(x, x)
 
-    @staticmethod
-    def zero() -> "NormValue":
-        return NormValue(ZERO, ZERO)
-
     def to_json(self):
         return {
             "lo": str(self.lo),
@@ -272,6 +268,13 @@ def abs_value(ring: BanachRing, x) -> Fraction:
     return Fraction(ring.p) ** -padic_valuation(x, ring.p)
 
 
+def over_lcm(xs: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """(nums, L) with xs[i] == nums[i] / L, L the lcm of the denominators
+    of the rationals xs: the integers the package's kernels compute on."""
+    L = math.lcm(*[x.denominator for x in xs])
+    return [x.numerator * (L // x.denominator) for x in xs], L
+
+
 def abs_ints(ring: BanachRing, nums: Sequence[int],
              L: int) -> Tuple[List[int], int]:
     """``abs_value`` of the ring elements N_i / L (L > 0) on integers:
@@ -304,8 +307,6 @@ def _integer_nth_root(m: int, n: int) -> int:
     x > r it strictly decreases and stays at least r.  So after the
     first step the iteration stops exactly at r, however far off the
     float estimate is; a good one only saves steps."""
-    if m < 0:
-        raise ValueError("negative radicand")
     if n == 1 or m < 2:
         return m
     if n == 2:

@@ -59,6 +59,7 @@ from .series import (
     norm_S,
     norm_T,
     polyradius,
+    unit_polydisk,
 )
 from .spectrum import (
     fiber_sup,
@@ -317,8 +318,6 @@ def criterion_4(seed: int) -> Dict:
     one-variable cut and inversion instances, over a p-adic and an
     Archimedean base, validate while two series, a rational spec and a
     series outside the algebra are rejected."""
-    from .series import unit_polydisk
-
     validated = 0
     for ring in (rationals_padic(2), rationals_archimedean()):
         A = unit_polydisk(ring, 1)

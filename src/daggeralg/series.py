@@ -33,6 +33,7 @@ from .scalars import (
     as_fraction,
     integers_archimedean,
     nth_root_interval,
+    over_lcm,
     read_rational,
 )
 
@@ -294,13 +295,9 @@ def _combine_tails_add(f: TruncatedSeries, g: TruncatedSeries,
 
 
 def _scaled_ints(coeffs: Dict[Index, Fraction]):
-    """Coefficients as integer numerators over one shared denominator:
-    returns ([(I, N_I)], L) with coeffs[I] == N_I / L, L the lcm of the
-    coefficients' denominators.  The series kernels compute on these
-    numerators and build a ``Fraction`` only when they write a result."""
-    L = math.lcm(*[a.denominator for a in coeffs.values()])
-    return [(I, a.numerator * (L // a.denominator))
-            for I, a in coeffs.items()], L
+    """``over_lcm`` of the coefficients, as ([(I, N_I)], L)."""
+    nums, L = over_lcm(list(coeffs.values()))
+    return list(zip(coeffs, nums)), L
 
 
 def _convolve(fs, gs) -> Dict[Index, int]:
@@ -319,8 +316,7 @@ def _gauss_norm(ring: BanachRing, coeffs: Dict[Index, Fraction],
     one): the sizes |a_I| = A_I / den of ``scalars.abs_ints`` times the
     radius powers r^I = P_I / Q of ``PolyRadius.powers``, compared as
     integers over the one denominator den * Q."""
-    terms, L = _scaled_ints(coeffs)
-    A, den = abs_ints(ring, [N for _, N in terms], L)
+    A, den = abs_ints(ring, *over_lcm(list(coeffs.values())))
     P, Q = r.powers(list(coeffs))
     return Fraction(max(map(mul, A, P), default=0), den * Q)
 
@@ -427,9 +423,8 @@ def norm_S(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     return NormValue(poly, poly + _tail_sum_bound(f, rho))
 
 
-# rational points on the unit circle via the tangent half-angle map, built
-# once per count (of the last 64 asked for), as an immutable tuple
-@functools.lru_cache(maxsize=64)
+# rational points on the unit circle via the tangent half-angle map, as an
+# immutable tuple; ``_circle_axis`` caches them
 def _unit_circle_points(count: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     pts = [(Fraction(1), Fraction(0))]
     k = 1
@@ -475,9 +470,7 @@ def _power_columns(us, E):
 def _power_table(zr: Fraction, zi: Fraction, E: int):
     """Powers of z = zr + i*zi = (x + iy)/q over one denominator: returns
     ([(re, im) of (x + iy)^e * q^(E - e) for e = 0..E], q^E)."""
-    q = math.lcm(zr.denominator, zi.denominator)
-    x = zr.numerator * (q // zr.denominator)
-    y = zi.numerator * (q // zi.denominator)
+    (x, y), q = over_lcm((zr, zi))
     qpow = q**E
     table = []
     re, im, scale = 1, 0, qpow
@@ -487,9 +480,17 @@ def _power_table(zr: Fraction, zi: Fraction, E: int):
     return table, qpow
 
 
-def _combine(terms, tables):
-    """Sum of N_I * prod_i tables[i][I_i] over the (I, N_I) terms, as a
-    Gaussian integer (re, im)."""
+def _gaussian_value(terms, points):
+    """sum N_I z^I over the (I, N_I) terms of integers, exactly, at the
+    points z_i = (re_i, im_i): returns Gaussian integers (re, im) and q
+    with the sum == (re + i*im) / q.  With z_i = (x_i + i*y_i)/q_i and
+    E_i the largest exponent of variable i, q = prod q_i^E_i."""
+    tables, q = [], 1
+    for i, (zr, zi) in enumerate(points):
+        table, qpow = _power_table(
+            zr, zi, max((I[i] for I, _ in terms), default=0))
+        tables.append(table)
+        q *= qpow
     re_total = im_total = 0
     for I, N in terms:
         re, im = N, 0
@@ -498,25 +499,14 @@ def _combine(terms, tables):
             re, im = re * tr - im * ti, re * ti + im * tr
         re_total += re
         im_total += im
-    return re_total, im_total
+    return re_total, im_total, q
 
 
 def evaluate_complex(f: TruncatedSeries, points):
-    """Evaluate at z_i = (re_i, im_i) exactly; returns (re, im).
-
-    Works in Gaussian integers: with z_i = (x_i + i*y_i)/q_i and E_i the
-    largest exponent of variable i, every term is brought over the one
-    denominator L * prod q_i^E_i, where L is the coefficients' lcm.
-    """
-    terms, den = _scaled_ints(f.coeffs)
-    tables = []
-    for i, (zr, zi) in zip(range(f.n), points):
-        E = max((I[i] for I, _ in terms), default=0)
-        table, qpow = _power_table(zr, zi, E)
-        tables.append(table)
-        den *= qpow
-    re, im = _combine(terms, tables)
-    return Fraction(re, den), Fraction(im, den)
+    """Evaluate at z_i = (re_i, im_i) exactly; returns (re, im)."""
+    terms, L = _scaled_ints(f.coeffs)
+    re, im, q = _gaussian_value(terms, points[:f.n])
+    return Fraction(re, L * q), Fraction(im, L * q)
 
 
 # the float ranking of torus samples is skipped, and every sample is
@@ -598,26 +588,17 @@ def _torus_max_sq(f: TruncatedSeries, weighted,
     # rational coefficients give |f(conj z)| = |f(z)|, and the circle is
     # closed under conjugation: the first axis needs only im >= 0
     axes = [_circle_axis(points_per_var, not i) for i in range(f.n)]
-    samples = itertools.product(*(range(len(points)) for points, _ in axes))
+    samples = itertools.product(*(points for points, _ in axes))
     D = max(sum(I) for I, _ in weighted)
     delta = (len(weighted) + f.n * (D + 1) + 4) * 2.0**-50
     if delta <= MAX_RANKING_ERROR:
         mags = _float_magnitudes(weighted, [us for _, us in axes], exps)
         cutoff = max(mags) - 2 * delta
         samples = itertools.compress(samples, map(cutoff.__le__, mags))
-    # each axis's power tables, built once per evaluated circle point; the
-    # largest (re^2 + im^2) / prod(q_i^E_i)^2 so far as num/den
-    tables = [{} for _ in axes]
+    # the largest (re^2 + im^2) / q^2 so far as num/den
     num, den = 0, 1
     for sample in samples:
-        row, q = [], 1
-        for (points, _), E, built, j in zip(axes, exps, tables, sample):
-            if j not in built:
-                built[j] = _power_table(*points[j], E)
-            table, qpow = built[j]
-            row.append(table)
-            q *= qpow
-        re, im = _combine(weighted, row)
+        re, im, q = _gaussian_value(weighted, sample)
         sq_num, sq_den = re * re + im * im, q * q
         if sq_num * den > num * sq_den:
             num, den = sq_num, sq_den
@@ -658,7 +639,7 @@ def norm_T(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     lo = Fraction(max(sizes, default=0), den)
     if f.tail is None or not f.tail.C:
         lo = max(lo, _torus_lower_bound(f, weighted, den))
-    return NormValue(min(lo, hi), hi)
+    return NormValue(lo, hi)
 
 
 # ---------------------------------------------------------------------------

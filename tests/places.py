@@ -80,7 +80,7 @@ class Place:
         """|x|^eps at this place, as a certified interval."""
         size = self.size(x)
         if size == 0:
-            return NormValue.zero()
+            return NormValue.exact(0)
         return pow_interval(NormValue.exact(size), self.eps, ROOT_PRECISION)
 
 
@@ -104,7 +104,7 @@ class ArchPower:
     def abs_value(self, x) -> NormValue:
         size = self.size(x)
         if size == 0:
-            return NormValue.zero()
+            return NormValue.exact(0)
         return pow_interval(NormValue.exact(size), self.eps, ROOT_PRECISION)
 
 
@@ -113,7 +113,7 @@ def gauss_fiber_loop(f: TruncatedSeries, place: Place, rho: PolyRadius
     """The p-adic and trivial fiber sup at any exponent as one certified
     root bracket per coefficient, joined coefficient by coefficient."""
     if place.kind == PADIC:
-        known = NormValue.zero()
+        known = NormValue.exact(0)
         for I, a in f.coeffs.items():
             known = join(known, scale(place.abs_value(a), rho_power(rho, I)))
     else:
@@ -185,7 +185,7 @@ def place_sup(f: TruncatedSeries, place, rho: PolyRadius) -> NormValue:
     if place.kind != ARCHIMEDEAN:
         return gauss_fiber_loop(f, place, rho)
     if is_zero(f):
-        return NormValue.zero()
+        return NormValue.exact(0)
     g = f.with_ring(rationals_archimedean())
     if place.eps == 1:
         return norm_T(g, rho)
@@ -206,7 +206,7 @@ def global_sup_join(f: TruncatedSeries, rho: PolyRadius, prime_bound: int,
     """(join, [(place, fiber sup)]) over ``enumerate_places``."""
     table = [(place, place_sup(f, place, rho))
              for place in enumerate_places(prime_bound, eps_grid_size)]
-    total = NormValue.zero()
+    total = NormValue.exact(0)
     for _, value in table:
         total = join(total, value)
     return total, table

@@ -1,6 +1,7 @@
-"""Every top-level import of a module in the package is used in it, and
+"""Every top-level import of a module in the package is used in it,
 every import anywhere in the package is of the standard library or the
-package itself, and importing the CLI leaves ``multiprocessing`` out.
+package itself, no function imports a package module, and importing the
+CLI leaves ``multiprocessing`` out.
 
 The package ``__init__`` re-exports what it imports and is skipped by
 the first check.  Names quoted in annotations count as used.
@@ -70,6 +71,32 @@ def test_imports_only_the_standard_library(path):
     foreign = sorted(set(_imported_roots(ast.parse(path.read_text())))
                      - allowed)
     assert not foreign, f"{path.name} imports {foreign}"
+
+
+def _local_package_imports(tree):
+    """The package modules imported inside a function, as written."""
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "daggeralg"):
+                module = "." * node.level + (node.module or "")
+                yield f"{func.name}: from {module}"
+            elif isinstance(node, ast.Import):
+                yield from (f"{func.name}: import {alias.name}"
+                            for alias in node.names
+                            if alias.name.split(".")[0] == "daggeralg")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_function_local_package_import(path):
+    """A module's dependencies on the package are read at its top; only
+    the standard library is imported late, where that keeps another
+    import cheap (``selftest.run_all``'s ``multiprocessing``)."""
+    local = sorted(set(_local_package_imports(ast.parse(path.read_text()))))
+    assert not local, f"{path.name} imports {local} in a function"
 
 
 def test_importing_the_cli_leaves_multiprocessing_out():

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
 from daggeralg import linalg
+from daggeralg.scalars import over_lcm
 
 
 def fraction_rref(A):
@@ -114,6 +116,19 @@ class TestRref:
         assert K == fraction_kernel(A, cols)
         assert X == ([fraction_solve(A, [r[j] for r in B], cols)
                       for j in range(3)] if A else [])
+
+    @given(matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_kernel_vectors_are_primitive_over_lcm(self, A):
+        # each kernel vector is 1 at its free coordinate, so its
+        # numerators over the lcm of its denominators have no common
+        # factor: ``check_strictness`` rounds in them as they are
+        cols = len(A[0]) if A else 0
+        _, K = linalg.solve(A, [[] for _ in A], cols)
+        for b in K:
+            nums, L = over_lcm(b)
+            assert 1 in b and math.gcd(*nums) == 1
+            assert [Fraction(N, L) for N in nums] == b
 
     def test_fixed_cases(self):
         assert linalg.rref([]) == ([], [])

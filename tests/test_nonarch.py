@@ -78,7 +78,7 @@ class TestAdjunction:
 
     def test_zero_map(self):
         assert operator_norms(qmod(1), qmod(1), ((0,),)) == \
-            [NormValue.zero()] * 2
+            [NormValue.exact(0)] * 2
 
     def test_random_matrices_always_equal(self):
         rng = random.Random(13)

@@ -3,11 +3,11 @@ and so is every public method of a package class.
 
 A definition counts as used when another package module, or its own
 module outside the definition, names it (as a name or an attribute), or
-when a module under ``bench/`` does, counting the words of its string
-constants too, since ``bench/spans.py`` lists the functions it traces as
-strings.  The re-exports of the package ``__init__`` count for nothing,
-and neither do the tests.  Dunder methods, reached through operators,
-are not checked.
+when a module under ``bench/`` does, counting the words of the strings
+in ``bench/spans.py``'s ``LAYERS`` too, the functions it traces by name.
+No other string counts.  The re-exports of the package ``__init__``
+count for nothing, and neither do the tests.  Dunder methods, reached
+through operators, are not checked.
 
 A method is matched as ``Class.method`` where the receiver's class is
 evident from the package source: the class's own name, ``self`` or
@@ -15,7 +15,9 @@ evident from the package source: the class's own name, ``self`` or
 annotation names it, a parameter annotated with it or a local assigned
 one of these, and a field annotated with it of any of these.  A method
 name that no other package class or top-level function defines may also
-be matched by name alone.  A shared name (``to_json``, say) matched by
+be matched by name alone, and then only by an attribute (``x.method``,
+or ``Class.method`` in ``LAYERS``): a local variable or a function of
+that name is no use of it.  A shared name (``to_json``, say) matched by
 name alone counts only when ``ALLOWED`` lists ``Class.method``, so that a
 method which shares its name with a used one never passes unchecked.
 
@@ -46,25 +48,38 @@ ALLOWED = {
 }
 
 
-def _words(node, strings=False):
-    if isinstance(node, ast.Name):
+def _words(node, attributes_only=False):
+    if isinstance(node, ast.Name) and not attributes_only:
         return {node.id}
     if isinstance(node, ast.Attribute):
         return {node.attr}
-    if strings and isinstance(node, ast.Constant) \
-            and isinstance(node.value, str):
-        return set(re.findall(r"\w+", node.value))
     return set()
 
 
-def _names(trees, strings=False):
+def _names(trees, attributes_only=False):
     return {word for tree in trees for node in ast.walk(tree)
-            for word in _words(node, strings)}
+            for word in _words(node, attributes_only)}
 
 
-BENCH_TREES = [ast.parse(p.read_text())
-               for p in sorted((ROOT / "bench").glob("*.py"))]
-BENCH = _names(BENCH_TREES, strings=True)
+BENCH_PATHS = sorted((ROOT / "bench").glob("*.py"))
+BENCH_TREES = [ast.parse(p.read_text()) for p in BENCH_PATHS]
+
+
+def _layers(tree):
+    """The strings of the ``LAYERS`` assignment of a module."""
+    return [node.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+            and [getattr(t, "id", None) for t in stmt.targets] == ["LAYERS"]
+            for node in ast.walk(stmt.value)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+
+
+LAYERS = _layers(BENCH_TREES[BENCH_PATHS.index(ROOT / "bench" / "spans.py")])
+# what bench/ names, and the attributes it names; a "Class.method" of
+# LAYERS names the class and the method as an attribute
+BENCH = _names(BENCH_TREES) | {w for s in LAYERS
+                               for w in re.findall(r"\w+", s)}
+BENCH_ATTRIBUTES = _names(BENCH_TREES, attributes_only=True) | {
+    s.rsplit(".", 1)[1] for s in LAYERS if "." in s}
 
 
 def _public(body):
@@ -185,7 +200,9 @@ class Package:
 
     def unused(self, path, allowed=ALLOWED):
         tree = self.trees[path]
-        used = BENCH | _names(t for p, t in self.trees.items() if p != path)
+        others = [t for p, t in self.trees.items() if p != path]
+        used = BENCH | _names(others)
+        attributes = BENCH_ATTRIBUTES | _names(others, attributes_only=True)
         out = []
         for node in _public(tree.body):
             if node.name not in used | _names(n for n in tree.body
@@ -199,8 +216,9 @@ class Package:
                            for k, site in self.resolved):
                         continue
                     rest = {word for n in ast.walk(tree)
-                            if id(n) not in inside for word in _words(n)}
-                    if method.name not in used | rest or \
+                            if id(n) not in inside
+                            for word in _words(n, attributes_only=True)}
+                    if method.name not in attributes | rest or \
                             method.name in self.shared and key not in allowed:
                         out.append(key)
         return out
@@ -233,6 +251,20 @@ def test_a_method_sharing_a_used_name_is_caught():
     assert "scale" in package.shared
     assert "NormValue.scale" in package.unused(path)
     assert "TruncatedSeries.scale" not in package.unused(PACKAGE / "series.py")
+
+
+def test_a_method_named_only_by_a_local_or_a_docstring_is_caught():
+    # NormValue.zero once passed, with no caller: "zero" was a word of a
+    # bench/ docstring and the name of a local variable of linalg.rref
+    path = PACKAGE / "scalars.py"
+    tree = ast.parse(path.read_text())
+    norm_value = next(n for n in tree.body if isinstance(n, ast.ClassDef)
+                      and n.name == "NormValue")
+    norm_value.body.append(ast.parse("def zero():\n"
+                                     "    return NormValue(0, 0)\n").body[0])
+    package = Package({**TREES, path: tree})
+    assert "zero" in _names([TREES[PACKAGE / "linalg.py"]])
+    assert "NormValue.zero" in package.unused(path)
 
 
 # ---------------------------------------------------------------------------

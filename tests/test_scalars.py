@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from daggeralg.scalars import (
     integers_archimedean,
     integers_trivial,
     nth_root_interval,
+    over_lcm,
     rational_root_bounds,
     rationals_archimedean,
     rationals_padic,
@@ -80,6 +82,22 @@ class TestAbsInts:
         # over L = 40: |12/40|_2 = 2 = 8/4, |0| = 0, |15/40|_2 = 8 = 32/4
         assert abs_ints(Q2, [12, 0, 15], 40) == ([8, 0, 32], 4)
         assert abs_ints(Q2, [], 8) == ([], 1)
+
+
+class TestOverLcm:
+    @given(st.lists(st.one_of(st.integers(-50, 50),
+                              st.fractions(max_denominator=60))))
+    @settings(max_examples=200, deadline=None)
+    def test_numerators_over_the_lcm(self, xs):
+        nums, L = over_lcm(xs)
+        assert all(type(N) is int for N in nums)
+        assert L == math.lcm(*(Fraction(x).denominator for x in xs))
+        assert [Fraction(N, L) for N in nums] == xs
+
+    def test_fixed_cases(self):
+        assert over_lcm([]) == ([], 1)
+        assert over_lcm((Fraction(1, 6), Fraction(-3, 4), 5)) == \
+            ([2, -9, 60], 12)
 
 
 _BIG = 10**40

@@ -98,7 +98,7 @@ class TestNormS:
         assert norm_S(poly(Q2, 2, 1), ONE) == NormValue.exact(Fraction(3, 2))
 
     def test_zero(self):
-        assert norm_S(poly(Z, 0), ONE) == NormValue.zero()
+        assert norm_S(poly(Z, 0), ONE) == NormValue.exact(0)
 
     def test_tail_widens_upper(self):
         f = TruncatedSeries(Z, 1, {(0,): Fraction(1)}, 0,

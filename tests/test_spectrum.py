@@ -193,7 +193,7 @@ class TestFiberSup:
 
     def test_zero_series(self):
         for ring in (ZT, Q3, QA):
-            assert fiber_sup(zpoly(0), ring, ONE) == NormValue.zero()
+            assert fiber_sup(zpoly(0), ring, ONE) == NormValue.exact(0)
 
     def test_tail_leaves_upper_bound_open(self):
         # past the tail radius, or over the rationals, the majorant of
@@ -370,7 +370,7 @@ class TestGlobalSup:
             assert global_sup(f, polyradius(Fraction(3, 2))) == expected
 
     def test_zero_series(self):
-        assert global_sup(zpoly(0), ONE) == NormValue.zero()
+        assert global_sup(zpoly(0), ONE) == NormValue.exact(0)
 
     def test_rational_coefficients_rejected(self):
         f = TruncatedSeries(rationals_archimedean(), 1,
@@ -607,7 +607,7 @@ class TestShilov:
 def other_fibers_by_place(f, rho, prime_bound):
     """Reference for ``max_other``: the join of the fiber sups over the
     trivial place and every p-adic place at eps = 1 up to the bound."""
-    other = NormValue.zero()
+    other = NormValue.exact(0)
     for place in enumerate_places(prime_bound, 1):
         if place.kind != ARCHIMEDEAN:
             other = join(other, place_sup(f, place, rho))
