@@ -57,7 +57,8 @@ MAX_TENSOR_TERMS = 64
 MAX_TENSOR_DENOMINATOR_BITS = 4096
 
 # most term pairs that `spectrum --powers` may multiply, by the bound of
-# spectrum.power_work: about 2.5 s with small coefficients (README)
+# spectrum.power_work: about 1 s with small coefficients, 2 s at n = 4
+# (README)
 MAX_POWER_WORK = 4_000_000
 
 SERIES_HELP = (f"series JSON file: n = 1 to {max(MAX_DEGREE)} variables, "
@@ -96,12 +97,15 @@ def parse_rho(text: str, n: int) -> PolyRadius:
 
 
 def _unique_keys(pairs):
-    """A JSON object from its (key, value) pairs, none repeating a key."""
-    obj = {}
-    for k, v in pairs:
-        if k in obj:
-            raise ValueError(f"a JSON object repeats the key {k!r}")
-        obj[k] = v
+    """A JSON object from its (key, value) pairs, none repeating a key.
+    The pairs are walked for the first repeat only when a key repeats."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for k, _ in pairs:
+            if k in seen:
+                raise ValueError(f"a JSON object repeats the key {k!r}")
+            seen.add(k)
     return obj
 
 

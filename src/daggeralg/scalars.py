@@ -324,27 +324,31 @@ def _integer_nth_root(m: int, n: int) -> int:
 
 
 def rational_root_bounds(a: Fraction, n: int, precision: Fraction):
-    """Return (lo, hi) rationals with lo <= a**(1/n) <= hi, hi-lo <= precision."""
+    """Return (lo, hi) rationals with lo <= a**(1/n) <= hi, hi-lo <= precision.
+
+    On the numerator N and the denominator d of a: the exact root when
+    both are perfect n-th powers, the denominator's root taken only when
+    the numerator is one; else (r/s, (r+1)/s) for s = ceil(1/precision)
+    and r the floor root of floor(N s^n / d)."""
     a = as_fraction(a)
     precision = as_fraction(precision)
-    if a < 0:
+    N, d = a.numerator, a.denominator
+    if N < 0:
         raise ValueError("radicand must be non-negative")
     if n < 1:
         raise ValueError("root index must be >= 1")
-    if precision <= 0:
+    if precision.numerator <= 0:
         raise ValueError("precision must be positive")
-    if a == 0:
+    if not N:
         return ZERO, ZERO
-    # exact perfect-power shortcut
-    rn = _integer_nth_root(a.numerator, n)
-    rd = _integer_nth_root(a.denominator, n)
-    if rn**n == a.numerator and rd**n == a.denominator:
-        r = Fraction(rn, rd)
-        return r, r
-    s = -((-precision.denominator) // precision.numerator)  # ceil(1/precision)
-    # (a * s^n) has integer floor m; r = floor-root satisfies r/s <= a^(1/n) < (r+1)/s
-    m = (a.numerator * s**n) // a.denominator
-    r = _integer_nth_root(m, n)
+    rn = _integer_nth_root(N, n)
+    if rn**n == N:
+        rd = _integer_nth_root(d, n)
+        if rd**n == d:
+            r = Fraction(rn, rd)
+            return r, r
+    s = -(-precision.denominator // precision.numerator)
+    r = _integer_nth_root(N * s**n // d, n)
     return Fraction(r, s), Fraction(r + 1, s)
 
 
@@ -357,5 +361,4 @@ def nth_root_interval(x: NormValue, n: int, precision) -> NormValue:
         return NormValue(lo, None)
     if x.hi != x.lo:
         _, hi = rational_root_bounds(x.hi, n, precision)
-    return NormValue(min(lo, hi), hi)
-
+    return NormValue(lo, hi)

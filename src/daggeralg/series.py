@@ -46,11 +46,11 @@ DEFAULT_DISCARD_SIGMA = Fraction(2)
 # caps on a series read from JSON: the largest degree bound D for each
 # variable count n, which allows C(D + n, n) <= 49 listed coefficients,
 # one per multi-index.  The
-# Archimedean sup samples (8(D+1))^n torus points for n <= 2 and 12^n for
-# n >= 3 (ranking about half of them in floats and evaluating the top
-# few exactly), and `spectrum --grid 16` does so at 31 radii; at these
-# caps a dense series takes it under 1 s, and took about 4 s when the
-# caps were set (measured table in README)
+# Archimedean sup samples at most (8(D+1))^n torus points for n <= 2 and
+# 12^n for n >= 3 (ranking about half of them in floats and evaluating
+# the top few exactly), and `spectrum --grid 16` does so at 31 radii; at
+# these caps a dense series takes it under 1 s, and took about 4 s when
+# the caps were set (measured table in README)
 MAX_DEGREE = {1: 48, 2: 6, 3: 4, 4: 1}
 
 
@@ -335,28 +335,51 @@ def _homogeneous(cs, x: int, y: int) -> int:
             + _homogeneous(cs[h:], x, y) * x ** h)
 
 
-def _weighted_sum(sizes, r: PolyRadius) -> Tuple[int, int]:
-    """(S, Q) with sum s_I r^I == S / Q for (I, s_I) pairs of integers:
-    with r_i = x_i / y_i and E_i the largest exponent of variable i,
-    S = sum s_I prod x_i^I_i y_i^(E_i - I_i) and Q = prod y_i^E_i.
-    S is folded one variable at a time, from the last, by
-    ``_homogeneous``: no radius numerator is built per index."""
+def _pack(indices, radices) -> List[int]:
+    """Each multi-index I, with I_i < radices[i], as the one integer whose
+    digits in the mixed radix ``radices`` are the I_i, the last variable
+    the lowest digit.  The sum of two packed indices is the packed sum of
+    the indices while no digit reaches its radix."""
+    keys = [0] * len(indices)
+    for column, R in zip(zip(*indices), radices):
+        keys = map(add, map(mul, keys, itertools.repeat(R)), column)
+    return list(keys)
+
+
+def _packed_sum(sizes, r: PolyRadius, radices, exps) -> Tuple[int, int]:
+    """(S, Q) with sum s_I r^I == S / Q for (K, s_I) pairs of integers, K
+    the index I packed in the mixed radix ``radices`` (``_pack``) and
+    exps[i] >= every I_i: with r_i = x_i / y_i,
+    S = sum s_I prod x_i^I_i y_i^(exps_i - I_i) and Q = prod y_i^exps_i.
+    S is folded one variable at a time, from the last (the lowest digit),
+    by ``_homogeneous`` over columns of width exps_i + 1 split off by
+    ``divmod`` with the radix: no radius numerator is built per index."""
     if not sizes:
         return 0, 1
     Q = 1
-    for ri in reversed(r.components):
-        E = max([I[-1] for I, _ in sizes])
+    for ri, R, E in zip(reversed(r.components), reversed(radices),
+                        reversed(exps)):
         columns = {}
-        for I, s in sizes:
-            J = I[:-1]
+        for K, s in sizes:
+            J, e = divmod(K, R)
             column = columns.get(J)
             if column is None:
                 column = columns[J] = [0] * (E + 1)
-            column[I[-1]] = s
+            column[e] = s
         x, y = ri.numerator, ri.denominator
         sizes = [(J, _homogeneous(cs, x, y)) for J, cs in columns.items()]
         Q *= y**E
     return sizes[0][1], Q
+
+
+def _weighted_sum(sizes, r: PolyRadius) -> Tuple[int, int]:
+    """``_packed_sum`` for (I, s_I) pairs: the indices packed in the radices
+    E_i + 1, E_i the largest exponent of variable i."""
+    indices = [I for I, _ in sizes]
+    exps = [max(column) for column in zip(*indices)]
+    radices = [E + 1 for E in exps]
+    return _packed_sum(list(zip(_pack(indices, radices),
+                                [s for _, s in sizes])), r, radices, exps)
 
 
 def _sum_norm(ring: BanachRing, terms, L: int, r: PolyRadius) -> Fraction:
@@ -421,6 +444,37 @@ def norm_S(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     if f.tail is None:
         return NormValue(poly, poly)
     return NormValue(poly, poly + _tail_sum_bound(f, rho))
+
+
+def _power_sums(f: TruncatedSeries, rho: PolyRadius,
+                n_max: int) -> List[Fraction]:
+    """|p^k|_S for k = 2, ..., n_max, p the known part of f, exact.  With
+    a_I = N_I / L, p^k has integer numerators over L^k.  Each multi-index
+    is packed once (``_pack``) in the mixed radix n_max d_i + 1, d_i the
+    largest exponent of variable i in p; no exponent of p^k reaches it,
+    so a convolution step adds two keys.  Each |p^k|_S is folded by
+    ``_packed_sum`` over columns of width k d_i + 1, without building a
+    radius power."""
+    terms, L = _scaled_ints(f.coeffs)
+    indices = [I for I, _ in terms]
+    degrees = [max(column) for column in zip(*indices)]
+    radices = [n_max * d + 1 for d in degrees]
+    chain = list(zip(_pack(indices, radices), [N for _, N in terms]))
+    power, den, out = chain, L, []
+    for k in range(2, n_max + 1):
+        conv = {}
+        get = conv.get
+        for K, a in power:
+            for J, b in chain:
+                K_J = K + J
+                conv[K_J] = get(K_J, 0) + a * b
+        power = [(K, c) for K, c in conv.items() if c]
+        den *= L
+        A, scale = abs_ints(f.ring, [c for _, c in power], den)
+        S, Q = _packed_sum([(K, a) for (K, _), a in zip(power, A)], rho,
+                           radices, [k * d for d in degrees])
+        out.append(Fraction(S, scale * Q))
+    return out
 
 
 # rational points on the unit circle via the tangent half-angle map, as an
@@ -509,6 +563,10 @@ def evaluate_complex(f: TruncatedSeries, points):
     return Fraction(re, L * q), Fraction(im, L * q)
 
 
+# the axis of a variable that no term uses: the point 1 = (1, 0)
+_ONE_POINT = (((Fraction(1), Fraction(0)),), (1 + 0j,))
+
+
 # the float ranking of torus samples is skipped, and every sample is
 # evaluated exactly, when its error bound delta is above this; delta is
 # far below it at every input cap
@@ -585,9 +643,13 @@ def _torus_max_sq(f: TruncatedSeries, weighted,
     if points_per_var is None:
         points_per_var = 8 * (f.degree_bound + 1) if f.n <= 2 else 8
     exps = [max(I[i] for I, _ in weighted) for i in range(f.n)]
-    # rational coefficients give |f(conj z)| = |f(z)|, and the circle is
-    # closed under conjugation: the first axis needs only im >= 0
-    axes = [_circle_axis(points_per_var, not i) for i in range(f.n)]
+    # f does not vary along the axis of a variable that no term uses,
+    # which takes the one point 1.  Rational coefficients give
+    # |f(conj z)| = |f(z)|, and the sample set is closed under
+    # conjugation: the first other axis needs only im >= 0
+    first = next((i for i, E in enumerate(exps) if E), None)
+    axes = [_circle_axis(points_per_var, i == first) if E else _ONE_POINT
+            for i, E in enumerate(exps)]
     samples = itertools.product(*(points for points, _ in axes))
     D = max(sum(I) for I, _ in weighted)
     delta = (len(weighted) + f.n * (D + 1) + 4) * 2.0**-50
@@ -635,9 +697,12 @@ def norm_T(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     # the integers a_I rho^I = w_I / den
     weighted, den = _weighted_ints(*_scaled_ints(f.coeffs), rho)
     sizes = [abs(w) for _, w in weighted]
-    hi = Fraction(sum(sizes), den) + _tail_sum_bound(f, rho)
-    lo = Fraction(max(sizes, default=0), den)
-    if f.tail is None or not f.tail.C:
+    total, cauchy = sum(sizes), max(sizes, default=0)
+    hi = Fraction(total, den) + _tail_sum_bound(f, rho)
+    lo = Fraction(cauchy, den)
+    # no torus sample exceeds the coefficient sum, so none can raise a
+    # Cauchy bound equal to it, as for a series of at most one term
+    if (f.tail is None or not f.tail.C) and cauchy != total:
         lo = max(lo, _torus_lower_bound(f, weighted, den))
     return NormValue(lo, hi)
 

@@ -53,10 +53,8 @@ from .scalars import (
 from .series import (
     PolyRadius,
     TruncatedSeries,
-    _convolve,
     _gauss_norm,
-    _scaled_ints,
-    _sum_norm,
+    _power_sums,
     norm_S,
     norm_T,
 )
@@ -129,22 +127,17 @@ def spectral_via_powers(f: TruncatedSeries, rho: PolyRadius,
     member F of f; each bounds the global sup from above.
 
     Write F = p + t, with p the known coefficients and t a member of the
-    tail.  The powers of p are chained on integers: with a_I = N_I / L,
-    p^k has integer numerators over L^k, summed by ``_sum_norm``.  The
-    binomial expansion of (p + t)^k and the submultiplicativity of the
-    sum norm give |F^k|_S <= |p^k|_S + (P + tau)^k - P^k, where
-    [P, P + tau] is ``norm_S(f)``.  Without a tail, or with a zero tail
-    constant, tau = 0 and the estimates are exact powers' norms."""
+    tail.  The powers of p are chained on integers, with packed exponents,
+    by ``series._power_sums``.  The binomial expansion of (p + t)^k and the
+    submultiplicativity of the sum norm give
+    |F^k|_S <= |p^k|_S + (P + tau)^k - P^k, where [P, P + tau] is
+    ``norm_S(f)``.  Without a tail, or with a zero tail constant, tau = 0
+    and the estimates are exact powers' norms."""
     if n_max < 1:
         raise ValueError("need at least one power")
     known = norm_S(f, rho)
     out = [NormValue.exact(known.hi)]
-    terms, L = _scaled_ints(f.coeffs)
-    power, den = terms, L
-    for k in range(2, n_max + 1):
-        power = [(K, c) for K, c in _convolve(power, terms).items() if c]
-        den *= L
-        bound = _sum_norm(f.ring, power, den, rho)
+    for k, bound in enumerate(_power_sums(f, rho, n_max), start=2):
         if known.hi != known.lo:
             bound += known.hi**k - known.lo**k
         out.append(nth_root_interval(NormValue.exact(bound), k,

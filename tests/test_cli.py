@@ -991,22 +991,28 @@ class TestRationalSizes:
         assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("command,option,text", [
+@pytest.mark.parametrize("command,option,text,key", [
     # a later "tail": null once dropped the tail, and the exact norm of
     # the known part was printed
     ("norm", "--series", '{"n": 1, "D": 1, "coeffs": [[[1], "1"]], '
-     '"tail": {"C": "1", "sigma": ["2"]}, "tail": null}'),
-    ("norm", "--series", '{"n": 1, "D": 0, "coeffs": [], "D": 48}'),
+     '"tail": {"C": "1", "sigma": ["2"]}, "tail": null}', "tail"),
+    ("norm", "--series", '{"n": 1, "D": 0, "coeffs": [], "D": 48}', "D"),
     ("pi-check", "--module", '{"ring": {"kind": "Rationals_pAdic", "p": 2, '
-     '"p": 3}, "weights": ["1"], "flavor": "sum"}'),
-], ids=["series-tail", "series-D", "ring-prime"])
-def test_repeated_json_key(tmp_path, capsys, command, option, text):
+     '"p": 3}, "weights": ["1"], "flavor": "sum"}', "p"),
+    # the inner object is read first, and its first repeat is named
+    ("norm", "--series", '{"n": 1, "D": 1, "coeffs": [[[1], "1"]], '
+     '"tail": {"C": "1", "sigma": ["2"], "sigma": ["3"], "C": "2"}, '
+     '"n": 1}', "sigma"),
+    ("pi-check", "--module", '{"weights": [{"a": 1, "b": 2, "b": 3, '
+     '"a": 4}], "ring": {"kind": "Z", "kind": "Z"}, "flavor": "sum"}', "b"),
+], ids=["series-tail", "series-D", "ring-prime", "nested-tail",
+        "nested-list"])
+def test_repeated_json_key(tmp_path, capsys, command, option, text, key):
     path = tmp_path / "in.json"
     path.write_text(text)
     assert main([command, option, str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: a JSON object repeats the key") \
-        and "Traceback" not in err
+    assert capsys.readouterr().err == \
+        f"error: a JSON object repeats the key {key!r}\n"
 
 
 def test_deeply_nested_json(tmp_path, capsys):

@@ -230,6 +230,49 @@ class TestRoots:
     def test_integer_root_of_small_numbers(self, m, n):
         assert _integer_nth_root(m, n) == self.newton_nth_root(m, n)
 
+    @staticmethod
+    def newton_root_bounds(a, n, precision):
+        """``rational_root_bounds`` by ``newton_nth_root``: the exact root
+        when the numerator and the denominator are both perfect n-th
+        powers, else (r/s, (r+1)/s) with s = ceil(1/precision) and r the
+        floor root of floor(a s^n)."""
+        newton = TestRoots.newton_nth_root
+        rn, rd = newton(a.numerator, n), newton(a.denominator, n)
+        if rn**n == a.numerator and rd**n == a.denominator:
+            return Fraction(rn, rd), Fraction(rn, rd)
+        s = math.ceil(1 / precision)
+        r = newton(math.floor(a * s**n), n)
+        return Fraction(r, s), Fraction(r + 1, s)
+
+    @given(st.integers(1, 12), st.integers(0, 2**64),
+           st.integers(1, 2**64), st.sampled_from([-1, 0, 1]),
+           st.sampled_from([-1, 0, 1]),
+           st.sampled_from([Fraction(1, 10**9), Fraction(3, 7), 2]))
+    @example(2, 3, 5, 0, 0, Fraction(1, 10**9))
+    @example(6, 2**64, 1, 0, 1, Fraction(1, 10**9))
+    @example(6, 1, 2**64, 1, 0, Fraction(1, 10**9))
+    @settings(max_examples=300, deadline=None)
+    def test_root_bounds_match_newton_reference(self, n, p, q, dp, dq,
+                                                precision):
+        # radicands next to the perfect powers (p/q)^n, and those powers
+        a = Fraction(max(p**n + dp, 0), max(q**n + dq, 1))
+        assert rational_root_bounds(a, n, precision) == \
+            self.newton_root_bounds(a, n, precision)
+
+    @given(st.integers(1, 12), st.integers(0, 2**64),
+           st.integers(1, 2**64).filter(lambda q: math.gcd(q, 10) == 1))
+    @example(2, 7, 3)
+    @example(1, 5, 1)
+    @settings(max_examples=100, deadline=None)
+    def test_perfect_powers_are_exact(self, n, p, q):
+        # with q prime to 10 no bracket of width 10^-9 on tenths of
+        # 10^-9 is exact, so only the perfect-power test returns p/q
+        root = Fraction(p, q)
+        assert rational_root_bounds(root**n, n, Fraction(1, 10**9)) == \
+            (root, root)
+        assert nth_root_interval(NormValue.exact(root**n), n,
+                                 Fraction(1, 10**9)) == NormValue.exact(root)
+
     def test_contraction_toward_one(self):
         x = NormValue.exact(16)
         widths = [nth_root_interval(x, n, Fraction(1, 10**6)).hi

@@ -30,6 +30,8 @@ from daggeralg.series import (
     _circle_axis,
     _float_magnitudes,
     _gauss_norm,
+    _pack,
+    _packed_sum,
     _poly_growth_constant,
     _scaled_ints,
     _sum_norm,
@@ -49,6 +51,7 @@ from daggeralg.series import (
     polyradius,
     unit_polydisk,
 )
+from daggeralg import series as series_module
 from intervals import contains
 from loops import (
     float_magnitudes_loop,
@@ -169,6 +172,81 @@ class TestNormT:
             default=Fraction(0),
         )
         assert norm_T(f, ONE) == NormValue(expect, expect)
+
+
+class TestTorusShortcuts:
+    """The Archimedean ``norm_T`` evaluates no torus sample that cannot
+    change its result: none when the Cauchy bound equals the coefficient
+    sum, and only the point 1 on the axis of a variable no term uses."""
+
+    # the series of slow tied samples, with their brackets before the
+    # shortcuts, and two series that omit a variable, whose lower bound
+    # is a torus sample
+    SERIES = [
+        (Z, 2, 6, {(3, 3): 1}, "2/3,3/2", NormValue.exact(1)),
+        (Z, 2, 6, {(0, 6): 1}, "1,3/2", NormValue.exact(Fraction(729, 64))),
+        (Z, 3, 4, {(1, 1, 2): 1}, "1/2,1,3/2",
+         NormValue.exact(Fraction(9, 8))),
+        (Z, 4, 1, {(1, 0, 0, 0): 1}, "3/2,1,1,1",
+         NormValue.exact(Fraction(3, 2))),
+        (Z, 4, 1, {(0, 0, 0, 0): 5}, "1,1,1,1", NormValue.exact(5)),
+        (Z, 4, 1, {(1, 0, 0, 0): 1, (0, 0, 0, 0): 1}, "2/3,1,2,1",
+         NormValue.exact(Fraction(5, 3))),
+        (Z, 2, 3, {(0, 0): 1, (1, 0): -2, (3, 0): 5}, "1,3/2",
+         NormValue(Fraction(3704184547, 500000000), Fraction(8))),
+        (QA, 4, 3, {(0, 0, 0, 0): Fraction(1, 2), (0, 0, 1, 0): -2,
+                    (0, 0, 3, 0): Fraction(3, 4)}, "9/4,1,4/3,1/2",
+         NormValue(Fraction(4472481013, 1000000000), Fraction(89, 18))),
+    ]
+
+    @staticmethod
+    def exact_samples(monkeypatch):
+        """The points of every exact torus evaluation from now on."""
+        samples = []
+        evaluate = series_module._gaussian_value
+
+        def counted(terms, points):
+            samples.append(points)
+            return evaluate(terms, points)
+
+        monkeypatch.setattr(series_module, "_gaussian_value", counted)
+        return samples
+
+    IDS = ["X3Y3", "Y6", "XYZ2", "X1-of-4", "5-of-4", "X1+1-of-4",
+           "1-2X+5X3-of-2", "X3-of-4-over-R"]
+
+    @pytest.mark.parametrize("ring,n,D,coeffs,rho,expected", SERIES, ids=IDS)
+    def test_brackets_unchanged(self, ring, n, D, coeffs, rho, expected):
+        f = TruncatedSeries(ring, n, coeffs, D)
+        assert norm_T(f, PolyRadius.from_json(rho.split(","))) == expected
+
+    @pytest.mark.parametrize("I,c", [((0,), 7), ((5,), -3), ((3, 3), 1),
+                                     ((0, 6), 2), ((1, 1, 2), -1),
+                                     ((0, 0, 0, 0), 5), ((0, 1, 0, 0), 9)])
+    def test_one_term_takes_no_sample(self, monkeypatch, I, c):
+        samples = self.exact_samples(monkeypatch)
+        for ring in (Z, QA):
+            f = TruncatedSeries.monomial(ring, I, c, degree_bound=sum(I) + 1)
+            rho = PolyRadius((Fraction(2, 3),) * len(I))
+            cauchy = abs(Fraction(c)) * Fraction(2, 3) ** sum(I)
+            assert norm_T(f, rho) == NormValue.exact(cauchy)
+        assert samples == []
+
+    @pytest.mark.parametrize("ring,n,D,coeffs,rho,expected", SERIES[5:],
+                             ids=IDS[5:])
+    def test_unused_axis_takes_one_point(self, monkeypatch, ring, n, D,
+                                         coeffs, rho, expected):
+        samples = self.exact_samples(monkeypatch)
+        f = TruncatedSeries(ring, n, coeffs, D)
+        norm_T(f, PolyRadius.from_json(rho.split(",")))
+        used = [i for i in range(n) if any(I[i] for I in coeffs)]
+        assert samples
+        for points in samples:
+            assert all(points[i] == (1, 0) for i in range(n)
+                       if i not in used)
+        # and only the samples of the first used axis's upper half
+        assert len(samples) <= len(_circle_axis(8 * (D + 1) if n <= 2
+                                                else 8, True)[0])
 
 
 def _val2(c: int) -> int:
@@ -499,8 +577,17 @@ class TestSizeKernels:
         _, coeffs, rho = case
         sizes = [(I, size >> k) for k, I in enumerate(coeffs)]
         S, Q = _weighted_sum(sizes, rho)
-        assert Fraction(S, Q) == sum((s * rho_power(rho, I)
-                                      for I, s in sizes), Fraction(0))
+        expected = sum((s * rho_power(rho, I) for I, s in sizes), Fraction(0))
+        assert Fraction(S, Q) == expected
+        # packed in the radices of a chain of three powers, 3E + 1, and
+        # folded over columns as wide as its second power's, 2E + 1
+        exps = [max([I[i] for I in coeffs], default=0)
+                for i in range(len(rho))]
+        radices = [3 * E + 1 for E in exps]
+        packed = list(zip(_pack(list(coeffs), radices),
+                          [s for _, s in sizes]))
+        S, Q = _packed_sum(packed, rho, radices, [2 * E for E in exps])
+        assert Fraction(S, Q) == expected
 
     def test_empty_tables(self):
         for ring in (Z, ZT, Q2, QA):

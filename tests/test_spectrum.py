@@ -454,12 +454,12 @@ def multiply_chain(f, rho, n_max):
 
 @st.composite
 def untailed_cases(draw):
-    """An untailed series over Z or Q with n <= 3, a radius and a power
-    count up to 8."""
-    ring = draw(st.sampled_from([Z, rationals_archimedean()]))
-    n = draw(st.integers(1, 3))
-    D = draw(st.integers(0, 4 if n < 3 else 2))
-    coeff = st.integers(-9, 9) if ring == Z else st.fractions(
+    """An untailed series over Z, Z_triv, Q_2, Q_3 or Q with n <= 4
+    (D <= 1 at n = 4), a radius and a power count up to 8."""
+    ring = draw(st.sampled_from([Z, ZT, Q2, Q3, rationals_archimedean()]))
+    n = draw(st.integers(1, 4))
+    D = draw(st.integers(0, (4, 4, 2, 1)[n - 1]))
+    coeff = st.integers(-9, 9) if ring.integral else st.fractions(
         min_value=-9, max_value=9, max_denominator=12)
     entries = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, D)] * n),
                                       coeff), max_size=5))
@@ -469,6 +469,24 @@ def untailed_cases(draw):
                                          Fraction(1), Fraction(9, 4)]),
                         min_size=n, max_size=n))
     return f, PolyRadius(tuple(rho)), draw(st.integers(1, 8))
+
+
+# radii whose numerator and denominator both have 64 bits, the input cap
+WIDE = Fraction(2**64 - 59, 2**63 + 25)
+WIDE_CHAIN_CASES = [
+    (TruncatedSeries(Z, 1, {(0,): -7, (2,): 3, (5,): 9, (6,): -1}, 6),
+     polyradius(WIDE), 8),
+    (TruncatedSeries(rationals_archimedean(), 2,
+                     {(0, 0): Fraction(1, 3), (2, 1): Fraction(-5, 4),
+                      (0, 3): 2}, 3),
+     polyradius(1 / WIDE, WIDE), 7),
+    (TruncatedSeries(Q2, 3, {(0, 0, 0): Fraction(3, 4), (1, 0, 1): 6,
+                             (0, 2, 0): -1}, 2),
+     polyradius(WIDE, 1, Fraction(2**64 - 1, 3)), 6),
+    (TruncatedSeries(ZT, 4, {(0, 0, 0, 0): 5, (1, 0, 0, 0): -3,
+                             (0, 0, 0, 1): 2}, 1),
+     polyradius(WIDE, WIDE, 1 / WIDE, 2), 8),
+]
 
 
 def binomial_chain(f, rho, n_max):
@@ -510,6 +528,10 @@ class TestPowerChain:
     and a tail adds the binomial bound; none goes through ``multiply``."""
 
     @given(untailed_cases())
+    @example(WIDE_CHAIN_CASES[0])
+    @example(WIDE_CHAIN_CASES[1])
+    @example(WIDE_CHAIN_CASES[2])
+    @example(WIDE_CHAIN_CASES[3])
     @settings(max_examples=80, deadline=None)
     def test_integer_chain_matches_multiply_chain(self, case):
         f, rho, n_max = case
