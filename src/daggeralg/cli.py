@@ -61,6 +61,11 @@ MAX_TENSOR_DENOMINATOR_BITS = 4096
 # (README)
 MAX_POWER_WORK = 4_000_000
 
+# most variables of the presentation `localize` prints, n plus one per
+# series: k series give k relations in n + k variables, a size growing
+# with k^2.  A series read from JSON has at most this many (README)
+MAX_LOCALIZED_VARIABLES = max(MAX_DEGREE)
+
 SERIES_HELP = (f"series JSON file: n = 1 to {max(MAX_DEGREE)} variables, "
                f"degree bound D <= {', '.join(map(str, MAX_DEGREE.values()))} "
                f"for n = {', '.join(map(str, MAX_DEGREE))}, at most "
@@ -186,7 +191,12 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_localize(args) -> int:
-    B = present_localization(*_algebra_and_spec(args))
+    A, spec = _algebra_and_spec(args)
+    if spec.fs and A.n + len(spec.fs) > MAX_LOCALIZED_VARIABLES:
+        raise ValueError(f"{len(spec.fs)} localization series over an "
+                         f"algebra in {A.n} variables are over the cap of "
+                         f"{MAX_LOCALIZED_VARIABLES} variables in all")
+    B = present_localization(A, spec)
     _emit({"presentation": B.to_json()}, args)
     return 0
 
@@ -325,7 +335,10 @@ def _parsers():
     p = sub.add_parser("localize", help="extend a presentation by a "
                        "localization step")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--spec", required=True)
+    p.add_argument("--spec", required=True,
+                   help=f"localization spec JSON file: the algebra's "
+                   f"variables plus one per listed series are at most "
+                   f"{MAX_LOCALIZED_VARIABLES}")
     add_common(p)
 
     p = sub.add_parser("koszul", help="validate a one-variable spec for the "

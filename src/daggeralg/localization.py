@@ -25,8 +25,6 @@ from .series import (
     DaggerPresentation,
     PolyRadius,
     TruncatedSeries,
-    _convolve,
-    _scaled_ints,
     multiply,
 )
 
@@ -157,39 +155,26 @@ def laurent_solve(g: TruncatedSeries, t: TruncatedSeries,
     Slicewise in powers of X: a_0 = -t_0 and a_k = g*a_(k-1) - t_k,
     reading t_k as the X^k slice of t.  This is the identity itself, not
     a guess to verify: the X^k slice of (g*X - 1)*a is g*a_(k-1) - a_k
-    (with a_(-1) = 0), and the recursion sets it to t_k for k <= D.  The
-    slices are integer tables: a_k = N_k / (Lt * Lg^k) with Lt, Lg the
-    denominators of t and g, so N_0 = -T_0 and
-    N_k = G*N_(k-1) - Lg^k * T_k.
+    (with a_(-1) = 0), and the recursion sets it to t_k for k <= D.
     """
-    ring = g.ring
-    n = g.n
+    ring, n = g.ring, g.n
     if g.tail is not None or t.tail is not None:
         raise ValueError("laurent_solve needs g and t without tails")
     if t.n == n:
         t = t.embed(n + 1)
     if t.n != n + 1 or t.ring != ring:
         raise DimensionMismatch("target must live in the extended algebra")
-    gs, Lg = _scaled_ints(g.coeffs)
-    ts, Lt = _scaled_ints(t.coeffs)
-    # numerator slices of t along the last variable
-    slices: Dict[int, Dict[Tuple[int, ...], int]] = {}
-    for I, c in ts:
-        slices.setdefault(I[-1], {})[I[:-1]] = c
+
+    def t_slice(k: int) -> TruncatedSeries:
+        return TruncatedSeries(ring, n, {I[:-1]: c for I, c in t.coeffs.items()
+                                         if I[-1] == k}, t.degree_bound)
 
     coeffs: Dict[Tuple[int, ...], Fraction] = {}
-    prev = {I: -c for I, c in slices.get(0, {}).items()}
-    power = 1  # Lg^k
+    a = t_slice(0).negate()
     for k in range(D + 1):
         if k:
-            cur = _convolve(gs, prev.items())
-            power *= Lg
-            for I, c in slices.get(k, {}).items():
-                cur[I] = cur.get(I, 0) - power * c
-            prev = {I: c for I, c in cur.items() if c}
-        den = Lt * power
-        for I, c in prev.items():
-            coeffs[I + (k,)] = Fraction(c, den)
+            a = multiply(g, a).sub(t_slice(k))
+        coeffs.update({I + (k,): c for I, c in a.coeffs.items()})
     total_D = max([sum(I) for I in coeffs] + [0])
     return TruncatedSeries(ring, n + 1, coeffs, total_D)
 

@@ -300,25 +300,22 @@ def _scaled_ints(coeffs: Dict[Index, Fraction]):
     return list(zip(coeffs, nums)), L
 
 
-def _convolve(fs, gs) -> Dict[Index, int]:
-    """Integer convolution of two (index, numerator) lists."""
-    conv: Dict[Index, int] = {}
-    for I, a in fs:
-        for J, b in gs:
-            K = tuple(map(add, I, J))
-            conv[K] = conv.get(K, 0) + a * b
-    return conv
+def _sizes(ring: BanachRing, coeffs: Dict[Index, Fraction],
+           r: PolyRadius) -> Tuple[List[int], int]:
+    """The sizes |a_I| r^I of a coefficient table on integers, as
+    ([A_I P_I], den * Q): the |a_I| = A_I / den of ``scalars.abs_ints``
+    times the radius powers r^I = P_I / Q of ``PolyRadius.powers``."""
+    A, den = abs_ints(ring, *over_lcm(list(coeffs.values())))
+    P, Q = r.powers(list(coeffs))
+    return list(map(mul, A, P)), den * Q
 
 
 def _gauss_norm(ring: BanachRing, coeffs: Dict[Index, Fraction],
                 r: PolyRadius) -> Fraction:
     """max |a_I| r^I over a coefficient table, exact (0 for an empty
-    one): the sizes |a_I| = A_I / den of ``scalars.abs_ints`` times the
-    radius powers r^I = P_I / Q of ``PolyRadius.powers``, compared as
-    integers over the one denominator den * Q."""
-    A, den = abs_ints(ring, *over_lcm(list(coeffs.values())))
-    P, Q = r.powers(list(coeffs))
-    return Fraction(max(map(mul, A, P), default=0), den * Q)
+    one), from ``_sizes``."""
+    sizes, den = _sizes(ring, coeffs, r)
+    return Fraction(max(sizes, default=0), den)
 
 
 def _homogeneous(cs, x: int, y: int) -> int:
@@ -372,24 +369,6 @@ def _packed_sum(sizes, r: PolyRadius, radices, exps) -> Tuple[int, int]:
     return sizes[0][1], Q
 
 
-def _weighted_sum(sizes, r: PolyRadius) -> Tuple[int, int]:
-    """``_packed_sum`` for (I, s_I) pairs: the indices packed in the radices
-    E_i + 1, E_i the largest exponent of variable i."""
-    indices = [I for I, _ in sizes]
-    exps = [max(column) for column in zip(*indices)]
-    radices = [E + 1 for E in exps]
-    return _packed_sum(list(zip(_pack(indices, radices),
-                                [s for _, s in sizes])), r, radices, exps)
-
-
-def _sum_norm(ring: BanachRing, terms, L: int, r: PolyRadius) -> Fraction:
-    """sum |N_I / L| r^I over (I, N_I) pairs of integers, exact: the sizes
-    of ``scalars.abs_ints`` summed by ``_weighted_sum``."""
-    A, den = abs_ints(ring, [N for _, N in terms], L)
-    S, Q = _weighted_sum([(I, a) for (I, _), a in zip(terms, A)], r)
-    return Fraction(S, den * Q)
-
-
 # ---------------------------------------------------------------------------
 # norms
 
@@ -413,9 +392,9 @@ def _tail_sum_bound(f: TruncatedSeries, rho: PolyRadius) -> Fraction:
     for q in ratios:
         full /= 1 - q
     D = f.degree_bound
-    S, Q = _weighted_sum([(I, 1) for I in itertools.product(
-        range(D + 1), repeat=f.n) if sum(I) <= D], ratios)
-    return f.tail.C * (full - Fraction(S, Q))
+    indices = itertools.product(range(D + 1), repeat=f.n)
+    P, Q = ratios.powers([I for I in indices if sum(I) <= D])
+    return f.tail.C * (full - Fraction(sum(P), Q))
 
 
 def _tail_max_bound(f: TruncatedSeries, rho: PolyRadius) -> Fraction:
@@ -440,9 +419,8 @@ def norm_S(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     if len(rho) != f.n:
         raise DimensionMismatch("polyradius arity mismatch")
     _check_tail_radius(f, rho)
-    poly = _sum_norm(f.ring, *_scaled_ints(f.coeffs), rho)
-    if f.tail is None:
-        return NormValue(poly, poly)
+    sizes, den = _sizes(f.ring, f.coeffs, rho)
+    poly = Fraction(sum(sizes), den)
     return NormValue(poly, poly + _tail_sum_bound(f, rho))
 
 
@@ -680,19 +658,24 @@ def norm_T(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     """Spectral/sup norm on the polydisk.
 
     Non-Archimedean ring: the Gauss norm max |a_I| rho^I, exact up to the
-    tail bound.  Archimedean ring: bracketed between the Cauchy
-    coefficient bound max |a_I| rho^I (raised by exact torus samples when
-    the tail is zero: a member's unknown tail terms can cancel the known
-    ones on the torus) and the coefficient sum.
+    tail bound.  Archimedean ring: ``archimedean_sup``.
     """
     if len(rho) != f.n:
         raise DimensionMismatch("polyradius arity mismatch")
+    if not f.ring.non_archimedean:
+        return archimedean_sup(f, rho)
     _check_tail_radius(f, rho)
-    if f.ring.non_archimedean:
-        gauss = _gauss_norm(f.ring, f.coeffs, rho)
-        if f.tail is None:
-            return NormValue(gauss, gauss)
-        return NormValue(gauss, max(gauss, _tail_max_bound(f, rho)))
+    gauss = _gauss_norm(f.ring, f.coeffs, rho)
+    return NormValue(gauss, max(gauss, _tail_max_bound(f, rho)))
+
+
+def archimedean_sup(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
+    """Sup of |f| on the polydisk of radius rho (of f's arity) under the
+    usual absolute value, whatever f's ring: bracketed between the Cauchy
+    coefficient bound max |a_I| rho^I (raised by exact torus samples when
+    the tail is zero: a member's unknown tail terms can cancel the known
+    ones on the torus) and the coefficient sum."""
+    _check_tail_radius(f, rho)
     # the Cauchy bound, the coefficient sum and the torus sampler share
     # the integers a_I rho^I = w_I / den
     weighted, den = _weighted_ints(*_scaled_ints(f.coeffs), rho)
@@ -737,9 +720,13 @@ def multiply(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
             + [h.degree_bound for h in tailed])
     fs, Lf = _scaled_ints(f.coeffs)
     gs, Lg = _scaled_ints(g.coeffs)
+    conv: Dict[Index, int] = {}
+    for I, a in fs:
+        for J, b in gs:
+            K = tuple(map(add, I, J))
+            conv[K] = conv.get(K, 0) + a * b
     L = Lf * Lg
-    kept = {K: Fraction(c, L) for K, c in _convolve(fs, gs).items()
-            if c and sum(K) <= D}
+    kept = {K: Fraction(c, L) for K, c in conv.items() if c and sum(K) <= D}
 
     tail = None
     if tailed:

@@ -55,8 +55,8 @@ from .series import (
     TruncatedSeries,
     _gauss_norm,
     _power_sums,
+    archimedean_sup,
     norm_S,
-    norm_T,
 )
 
 ROOT_PRECISION = Fraction(1, 10**9)
@@ -87,12 +87,12 @@ def fiber_sup(f: TruncatedSeries, ring: BanachRing, rho: PolyRadius
     Non-Archimedean ring (the trivial place for Z_triv, the p-adic one
     for Q_p): the Gauss norm max |a_I| rho^I of the known coefficients,
     exact below, and above it the tail bound of ``_tail_gauss_bound``
-    (open when it has none).  Archimedean ring: ``norm_T`` over it.
+    (open when it has none).  Archimedean ring: ``archimedean_sup``.
     """
     if len(rho) != f.n:
         raise DimensionMismatch("polyradius arity mismatch")
     if not ring.non_archimedean:
-        return norm_T(f.with_ring(ring), rho)
+        return archimedean_sup(f, rho)
     gauss = _gauss_norm(ring, f.coeffs, rho)
     tail = _tail_gauss_bound(f, rho)
     return NormValue(gauss, None if tail is None else max(gauss, tail))

@@ -824,6 +824,24 @@ class TestInputCaps:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("variant", ["weierstrass", "laurent"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_localize_variables(self, tmp_path, capsys, variant, n):
+        # the algebra's n variables plus one per series: 4 at the cap
+        A = write_json(tmp_path / "A.json", {
+            "ring": {"kind": "Rationals_pAdic", "p": 2}, "n": n,
+            "rho": ["1"] * n, "relations": []})
+        f = {"n": n, "D": 1, "coeffs": [[[1] + [0] * (n - 1), "1"]]}
+        for k, code in ((4 - n, 0), (5 - n, 1)):
+            spec = write_json(tmp_path / "spec.json",
+                              {"variant": variant, "fs": [f] * k})
+            assert main(["localize", "--algebra", A, "--spec", spec]) == code
+        out, err = capsys.readouterr()
+        assert json.loads(out)["presentation"]["n"] == 4
+        assert err == (f"error: {5 - n} localization series over an algebra "
+                       f"in {n} variables are over the cap of 4 variables "
+                       f"in all\n")
+
     @pytest.mark.parametrize("n,D", [(1.5, 1), (1, 1.5), ("1", 1), (1, True),
                                      (0, 0), (1, -1)],
                              ids=["float-n", "float-D", "string-n",
@@ -847,6 +865,8 @@ class TestInputCaps:
                    "4096 bits"),
         ("spectrum", "the sum over k < powers of T * min(T^k, C(kd + n, n)) "
                      "term pairs is at most 4000000"),
+        ("localize", "the algebra's variables plus one per listed series are "
+                     "at most 4"),
     ])
     def test_caps_stated_in_help(self, capsys, command, stated):
         assert main([command, "--help"]) == 0

@@ -23,6 +23,7 @@ from daggeralg.localization import (
 )
 from daggeralg.scalars import (
     integers_archimedean,
+    integers_trivial,
     rationals_archimedean,
     rationals_padic,
 )
@@ -35,7 +36,10 @@ from daggeralg.series import (
 )
 
 Q2 = rationals_padic(2)
+Q3 = rationals_padic(3)
 QA = rationals_archimedean()
+Z = integers_archimedean()
+ZT = integers_trivial()
 
 
 def x_var(ring):
@@ -153,18 +157,24 @@ class TestLaurentSolve:
         a = laurent_solve(g, t, 5)
         assert a.coeffs == fraction_laurent_solve(g, t, 5)
 
-    @given(st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
-                              st.fractions(-4, 4, max_denominator=6)),
-                    min_size=1, max_size=4),
-           st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2),
-                                        st.integers(0, 3)),
-                              st.fractions(-4, 4, max_denominator=6)),
-                    max_size=4),
-           st.integers(0, 5))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_fraction_recursion(self, g_terms, t_terms, D):
-        g = TruncatedSeries(QA, 2, dict(g_terms), 4)
-        t = TruncatedSeries(QA, 3, dict(t_terms), 7)
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fraction_recursion(self, data):
+        # the recursion runs through ``multiply``, whose ring checks each
+        # ring's coefficients meet
+        ring = data.draw(st.sampled_from([Z, ZT, Q3, QA]))
+        n = data.draw(st.integers(1, 2))
+        coeff = (st.integers(-4, 4).map(Fraction) if ring.integral
+                 else st.fractions(-4, 4, max_denominator=6))
+        g_terms = data.draw(st.lists(st.tuples(
+            st.tuples(*[st.integers(0, 2)] * n), coeff), min_size=1,
+            max_size=4))
+        t_terms = data.draw(st.lists(st.tuples(
+            st.tuples(*[st.integers(0, 2)] * n, st.integers(0, 3)), coeff),
+            max_size=4))
+        D = data.draw(st.integers(0, 5))
+        g = TruncatedSeries(ring, n, dict(g_terms), 2 * n)
+        t = TruncatedSeries(ring, n + 1, dict(t_terms), 2 * n + 3)
         a = laurent_solve(g, t, D)
         assert a.coeffs == fraction_laurent_solve(g, t, D)
         assert a.degree_bound == max([sum(I) for I in a.coeffs] + [0])
@@ -175,8 +185,8 @@ def assert_round_trip(g, t, a, D):
     """(g*X - 1)*a = t modulo X^(D+1), rebuilt through ``multiply``: the
     identity that ``laurent_solve`` satisfies by construction."""
     n = g.n + 1
-    X = TruncatedSeries.monomial(QA, (0,) * g.n + (1,))
-    op = multiply(g.embed(n), X).sub(TruncatedSeries.constant(QA, 1, n))
+    X = TruncatedSeries.monomial(g.ring, (0,) * g.n + (1,))
+    op = multiply(g.embed(n), X).sub(TruncatedSeries.constant(g.ring, 1, n))
     prod = multiply(op, a)
     t = t.embed(n)
     for I in set(prod.coeffs) | set(t.coeffs):

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from daggeralg.errors import (
@@ -34,14 +34,13 @@ from daggeralg.series import (
     _packed_sum,
     _poly_growth_constant,
     _scaled_ints,
-    _sum_norm,
+    _sizes,
     _tail_max_bound,
     _tail_sum_bound,
     _torus_lower_bound,
     _torus_max_sq,
     _unit_circle_points,
     _weighted_ints,
-    _weighted_sum,
     base_change,
     cofinality_constant,
     evaluate_complex,
@@ -172,6 +171,30 @@ class TestNormT:
             default=Fraction(0),
         )
         assert norm_T(f, ONE) == NormValue(expect, expect)
+
+
+class TestClosedFormSups:
+    """Sups that are irrational and attained at a torus sample, compared
+    on squares, so that a lower bound rounded up by any amount fails.
+    For z = e^(it), |1 + kz - z^2| = |k - 2i sin t|, at most sqrt(k^2 + 4)
+    and attained at the sample z = i."""
+
+    @staticmethod
+    def assert_root(nv, square):
+        assert nv.lo ** 2 <= square <= nv.hi ** 2
+        assert (nv.lo + Fraction(1, 10**9)) ** 2 >= square
+
+    @pytest.mark.parametrize("ring", [Z, QA], ids=["Z", "R"])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_one_variable(self, ring, k):
+        self.assert_root(norm_T(poly(ring, 1, k, -1), ONE), k * k + 4)
+
+    @pytest.mark.parametrize("ring", [Z, QA], ids=["Z", "R"])
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_times_a_second_variable(self, ring, k):
+        # w * (1 + kz - z^2), with |w| = 1 on the torus
+        f = TruncatedSeries(ring, 2, {(1, 0): 1, (1, 1): k, (1, 2): -1}, 3)
+        self.assert_root(norm_T(f, polyradius(1, 1)), k * k + 4)
 
 
 class TestTorusShortcuts:
@@ -551,36 +574,54 @@ def tables(draw):
     return ring, coeffs, PolyRadius(tuple(rho))
 
 
+def tail_sum_loop(f, rho) -> Fraction:
+    """C * (prod 1/(1 - q_i) - sum over |I| <= D of q^I), q_i =
+    rho_i / sigma_i, with the partial sum one multi-index at a time."""
+    if f.tail is None:
+        return Fraction(0)
+    q = [Fraction(r) / s for r, s in zip(rho, f.tail.sigma)]
+    full = math.prod(1 / (1 - x) for x in q)
+    D = f.degree_bound
+    partial = sum((rho_power(q, I) for I in itertools.product(
+        range(D + 1), repeat=f.n) if sum(I) <= D), Fraction(0))
+    return f.tail.C * (full - partial)
+
+
 class TestSizeKernels:
-    """``_gauss_norm`` and the sum kernel (``_sum_norm`` over
-    ``_weighted_sum``) against the ``Fraction`` loops they replaced."""
+    """The size table ``_sizes``, whose max is the Gauss norm and whose
+    sum is the known part of ``norm_S``, against the ``Fraction`` loops
+    they replaced; the packed fold of the power chain; and the tail's
+    partial sum against its own loop."""
 
     @given(tables())
     @example((Q2, {}, polyradius(3)))
     @settings(max_examples=200, deadline=None)
     def test_gauss_norm_matches_fraction_loop(self, case):
         ring, coeffs, rho = case
-        assert _gauss_norm(ring, coeffs, rho) == gauss_loop(ring, coeffs, rho)
+        sizes, den = _sizes(ring, coeffs, rho)
+        assert Fraction(max(sizes, default=0), den) == \
+            _gauss_norm(ring, coeffs, rho) == gauss_loop(ring, coeffs, rho)
 
     @given(tables())
     @example((Z, {}, polyradius(3)))
     @settings(max_examples=200, deadline=None)
     def test_sum_norm_matches_fraction_loop(self, case):
         ring, coeffs, rho = case
-        assert _sum_norm(ring, *_scaled_ints(coeffs), rho) == \
-            sum_loop(ring, coeffs, rho)
+        sizes, den = _sizes(ring, coeffs, rho)
+        assert Fraction(sum(sizes), den) == sum_loop(ring, coeffs, rho)
+        f = TruncatedSeries(ring, len(rho), coeffs,
+                            max(map(sum, coeffs), default=0))
+        assert norm_S(f, rho) == NormValue.exact(sum_loop(ring, coeffs, rho))
 
     @given(tables(), st.integers(0, 2**70))
     @settings(max_examples=100, deadline=None)
-    def test_weighted_sum_of_given_sizes(self, case, size):
-        # sizes other than the coefficients' own, of up to 70 bits
+    def test_packed_sum_of_given_sizes(self, case, size):
+        # sizes other than the coefficients' own, of up to 70 bits, packed
+        # in the radices of a chain of three powers, 3E + 1, and folded
+        # over columns as wide as its second power's, 2E + 1
         _, coeffs, rho = case
         sizes = [(I, size >> k) for k, I in enumerate(coeffs)]
-        S, Q = _weighted_sum(sizes, rho)
         expected = sum((s * rho_power(rho, I) for I, s in sizes), Fraction(0))
-        assert Fraction(S, Q) == expected
-        # packed in the radices of a chain of three powers, 3E + 1, and
-        # folded over columns as wide as its second power's, 2E + 1
         exps = [max([I[i] for I in coeffs], default=0)
                 for i in range(len(rho))]
         radices = [3 * E + 1 for E in exps]
@@ -592,8 +633,31 @@ class TestSizeKernels:
     def test_empty_tables(self):
         for ring in (Z, ZT, Q2, QA):
             assert _gauss_norm(ring, {}, ONE) == 0
-            assert _sum_norm(ring, [], 1, ONE) == 0
-        assert _weighted_sum([], polyradius(2, 3)) == (0, 1)
+            assert _sizes(ring, {}, polyradius(2, 3)) == ([], 1)
+        assert _packed_sum([], polyradius(2, 3), [1, 1], [0, 0]) == (0, 1)
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.integers(0, MAX_DEGREE[n]),
+        st.fractions(0, 9, max_denominator=16),
+        st.lists(st.tuples(st.integers(1, BITS64), st.integers(1, BITS64),
+                           st.integers(1, BITS64), st.integers(1, BITS64)),
+                 min_size=n, max_size=n))))
+    @example((48, Fraction(3, 7),
+              [(BITS64, BITS64 - 2, 2**63 + 1, 2**63 - 1)]))
+    @example((1, Fraction(1), [(2, 3, 5, 7)] * 4))
+    @settings(max_examples=100, deadline=None)
+    def test_tail_sum_bound_matches_fraction_loop(self, case):
+        # 64-bit rho_i and sigma_i, the larger of the two ratios a/b and
+        # c/d the tail radius
+        D, C, pairs = case
+        ratios = [sorted((Fraction(a, b), Fraction(c, d)))
+                  for a, b, c, d in pairs]
+        assume(all(r < s for r, s in ratios))
+        rho = PolyRadius(tuple(r for r, _ in ratios))
+        f = TruncatedSeries(Z, len(ratios), {}, D,
+                            Tail(C, PolyRadius(tuple(s for _, s in ratios))))
+        assert _tail_sum_bound(f, rho) == tail_sum_loop(f, rho)
+        assert norm_S(f, rho) == NormValue(0, tail_sum_loop(f, rho))
 
 
 class TestIntegerKernels:
@@ -718,7 +782,7 @@ class TestIntegerKernels:
         rho = PolyRadius(tuple(rho))
         poly_sum = sum_loop(f.ring, f.coeffs, rho)
         assert norm_S(f, rho) == \
-            NormValue(poly_sum, poly_sum + _tail_sum_bound(f, rho))
+            NormValue(poly_sum, poly_sum + tail_sum_loop(f, rho))
 
     @given(series_at_radius([ZT, Q2, Q3]))
     @settings(max_examples=150, deadline=None)
