@@ -18,7 +18,6 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import NULL, NonElement, members
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def as_fraction(x) -> Fraction:
@@ -170,10 +169,11 @@ def _is_prime(n: int) -> bool:
 class BanachRing:
     """Descriptor of a base Banach ring: carrier + absolute value.
 
-    Every built-in absolute value is multiplicative.  This module is the
-    only place that reads ``kind``; elsewhere rings are compared whole or
-    through ``integral`` (the carrier is the integers, a lattice) and
-    ``non_archimedean``, both read from ``kind`` once, at construction.
+    Every built-in absolute value is multiplicative.  Only this class
+    and ``abs_ints``, the one source of sizes, read ``kind``; elsewhere
+    rings are compared whole or through ``integral`` (the carrier is the
+    integers, a lattice) and ``non_archimedean``, both read from
+    ``kind`` once, at construction.
     """
 
     kind: str
@@ -246,26 +246,15 @@ def _valuation(N: int, p: int) -> int:
     return v
 
 
-def padic_valuation(x: Fraction, p: int) -> int:
-    """v_p(x) for nonzero rational x."""
-    if x == 0:
-        raise ValueError("valuation of zero is +infinity")
-    return _valuation(x.numerator, p) - _valuation(x.denominator, p)
-
-
 def abs_value(ring: BanachRing, x) -> Fraction:
-    """Exact absolute value of x in the given ring, as a bare rational.
+    """Exact absolute value of x in the given ring, as a bare rational:
+    ``abs_ints`` of the one element.
 
     Callers compute with it and build a ``NormValue`` only for the
     result they certify."""
     x = ring.check_element(x)
-    if x == 0:
-        return ZERO
-    if ring.kind in (KIND_Z_ARCH, KIND_Q_ARCH):
-        return abs(x)
-    if ring.kind == KIND_Z_TRIVIAL:
-        return ONE
-    return Fraction(ring.p) ** -padic_valuation(x, ring.p)
+    (A,), den = abs_ints(ring, [x.numerator], x.denominator)
+    return Fraction(A, den)
 
 
 def over_lcm(xs: Sequence[Fraction]) -> Tuple[List[int], int]:
@@ -277,10 +266,11 @@ def over_lcm(xs: Sequence[Fraction]) -> Tuple[List[int], int]:
 
 def abs_ints(ring: BanachRing, nums: Sequence[int],
              L: int) -> Tuple[List[int], int]:
-    """``abs_value`` of the ring elements N_i / L (L > 0) on integers:
-    returns (A, den) with abs_value(ring, N_i / L) == A_i / den.
+    """The absolute values of the ring elements N_i / L (L > 0) on
+    integers: returns (A, den) with |N_i / L| == A_i / den in the ring.
 
-    The integer kernels of ``series`` and ``tensor`` compute on these and
+    Every size in the package comes from here: ``abs_value`` and the
+    integer kernels of ``series`` and ``tensor`` compute on these and
     build a ``Fraction`` only for the result.  Over Q_p, with V the
     largest v_p(N_i), A_i = p^(V - v_p(N_i) + v_p(L)) and den = p^V."""
     if ring.kind in (KIND_Z_ARCH, KIND_Q_ARCH):
@@ -352,13 +342,6 @@ def rational_root_bounds(a: Fraction, n: int, precision: Fraction):
     return Fraction(r, s), Fraction(r + 1, s)
 
 
-def nth_root_interval(x: NormValue, n: int, precision) -> NormValue:
-    """Interval containing [x.lo**(1/n), x.hi**(1/n)] of width <= precision
-    beyond the width inherited from x."""
-    precision = as_fraction(precision)
-    lo, hi = rational_root_bounds(x.lo, n, precision)
-    if x.hi is None:
-        return NormValue(lo, None)
-    if x.hi != x.lo:
-        _, hi = rational_root_bounds(x.hi, n, precision)
-    return NormValue(lo, hi)
+def nth_root_interval(x: Fraction, n: int, precision) -> NormValue:
+    """``rational_root_bounds`` of the rational x as a ``NormValue``."""
+    return NormValue(*rational_root_bounds(x, n, precision))

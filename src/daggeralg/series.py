@@ -373,7 +373,10 @@ def _packed_sum(sizes, r: PolyRadius, radices, exps) -> Tuple[int, int]:
 # norms
 
 
-def _check_tail_radius(f: TruncatedSeries, rho: PolyRadius):
+def _check_radius(f: TruncatedSeries, rho: PolyRadius):
+    """Raise unless rho has f's arity and any tail's sigma dominates it."""
+    if len(rho) != f.n:
+        raise DimensionMismatch("polyradius arity mismatch")
     if f.tail is not None:
         if not all(r < s for r, s in zip(rho, f.tail.sigma)):
             raise TailDiverges(
@@ -416,9 +419,7 @@ def _weighted_ints(terms, L: int, rho: PolyRadius):
 
 def norm_S(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     """Coefficient-sum norm: sum |a_I| rho^I, tail bounded above."""
-    if len(rho) != f.n:
-        raise DimensionMismatch("polyradius arity mismatch")
-    _check_tail_radius(f, rho)
+    _check_radius(f, rho)
     sizes, den = _sizes(f.ring, f.coeffs, rho)
     poly = Fraction(sum(sizes), den)
     return NormValue(poly, poly + _tail_sum_bound(f, rho))
@@ -651,7 +652,7 @@ def _torus_lower_bound(f: TruncatedSeries, weighted, den: int,
     the known coefficients alone, from ``_weighted_ints``: the
     largest exactly evaluated sample, rounded down by the root bracket."""
     best_sq = _torus_max_sq(f, weighted, points_per_var) / (den * den)
-    return nth_root_interval(NormValue.exact(best_sq), 2, Fraction(1, 10**9)).lo
+    return nth_root_interval(best_sq, 2, Fraction(1, 10**9)).lo
 
 
 def norm_T(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
@@ -660,11 +661,9 @@ def norm_T(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     Non-Archimedean ring: the Gauss norm max |a_I| rho^I, exact up to the
     tail bound.  Archimedean ring: ``archimedean_sup``.
     """
-    if len(rho) != f.n:
-        raise DimensionMismatch("polyradius arity mismatch")
     if not f.ring.non_archimedean:
         return archimedean_sup(f, rho)
-    _check_tail_radius(f, rho)
+    _check_radius(f, rho)
     gauss = _gauss_norm(f.ring, f.coeffs, rho)
     return NormValue(gauss, max(gauss, _tail_max_bound(f, rho)))
 
@@ -675,7 +674,7 @@ def archimedean_sup(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     coefficient bound max |a_I| rho^I (raised by exact torus samples when
     the tail is zero: a member's unknown tail terms can cancel the known
     ones on the torus) and the coefficient sum."""
-    _check_tail_radius(f, rho)
+    _check_radius(f, rho)
     # the Cauchy bound, the coefficient sum and the torus sampler share
     # the integers a_I rho^I = w_I / den
     weighted, den = _weighted_ints(*_scaled_ints(f.coeffs), rho)

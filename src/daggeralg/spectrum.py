@@ -140,8 +140,7 @@ def spectral_via_powers(f: TruncatedSeries, rho: PolyRadius,
     for k, bound in enumerate(_power_sums(f, rho, n_max), start=2):
         if known.hi != known.lo:
             bound += known.hi**k - known.lo**k
-        out.append(nth_root_interval(NormValue.exact(bound), k,
-                                     ROOT_PRECISION))
+        out.append(nth_root_interval(bound, k, ROOT_PRECISION))
     return out
 
 

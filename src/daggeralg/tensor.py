@@ -4,15 +4,19 @@ The projective norm of x in M (x) N is the infimum, over finite
 representations x = sum_k m_k (x) n_k, of the term costs |m_k| |n_k|,
 summed or maximised.  With T the coefficient matrix of x, call
 |T_ij| w_i v_j its cells.  Expanding every term entry by entry bounds any
-representation's cost below by the cells, and two cases are attained:
+representation's cost below by the cells, and three cases are attained:
 
 - max cost over a non-Archimedean ring: the max cell (c_0 (x) c_0 = c_0);
 - sum cost between sum-flavored modules: the sum of the cells
-  (l^1 (x) l^1 = l^1).
+  (l^1 (x) l^1 = l^1);
+- sum cost with one sum-flavored factor, the left say: the sum over the
+  rows of their max cells, the row decomposition's cost (l^1 (x) X =
+  l^1(X): expanding along the left factor only, the triangle inequality
+  in the right one bounds every cost below by it); the columns likewise.
 
-A sum cost with a max-flavored factor is bracketed between the max cell
-and the best of the given, row and column decompositions.  A max cost
-over an Archimedean ring is not bounded below by the cells, since
+A sum cost between max-flavored modules is bracketed between the max
+cell and the best of the given, row and column decompositions.  A max
+cost over an Archimedean ring is not bounded below by the cells, since
 (2) (x) (1) = (1) (x) (1) + (1) (x) (1) costs 1, and is rejected.
 """
 
@@ -21,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from operator import mul
 from typing import List, Tuple
 
@@ -142,14 +145,14 @@ def tensor_norm_certified(x: TensorElement, flavor: str,
         return NormValue.exact(Fraction(max(cells, default=0), den))
     if x.left.flavor == SUM and x.right.flavor == SUM:
         return NormValue.exact(Fraction(sum(cells), den))
-    lo = Fraction(max(cells, default=0), den)
-    # the row decomposition sum_i e_i (x) T_i costs sum_i |e_i| |T_i|,
-    # an aggregate of row i's cells in the right module's flavor; the
-    # column one likewise
-    top = partial(max, default=0)
-    along_row = sum if x.right.flavor == SUM else top
-    along_col = sum if x.left.flavor == SUM else top
-    rows = sum(along_row(cells[i * rr:(i + 1) * rr]) for i in range(rl))
-    cols = sum(along_col(cells[j::rr]) for j in range(rr))
-    return NormValue(lo, min(tensor_norm_upper(x, SUM),
-                             Fraction(min(rows, cols), den)))
+    # the row decomposition sum_i e_i (x) T_i costs each row's max cell,
+    # summed, when the right factor is max-flavored; the columns likewise
+    rows = sum(max(cells[i * rr:(i + 1) * rr], default=0) for i in range(rl))
+    cols = sum(max(cells[j::rr], default=0) for j in range(rr))
+    if x.left.flavor == SUM:
+        return NormValue.exact(Fraction(rows, den))
+    if x.right.flavor == SUM:
+        return NormValue.exact(Fraction(cols, den))
+    return NormValue(Fraction(max(cells, default=0), den),
+                     min(tensor_norm_upper(x, SUM),
+                         Fraction(min(rows, cols), den)))

@@ -7,7 +7,7 @@ open upper end (``hi = None``) stays open.
 
 from fractions import Fraction
 
-from daggeralg.scalars import NormValue, as_fraction, nth_root_interval
+from daggeralg.scalars import NormValue, as_fraction, rational_root_bounds
 
 
 def add(a: NormValue, b: NormValue) -> NormValue:
@@ -41,12 +41,13 @@ def contains(a: NormValue, x) -> bool:
 def pow_interval(x: NormValue, e, precision=Fraction(1, 10**6)
                  ) -> NormValue:
     """x ** e for a non-negative rational exponent e = a/b, certified: the
-    a-th power of each end, then the root bracket of index b."""
+    a-th power of each end, then the lower root bracket of index b of the
+    lower end and the upper one of the upper end."""
     e = as_fraction(e)
     if e < 0:
         raise ValueError("exponent must be non-negative")
     a, b = e.numerator, e.denominator
-    powered = NormValue(x.lo**a, None if x.hi is None else x.hi**a)
-    if b == 1:
-        return powered
-    return nth_root_interval(powered, b, precision)
+    lo = rational_root_bounds(x.lo**a, b, precision)[0]
+    hi = None if x.hi is None else \
+        rational_root_bounds(x.hi**a, b, precision)[1]
+    return NormValue(lo, hi)

@@ -78,9 +78,17 @@ MUTANTS = [
     ("tail Gauss bound set to 0", "spectrum.py",
      "        return tail.C\n",
      "        return Fraction(0)\n"),
-    ("mixed-flavor tensor lo set to the cell sum", "tensor.py",
-     "lo = Fraction(max(cells, default=0), den)",
-     "lo = Fraction(sum(cells), den)"),
+    ("l^oo (x) l^oo tensor lo set to the cell sum", "tensor.py",
+     "return NormValue(Fraction(max(cells, default=0), den),",
+     "return NormValue(Fraction(sum(cells), den),"),
+    ("l^1-factor tensor norm read along the other factor", "tensor.py",
+     "Fraction(rows, den))\n    if x.right.flavor == SUM:\n"
+     "        return NormValue.exact(Fraction(cols, den))",
+     "Fraction(cols, den))\n    if x.right.flavor == SUM:\n"
+     "        return NormValue.exact(Fraction(rows, den))"),
+    ("p-adic size shift without v_p(L)", "scalars.py",
+     "shift = V + _valuation(L, p)",
+     "shift = V"),
     ("mixed operator norm reported as exact at the max", "normed_core.py",
      "return NormValue(best, sum(ratios, Fraction(0)))",
      "return NormValue.exact(best)"),

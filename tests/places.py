@@ -168,7 +168,7 @@ def radius_bracket(rho: PolyRadius, eps: Fraction
     inner, outer = [], []
     for r in rho:
         x = r**b
-        root = nth_root_interval(NormValue.exact(x), a, ROOT_PRECISION)
+        root = nth_root_interval(x, a, ROOT_PRECISION)
         inner.append(max(root.lo, min(x, 1)))
         outer.append(root.hi)
     return PolyRadius(tuple(inner)), PolyRadius(tuple(outer))

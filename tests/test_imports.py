@@ -1,7 +1,8 @@
 """Every top-level import of a module in the package is used in it,
 every import anywhere in the package is of the standard library or the
-package itself, no function imports a package module, and importing the
-CLI leaves ``multiprocessing`` out.
+package itself, no function imports a package module, importing the
+CLI leaves ``multiprocessing`` out, and only ``scalars.BanachRing`` and
+``scalars.abs_ints`` read a ring's ``kind``.
 
 The package ``__init__`` re-exports what it imports and is skipped by
 the first check.  Names quoted in annotations count as used.
@@ -109,3 +110,23 @@ def test_importing_the_cli_leaves_multiprocessing_out():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=60)
     assert run.stdout == "False\n", run.stderr
+
+
+# the (module, top-level definition) pairs that may read ``.kind``: the
+# ring itself, and the one function that turns a kind into sizes
+KIND_READERS = {("scalars.py", "BanachRing"), ("scalars.py", "abs_ints")}
+
+
+def test_only_the_ring_and_abs_ints_read_a_ring_kind():
+    """Every absolute value comes from ``scalars.abs_ints``: a second
+    switch on a ring's kind would be a second answer to its sizes."""
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            stray += [f"{path.name}:{node.lineno} in {owner}"
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute)
+                      and node.attr == "kind"
+                      and (path.name, owner) not in KIND_READERS]
+    assert not stray, f"reads of .kind outside the ring and abs_ints: {stray}"

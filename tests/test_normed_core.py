@@ -34,7 +34,6 @@ from daggeralg.scalars import (
     integers_archimedean,
     integers_trivial,
     over_lcm,
-    padic_valuation,
     rationals_archimedean,
     rationals_padic,
 )
@@ -106,7 +105,13 @@ def reference_abs(ring, x):
         return NormValue.exact(abs(x))
     if ring.integral:
         return NormValue.exact(1)
-    return NormValue.exact(Fraction(ring.p) ** -padic_valuation(x, ring.p))
+    # v_p(x), one factor p at a time
+    v, p = 0, ring.p
+    while x.numerator % p == 0:
+        x, v = x / p, v + 1
+    while x.denominator % p == 0:
+        x, v = x * p, v - 1
+    return NormValue.exact(Fraction(p) ** -v)
 
 
 def reference_vector_norm(M, v):

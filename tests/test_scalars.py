@@ -163,17 +163,17 @@ class TestNormValue:
 
 class TestRoots:
     def test_perfect_square(self):
-        nv = nth_root_interval(NormValue.exact(4), 2, Fraction(1, 100))
+        nv = nth_root_interval(4, 2, Fraction(1, 100))
         assert nv == NormValue.exact(2)
 
     def test_sqrt_two(self):
-        nv = nth_root_interval(NormValue.exact(2), 2, Fraction(1, 10))
+        nv = nth_root_interval(2, 2, Fraction(1, 10))
         assert nv.lo >= Fraction(7, 5) and nv.hi <= Fraction(3, 2)
         assert nv.lo**2 <= 2 <= nv.hi**2
 
     def test_root_of_one(self):
         for k in (1, 2, 5, 9):
-            assert nth_root_interval(NormValue.exact(1), k, Fraction(1, 3)) \
+            assert nth_root_interval(1, k, Fraction(1, 3)) \
                 == NormValue.exact(1)
 
     def test_pow_interval_rational_exponent(self):
@@ -270,12 +270,11 @@ class TestRoots:
         root = Fraction(p, q)
         assert rational_root_bounds(root**n, n, Fraction(1, 10**9)) == \
             (root, root)
-        assert nth_root_interval(NormValue.exact(root**n), n,
-                                 Fraction(1, 10**9)) == NormValue.exact(root)
+        assert nth_root_interval(root**n, n, Fraction(1, 10**9)) == \
+            NormValue.exact(root)
 
     def test_contraction_toward_one(self):
-        x = NormValue.exact(16)
-        widths = [nth_root_interval(x, n, Fraction(1, 10**6)).hi
+        widths = [nth_root_interval(16, n, Fraction(1, 10**6)).hi
                   for n in (1, 2, 4, 8)]
         assert widths == sorted(widths, reverse=True)
 

@@ -704,8 +704,7 @@ class TestIntegerKernels:
             z = [(r * c, r * s) for r, (c, s) in zip(rho, combo)]
             re, im = fraction_evaluate(f, z)
             best_sq = max(best_sq, re * re + im * im)
-        lo = nth_root_interval(NormValue.exact(best_sq), 2,
-                               Fraction(1, 10**9)).lo
+        lo = nth_root_interval(best_sq, 2, Fraction(1, 10**9)).lo
         for I, a in f.coeffs.items():
             lo = max(lo, abs(a) * rho_power(rho, I))
         assert torus_lower_bound(f, PolyRadius(tuple(rho)), 8) == lo
@@ -725,8 +724,7 @@ class TestIntegerKernels:
     @classmethod
     def per_point_torus_bound(cls, f, rho, points_per_var):
         best_sq = cls.per_point_torus_max_sq(f, rho, points_per_var)
-        lo = nth_root_interval(NormValue.exact(best_sq), 2,
-                               Fraction(1, 10**9)).lo
+        lo = nth_root_interval(best_sq, 2, Fraction(1, 10**9)).lo
         for I, a in f.coeffs.items():
             lo = max(lo, abs(a) * rho_power(rho, I))
         return lo
@@ -815,8 +813,8 @@ class TestIntegerKernels:
             re, im = evaluate_complex(
                 f, [(r * c, r * s) for r, (c, s) in zip(rho, combo)])
             best_sq = max(best_sq, re * re + im * im)
-        assert torus_lower_bound(f, rho) == nth_root_interval(
-            NormValue.exact(best_sq), 2, Fraction(1, 10**9)).lo
+        assert torus_lower_bound(f, rho) == \
+            nth_root_interval(best_sq, 2, Fraction(1, 10**9)).lo
 
     def test_unit_circle_points_closed_under_conjugation(self):
         for count in (8, 9, 16, 56, 392):

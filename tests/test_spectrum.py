@@ -446,7 +446,7 @@ def multiply_chain(f, rho, n_max):
     out, power = [], f
     for k in range(1, n_max + 1):
         hi = norm_S(power, rho).hi
-        out.append(nth_root_interval(NormValue.exact(hi), k, ROOT_PRECISION))
+        out.append(nth_root_interval(hi, k, ROOT_PRECISION))
         if k < n_max:
             power = multiply(power, f)
     return out
@@ -498,8 +498,7 @@ def binomial_chain(f, rho, n_max):
     out, power = [], p
     for k in range(1, n_max + 1):
         bound = norm_S(power, rho).hi + known.hi**k - known.lo**k
-        out.append(nth_root_interval(NormValue.exact(bound), k,
-                                     ROOT_PRECISION))
+        out.append(nth_root_interval(bound, k, ROOT_PRECISION))
         if k < n_max:
             power = multiply(power, p)
     return out

@@ -96,6 +96,27 @@ class TestCertified:
         x = TensorElement(M, M, (((1, 0), (1, 1)), ((0, 1), (1, -1))))
         assert tensor_norm_certified(x, SUM) == NormValue(4, 4)
 
+    # T = [[1, 3], [1/3, 9]] over Q_3 with unit weights has the cells
+    # [[1, 1/3], [3, 1/9]], given as (1, 1) (x) (1, 3) + (0, 1) (x) (-2/3, 6)
+    Q3_TERMS = (((1, 1), (1, 3)), ((0, 1), (Fraction(-2, 3), 6)))
+
+    def test_l1_left_factor_sums_the_row_maxima(self):
+        # l^1 (x) l^oo: max(1, 1/3) + max(3, 1/9) = 4; the given
+        # representation costs 2 * 1 + 1 * 3 = 5
+        L = WeightedFreeModule(Q3, (Fraction(1), Fraction(1)), SUM)
+        R = WeightedFreeModule(Q3, (Fraction(1), Fraction(1)), MAX)
+        x = TensorElement(L, R, self.Q3_TERMS)
+        assert tensor_norm_certified(x, SUM) == NormValue.exact(4)
+
+    def test_l1_right_factor_sums_the_column_maxima(self):
+        # l^oo (x) l^1: max(1, 3) + max(1/3, 1/9) = 10/3; the given
+        # representation costs 1 * 4/3 + 1 * 10/3 = 14/3
+        L = WeightedFreeModule(Q3, (Fraction(1), Fraction(1)), MAX)
+        R = WeightedFreeModule(Q3, (Fraction(1), Fraction(1)), SUM)
+        x = TensorElement(L, R, self.Q3_TERMS)
+        assert tensor_norm_certified(x, SUM) == \
+            NormValue.exact(Fraction(10, 3))
+
     def test_max_cost_over_archimedean_ring_rejected(self):
         x = TensorElement(zmod(1), zmod(1), (((2,), (1,)),))
         with pytest.raises(FlavorMismatch):
@@ -201,8 +222,11 @@ def _assert_oracle(x, flavor):
             for k, v in _decompositions(x).items()}
     if flavor == MAX:
         assert nv.lo == nv.hi == reps["cells"]
-    elif x.left.flavor == SUM and x.right.flavor == SUM:
+    elif x.left.flavor == SUM:
+        # l^1 (x) X = l^1(X): the rows, whatever the right factor
         assert nv.lo == nv.hi == reps["rows"]
+    elif x.right.flavor == SUM:
+        assert nv.lo == nv.hi == reps["cols"]
     else:
         assert nv.hi == min(reps["given"], reps["rows"], reps["cols"])
 
@@ -277,8 +301,9 @@ class TestScalarContraction:
 
 
 def fraction_tensor_norm(x, flavor):
-    """``tensor_norm_certified`` on Fraction cells, one ``abs_value`` and
-    one ``vector_norm`` per entry and row."""
+    """``tensor_norm_certified`` on Fraction cells, one ``abs_value`` per
+    entry, and the row and column decompositions' costs from one
+    ``vector_norm`` per row and column."""
     ring, wl, wr = x.left.ring, x.left.weights, x.right.weights
     if flavor == MAX and not ring.non_archimedean:
         raise FlavorMismatch("max term cost needs a non-Archimedean ring")
@@ -294,6 +319,10 @@ def fraction_tensor_norm(x, flavor):
                Fraction(0))
     cols = sum((v * vector_norm(x.left, [row[j] for row in T]).hi
                 for j, v in enumerate(wr)), Fraction(0))
+    if x.left.flavor == SUM:
+        return NormValue.exact(rows)
+    if x.right.flavor == SUM:
+        return NormValue.exact(cols)
     return NormValue(lo, min(tensor_norm_upper(x, SUM), rows, cols))
 
 

@@ -29,7 +29,6 @@ from daggeralg.scalars import (
     KIND_Z_ARCH,
     BanachRing,
     integers_archimedean,
-    padic_valuation,
     rational_root_bounds,
     rationals_archimedean,
     rationals_padic,
@@ -38,6 +37,7 @@ from daggeralg.series import (
     DaggerPresentation,
     Tail,
     TruncatedSeries,
+    archimedean_sup,
     norm_T,
     polyradius,
     unit_polydisk,
@@ -57,6 +57,11 @@ def module(*weights, ring=Z):
 def x(ring=Q2, n=1):
     """The first variable of n over the ring."""
     return TruncatedSeries.monomial(ring, (1,) + (0,) * (n - 1))
+
+
+def x_plus_y():
+    """X + Y over Z."""
+    return x(Z, 2).add(TruncatedSeries.monomial(Z, (0, 1)))
 
 
 def one(ring=Q2, n=1):
@@ -117,9 +122,6 @@ CASES = {
     "p on a ring not p-adic": (
         lambda: BanachRing(KIND_Z_ARCH, 2),
         ValueError, "p only meaningful for the p-adic kind"),
-    "valuation of zero": (
-        lambda: padic_valuation(Fraction(0), 3),
-        ValueError, "valuation of zero is +infinity"),
     "negative radicand": (
         lambda: rational_root_bounds(Fraction(-1), 2, Fraction(1, 8)),
         ValueError, "radicand must be non-negative"),
@@ -154,6 +156,12 @@ CASES = {
         DimensionMismatch, "series over different rings or arities"),
     "norm_T arity": (
         lambda: norm_T(x(Z), polyradius(1, 1)),
+        DimensionMismatch, "polyradius arity mismatch"),
+    "archimedean_sup short radius": (
+        lambda: archimedean_sup(x_plus_y(), polyradius(1)),
+        DimensionMismatch, "polyradius arity mismatch"),
+    "archimedean_sup long radius": (
+        lambda: archimedean_sup(x_plus_y(), polyradius(1, 3, 5)),
         DimensionMismatch, "polyradius arity mismatch"),
     "relation in another algebra": (
         lambda: DaggerPresentation(Z, 1, polyradius(1), (x(Z, 2),)),
