@@ -161,13 +161,14 @@ def _check_series_axioms(inst) -> int:
     f, g, lam, rho = inst
     bad = 0
     nf, ng = norm_S(f, rho), norm_S(g, rho)
-    if norm_S(f.add(g), rho).hi > nf.hi + ng.hi:
+    f_plus_g = f.add(g)
+    if norm_S(f_plus_g, rho).hi > nf.hi + ng.hi:
         bad += 1
     if norm_S(f.scale(lam), rho).hi > abs_value(f.ring, lam) * nf.hi:
         bad += 1
     if f.ring.non_archimedean:
         tf, tg = norm_T(f, rho), norm_T(g, rho)
-        if norm_T(f.add(g), rho).hi > max(tf.hi, tg.hi):
+        if norm_T(f_plus_g, rho).hi > max(tf.hi, tg.hi):
             bad += 1
     return bad
 

@@ -45,12 +45,13 @@ DEFAULT_DISCARD_SIGMA = Fraction(2)
 
 # caps on a series read from JSON: the largest degree bound D for each
 # variable count n, which allows C(D + n, n) <= 49 listed coefficients,
-# one per multi-index.  The
-# Archimedean sup samples at most (8(D+1))^n torus points for n <= 2 and
-# 12^n for n >= 3 (ranking about half of them in floats and evaluating
-# the top few exactly), and `spectrum --grid 16` does so at 31 radii; at
-# these caps a dense series takes it under 1 s, and took about 4 s when
-# the caps were set (measured table in README)
+# one per multi-index.  The Archimedean sup samples at most (8(D+1))^n
+# torus points for n <= 2 and 12^n for n >= 3 (ranking about half of
+# them in floats, row by row, skipping the rows that cannot reach the
+# float maximum, and evaluating the top few exactly); at these caps a
+# dense series takes `norm` under 10 ms and `spectrum` about 0.1 s in
+# process, and `spectrum` took about 4 s at 31 radii when the caps were
+# set (measured table in README)
 MAX_DEGREE = {1: 48, 2: 6, 3: 4, 4: 1}
 
 
@@ -477,26 +478,35 @@ def _unit_circle_points(count: int) -> Tuple[Tuple[Fraction, Fraction], ...]:
     return tuple(dict.fromkeys(out))
 
 
-# one torus axis's points and their floats, built once per (count, half)
-# of the last 64 asked for, as immutable tuples.  ``_torus_max_sq`` asks
-# for 56 keys at most under the series caps (49 first axes for n = 1, 7
-# second axes for n = 2), so none is evicted; the largest entry holds 195
-# points.  The powers, which grow with the exponent, are built per call
+# one torus axis's points, built once per (count, half) of the last 64
+# asked for, as an immutable tuple, with the float powers of the points
+# built so far.  ``_torus_max_sq`` asks for 56 keys at most under the
+# series caps (48 first axes for n = 1, 6 second axes for n = 2, and the
+# two halves of count 8 for n >= 3), so none is evicted
 @functools.lru_cache(maxsize=64)
 def _circle_axis(count: int, upper: bool):
-    """The points (c, s) of ``_unit_circle_points(count)``, only those of
-    s >= 0 when ``upper``, and each as the complex float c + i*s."""
+    """(points, powers): the points (c, s) of ``_unit_circle_points(count)``,
+    only those of s >= 0 when ``upper``, and a one-item list holding the
+    columns u^0 and u^1 of the float powers of the points u = c + i*s,
+    which ``_axis_powers`` lengthens."""
     points = tuple(p for p in _unit_circle_points(count)
                    if not upper or p[1] >= 0)
-    return points, tuple(complex(float(c), float(s)) for c, s in points)
+    us = tuple(complex(float(c), float(s)) for c, s in points)
+    return points, [((1 + 0j,) * len(us), us)]
 
 
-def _power_columns(us, E):
-    """The float powers u^0, ..., u^E of the points ``us`` by exponent:
-    columns[e][j] == u_j^e, computed as u_j^(e-1) * u_j."""
-    columns = [(1 + 0j,) * len(us)]
-    for _ in range(E):
-        columns.append(tuple(map(mul, columns[-1], us)))
+def _axis_powers(powers: list, E: int):
+    """At least the columns u^0, ..., u^E of an axis's float powers, by
+    exponent (columns[e][j] == u_j^e), from the one-item list ``powers``
+    of ``_circle_axis``, lengthened there first if it is shorter: u^e is
+    computed as u^(e-1) * u.  Every table stored is a correct prefix, so
+    a concurrent call that stores a shorter one costs a rebuild only."""
+    columns = powers[0]
+    if len(columns) <= E:
+        grown = list(columns)
+        while len(grown) <= E:
+            grown.append(tuple(map(mul, grown[-1], columns[1])))
+        columns = powers[0] = tuple(grown)
     return columns
 
 
@@ -542,8 +552,9 @@ def evaluate_complex(f: TruncatedSeries, points):
     return Fraction(re, L * q), Fraction(im, L * q)
 
 
-# the axis of a variable that no term uses: the point 1 = (1, 0)
-_ONE_POINT = (((Fraction(1), Fraction(0)),), (1 + 0j,))
+# the axis of a variable that no term uses: the point 1 = (1, 0), whose
+# power u^0 is all that is asked of it
+_ONE_POINT = (((Fraction(1), Fraction(0)),), [((1 + 0j,),)])
 
 
 # the float ranking of torus samples is skipped, and every sample is
@@ -552,30 +563,59 @@ _ONE_POINT = (((Fraction(1), Fraction(0)),), (1 + 0j,))
 MAX_RANKING_ERROR = 2.0**-30
 
 
-def _float_magnitudes(weighted, axes, exps) -> List[float]:
-    """|g(u)| in floats at every torus sample u, in the order of
-    ``itertools.product`` over the axes' complex floats ``axes``, for
-    g(u) = sum beta_I u^I with beta_I = w_I / S and S = sum |w_I|.
+def _ranked_rows(weighted, powers, delta: float):
+    """The rows of torus samples that the float pass visits, as pairs
+    (i, mags): mags[j] is |g(u)| in floats at the sample of the i-th row
+    and the j-th point of the last axis, for g(u) = sum beta_I u^I with
+    beta_I = w_I / S and S = sum |w_I|.  The rows are the points of every
+    axis but the last, in ``itertools.product`` order; ``powers`` holds
+    each axis's float power columns (``_axis_powers``).
 
-    Every axis but the last is folded into a dense coefficient list h over
-    the last axis's exponent, which is then evaluated at all the last
-    axis's points one exponent column at a time: the products h_k u^k are
-    added left to right, k = 0, 1, ..., as the error bound assumes."""
+    Each row's folded coefficients h_k over the last axis's exponent k
+    are built for all the rows at once, term by term: the products
+    beta_I u_1^e_1 u_2^e_2 ..., taken left to right, are added into
+    h_(I_n) in term order.  Rows are visited by decreasing bound
+    B = sum_k |h_k|, each evaluated one exponent column at a time, with
+    the products h_k u^k added left to right, k = 0, 1, ...; a product
+    with h_k = 0 (k > 0) is +-0 and is not added, which changes no
+    magnitude.  The pass stops at the first row with B + delta below the
+    largest magnitude so far less 2*delta (``_torus_max_sq`` proves the
+    cut)."""
     S = sum(abs(w) for _, w in weighted)
-    beta = [(I, w / S) for I, w in weighted]
-    *prefix_axes, columns = map(_power_columns, axes, exps)
-    mags = []
-    for prefix in itertools.product(*(zip(*c) for c in prefix_axes)):
-        h = [0j] * len(columns)
-        for I, b in beta:
-            for powers, e in zip(prefix, I):
-                b = b * powers[e]
-            h[I[-1]] += b
-        values = map(h[0].__mul__, columns[0])
-        for h_k, column in zip(h[1:], columns[1:]):
-            values = map(add, values, map(h_k.__mul__, column))
-        mags.extend(map(abs, values))
-    return mags
+    *prefix, last = powers
+    rows = math.prod(len(columns[0]) for columns in prefix)
+    h = [[0j] * rows for _ in range(max(I[-1] for I, _ in weighted) + 1)]
+    for I, w in weighted:
+        folded = [w / S]
+        for columns, e in zip(prefix, I):
+            folded = list(itertools.starmap(
+                mul, itertools.product(folded, columns[e])))
+        h[I[-1]] = list(map(add, h[I[-1]], folded))
+    bounds = list(map(abs, h[0]))
+    for column in h[1:]:
+        bounds = list(map(add, bounds, map(abs, column)))
+    visited, best = [], 0.0
+    for i in sorted(range(rows), key=bounds.__getitem__, reverse=True):
+        if bounds[i] + delta < best - 2 * delta:
+            break
+        h_0, *h_rest = (column[i] for column in h)
+        values = map(h_0.__mul__, last[0])
+        for h_k, column in zip(h_rest, last[1:]):
+            if h_k:
+                values = map(add, values, map(h_k.__mul__, column))
+        mags = list(map(abs, values))
+        best = max(best, max(mags))
+        visited.append((i, mags))
+    return visited
+
+
+def _product_item(axes, index: int):
+    """The index-th item of ``itertools.product(*axes)``."""
+    item = []
+    for axis in reversed(axes):
+        index, j = divmod(index, len(axis))
+        item.append(axis[j])
+    return item[::-1]
 
 
 def _torus_max_sq(f: TruncatedSeries, weighted,
@@ -584,12 +624,15 @@ def _torus_max_sq(f: TruncatedSeries, weighted,
     (I, w_I) pairs of ``_weighted_ints``: this is den^2 times the
     largest |f(z)|^2 over the samples z = rho * u of |z_i| = rho_i.
 
-    Two passes.  Floats rank every sample by |g(u)|, where
+    Two passes.  Floats rank the samples by |g(u)|, where
     g = sum beta_I u^I with beta_I = w_I / S and S = sum |w_I|, so that
     sum |beta_I| = 1 at any radius and any coefficient size and nothing
     overflows or underflows beyond an absolute 2^-1074 per operation.
-    Only the samples within 2*delta of the float maximum are then
-    evaluated exactly, and the exact maximum among them is returned.
+    They do so row by row (``_ranked_rows``), skipping the rows that can
+    hold no sample near the float maximum.  Only the samples within
+    2*delta of the float maximum are then evaluated exactly, in
+    ``itertools.product`` order, and the exact maximum among them is
+    returned.
 
     The error bound.  Let eps = 2^-53, T the number of terms, n the
     number of variables and D the largest total degree.  Every sample u
@@ -616,6 +659,29 @@ def _torus_max_sq(f: TruncatedSeries, weighted,
     lies below 2), which keeps it below that, so u* is evaluated
     exactly.  Floats only choose which samples to evaluate: a wrong
     delta could lower the result, never raise it above a sampled value.
+
+    Why the row cut skips no sample that reaches the cutoff.  Let E be
+    the last axis's largest exponent and H = sum_k |h_k| for a row's
+    computed coefficients h_k.  Each h_k sums, in at most T - 1
+    additions, computed terms of size at most (1 + (4D + 3n + 2)*eps)
+    times |beta_I|, so H <= 1.01.  At a sample of the row the
+    computed power u^k has size at most 1 + 4*E*eps, the product h_k u^k
+    gains at most a factor 1 + sqrt(8)*eps, the E additions a factor
+    (1 + eps)^E and ``abs`` 1 + 2*eps: the computed |g(u)| is at most
+    H*(1 + 1.01*(5E + 5)*eps) + 2^-1000.  The computed bound B adds E + 1
+    values ``abs`` rounded down by at most 2*eps each, in E additions
+    rounded by eps each however they are ordered, so B >= H*(1 -
+    1.01*(E + 2)*eps).  Hence every computed |g(u)| in the row is at most
+    B + delta_1, delta_1 = 1.03*(6E + 7)*eps + 2^-1000.  Since T, n >= 1
+    and D >= E, delta >= 8*eps*(E + 6) >= delta_1 + eps, and B + delta,
+    below 2, is rounded down by at most eps: the rounded B + delta
+    exceeds every computed |g(u)| of the row.  A row is skipped when that
+    rounded sum lies below the rounded (largest magnitude so far) -
+    2*delta, which is at most the cutoff, as rounding is monotone and the
+    running maximum is at most the float max.  So no sample of a skipped
+    row reaches the cutoff, and neither does one of a later row, whose B
+    is no larger.  The float max, the cutoff and the samples evaluated
+    exactly are therefore those of a scan of every sample.
     """
     if not weighted:
         return Fraction(0)
@@ -629,13 +695,19 @@ def _torus_max_sq(f: TruncatedSeries, weighted,
     first = next((i for i, E in enumerate(exps) if E), None)
     axes = [_circle_axis(points_per_var, i == first) if E else _ONE_POINT
             for i, E in enumerate(exps)]
-    samples = itertools.product(*(points for points, _ in axes))
+    points = [axis for axis, _ in axes]
+    samples = itertools.product(*points)
     D = max(sum(I) for I, _ in weighted)
     delta = (len(weighted) + f.n * (D + 1) + 4) * 2.0**-50
     if delta <= MAX_RANKING_ERROR:
-        mags = _float_magnitudes(weighted, [us for _, us in axes], exps)
-        cutoff = max(mags) - 2 * delta
-        samples = itertools.compress(samples, map(cutoff.__le__, mags))
+        rows = _ranked_rows(weighted, [_axis_powers(powers, E) for
+                                       (_, powers), E in zip(axes, exps)],
+                            delta)
+        cutoff = max(max(mags) for _, mags in rows) - 2 * delta
+        width = len(points[-1])
+        samples = map(functools.partial(_product_item, points), sorted(
+            i * width + j for i, mags in rows for j in
+            itertools.compress(range(width), map(cutoff.__le__, mags))))
     # the largest (re^2 + im^2) / q^2 so far as num/den
     num, den = 0, 1
     for sample in samples:

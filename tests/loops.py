@@ -104,7 +104,7 @@ def float_magnitudes_loop(weighted, axes, exps):
     """|g(u)| in floats at every torus sample u over the circle points
     ``axes``, adding h_k u^k left to right for each sample u of the last
     axis, with float tables rebuilt from the points at each call (once
-    ``series._float_magnitudes``; it used ``sum``, which compensates
+    the package's own loop; it used ``sum``, which compensates
     complex additions from Python 3.14 on, so the order is spelled out
     here)."""
     S = sum(abs(w) for _, w in weighted)

@@ -1,6 +1,7 @@
 """Mutation audit of the certified bounds.
 
-    python3 tests/mutants.py
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py 21 22 23   # the mutants of these numbers
 
 Each mutant below breaks one bound that a printed interval rests on, by
 one exact string replacement in one package module.  For each mutant the
@@ -10,9 +11,9 @@ code stops the audit), and the tier-1 suite runs on the copy with
 ``-x``.  A mutant is killed when the suite fails; the table names the
 first failing test.  An unmutated copy runs first and must pass.
 
-Exits 0 when every mutant is killed, 1 otherwise.  Not a test: pytest
-does not collect it, and it takes no options.  A run takes a few
-minutes per mutant.
+Exits 0 when every mutant run is killed, 1 otherwise, and 2 on a
+number that names no mutant.  Not a test: pytest does not collect it.
+A run takes a few minutes per mutant.
 """
 
 from __future__ import annotations
@@ -92,6 +93,15 @@ MUTANTS = [
     ("mixed operator norm reported as exact at the max", "normed_core.py",
      "return NormValue(best, sum(ratios, Fraction(0)))",
      "return NormValue.exact(best)"),
+    ("torus row cut without its margin", "series.py",
+     "if bounds[i] + delta < best - 2 * delta:",
+     "if bounds[i] < best:"),
+    ("torus row bound the largest coefficient, not the sum", "series.py",
+     "bounds = list(map(add, bounds, map(abs, column)))",
+     "bounds = list(map(max, bounds, map(abs, column)))"),
+    ("torus rows visited in product order, not by bound", "series.py",
+     "for i in sorted(range(rows), key=bounds.__getitem__, reverse=True):",
+     "for i in range(rows):"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
@@ -116,7 +126,13 @@ def run_suite(copy: str):
     return True, failed.group(1) if failed else f"exit {done.returncode}"
 
 
-def main() -> int:
+def main(argv) -> int:
+    chosen = [int(a) for a in argv if a.isdigit()]
+    if len(chosen) != len(argv) or \
+            not all(1 <= i <= len(MUTANTS) for i in chosen):
+        print(f"usage: mutants.py [N ...], N in 1..{len(MUTANTS)}")
+        return 2
+    chosen = chosen or range(1, len(MUTANTS) + 1)
     with tempfile.TemporaryDirectory() as tmp:
         copy = os.path.join(tmp, "repo")
         shutil.copytree(ROOT, copy, ignore=IGNORE)
@@ -125,7 +141,8 @@ def main() -> int:
             print(f"the unmutated suite fails ({note}): no audit")
             return 1
         survivors = 0
-        for i, (name, module, old, new) in enumerate(MUTANTS, start=1):
+        for i in chosen:
+            name, module, old, new = MUTANTS[i - 1]
             path = os.path.join(copy, "src", "daggeralg", module)
             with open(path) as fh:
                 source = fh.read()
@@ -145,9 +162,9 @@ def main() -> int:
             print(f"{i:2d}  {'killed' if killed else 'SURVIVED':8s} "
                   f"{time.perf_counter() - start:6.0f} s  {name}"
                   f"{'  by ' + note if note else ''}", flush=True)
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -27,12 +29,13 @@ from daggeralg.series import (
     PolyRadius,
     Tail,
     TruncatedSeries,
+    _axis_powers,
     _circle_axis,
-    _float_magnitudes,
     _gauss_norm,
     _pack,
     _packed_sum,
     _poly_growth_constant,
+    _ranked_rows,
     _scaled_ints,
     _sizes,
     _tail_max_bound,
@@ -195,6 +198,45 @@ class TestClosedFormSups:
         # w * (1 + kz - z^2), with |w| = 1 on the torus
         f = TruncatedSeries(ring, 2, {(1, 0): 1, (1, 1): k, (1, 2): -1}, 3)
         self.assert_root(norm_T(f, polyradius(1, 1)), k * k + 4)
+
+
+class TestProductSups:
+    """Products of binomials prod_i (1 + e_i z_i^(a_i)), e_i = +-1 and
+    a_i in 1..3, whose sup on the polydisk, prod_i (1 + r_i^(a_i)), is
+    attained at a torus sample: z_i = r_i w_i with w_i^(a_i) = e_i, and
+    such a w_i is one of 1, -1 and i.  The sup is rational, so ``norm_T``
+    is exactly [v, v], compared on squares: the torus sampler must
+    evaluate the maximising sample exactly, wherever its row lies."""
+
+    @staticmethod
+    def check(signs, powers, rho):
+        coeffs = {}
+        for chosen in itertools.product((0, 1), repeat=len(signs)):
+            coeffs[tuple(a * c for a, c in zip(powers, chosen))] = \
+                math.prod(e for e, c in zip(signs, chosen) if c)
+        f = TruncatedSeries(Z, len(signs), coeffs, sum(powers))
+        v = math.prod(1 + r**a for r, a in zip(rho, powers))
+        nv = norm_T(f, PolyRadius(tuple(rho)))
+        assert (nv.lo ** 2, nv.hi ** 2) == (v ** 2, v ** 2)
+
+    @pytest.mark.parametrize("rho", [(1, 1), (Fraction(1, 2), 1),
+                                     (Fraction(2, 3), Fraction(5, 4))],
+                             ids=["1,1", "1/2,1", "2/3,5/4"])
+    @pytest.mark.parametrize("signs", list(itertools.product((1, -1),
+                                                             repeat=2)))
+    def test_two_variables(self, signs, rho):
+        for powers in itertools.product(range(1, 4), repeat=2):
+            self.check(signs, powers, [Fraction(r) for r in rho])
+
+    @pytest.mark.parametrize("rho", [(1, 1, 1), (Fraction(1, 2), 1, 1),
+                                     (Fraction(2, 3), Fraction(5, 4),
+                                      Fraction(3, 7))],
+                             ids=["1,1,1", "1/2,1,1", "2/3,5/4,3/7"])
+    @pytest.mark.parametrize("signs", list(itertools.product((1, -1),
+                                                             repeat=3)))
+    def test_three_variables(self, signs, rho):
+        for powers in itertools.product(range(1, 4), repeat=3):
+            self.check(signs, powers, [Fraction(r) for r in rho])
 
 
 class TestTorusShortcuts:
@@ -838,10 +880,17 @@ def ranked_terms(draw):
     return list(zip(indices, weights)), count
 
 
+def ranking_delta(weighted, n):
+    """The float error bound delta of ``_torus_max_sq`` for these terms."""
+    D = max(sum(I) for I, _ in weighted)
+    return (len(weighted) + n * (D + 1) + 4) * 2.0**-50
+
+
 class TestColumnRanking:
-    """The float magnitudes that rank the torus samples, one exponent
-    column at a time over the cached circle floats, are those of the
-    per-sample loop to the bit."""
+    """The float magnitudes of every row that the row cut visits, one
+    exponent column at a time over the cached circle powers, are those of
+    the per-sample loop to the bit, and every row it skips holds no
+    sample within 2*delta of the loop's maximum."""
 
     @given(ranked_terms())
     # monomials, and a row (z = -1) whose folded coefficients all cancel
@@ -858,15 +907,26 @@ class TestColumnRanking:
         points = [[p for p in circle if i or p[1] >= 0] for i in range(n)]
         axes = [_circle_axis(count, not i) for i in range(n)]
         assert [list(a[0]) for a in axes] == points
-        mags = _float_magnitudes(weighted, [us for _, us in axes], exps)
-        assert list(map(float.hex, mags)) == \
-            list(map(float.hex, float_magnitudes_loop(weighted, points, exps)))
+        loop = float_magnitudes_loop(weighted, points, exps)
+        width, delta = len(points[-1]), ranking_delta(weighted, n)
+        rows = _ranked_rows(weighted, [_axis_powers(powers, E) for
+                                       (_, powers), E in zip(axes, exps)],
+                            delta)
+        assert len({i for i, _ in rows}) == len(rows)
+        for i, mags in rows:
+            assert list(map(float.hex, mags)) == \
+                list(map(float.hex, loop[i * width:(i + 1) * width]))
+        visited = {i for i, _ in rows}
+        cutoff = max(loop) - 2 * delta
+        assert all(m < cutoff for k, m in enumerate(loop)
+                   if k // width not in visited)
 
     def test_cached_axes_are_bounded_tuples(self):
-        points, us = _circle_axis(392, True)
-        assert len(points) == len(us) == 195
-        assert type(points) is type(us) is tuple
-        assert us == tuple(complex(float(c), float(s)) for c, s in points)
+        points, powers = _circle_axis(392, True)
+        assert len(points) == 195
+        assert type(points) is tuple
+        assert powers[0][1] == tuple(complex(float(c), float(s))
+                                     for c, s in points)
         assert _circle_axis(392, True) is _circle_axis(392, True)
         # every (count, first axis or not) the sampler asks for under the
         # series caps fits at once
@@ -875,9 +935,96 @@ class TestColumnRanking:
         assert len(keys) == 56
         assert len(keys) <= _circle_axis.cache_info().maxsize == 64
 
+    def test_cached_powers_grow_to_the_largest_exponent_asked(self):
+        # a private table, so that the shared cache keeps what it holds
+        points, powers = _circle_axis(56, False)
+        powers = [powers[0][:2]]
+        us = [complex(float(c), float(s)) for c, s in points]
+        for E, length in ((1, 2), (4, 5), (2, 5), (6, 7), (0, 7)):
+            columns = _axis_powers(powers, E)
+            assert columns is powers[0] and len(columns) == length
+            assert type(columns) is tuple
+            assert all(type(c) is tuple and len(c) == len(us)
+                       for c in columns)
+        # u^e = u^(e-1) * u, left to right, as the loop computes it
+        expected = [(1 + 0j,) * len(us)]
+        for _ in range(6):
+            expected.append(tuple(x * u for x, u in zip(expected[-1], us)))
+        assert powers[0] == tuple(expected)
+        # under the series caps the sampler asks an axis of count 8(D + 1)
+        # (n <= 2) for exponents up to D, and one of count 8 (n >= 3) up
+        # to MAX_DEGREE[3]: all 56 keys hold at most 160,811 complex floats
+        largest = {(8, True): MAX_DEGREE[3], (8, False): MAX_DEGREE[3]}
+        for n in (1, 2):
+            for D in range(1, MAX_DEGREE[n] + 1):
+                for upper in (True, False)[:n]:
+                    largest[8 * (D + 1), upper] = D
+        assert len(largest) == 56
+        assert sum(len(_circle_axis(*key)[0]) * (E + 1)
+                   for key, E in largest.items()) == 160_811
+
+    def test_concurrent_growth_stores_a_correct_prefix(self):
+        points, powers = _circle_axis(24, True)
+        reference = _axis_powers([powers[0]], 40)
+        shared, errors = [powers[0][:2]], []
+
+        def grow(seed):
+            for E in [(seed * 7 + k * 13) % 40 + 1 for k in range(60)]:
+                columns = _axis_powers(shared, E)
+                if len(columns) <= E or columns != reference[:len(columns)]:
+                    errors.append(E)
+                if shared[0] != reference[:len(shared[0])]:
+                    errors.append(-E)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(s,))
+                       for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
 
 RANKING_RADII = [Fraction(1, 2**64), Fraction(2, 3), Fraction(1),
                  Fraction(2**40)]
+RANKING_EPSILONS = [Fraction(1, 10**k) for k in range(8, 41)]
+
+
+@st.composite
+def ranking_series(draw):
+    """(f, rho): a series over Q in n = 1 to 4 variables at a radius of
+    ``RANKING_RADII``, either with up to 8 random terms of 64-bit
+    numerators and denominators, or of the tie families of
+    ``TestTorusRanking``: 1 + c z^I (|I| = D, c = +-B or B + 1 for B up
+    to 2^63) plus +-eps z_i for one or two variables z_i."""
+    n = draw(st.integers(1, 4))
+    D = draw(st.integers(1, (8, 4, 2, 1)[n - 1]))
+    if draw(st.booleans()):
+        big = draw(st.sampled_from([1, 2**63 - 1, 2**63]))
+        top = draw(st.tuples(*[st.integers(0, D)] * n).filter(
+            lambda I: sum(I) == D))
+        coeffs = {(0,) * n: Fraction(big),
+                  top: Fraction(draw(st.sampled_from([big, -big, big + 1])))}
+        eps = draw(st.sampled_from(RANKING_EPSILONS))
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               max_size=2, unique=True)):
+            e = tuple(int(j == i) for j in range(n))
+            coeffs[e] = coeffs.get(e, 0) + draw(st.sampled_from([eps, -eps]))
+    else:
+        indices = draw(st.lists(st.tuples(*[st.integers(0, D)] * n).filter(
+            lambda I: sum(I) <= D), min_size=1, max_size=8, unique=True))
+        coeffs = {I: Fraction(draw(st.integers(-2**64, 2**64)),
+                              draw(st.integers(1, 2**64)))
+                  for I in indices}
+    rho = draw(st.lists(st.sampled_from(RANKING_RADII), min_size=n,
+                        max_size=n))
+    return TruncatedSeries(QA, n, coeffs, D), PolyRadius(tuple(rho))
 
 
 class TestTorusRanking:
@@ -888,7 +1035,7 @@ class TestTorusRanking:
     samples tie to within float rounding."""
 
     RADII = RANKING_RADII
-    EPSILONS = [Fraction(1, 10**k) for k in range(8, 41)]
+    EPSILONS = RANKING_EPSILONS
 
     @staticmethod
     def check(f, rho):
@@ -920,6 +1067,20 @@ class TestTorusRanking:
                                         (1, 0): sign * eps,
                                         (0, 1): -sign * eps}, 4)
             self.check(f, [r, r])
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_plus_z2w_along_tied_rows(self, sign):
+        # |1 + z^2 w| is largest wherever u^2 v = 1, for z = r_1 u and
+        # w = r_2 v: in many rows (u fixed) at once, whose bounds and
+        # maxima agree to within float rounding, and eps*z or eps*w
+        # decides among them
+        for r1, r2 in ((Fraction(2**40), Fraction(2, 3)),
+                       (Fraction(9, 4), Fraction(2**40))):
+            for eps in self.EPSILONS[4:23:3]:
+                for e in ((1, 0), (0, 1)):
+                    f = TruncatedSeries(QA, 2, {(0, 0): 1, (2, 1): 1,
+                                                e: sign * eps}, 3)
+                    self.check(f, [r1, r2])
 
     def test_high_degree_at_every_radius(self):
         # at radius 2^40 the term z^48 is 2^1920, past the float range
@@ -964,3 +1125,34 @@ class TestTorusRanking:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("daggeralg.series.MAX_RANKING_ERROR", -1.0)
             assert torus_max_sq(f, rho) == ranked
+
+    @given(ranking_series())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_samples_are_those_near_the_float_maximum(self, case):
+        # the samples evaluated exactly, in order, are those whose float
+        # magnitude in the per-sample loop is within 2*delta of its
+        # maximum: the row cut skips none of them
+        f, rho = case
+        weighted, _ = _weighted_ints(*_scaled_ints(f.coeffs), rho)
+        assume(weighted)
+        samples = []
+        evaluate = series_module._gaussian_value
+
+        def counted(terms, points):
+            samples.append(list(points))
+            return evaluate(terms, points)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series_module, "_gaussian_value", counted)
+            _torus_max_sq(f, weighted)
+        exps = [max(I[i] for I, _ in weighted) for i in range(f.n)]
+        first = next((i for i, E in enumerate(exps) if E), None)
+        circle = _unit_circle_points(8 * (f.degree_bound + 1)
+                                     if f.n <= 2 else 8)
+        points = [[p for p in circle if i != first or p[1] >= 0]
+                  if E else [(1, 0)] for i, E in enumerate(exps)]
+        loop = float_magnitudes_loop(weighted, points, exps)
+        cutoff = max(loop) - 2 * ranking_delta(weighted, f.n)
+        assert samples == [list(p) for p, m in
+                           zip(itertools.product(*points), loop)
+                           if m >= cutoff]
