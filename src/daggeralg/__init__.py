@@ -40,11 +40,8 @@ from .localization import (
     LocalizationSpec,
     koszul_h_check,
     laurent_solve,
-    laurent_spec,
     mayer_vietoris,
     present_localization,
-    rational_spec,
-    weierstrass_spec,
 )
 from .spectrum import (
     fiber_sup,

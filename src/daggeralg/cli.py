@@ -22,6 +22,7 @@ from .localization import (
 from .nonarch import check_adjunction
 from .normed_core import MAX, MAX_RANK, SUM, WeightedFreeModule
 from .scalars import (
+    MAX_RATIONAL_BITS,
     BanachRing,
     integers_archimedean,
     integers_trivial,
@@ -35,6 +36,7 @@ from .series import (
     DaggerPresentation,
     PolyRadius,
     TruncatedSeries,
+    check_caps,
     norm_S,
     norm_T,
 )
@@ -197,6 +199,14 @@ def cmd_localize(args) -> int:
                          f"algebra in {A.n} variables are over the cap of "
                          f"{MAX_LOCALIZED_VARIABLES} variables in all")
     B = present_localization(A, spec)
+    # the printed presentation must pass --algebra's caps
+    for r in B.relations:
+        tail = () if r.tail is None else (r.tail.C, *r.tail.sigma)
+        try:
+            check_caps(r.n, r.degree_bound, [*r.coeffs.values(), *tail])
+        except ValueError as exc:
+            raise ValueError(f"the localized presentation would not read "
+                             f"back: {exc}") from None
     _emit({"presentation": B.to_json()}, args)
     return 0
 
@@ -243,7 +253,7 @@ def cmd_shilov(args) -> int:
     _emit({"confirmed": verdict.confirmed,
            "archimedean_sup": verdict.archimedean_sup.to_json(),
            "max_other_fiber": verdict.max_other.to_json(),
-           "monomial_floor": str(verdict.monomial_floor)}, args)
+           "monomial_floor": str(verdict.max_other.lo)}, args)
     return 0 if verdict.confirmed else 2
 
 
@@ -338,7 +348,11 @@ def _parsers():
     p.add_argument("--spec", required=True,
                    help=f"localization spec JSON file: the algebra's "
                    f"variables plus one per listed series are at most "
-                   f"{MAX_LOCALIZED_VARIABLES}")
+                   f"{MAX_LOCALIZED_VARIABLES}, and a spec whose "
+                   f"presentation --algebra would not read back (a "
+                   f"relation past the series caps of --series in its "
+                   f"variable count, or a rational of over "
+                   f"{MAX_RATIONAL_BITS} bits) exits 1")
     add_common(p)
 
     p = sub.add_parser("koszul", help="validate a one-variable spec for the "

@@ -73,25 +73,6 @@ class LocalizationSpec:
             tuple(TruncatedSeries.from_json(c, ring) for c in witness))
 
 
-def weierstrass_spec(fs, radii=None) -> LocalizationSpec:
-    return LocalizationSpec(WEIERSTRASS, tuple(fs), radii)
-
-
-def laurent_spec(gs, radii=None) -> LocalizationSpec:
-    return LocalizationSpec(LAURENT, tuple(gs), radii)
-
-
-def rational_spec(fs, h, witness=None, radii=None) -> LocalizationSpec:
-    return LocalizationSpec(RATIONAL, tuple(fs), radii, h,
-                            tuple(witness) if witness else None)
-
-
-def _new_variable(ring: BanachRing, n_total: int, position: int,
-                  D: int) -> TruncatedSeries:
-    I = tuple(1 if i == position else 0 for i in range(n_total))
-    return TruncatedSeries.monomial(ring, I, 1, degree_bound=D)
-
-
 def _check_unit_witness(spec: LocalizationSpec):
     """Verify c_0*h + sum c_i*f_i = 1 exactly (polynomial arithmetic)."""
     if spec.witness is None:
@@ -105,15 +86,15 @@ def _check_unit_witness(spec: LocalizationSpec):
     for c, g in zip(spec.witness, gens):
         term = multiply(c, g)
         total = term if total is None else total.add(term)
-    one = TruncatedSeries.constant(total.ring, 1, total.n, total.degree_bound)
-    if total.sub(one).coeffs:
+    if total.sub(TruncatedSeries.constant(total.ring, 1, total.n)).coeffs:
         raise UnitIdealWitnessMissing("witness combination does not equal 1")
 
 
 def present_localization(A: DaggerPresentation,
                          spec: LocalizationSpec) -> DaggerPresentation:
     """Extend A's presentation by the variables and relations of one
-    localization step."""
+    localization step.  A new variable is a monomial of degree bound 1,
+    and ``add`` and ``multiply`` give each relation its degree bound."""
     if not spec.fs:
         return A
     for f in spec.fs:
@@ -124,18 +105,17 @@ def present_localization(A: DaggerPresentation,
             raise DimensionMismatch("denominator not in the base algebra")
         _check_unit_witness(spec)
 
-    k = len(spec.fs)
-    n_new = A.n + k
-    D = max([f.degree_bound for f in spec.fs] + [1]) + 1
+    n_new = A.n + len(spec.fs)
     rho = PolyRadius(tuple(A.rho) + tuple(spec.radii))
     relations = [r.embed(n_new) for r in A.relations]
     for i, f in enumerate(spec.fs):
-        var = _new_variable(A.ring, n_new, A.n + i, D)
+        var = TruncatedSeries.monomial(
+            A.ring, tuple(int(j == A.n + i) for j in range(n_new)))
         fe = f.embed(n_new)
         if spec.variant == WEIERSTRASS:
             relations.append(var.sub(fe))
         elif spec.variant == LAURENT:
-            one = TruncatedSeries.constant(A.ring, 1, n_new, 0)
+            one = TruncatedSeries.constant(A.ring, 1, n_new)
             relations.append(multiply(fe, var).sub(one))
         else:
             he = spec.h.embed(n_new)

@@ -70,7 +70,12 @@ def read_rational(x) -> Fraction:
     if type(x) is str and x.strip("0123456789+-./"):
         raise ValueError(f"{x!r}: a rational is written with ASCII digits, "
                          f"'+', '-', '/' and '.' alone")
-    x = as_fraction(x)
+    return check_bits(as_fraction(x))
+
+
+def check_bits(x: Fraction) -> Fraction:
+    """x, unless its numerator or denominator has more than
+    ``MAX_RATIONAL_BITS`` bits."""
     bits = max(x.numerator.bit_length(), x.denominator.bit_length())
     if bits > MAX_RATIONAL_BITS:
         raise ValueError(f"a {bits}-bit rational is over the cap of "
@@ -287,6 +292,9 @@ def abs_ints(ring: BanachRing, nums: Sequence[int],
 # ---------------------------------------------------------------------------
 # certified roots
 
+# the width of every root bracket that is not exact: 1 over an integer
+ROOT_PRECISION = Fraction(1, 10**9)
+
 
 def _integer_nth_root(m: int, n: int) -> int:
     """floor(m ** (1/n)) for m >= 0, n >= 1: ``math.isqrt`` for n = 2,
@@ -313,22 +321,20 @@ def _integer_nth_root(m: int, n: int) -> int:
         x = y
 
 
-def rational_root_bounds(a: Fraction, n: int, precision: Fraction):
-    """Return (lo, hi) rationals with lo <= a**(1/n) <= hi, hi-lo <= precision.
+def rational_root_bounds(a: Fraction, n: int):
+    """Return (lo, hi) rationals with lo <= a**(1/n) <= hi and
+    hi - lo <= ``ROOT_PRECISION``.
 
     On the numerator N and the denominator d of a: the exact root when
     both are perfect n-th powers, the denominator's root taken only when
-    the numerator is one; else (r/s, (r+1)/s) for s = ceil(1/precision)
-    and r the floor root of floor(N s^n / d)."""
+    the numerator is one; else (r/s, (r+1)/s) for s the denominator of
+    ``ROOT_PRECISION`` and r the floor root of floor(N s^n / d)."""
     a = as_fraction(a)
-    precision = as_fraction(precision)
     N, d = a.numerator, a.denominator
     if N < 0:
         raise ValueError("radicand must be non-negative")
     if n < 1:
         raise ValueError("root index must be >= 1")
-    if precision.numerator <= 0:
-        raise ValueError("precision must be positive")
     if not N:
         return ZERO, ZERO
     rn = _integer_nth_root(N, n)
@@ -337,11 +343,11 @@ def rational_root_bounds(a: Fraction, n: int, precision: Fraction):
         if rd**n == d:
             r = Fraction(rn, rd)
             return r, r
-    s = -(-precision.denominator // precision.numerator)
+    s = ROOT_PRECISION.denominator
     r = _integer_nth_root(N * s**n // d, n)
     return Fraction(r, s), Fraction(r + 1, s)
 
 
-def nth_root_interval(x: Fraction, n: int, precision) -> NormValue:
+def nth_root_interval(x: Fraction, n: int) -> NormValue:
     """``rational_root_bounds`` of the rational x as a ``NormValue``."""
-    return NormValue(*rational_root_bounds(x, n, precision))
+    return NormValue(*rational_root_bounds(x, n))

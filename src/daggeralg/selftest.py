@@ -25,11 +25,12 @@ from .errors import (
     UnsupportedRing,
 )
 from .localization import (
+    LAURENT,
+    RATIONAL,
+    WEIERSTRASS,
+    LocalizationSpec,
     laurent_solve,
-    laurent_spec,
     mayer_vietoris,
-    rational_spec,
-    weierstrass_spec,
     koszul_h_check,
 )
 from .nonarch import check_adjunction, pi_tensor_check
@@ -323,7 +324,8 @@ def criterion_4(seed: int) -> Dict:
     for ring in (rationals_padic(2), rationals_archimedean()):
         A = unit_polydisk(ring, 1)
         x = TruncatedSeries.monomial(ring, (1,))
-        for spec in (weierstrass_spec([x]), laurent_spec([x])):
+        for spec in (LocalizationSpec(WEIERSTRASS, (x,)),
+                     LocalizationSpec(LAURENT, (x,))):
             validated += not _rejects(DaggerAlgError, koszul_h_check, A, spec)
 
     ring = rationals_padic(2)
@@ -331,11 +333,11 @@ def criterion_4(seed: int) -> Dict:
     x = TruncatedSeries.monomial(ring, (1,))
     y = TruncatedSeries.monomial(ring, (0, 1))
     two_series = _rejects(DimensionMismatch, koszul_h_check, A,
-                          weierstrass_spec([x, x]))
+                          LocalizationSpec(WEIERSTRASS, (x, x)))
     rational = _rejects(DimensionMismatch, koszul_h_check, A,
-                        rational_spec([x], x))
+                        LocalizationSpec(RATIONAL, (x,), None, x))
     outside = _rejects(DimensionMismatch, koszul_h_check, A,
-                       weierstrass_spec([y]))
+                       LocalizationSpec(WEIERSTRASS, (y,)))
     return {
         "id": 4,
         "name": "koszul-concentration",

@@ -31,6 +31,7 @@ from .scalars import (
     abs_ints,
     abs_value,
     as_fraction,
+    check_bits,
     integers_archimedean,
     nth_root_interval,
     over_lcm,
@@ -39,8 +40,8 @@ from .scalars import (
 
 Index = Tuple[int, ...]
 
-# tail radius along a variable that no majorant constrains: the new
-# variables of ``embed`` and an untailed factor of a tailed ``multiply``
+# tail radius of the new variables of ``embed``, which no majorant
+# constrains
 DEFAULT_DISCARD_SIGMA = Fraction(2)
 
 # caps on a series read from JSON: the largest degree bound D for each
@@ -149,16 +150,15 @@ class TruncatedSeries:
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def constant(ring: BanachRing, c, n: int = 1,
-                 degree_bound: int = 0) -> "TruncatedSeries":
-        return TruncatedSeries(ring, n, {(0,) * n: as_fraction(c)}, degree_bound)
+    def constant(ring: BanachRing, c, n: int = 1) -> "TruncatedSeries":
+        """The constant c in n variables, of degree bound 0."""
+        return TruncatedSeries(ring, n, {(0,) * n: as_fraction(c)}, 0)
 
     @staticmethod
-    def monomial(ring: BanachRing, I: Index, c=1,
-                 degree_bound=None) -> "TruncatedSeries":
+    def monomial(ring: BanachRing, I: Index) -> "TruncatedSeries":
+        """X^I in len(I) variables, of degree bound |I|."""
         I = tuple(I)
-        D = sum(I) if degree_bound is None else degree_bound
-        return TruncatedSeries(ring, len(I), {I: as_fraction(c)}, D)
+        return TruncatedSeries(ring, len(I), {I: Fraction(1)}, sum(I))
 
     @staticmethod
     def from_univariate(ring: BanachRing, coeff_list) -> "TruncatedSeries":
@@ -246,12 +246,8 @@ class TruncatedSeries:
     def from_json(obj, ring: BanachRing) -> "TruncatedSeries":
         n, D, pairs, tail = members(obj, "series", {
             "n": int, "D": int, "coeffs": list, "tail": (dict, NULL)})
-        if n not in MAX_DEGREE:
-            raise ValueError(f"series in {n} variables: 1 to "
-                             f"{max(MAX_DEGREE)} are accepted")
-        if not 0 <= D <= MAX_DEGREE[n]:
-            raise ValueError(f"series degree bound {D} is outside 0.."
-                             f"{MAX_DEGREE[n]} for {n} variables")
+        # each rational is checked against the bit cap as it is read
+        check_caps(n, D, ())
         cap = math.comb(D + n, n)
         if len(pairs) > cap:
             raise ValueError(f"{len(pairs)} series coefficients are over "
@@ -274,6 +270,20 @@ class TruncatedSeries:
                                                      "sigma": list})
             tail = Tail(read_rational(C), PolyRadius.from_json(sigma))
         return TruncatedSeries(ring, n, coeffs, D, tail)
+
+
+def check_caps(n: int, D: int, rationals) -> None:
+    """Raise ``ValueError`` unless a series in n variables of degree bound
+    D, with these coefficients and tail parts, is within the caps of
+    ``TruncatedSeries.from_json``."""
+    if n not in MAX_DEGREE:
+        raise ValueError(f"series in {n} variables: 1 to "
+                         f"{max(MAX_DEGREE)} are accepted")
+    if not 0 <= D <= MAX_DEGREE[n]:
+        raise ValueError(f"series degree bound {D} is outside 0.."
+                         f"{MAX_DEGREE[n]} for {n} variables")
+    for x in rationals:
+        check_bits(x)
 
 
 def _combine_tails_add(f: TruncatedSeries, g: TruncatedSeries,
@@ -618,11 +628,12 @@ def _product_item(axes, index: int):
     return item[::-1]
 
 
-def _torus_max_sq(f: TruncatedSeries, weighted,
-                  points_per_var: Optional[int] = None) -> Fraction:
+def _torus_max_sq(f: TruncatedSeries, weighted) -> Fraction:
     """Largest |sum w_I u^I|^2 over the torus samples u, exact, for the
     (I, w_I) pairs of ``_weighted_ints``: this is den^2 times the
     largest |f(z)|^2 over the samples z = rho * u of |z_i| = rho_i.
+    Each axis takes ``_unit_circle_points(8(D + 1))`` for f's degree
+    bound D when n <= 2, else ``_unit_circle_points(8)``.
 
     Two passes.  Floats rank the samples by |g(u)|, where
     g = sum beta_I u^I with beta_I = w_I / S and S = sum |w_I|, so that
@@ -685,15 +696,14 @@ def _torus_max_sq(f: TruncatedSeries, weighted,
     """
     if not weighted:
         return Fraction(0)
-    if points_per_var is None:
-        points_per_var = 8 * (f.degree_bound + 1) if f.n <= 2 else 8
+    count = 8 * (f.degree_bound + 1) if f.n <= 2 else 8
     exps = [max(I[i] for I, _ in weighted) for i in range(f.n)]
     # f does not vary along the axis of a variable that no term uses,
     # which takes the one point 1.  Rational coefficients give
     # |f(conj z)| = |f(z)|, and the sample set is closed under
     # conjugation: the first other axis needs only im >= 0
     first = next((i for i, E in enumerate(exps) if E), None)
-    axes = [_circle_axis(points_per_var, i == first) if E else _ONE_POINT
+    axes = [_circle_axis(count, i == first) if E else _ONE_POINT
             for i, E in enumerate(exps)]
     points = [axis for axis, _ in axes]
     samples = itertools.product(*points)
@@ -716,15 +726,6 @@ def _torus_max_sq(f: TruncatedSeries, weighted,
         if sq_num * den > num * sq_den:
             num, den = sq_num, sq_den
     return Fraction(num, den)
-
-
-def _torus_lower_bound(f: TruncatedSeries, weighted, den: int,
-                       points_per_var: Optional[int] = None) -> Fraction:
-    """Certified lower bound for sup |f(z)| on the torus |z_i| = rho_i of
-    the known coefficients alone, from ``_weighted_ints``: the
-    largest exactly evaluated sample, rounded down by the root bracket."""
-    best_sq = _torus_max_sq(f, weighted, points_per_var) / (den * den)
-    return nth_root_interval(best_sq, 2, Fraction(1, 10**9)).lo
 
 
 def norm_T(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
@@ -757,7 +758,8 @@ def archimedean_sup(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     # no torus sample exceeds the coefficient sum, so none can raise a
     # Cauchy bound equal to it, as for a series of at most one term
     if (f.tail is None or not f.tail.C) and cauchy != total:
-        lo = max(lo, _torus_lower_bound(f, weighted, den))
+        best_sq = _torus_max_sq(f, weighted) / (den * den)
+        lo = max(lo, nth_root_interval(best_sq, 2).lo)
     return NormValue(lo, hi)
 
 
@@ -782,9 +784,13 @@ def multiply(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     """Coefficient convolution, exact to degree f.D + g.D, which no
     product of known coefficients exceeds.  A factor with a tail leaves
     the product coefficients above its own degree bound unknown, so the
-    exact part then stops there, and a geometric tail with radius shrunk
-    by 3/4 (to absorb the polynomial count of convolution cross terms)
-    bounds the rest."""
+    exact part then stops there, and a geometric tail bounds the rest.
+    Over a non-Archimedean ring |c_K| <= max |a_I||b_J| <= C_f C_g
+    sigma^(-K), for sigma the least radius of the tailed factors (an
+    untailed one is bounded at any radius) and C_f, C_g their
+    ``_global_majorant_constant`` there; over an Archimedean ring the
+    radius 3 sigma / 4 and ``_poly_growth_constant`` absorb the
+    (|K| + 1)^n terms of c_K."""
     f._check_compatible(g)
     tailed = [h for h in (f, g) if h.tail is not None]
     D = min([f.degree_bound + g.degree_bound]
@@ -803,17 +809,13 @@ def multiply(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     if tailed:
         # the majorant bounds every true product coefficient, so the
         # partial sums above D are dropped
-        sigma_min = tuple(
-            min(
-                f.tail.sigma[i] if f.tail else DEFAULT_DISCARD_SIGMA,
-                g.tail.sigma[i] if g.tail else DEFAULT_DISCARD_SIGMA,
-            )
-            for i in range(f.n)
-        )
-        Cf = _global_majorant_constant(f, sigma_min)
-        Cg = _global_majorant_constant(g, sigma_min)
-        sigma = PolyRadius(tuple(s * Fraction(3, 4) for s in sigma_min))
-        tail = Tail(Cf * Cg * _poly_growth_constant(f.n), sigma)
+        sigma = tuple(map(min, zip(*(h.tail.sigma for h in tailed))))
+        C = _global_majorant_constant(f, sigma) * \
+            _global_majorant_constant(g, sigma)
+        if not f.ring.non_archimedean:
+            C *= _poly_growth_constant(f.n)
+            sigma = tuple(s * Fraction(3, 4) for s in sigma)
+        tail = Tail(C, PolyRadius(sigma))
     return TruncatedSeries(f.ring, f.n, kept, D, tail)
 
 

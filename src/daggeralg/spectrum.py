@@ -59,8 +59,6 @@ from .series import (
     norm_S,
 )
 
-ROOT_PRECISION = Fraction(1, 10**9)
-
 
 def _tail_gauss_bound(f: TruncatedSeries, rho: PolyRadius
                       ) -> Optional[Fraction]:
@@ -140,7 +138,7 @@ def spectral_via_powers(f: TruncatedSeries, rho: PolyRadius,
     for k, bound in enumerate(_power_sums(f, rho, n_max), start=2):
         if known.hi != known.lo:
             bound += known.hi**k - known.lo**k
-        out.append(nth_root_interval(bound, k, ROOT_PRECISION))
+        out.append(nth_root_interval(bound, k))
     return out
 
 
@@ -148,8 +146,7 @@ def spectral_via_powers(f: TruncatedSeries, rho: PolyRadius,
 class ShilovVerdict:
     confirmed: bool
     archimedean_sup: NormValue
-    max_other: NormValue
-    monomial_floor: Fraction  # max rho^I, dominated by the Archimedean fiber
+    max_other: NormValue  # lo is max rho^I over the support
 
 
 def shilov_check(f: TruncatedSeries, rho: PolyRadius) -> ShilovVerdict:
@@ -171,4 +168,4 @@ def shilov_check(f: TruncatedSeries, rho: PolyRadius) -> ShilovVerdict:
     arch = fiber_sup(f, rationals_archimedean(), rho)
     other = fiber_sup(f, integers_trivial(), rho)
     confirmed = other.hi is not None and other.hi <= arch.lo
-    return ShilovVerdict(confirmed, arch, other, other.lo)
+    return ShilovVerdict(confirmed, arch, other)

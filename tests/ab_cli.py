@@ -7,10 +7,12 @@ twice gives an A/A run).  Their packages are loaded in one process under
 the distinct names ``daggeralg_a`` and ``daggeralg_b``.  The `cli-mix`
 ops of ``bench/workloads.py`` at the seed (the first ``OPS``), generated
 by CHANGE's copy of it, run through both ``cli.main``s back to back,
-``REPS`` times each, in alternating order.  Every op must give the same
-exit code, stdout and stderr under both; the first difference exits 1.
-The report gives each side's total op time, their ratio (parent /
-change, above 1 when the change is faster) and the same by subcommand.
+``REPS`` times each, in alternating order.  Every op should give the
+same exit code, stdout and stderr under both.  The report gives each
+side's total op time, their ratio (parent / change, above 1 when the
+change is faster) and the same by subcommand, with the count of ops
+whose outputs differ and the first such op of each subcommand; any
+difference exits 1.
 
 Not a test: pytest does not collect it, and it needs no dependency
 beyond the benchmark's own.
@@ -82,6 +84,8 @@ def main(argv=None) -> int:
     sides = {"parent": load_cli(args.parent, "daggeralg_a"),
              "change": load_cli(args.change, "daggeralg_b")}
     totals = {side: defaultdict(float) for side in sides}
+    # subcommand -> [differing ops, the argv of the first]
+    differing = {}
     with tempfile.TemporaryDirectory() as workdir:
         ops = cli_mix_ops(os.path.abspath(args.change), args.seed, OPS,
                           workdir)
@@ -91,6 +95,7 @@ def main(argv=None) -> int:
                 run(cli, op_argv)
         gc.collect()
         for i, (kind, op_argv) in enumerate(ops):
+            differs = False
             for rep in range(REPS):
                 order = list(sides) if (i + rep) % 2 == 0 else \
                     list(sides)[::-1]
@@ -98,23 +103,26 @@ def main(argv=None) -> int:
                 for side in order:
                     seconds, results[side] = run(sides[side], op_argv)
                     totals[side][kind] += seconds
-                if results["parent"] != results["change"]:
-                    print(f"error: outputs differ on {' '.join(op_argv)}",
-                          file=sys.stderr)
-                    return 1
+                differs |= results["parent"] != results["change"]
+            if differs:
+                differing.setdefault(kind, [0, op_argv])[0] += 1
 
     report = {"seed": args.seed, "ops": len(ops), "reps": REPS,
-              "outputs_identical": True, "by_subcommand": {}}
+              "outputs_identical": not differing, "by_subcommand": {}}
     for kind in sorted(totals["parent"]):
         a, b = totals["parent"][kind], totals["change"][kind]
+        count, first = differing.get(kind, (0, None))
         report["by_subcommand"][kind] = {
             "parent_s": round(a, 4), "change_s": round(b, 4),
-            "ratio": round(a / b, 4)}
+            "ratio": round(a / b, 4), "differing_ops": count}
+        if first:
+            report["by_subcommand"][kind]["first_differing"] = \
+                " ".join(first)
     a, b = sum(totals["parent"].values()), sum(totals["change"].values())
     report.update(parent_s=round(a, 4), change_s=round(b, 4),
                   ratio=round(a / b, 4))
     print(json.dumps(report, indent=2))
-    return 0
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

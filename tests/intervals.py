@@ -5,8 +5,6 @@ non-negative multiples and powers are taken endpoint by endpoint; an
 open upper end (``hi = None``) stays open.
 """
 
-from fractions import Fraction
-
 from daggeralg.scalars import NormValue, as_fraction, rational_root_bounds
 
 
@@ -38,8 +36,7 @@ def contains(a: NormValue, x) -> bool:
     return a.lo <= x and (a.hi is None or x <= a.hi)
 
 
-def pow_interval(x: NormValue, e, precision=Fraction(1, 10**6)
-                 ) -> NormValue:
+def pow_interval(x: NormValue, e) -> NormValue:
     """x ** e for a non-negative rational exponent e = a/b, certified: the
     a-th power of each end, then the lower root bracket of index b of the
     lower end and the upper one of the upper end."""
@@ -47,7 +44,7 @@ def pow_interval(x: NormValue, e, precision=Fraction(1, 10**6)
     if e < 0:
         raise ValueError("exponent must be non-negative")
     a, b = e.numerator, e.denominator
-    lo = rational_root_bounds(x.lo**a, b, precision)[0]
+    lo = rational_root_bounds(x.lo**a, b)[0]
     hi = None if x.hi is None else \
-        rational_root_bounds(x.hi**a, b, precision)[1]
+        rational_root_bounds(x.hi**a, b)[1]
     return NormValue(lo, hi)

@@ -2,6 +2,7 @@
 
     python3 tests/mutants.py            # every mutant
     python3 tests/mutants.py 21 22 23   # the mutants of these numbers
+    python3 tests/mutants.py --every 9  # every failing test, not the first
 
 Each mutant below breaks one bound that a printed interval rests on, by
 one exact string replacement in one package module.  For each mutant the
@@ -9,10 +10,13 @@ repository is copied to a temporary directory, the replacement is made
 there (it must match exactly once, so a mutant that no longer fits the
 code stops the audit), and the tier-1 suite runs on the copy with
 ``-x``.  A mutant is killed when the suite fails; the table names the
-first failing test.  An unmutated copy runs first and must pass.
+first failing test.  With ``--every`` the suite runs without ``-x`` and
+the table lists every failing test, so that one can see whether a test
+that checks an enclosure against an independent value is among them.
+An unmutated copy runs first and must pass.
 
-Exits 0 when every mutant run is killed, 1 otherwise, and 2 on a
-number that names no mutant.  Not a test: pytest does not collect it.
+Exits 0 when every mutant run is killed, 1 otherwise, and 2 on an
+argument that names no mutant.  Not a test: pytest does not collect it.
 A run takes a few minutes per mutant.
 """
 
@@ -46,18 +50,18 @@ MUTANTS = [
     ("size table's sum without its first term", "series.py",
      "poly = Fraction(sum(sizes), den)",
      "poly = Fraction(sum(sizes[1:]), den)"),
-    ("multiply without its 3/4 shrink", "series.py",
-     "sigma = PolyRadius(tuple(s * Fraction(3, 4) for s in sigma_min))",
-     "sigma = PolyRadius(tuple(sigma_min))"),
-    ("multiply without its growth constant", "series.py",
-     "Tail(Cf * Cg * _poly_growth_constant(f.n), sigma)",
-     "Tail(Cf * Cg, sigma)"),
+    ("Archimedean multiply without its 3/4 shrink", "series.py",
+     "sigma = tuple(s * Fraction(3, 4) for s in sigma)",
+     "sigma = tuple(sigma)"),
+    ("Archimedean multiply without its growth constant", "series.py",
+     "C *= _poly_growth_constant(f.n)",
+     "C *= 1"),
     ("torus lower bound kept for a tailed series", "series.py",
      "if (f.tail is None or not f.tail.C) and cauchy != total:",
      "if cauchy != total:"),
     ("torus lower bound rounded up", "series.py",
-     "Fraction(1, 10**9)).lo",
-     "Fraction(1, 10**9)).hi"),
+     "lo = max(lo, nth_root_interval(best_sq, 2).lo)",
+     "lo = max(lo, nth_root_interval(best_sq, 2).hi)"),
     ("root bracket's hi rounded down", "scalars.py",
      "return Fraction(r, s), Fraction(r + 1, s)",
      "return Fraction(r, s), Fraction(r, s)"),
@@ -102,41 +106,56 @@ MUTANTS = [
     ("torus rows visited in product order, not by bound", "series.py",
      "for i in sorted(range(rows), key=bounds.__getitem__, reverse=True):",
      "for i in range(rows):"),
+    ("non-Archimedean multiply still shrunk by 3/4 and grown", "series.py",
+     "        if not f.ring.non_archimedean:\n"
+     "            C *= _poly_growth_constant(f.n)",
+     "        if True:\n"
+     "            C *= _poly_growth_constant(f.n)"),
+    ("multiply's sigma over both factors, 2 for an untailed one",
+     "series.py",
+     "sigma = tuple(map(min, zip(*(h.tail.sigma for h in tailed))))",
+     "sigma = tuple(map(min, zip(*(h.tail.sigma if h.tail else "
+     "(Fraction(2),) * f.n for h in (f, g)))))"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
                                 ".pytest_cache", ".bench_work")
 
 
-def run_suite(copy: str):
-    """(failed, first failing test or a note) for tier-1 with -x on the
-    copy, with its own package first on the path."""
+def run_suite(copy: str, every: bool):
+    """(failed, failing tests or a note) for tier-1 on the copy, with its
+    own package first on the path: with -x and the first failing test,
+    or, when ``every``, without it and every failing test."""
     env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"))
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider", "--continue-on-collection-errors"],
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors", *([] if every else ["-x"])],
             cwd=copy, env=env, capture_output=True, text=True,
             timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
         return True, f"timed out after {TIMEOUT_S} s"
-    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.M)
+    failed = re.findall(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.M)
     if done.returncode == 0:
         return False, ""
-    return True, failed.group(1) if failed else f"exit {done.returncode}"
+    return True, "\n      ".join(failed) if failed else \
+        f"exit {done.returncode}"
 
 
 def main(argv) -> int:
+    every = "--every" in argv
+    argv = [a for a in argv if a != "--every"]
     chosen = [int(a) for a in argv if a.isdigit()]
     if len(chosen) != len(argv) or \
             not all(1 <= i <= len(MUTANTS) for i in chosen):
-        print(f"usage: mutants.py [N ...], N in 1..{len(MUTANTS)}")
+        print(f"usage: mutants.py [--every] [N ...], N in "
+              f"1..{len(MUTANTS)}")
         return 2
     chosen = chosen or range(1, len(MUTANTS) + 1)
     with tempfile.TemporaryDirectory() as tmp:
         copy = os.path.join(tmp, "repo")
         shutil.copytree(ROOT, copy, ignore=IGNORE)
-        failed, note = run_suite(copy)
+        failed, note = run_suite(copy, every)
         if failed:
             print(f"the unmutated suite fails ({note}): no audit")
             return 1
@@ -154,7 +173,7 @@ def main(argv) -> int:
                 fh.write(source.replace(old, new))
             start = time.perf_counter()
             try:
-                killed, note = run_suite(copy)
+                killed, note = run_suite(copy, every)
             finally:
                 with open(path, "w") as fh:
                     fh.write(source)

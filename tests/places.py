@@ -28,7 +28,6 @@ from daggeralg.scalars import (
     rationals_padic,
 )
 from daggeralg.series import PolyRadius, TruncatedSeries, norm_T
-from daggeralg.spectrum import ROOT_PRECISION
 from intervals import join, pow_interval, scale
 from loops import is_zero, rho_power
 
@@ -81,7 +80,7 @@ class Place:
         size = self.size(x)
         if size == 0:
             return NormValue.exact(0)
-        return pow_interval(NormValue.exact(size), self.eps, ROOT_PRECISION)
+        return pow_interval(NormValue.exact(size), self.eps)
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ class ArchPower:
         size = self.size(x)
         if size == 0:
             return NormValue.exact(0)
-        return pow_interval(NormValue.exact(size), self.eps, ROOT_PRECISION)
+        return pow_interval(NormValue.exact(size), self.eps)
 
 
 def gauss_fiber_loop(f: TruncatedSeries, place: Place, rho: PolyRadius
@@ -168,7 +167,7 @@ def radius_bracket(rho: PolyRadius, eps: Fraction
     inner, outer = [], []
     for r in rho:
         x = r**b
-        root = nth_root_interval(x, a, ROOT_PRECISION)
+        root = nth_root_interval(x, a)
         inner.append(max(root.lo, min(x, 1)))
         outer.append(root.hi)
     return PolyRadius(tuple(inner)), PolyRadius(tuple(outer))
@@ -198,7 +197,7 @@ def place_sup(f: TruncatedSeries, place, rho: PolyRadius) -> NormValue:
                              for I, a in g.coeffs.items()), default=0), None)
     else:
         sup = NormValue(norm_T(g, inner).lo, norm_T(g, outer).hi)
-    return pow_interval(sup, place.eps, ROOT_PRECISION)
+    return pow_interval(sup, place.eps)
 
 
 def global_sup_join(f: TruncatedSeries, rho: PolyRadius, prime_bound: int,

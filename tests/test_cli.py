@@ -1,10 +1,13 @@
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -23,8 +26,14 @@ from daggeralg.cli import (
     parse_ring,
     parse_rho,
 )
+from daggeralg.localization import LocalizationSpec, present_localization
 from daggeralg.scalars import MAX_RATIONAL_BITS, _is_prime, integers_archimedean
-from daggeralg.series import TruncatedSeries, polyradius
+from daggeralg.series import (
+    MAX_DEGREE,
+    DaggerPresentation,
+    TruncatedSeries,
+    polyradius,
+)
 from daggeralg.spectrum import power_work
 
 
@@ -331,6 +340,151 @@ class TestLocalizeAndKoszul:
                      "--spec", spec])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of one ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# a radius or tail radius at the 64-bit input cap
+BIG = str(2**64 - 1)
+
+
+@st.composite
+def localize_series(draw, n, ring):
+    """A series object in n variables within the input caps, with up to
+    four coefficients of at most 62 bits, so that 1 minus one of them
+    stays within 64, and a tail of 64-bit parts in half the draws.  Half
+    the degree bounds are at most 2, so that most specs print."""
+    top = MAX_DEGREE[n]
+    D = draw(st.integers(0, top) | st.integers(0, min(top, 2)))
+    indices = draw(st.lists(st.tuples(*[st.integers(0, D)] * n).filter(
+        lambda I: sum(I) <= D), max_size=4, unique=True))
+    num = st.integers(-2**62, 2**62)
+    integral = ring["kind"].startswith("Integers")
+    coeff = num.map(str) if integral else st.builds(
+        lambda a, b: f"{a}/{b}", num, st.integers(1, 2**62))
+    obj = {"n": n, "D": D,
+           "coeffs": [[list(I), draw(coeff)] for I in indices]}
+    if draw(st.booleans()):
+        radius = st.sampled_from(["1/2", "3/2", "2", "7", BIG])
+        obj["tail"] = {"C": draw(st.sampled_from(["0", "1", "5/3", BIG])),
+                       "sigma": draw(st.lists(radius, min_size=n,
+                                              max_size=n))}
+    return obj
+
+
+def one_minus(h):
+    """The series object 1 - h, without h's tail."""
+    n, const = h["n"], [0] * h["n"]
+    coeffs = {tuple(I): -Fraction(c) for I, c in h["coeffs"]}
+    coeffs[tuple(const)] = coeffs.get(tuple(const), 0) + 1
+    return {"n": n, "D": h["D"],
+            "coeffs": [[list(I), str(c)] for I, c in coeffs.items()]}
+
+
+@st.composite
+def localize_inputs(draw):
+    """(algebra, spec): an algebra in n variables with up to two
+    relations, tailed or not, and a spec of k series with n + k <= 4.  A
+    rational spec lists 1 - h first, so that the witness (1, 1, 0, ...)
+    gives 1."""
+    ring = draw(st.sampled_from([
+        {"kind": "IntegersArchimedean"}, {"kind": "IntegersTrivial"},
+        {"kind": "Rationals_pAdic", "p": 3},
+        {"kind": "RationalsArchimedean"}]))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 4 - n))
+    radius = st.sampled_from(["1", "1/2", "3", BIG])
+    algebra = {"ring": ring, "n": n,
+               "rho": draw(st.lists(radius, min_size=n, max_size=n)),
+               "relations": draw(st.lists(localize_series(n, ring),
+                                          max_size=2))}
+    variant = draw(st.sampled_from(["weierstrass", "laurent", "rational"]))
+    fs = draw(st.lists(localize_series(n, ring), min_size=k, max_size=k))
+    spec = {"variant": variant, "fs": fs,
+            "radii": draw(st.lists(radius, min_size=k, max_size=k))}
+    if variant == "rational":
+        h = draw(localize_series(n, ring))
+        spec["h"] = h
+        if fs:
+            fs[0] = one_minus(h)
+        const = {"n": n, "D": 0, "coeffs": [[[0] * n, "1"]]}
+        spec["witness"] = [const, const] + [
+            {"n": n, "D": 0, "coeffs": []}] * (k - 1)
+    return algebra, spec
+
+
+class TestLocalizeReadsBack:
+    """Every presentation that ``localize`` prints is an algebra that
+    ``--algebra`` reads back, and a spec whose presentation would not be
+    exits 1 with one ``error:`` line."""
+
+    READ_BACK = "error: the localized presentation would not read back: "
+
+    @settings(max_examples=150, deadline=None)
+    @given(localize_inputs())
+    def test_every_printed_presentation_reads_back(self, case):
+        algebra, spec = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            argv = ["localize", "--algebra",
+                    write_json(tmp / "A.json", algebra),
+                    "--spec", write_json(tmp / "s.json", spec)]
+            code, out, err = run_main(argv)
+            if code == 0:
+                B = json.loads(out)["presentation"]
+                empty = {"variant": spec["variant"], "fs": []}
+                if spec["variant"] == "rational":
+                    empty["h"] = spec["h"]
+                again = run_main([
+                    "localize", "--algebra", write_json(tmp / "B.json", B),
+                    "--spec", write_json(tmp / "e.json", empty)])
+                # read back, and an empty spec prints the input's bytes
+                assert again == (0, out, "")
+                return
+        assert code == 1 and err.startswith(self.READ_BACK)
+        assert err.count("\n") == 1
+        # the presentation is indeed past the caps of the reader
+        A = DaggerPresentation.from_json(algebra)
+        B = present_localization(A, LocalizationSpec.from_json(spec, A.ring))
+        with pytest.raises(ValueError):
+            DaggerPresentation.from_json(B.to_json())
+
+    LAURENT_D1 = {"n": 1, "D": 1, "coeffs": [[[1], "1"]]}
+
+    @pytest.mark.parametrize("algebra,spec,cause", [
+        # three Laurent series of D = 1: f*Y - 1 has D = 2 in 4 variables
+        ({"ring": {"kind": "Rationals_pAdic", "p": 3}, "n": 1,
+          "rho": ["1"], "relations": []},
+         {"variant": "laurent", "fs": [LAURENT_D1] * 3},
+         "series degree bound 2 is outside 0..1 for 4 variables"),
+        # a relation of D = 6 in 2 variables, embedded into 3
+        ({"ring": {"kind": "IntegersArchimedean"}, "n": 2,
+          "rho": ["1", "1"],
+          "relations": [{"n": 2, "D": 6, "coeffs": [[[6, 0], "1"],
+                                                    [[0, 0], "-1"]]}]},
+         {"variant": "weierstrass",
+          "fs": [{"n": 2, "D": 1, "coeffs": [[[1, 0], "1"]]}]},
+         "series degree bound 6 is outside 0..4 for 3 variables"),
+        # a tailed Laurent series with a 64-bit sigma: the product's tail
+        # constant has 80 bits
+        ({"ring": {"kind": "IntegersArchimedean"}, "n": 1, "rho": ["1"],
+          "relations": []},
+         {"variant": "laurent",
+          "fs": [{"n": 1, "D": 1, "coeffs": [[[0], "1"], [[1], "1"]],
+                  "tail": {"C": "1", "sigma": [BIG]}}]},
+         "a 80-bit rational is over the cap of 64 bits"),
+    ], ids=["laurent-D2-in-4", "relation-D6-in-3", "tail-80-bits"])
+    def test_unreadable_spec_rejected(self, tmp_path, algebra, spec, cause):
+        code, out, err = run_main([
+            "localize", "--algebra", write_json(tmp_path / "A.json", algebra),
+            "--spec", write_json(tmp_path / "s.json", spec)])
+        assert (code, out, err) == (1, "", self.READ_BACK + cause + "\n")
 
 
 class TestMVCommand:
@@ -831,7 +985,9 @@ class TestInputCaps:
         A = write_json(tmp_path / "A.json", {
             "ring": {"kind": "Rationals_pAdic", "p": 2}, "n": n,
             "rho": ["1"] * n, "relations": []})
-        f = {"n": n, "D": 1, "coeffs": [[[1] + [0] * (n - 1), "1"]]}
+        # a constant: X - 2 and 2Y - 1 have degree bound 1, which reads
+        # back at 4 variables
+        f = {"n": n, "D": 0, "coeffs": [[[0] * n, "2"]]}
         for k, code in ((4 - n, 0), (5 - n, 1)):
             spec = write_json(tmp_path / "spec.json",
                               {"variant": variant, "fs": [f] * k})
@@ -867,6 +1023,10 @@ class TestInputCaps:
                      "term pairs is at most 4000000"),
         ("localize", "the algebra's variables plus one per listed series are "
                      "at most 4"),
+        ("localize", "a spec whose presentation --algebra would not read "
+                     "back (a relation past the series caps of --series in "
+                     "its variable count, or a rational of over 64 bits) "
+                     "exits 1"),
     ])
     def test_caps_stated_in_help(self, capsys, command, stated):
         assert main([command, "--help"]) == 0

@@ -11,15 +11,14 @@ from daggeralg.errors import (
     UnitIdealWitnessMissing,
 )
 from daggeralg.localization import (
+    LAURENT,
     RATIONAL,
+    WEIERSTRASS,
     LocalizationSpec,
     koszul_h_check,
     laurent_solve,
-    laurent_spec,
     mayer_vietoris,
     present_localization,
-    rational_spec,
-    weierstrass_spec,
 )
 from daggeralg.scalars import (
     integers_archimedean,
@@ -49,7 +48,7 @@ def x_var(ring):
 class TestPresentLocalization:
     def test_weierstrass_adds_variable_and_relation(self):
         A = unit_polydisk(Q2)
-        B = present_localization(A, weierstrass_spec((x_var(Q2),)))
+        B = present_localization(A, LocalizationSpec(WEIERSTRASS, (x_var(Q2),)))
         assert B.n == 2
         assert len(B.relations) == 1
         rel = B.relations[0]
@@ -59,7 +58,7 @@ class TestPresentLocalization:
 
     def test_laurent_relation(self):
         A = unit_polydisk(Q2)
-        B = present_localization(A, laurent_spec((x_var(Q2),)))
+        B = present_localization(A, LocalizationSpec(LAURENT, (x_var(Q2),)))
         rel = B.relations[0]
         # relation X*Y - 1
         assert rel.coefficient((1, 1)) == 1
@@ -72,7 +71,7 @@ class TestPresentLocalization:
             TruncatedSeries.constant(QA, Fraction(1, 2)),
             TruncatedSeries.constant(QA, 0),
         )
-        spec = rational_spec((x_var(QA),), h, witness)
+        spec = LocalizationSpec(RATIONAL, (x_var(QA),), None, h, witness)
         B = present_localization(A, spec)
         rel = B.relations[0]
         # relation h*Y - f = 2Y - X
@@ -91,18 +90,18 @@ class TestPresentLocalization:
         h = TruncatedSeries.constant(QA, 2)
         witness = (TruncatedSeries.constant(QA, 1),
                    TruncatedSeries.constant(QA, 0))
-        spec = rational_spec((x_var(QA),), h, witness)
+        spec = LocalizationSpec(RATIONAL, (x_var(QA),), None, h, witness)
         with pytest.raises(UnitIdealWitnessMissing):
             present_localization(A, spec)
 
     def test_empty_spec_is_identity(self):
         A = unit_polydisk(Q2)
-        assert present_localization(A, weierstrass_spec(())) is A
+        assert present_localization(A, LocalizationSpec(WEIERSTRASS)) is A
 
     def test_ring_mismatch(self):
         A = unit_polydisk(Q2)
         with pytest.raises(DimensionMismatch):
-            present_localization(A, weierstrass_spec((x_var(QA),)))
+            present_localization(A, LocalizationSpec(WEIERSTRASS, (x_var(QA),)))
 
     def test_spec_json_round_trip(self):
         h = TruncatedSeries.constant(QA, 2)
@@ -110,7 +109,8 @@ class TestPresentLocalization:
             TruncatedSeries.constant(QA, Fraction(1, 2)),
             TruncatedSeries.constant(QA, 0),
         )
-        spec = rational_spec((x_var(QA),), h, witness, (Fraction(1, 2),))
+        spec = LocalizationSpec(RATIONAL, (x_var(QA),), (Fraction(1, 2),), h,
+                                witness)
         obj = {"variant": "rational", "fs": [x_var(QA).to_json()],
                "radii": ["1/2"], "h": h.to_json(),
                "witness": [c.to_json() for c in witness]}
@@ -218,21 +218,22 @@ def fraction_laurent_solve(g, t, D):
 class TestKoszul:
     def test_weierstrass_concentrated(self):
         A = unit_polydisk(Q2)
-        assert koszul_h_check(A, weierstrass_spec((x_var(Q2),))) is None
+        assert koszul_h_check(A, LocalizationSpec(WEIERSTRASS, (x_var(Q2),))) is None
 
     def test_laurent_concentrated(self):
         A = unit_polydisk(QA)
-        assert koszul_h_check(A, laurent_spec((x_var(QA),))) is None
+        assert koszul_h_check(A, LocalizationSpec(LAURENT, (x_var(QA),))) is None
 
     def test_single_variable_only(self):
         A = unit_polydisk(Q2)
         with pytest.raises(DimensionMismatch):
-            koszul_h_check(A, weierstrass_spec((x_var(Q2), x_var(Q2))))
+            koszul_h_check(A, LocalizationSpec(WEIERSTRASS, (x_var(Q2), x_var(Q2))))
 
     def test_rational_spec_rejected(self):
         A = unit_polydisk(Q2)
         with pytest.raises(DimensionMismatch):
-            koszul_h_check(A, rational_spec((x_var(Q2),), x_var(Q2)))
+            koszul_h_check(A, LocalizationSpec(RATIONAL, (x_var(Q2),), None,
+                                                  x_var(Q2)))
 
     def test_spec_validated_as_localize_does(self):
         """A series in two variables over the one-variable disk and a zero
@@ -240,9 +241,9 @@ class TestKoszul:
         A = unit_polydisk(Q2)
         y = TruncatedSeries.monomial(Q2, (0, 1))
         with pytest.raises(DimensionMismatch):
-            koszul_h_check(A, weierstrass_spec((y,)))
+            koszul_h_check(A, LocalizationSpec(WEIERSTRASS, (y,)))
         with pytest.raises(ValueError):
-            koszul_h_check(A, weierstrass_spec((x_var(Q2),), (0,)))
+            koszul_h_check(A, LocalizationSpec(WEIERSTRASS, (x_var(Q2),), (0,)))
 
 
 class TestMayerVietoris:

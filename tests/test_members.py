@@ -206,6 +206,26 @@ class TestOperationsKeepMembers:
         kind, f, mf, g, mg = case
         assert_member(kind, multiply(f, g), _mul(mf, mg))
 
+    @given(single(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_multiply_by_a_polynomial(self, case, data):
+        # an untailed factor is its own member and imposes no radius: the
+        # product's tail reaches 3/4 of f's radius over Z and R, all of it
+        # over Z_triv and Q_2, and the sum norm there, past the radius 2
+        # once taken for the polynomial, holds the member's
+        kind, f, member, _ = case
+        D = data.draw(st.integers(0, 2))
+        poly = {I: c for I in _indices(f.n, D)
+                if (c := data.draw(st.sampled_from([0, 1, -3])))}
+        product = multiply(f, TruncatedSeries(RINGS[kind], f.n, poly, D))
+        value = _mul(member, poly)
+        assert_member(kind, product, value)
+        shrink = Fraction(3, 4) if kind in ("Z", "R") else 1
+        rho = tuple(s * shrink * Fraction(9, 10) for s in f.tail.sigma)
+        assert contains(norm_S(product, PolyRadius(rho)),
+                        sum((_abs(kind, c) * _power(rho, I)
+                             for I, c in value.items()), Fraction(0)))
+
 
 class TestNormsHoldMembers:
     @given(single())

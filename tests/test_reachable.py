@@ -273,18 +273,9 @@ def test_a_method_named_only_by_a_local_or_a_docstring_is_caught():
 # parameters with a default that no package or bench call passes, kept
 # with the reason
 ALLOWED_DEFAULTS = {
-    "weierstrass_spec.radii": "public constructor mirroring the optional "
-    "JSON field",
-    "laurent_spec.radii": "public constructor mirroring the optional JSON "
-    "field",
-    "rational_spec.radii": "public constructor mirroring the optional "
-    "JSON field",
-    "rational_spec.witness": "public constructor mirroring the optional "
-    "JSON field",
     "mayer_vietoris.disk_radius": "criterion 5 passes it through _rejects",
     "mayer_vietoris.annulus_inner": "criterion 5 passes it through "
     "_rejects",
-    "_torus_lower_bound.points_per_var": "the tests' small-grid oracle",
 }
 
 

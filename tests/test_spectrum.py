@@ -23,10 +23,10 @@ from daggeralg.series import (
     TruncatedSeries,
     multiply,
     norm_S,
+    norm_T,
     polyradius,
 )
 from daggeralg.spectrum import (
-    ROOT_PRECISION,
     fiber_sup,
     global_sup,
     power_work,
@@ -301,6 +301,56 @@ class TestGaussFibers:
 
 
 @st.composite
+def value_group_ties(draw):
+    """(f, rho, v): a series over Q_p, p = 2, 3 or 5, at rho_i = p^(j_i)
+    on the value group, whose largest terms |a_I|_p rho^I tie at
+    v = p^t.  Each a_I is a unit u_I times p^(j.I - t + d_I), with
+    d_I = 0 for two or more I and d_I >= 1 for the rest, so that
+    |a_I|_p rho^I = p^(t - d_I)."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 2))
+    js = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    t = draw(st.integers(-2, 2))
+    D = (6, 4)[n - 1]
+    indices = draw(st.lists(st.tuples(*[st.integers(0, D)] * n).filter(
+        lambda I: sum(I) <= D), min_size=2, max_size=6, unique=True))
+    ties = draw(st.integers(2, len(indices)))
+    prime_to_p = st.integers(1, 60).filter(lambda u: u % p)
+    coeffs = {}
+    for k, I in enumerate(indices):
+        d = 0 if k < ties else draw(st.integers(1, 3))
+        unit = Fraction(draw(prime_to_p) * draw(st.sampled_from([1, -1])),
+                        draw(prime_to_p))
+        e = sum(j * i for j, i in zip(js, I)) - t + d
+        coeffs[I] = unit * Fraction(p) ** e
+    rho = PolyRadius(tuple(Fraction(p) ** j for j in js))
+    return (TruncatedSeries(rationals_padic(p), n, coeffs, D), rho,
+            Fraction(p) ** t)
+
+
+class TestValueGroupBoundary:
+    """A Gauss norm at a boundary of the value group is the closed form
+    p^t exactly, whichever terms tie there; coefficients with p in the
+    denominator make the common denominator L of the size table carry
+    v_p(L) > 0."""
+
+    @given(value_group_ties())
+    # 1 + X/p at rho = 1/p: |1/p|_p (1/p) = 1 ties with the constant
+    @example((TruncatedSeries(Q2, 1, {(0,): 1, (1,): Fraction(1, 2)}, 1),
+              polyradius(Fraction(1, 2)), Fraction(1)))
+    @example((TruncatedSeries(Q3, 1, {(0,): 1, (1,): Fraction(1, 3)}, 1),
+              polyradius(Fraction(1, 3)), Fraction(1)))
+    @example((TruncatedSeries(rationals_padic(5), 1,
+                              {(0,): 1, (1,): Fraction(1, 5)}, 1),
+              polyradius(Fraction(1, 5)), Fraction(1)))
+    @settings(max_examples=150, deadline=None)
+    def test_norm_T_and_fiber_sup_are_the_closed_form(self, case):
+        f, rho, v = case
+        assert norm_T(f, rho) == NormValue(v, v)
+        assert fiber_sup(f, f.ring, rho) == NormValue(v, v)
+
+
+@st.composite
 def integer_polys(draw):
     """An integer polynomial with n <= 2, D <= 5 and coefficients +-1 to
     +-9, and a polyradius with components from 1/2 to 2."""
@@ -333,8 +383,7 @@ def off_grid_points(draw, rho):
         coords = []
         for r in rho:
             # |c| <= rho^(1/eps), the a-th root of rho^b for eps = a/b
-            edge, _ = rational_root_bounds(r**eps.denominator, eps.numerator,
-                                           Fraction(1, 10**9))
+            edge, _ = rational_root_bounds(r**eps.denominator, eps.numerator)
             coords.append(edge * Fraction(draw(st.integers(-16, 16)), 16))
     else:
         place = Place(PADIC, Fraction(a, b), draw(st.sampled_from(
@@ -446,7 +495,7 @@ def multiply_chain(f, rho, n_max):
     out, power = [], f
     for k in range(1, n_max + 1):
         hi = norm_S(power, rho).hi
-        out.append(nth_root_interval(hi, k, ROOT_PRECISION))
+        out.append(nth_root_interval(hi, k))
         if k < n_max:
             power = multiply(power, f)
     return out
@@ -498,7 +547,7 @@ def binomial_chain(f, rho, n_max):
     out, power = [], p
     for k in range(1, n_max + 1):
         bound = norm_S(power, rho).hi + known.hi**k - known.lo**k
-        out.append(nth_root_interval(bound, k, ROOT_PRECISION))
+        out.append(nth_root_interval(bound, k))
         if k < n_max:
             power = multiply(power, p)
     return out
@@ -600,16 +649,16 @@ class TestShilov:
         v = shilov_check(zpoly(1, 1), ONE)
         assert v.confirmed
         assert v.archimedean_sup.lo >= v.max_other.hi
-        assert v.monomial_floor == 1
+        assert v.max_other.lo == 1
 
     def test_confirmed_at_larger_radius(self):
         v = shilov_check(zpoly(1, 0, 3), polyradius(2))
-        assert v.confirmed and v.monomial_floor == 4
+        assert v.confirmed and v.max_other.lo == 4
 
     def test_radius_below_one_confirmed(self):
         # Cauchy: M(rho) >= max |a_I| rho^I >= max rho^I at every radius
         v = shilov_check(zpoly(1, 0, 3), polyradius(Fraction(1, 2)))
-        assert v.confirmed and v.monomial_floor == 1
+        assert v.confirmed and v.max_other.lo == 1
         assert v.max_other == NormValue.exact(1)
 
     def test_zero_series_rejected(self):

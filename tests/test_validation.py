@@ -15,7 +15,6 @@ from daggeralg.localization import (
     LocalizationSpec,
     laurent_solve,
     present_localization,
-    rational_spec,
 )
 from daggeralg.normed_core import (
     SUM,
@@ -77,12 +76,12 @@ CASES = {
         lambda: LocalizationSpec("rational", (x(),)),
         ValueError, "rational variant needs the denominator h"),
     "witness length": (
-        lambda: present_localization(unit_polydisk(Q2), rational_spec(
-            [x()], one(), [one()])),
+        lambda: present_localization(unit_polydisk(Q2), LocalizationSpec(
+            "rational", (x(),), None, one(), (one(),))),
         UnitIdealWitnessMissing, "witness length does not match generators"),
     "denominator outside the algebra": (
-        lambda: present_localization(unit_polydisk(Q2), rational_spec(
-            [x()], one(Q2, 2), [one(), one()])),
+        lambda: present_localization(unit_polydisk(Q2), LocalizationSpec(
+            "rational", (x(),), None, one(Q2, 2), (one(), one()))),
         DimensionMismatch, "denominator not in the base algebra"),
     "laurent_solve target arity": (
         lambda: laurent_solve(x(), one(Q2, 3), 4),
@@ -123,14 +122,11 @@ CASES = {
         lambda: BanachRing(KIND_Z_ARCH, 2),
         ValueError, "p only meaningful for the p-adic kind"),
     "negative radicand": (
-        lambda: rational_root_bounds(Fraction(-1), 2, Fraction(1, 8)),
+        lambda: rational_root_bounds(Fraction(-1), 2),
         ValueError, "radicand must be non-negative"),
     "root index zero": (
-        lambda: rational_root_bounds(Fraction(2), 0, Fraction(1, 8)),
+        lambda: rational_root_bounds(Fraction(2), 0),
         ValueError, "root index must be >= 1"),
-    "precision zero": (
-        lambda: rational_root_bounds(Fraction(2), 2, Fraction(0)),
-        ValueError, "precision must be positive"),
     # series
     "strictly_less lengths": (
         lambda: polyradius(1).strictly_less(polyradius(2, 2)),

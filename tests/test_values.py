@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import daggeralg
-from daggeralg.localization import weierstrass_spec
+from daggeralg.localization import WEIERSTRASS, LocalizationSpec
 from daggeralg.normed_core import (
     SUM,
     MAX,
@@ -47,7 +47,7 @@ def _samples():
     tail = Tail(Fraction(1, 3), polyradius(2, 1))
     series = TruncatedSeries(Z, 2, {(1, 0): Fraction(3), (0, 2): 5}, 2,
                              tail)
-    x = TruncatedSeries.monomial(Z, (1,), 2)
+    x = TruncatedSeries.monomial(Z, (1,)).scale(2)
     return [
         NormValue(Fraction(1, 2), None),
         rationals_padic(3),
@@ -62,9 +62,8 @@ def _samples():
         series,
         DaggerPresentation(Z, 1, polyradius(2), (x,)),
         TensorElement(M, M, (((1, 2), (0, 3)),)),
-        weierstrass_spec([x], [Fraction(1, 2)]),
-        ShilovVerdict(True, NormValue.exact(3), NormValue.exact(2),
-                      Fraction(1)),
+        LocalizationSpec(WEIERSTRASS, (x,), (Fraction(1, 2),)),
+        ShilovVerdict(True, NormValue.exact(3), NormValue.exact(2)),
     ]
 
 
