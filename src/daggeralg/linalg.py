@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals and integer lattices.
 
-Matrices are lists of rows of Fractions (or ints for lattice routines).
-Small and dense on purpose: everything in this package is desk scale.
+Matrices are lists of rows of rationals (Fractions or ints); every
+routine computes on integers and returns integers.  Small and dense on
+purpose: everything in this package is desk scale.
 """
 
 from __future__ import annotations
@@ -15,22 +16,15 @@ from .scalars import over_lcm
 Matrix = List[List[Fraction]]
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
 def rref(A: Matrix):
-    """Row-reduce a copy of A; returns (R, pivot_columns).
+    """Row-reduce a copy of A without fractions; returns (M, pivots).
 
-    Fraction-free Gauss-Jordan: each row is scaled to integers over the
-    lcm of its denominators, a row is cleared against the pivot row by
-    integer cross-multiplication and divided by its content, and each
-    pivot row is divided by its pivot once, at the end.  R holds
-    Fractions; its rows past the rank are zero.
+    Each row is scaled to integers over the lcm of its denominators, a
+    row is cleared against the pivot row by integer cross-multiplication
+    and divided by its content.  M holds these integer rows: row r is
+    nonzero at pivots[r] and zero at every other pivot, so the reduced
+    row echelon form of A is M[r] / M[r][pivots[r]], and the rows past
+    the rank are zero.
     """
     M = [over_lcm(row)[0] for row in A]
     rows = len(M)
@@ -56,39 +50,48 @@ def rref(A: Matrix):
         r += 1
         if r == rows:
             break
-    zero = Fraction(0)
-    R = [[Fraction(x, row[c]) if x else zero for x in row]
-         for row, c in zip(M, pivots)]
-    R.extend([zero] * cols for _ in range(rows - r))
-    return R, pivots
+    return M, pivots
 
 
 def solve(A: Matrix, B: Matrix, cols: int):
-    """(X, K): for each column b of B, the solution of A x = b over Q
-    whose free coordinates are 0, or None if there is none; and the
-    basis of {x : A x = 0} over Q read from the free columns.  A has
+    """(X, L, K) on integers, from one ``rref`` of [A | B].  A has
     ``cols`` columns and B as many rows as A.
 
-    One ``rref`` of [A | B].  Its rows past the rank of A are zero in A,
-    so a column of B has a solution exactly when it is zero in them.
-    Adding those rows to the first ones changes neither the part in A
-    nor such a column, so both read as in the reduction of [A | b] alone.
+    L is the lcm of the pivots of A's part.  For each column b of B, X
+    holds the numerators over L of the solution of A x = b whose free
+    coordinates are 0, or None if there is none: x at the pivot of row
+    r is M[r][b] / M[r][pivot] = M[r][b] (L / M[r][pivot]) / L.  K is
+    the basis of {x : A x = 0} over Q read from the free columns, each
+    vector e_fc - (column fc) as its primitive integer multiple, L at
+    fc over the gcd of its entries, so positive there.
+
+    The rows past the rank of A are zero in A, so a column of B has a
+    solution exactly when it is zero in them.  Adding those rows to the
+    first ones changes neither the part in A nor such a column, so both
+    read as in the reduction of [A | b] alone.
     """
-    R, pivots = rref([list(a) + list(b) for a, b in zip(A, B, strict=True)])
+    M, pivots = rref([list(a) + list(b) for a, b in zip(A, B, strict=True)])
     pivots = [c for c in pivots if c < cols]
+    rows = M[:len(pivots)]
+    L = math.lcm(*[row[c] for row, c in zip(rows, pivots)])
+    scale = [L // row[c] for row, c in zip(rows, pivots)]
 
     def column(c):
-        x = [Fraction(0)] * cols
-        for row, pc in zip(R, pivots):
-            x[pc] = row[c]
+        x = [0] * cols
+        for row, pc, q in zip(rows, pivots, scale):
+            x[pc] = row[c] * q
         return x
 
-    X = [None if any(row[j] for row in R[len(pivots):]) else column(j)
-         for j in range(cols, len(R[0]) if R else cols)]
-    # e_fc - column(fc): 1 at fc, and -R[r][fc] at the pivot of row r
-    K = [[int(c == fc) - x for c, x in enumerate(column(fc))]
-         for fc in range(cols) if fc not in pivots]
-    return X, K
+    X = [None if any(row[j] for row in M[len(pivots):]) else column(j)
+         for j in range(cols, len(M[0]) if M else cols)]
+    K = []
+    for fc in range(cols):
+        if fc not in pivots:
+            b = [-x for x in column(fc)]
+            b[fc] = L
+            g = math.gcd(*b)
+            K.append([x // g for x in b])
+    return X, L, K
 
 
 def reduce_row(columns: List[List[int]], row: int):
@@ -119,11 +122,15 @@ def hnf_column_basis(columns: List[List[int]]) -> List[List[int]]:
 
     Column-style Hermite reduction, one ``reduce_row`` per row: the lead
     of each row joins the basis, so each basis column is zero in the
-    rows above its first nonzero one, and those increase.  A given
-    column that no step touched is returned as the same list.
+    rows above its first nonzero one, and those increase.  Once at most
+    one column is left, no step is needed: it is zero above its first
+    nonzero row, where it would lead.  A given column that no step
+    touched is returned as the same list.
     """
     basis, rest = [], columns
     for row in range(len(columns[0]) if columns else 0):
+        if len(rest) < 2:
+            return basis + [c for c in rest if any(c)]
         lead, rest = reduce_row(rest, row)
         if lead is not None:
             basis.append(lead)

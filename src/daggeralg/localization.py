@@ -74,7 +74,11 @@ class LocalizationSpec:
 
 
 def _check_unit_witness(spec: LocalizationSpec):
-    """Verify c_0*h + sum c_i*f_i = 1 exactly (polynomial arithmetic)."""
+    """Verify c_0*h + sum c_i*f_i = 1 exactly (polynomial arithmetic).
+
+    A tail with C > 0 on the combination stands for coefficients that
+    are not known, so such a combination is not known to be 1, however
+    its known coefficients read."""
     if spec.witness is None:
         raise UnitIdealWitnessMissing(
             "rational localization requires a unit-ideal witness"
@@ -88,6 +92,9 @@ def _check_unit_witness(spec: LocalizationSpec):
         total = term if total is None else total.add(term)
     if total.sub(TruncatedSeries.constant(total.ring, 1, total.n)).coeffs:
         raise UnitIdealWitnessMissing("witness combination does not equal 1")
+    if total.tail is not None and total.tail.C:
+        raise UnitIdealWitnessMissing(
+            "witness combination has a tail, so it is not known to equal 1")
 
 
 def present_localization(A: DaggerPresentation,

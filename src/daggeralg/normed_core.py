@@ -14,6 +14,7 @@ holds many small modules and maps pays for no per-instance ``__dict__``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
@@ -32,7 +33,6 @@ from .scalars import (
     abs_ints,
     as_fraction,
     over_lcm,
-    rationals_archimedean,
     read_rational,
 )
 
@@ -122,9 +122,6 @@ class ModuleMap:
             for x in row:
                 self.source.ring.check_element(x)
 
-    def column(self, j: int) -> List[Fraction]:
-        return [row[j] for row in self.matrix]
-
 
 def operator_norm(f: ModuleMap) -> NormValue:
     """Operator norm from the column ratios |f e_j| / w_j.
@@ -134,12 +131,31 @@ def operator_norm(f: ModuleMap) -> NormValue:
     inequality bounds |f x| by max_j |x_j| |f e_j|.  A max-flavored source
     into a sum-flavored target is only bracketed: the unit vectors give
     the max, the triangle inequality gives the sum, and both can be the
-    norm (the identity on Z_triv^2 with weights 1 has norm 2)."""
-    ratios = [vector_norm(f.target, f.column(j)).hi / w
-              for j, w in enumerate(f.source.weights)]
-    best = max(ratios, default=Fraction(0))
-    if f.source.flavor == MAX and f.target.flavor == SUM:
-        return NormValue(best, sum(ratios, Fraction(0)))
+    norm (the identity on Z_triv^2 with weights 1 has norm 2).
+
+    On integers: column j is N / L by ``over_lcm``, |N_i / L| = A_i / d
+    by ``abs_ints``, and with the target's integer weights W'_i / D' and
+    the source's W_j / D its ratio is T_j D / (d W_j D'), T_j the sum or
+    the max of A_i W'_i.  The ratios T_j / (d W_j) are compared by
+    cross-multiplication, and a ``Fraction`` is built only for a result.
+    """
+    S, T = f.source, f.target
+    ratios = []         # (T_j, d W_j)
+    for column, w in zip(zip(*f.matrix), S.int_weights):
+        A, d = abs_ints(T.ring, *over_lcm(column))
+        terms = map(mul, A, T.int_weights)
+        size = sum(terms) if T.flavor == SUM else max(terms)
+        ratios.append((size, d * w))
+    top, den = 0, 1     # the largest ratio so far
+    for t, d in ratios:
+        if t * den > top * d:
+            top, den = t, d
+    D, Dt = S.weight_den, T.weight_den
+    best = Fraction(top * D, den * Dt)
+    if S.flavor == MAX and T.flavor == SUM:
+        L = math.lcm(*[d for _, d in ratios])
+        total = sum([t * (L // d) for t, d in ratios])
+        return NormValue(best, Fraction(total * D, L * Dt))
     return NormValue.exact(best)
 
 
@@ -165,8 +181,9 @@ def cokernel(f: ModuleMap) -> PresentedModule:
 
 
 def _relation_columns(M: PresentedModule) -> List[List[int]]:
-    """The relation columns, as integer vectors."""
-    return [[int(x) for x in col] for col in zip(*M.relations.matrix)]
+    """The relation columns, as integer vectors: the numerators of
+    entries that ``ModuleMap`` checked to be integers."""
+    return [[x.numerator for x in col] for col in zip(*M.relations.matrix)]
 
 
 # search nodes a residue search visits before it stops: coefficients
@@ -192,7 +209,7 @@ def residue_norm(M: PresentedModule, v: Sequence) -> NormValue:
     ring = M.ambient.ring
     if not ring.integral:
         raise UnsupportedRing("residue norms are certified on lattice rings only")
-    v = [int(ring.check_element(x)) for x in v]
+    v = [ring.check_element(x).numerator for x in v]
     if len(v) != M.ambient.rank:
         raise DimensionMismatch("class representative has wrong length")
     search = _trivial_residue_norm if ring.non_archimedean \
@@ -229,37 +246,49 @@ def _pruned_residue_norm(M: PresentedModule, v: List[int]):
     until both sides cost at least the best (Schnorr-Euchner).  At the
     last level every row is fixed, and only the minimum is visited."""
     W = M.ambient.int_weights
-    order = sorted(range(len(v)), key=lambda i: -W[i])
+    # heaviest first; a stable sort keeps equal weights in their order
+    order = sorted(range(len(v)), key=W.__getitem__, reverse=True)
     W, v = [W[i] for i in order], [v[i] for i in order]
     basis = linalg.hnf_column_basis([[c[i] for i in order]
                                      for c in _relation_columns(M)])
     best = sum(map(mul, map(abs, v), W))
     if not basis:
         return best, True
-    leads = [next(i for i, x in enumerate(b) if x) for b in basis]
-    levels = [(b, [(i, b[i], W[i]) for i in range(lead, end) if b[i]],
-               [i for i in range(lead, end) if not b[i]])
-              for b, lead, end in zip(basis, leads, leads[1:] + [len(v)])]
+    # the row of each column's first nonzero entry
+    leads = [b.index(next(filter(None, b))) for b in basis]
+    # per level: b_t; the rows of its segment where it moves, as
+    # (i, b_i, W_i); their |b_i| W_i and its total; and the rows of the
+    # segment where it is zero, as (i, W_i)
+    levels = []
+    for b, lead, end in zip(basis, leads, leads[1:] + [len(v)]):
+        rows, sizes, fixed = [], [], []
+        for i in range(lead, end):
+            if b[i]:
+                rows.append((i, b[i], W[i]))
+                sizes.append(abs(b[i]) * W[i])
+            else:
+                fixed.append((i, W[i]))
+        levels.append((b, rows, sizes, sum(sizes), fixed))
     last = len(basis) - 1
     nodes = 0
 
     def search(t, x, partial):
         nonlocal best, nodes
-        b, moving, fixed = levels[t]
-        for i in fixed:
-            partial += abs(x[i]) * W[i]
-
-        def cost(k):
-            return partial + sum([abs(x[i] + k * bi) * wi
-                                  for i, bi, wi in moving])
-
-        floors = sorted([(-x[i] // bi, abs(bi) * wi) for i, bi, wi in moving])
-        total, acc = sum([w for _, w in floors]), 0
-        for m, w in floors:
-            acc += 2 * w
-            if acc >= total:
-                break
-        down, up = [m, cost(m)], [m + 1, cost(m + 1)]
+        b, rows, sizes, total, fixed = levels[t]
+        for i, wi in fixed:
+            partial += abs(x[i]) * wi
+        if len(rows) == 1:
+            (i, bi, _), = rows
+            m = -x[i] // bi
+        else:
+            acc = 0
+            for m, a in sorted(zip([-x[i] // bi for i, bi, _ in rows],
+                                   sizes)):
+                acc += 2 * a
+                if acc >= total:
+                    break
+        down = [m, partial + _segment_cost(x, rows, m)]
+        up = [m + 1, partial + _segment_cost(x, rows, m + 1)]
         if t == last:
             best = min(best, down[1], up[1])
             return
@@ -274,13 +303,21 @@ def _pruned_residue_norm(M: PresentedModule, v: List[int]):
                 raise _OverBudget
             search(t + 1, [xi + k * bi for xi, bi in zip(x, b)], c)
             side[0] = k + step
-            side[1] = cost(k + step)
+            side[1] = partial + _segment_cost(x, rows, k + step)
 
     try:
         search(0, v, sum(map(mul, map(abs, v[:leads[0]]), W)))
     except _OverBudget:
         return best, False
     return best, True
+
+
+def _segment_cost(x, rows, k):
+    """sum |x_i + k b_i| W_i over the rows (i, b_i, W_i) of a segment."""
+    cost = 0
+    for i, bi, wi in rows:
+        cost += abs(x[i] + k * bi) * wi
+    return cost
 
 
 def _trivial_residue_norm(M: PresentedModule, v: List[int]):
@@ -359,34 +396,42 @@ def check_strictness(f: ModuleMap) -> StrictWithConstants:
     so c = w'_min / |(1, ..., 1)|_w.  Over Z, with g a rational right
     inverse on the image (f g f = f), x - g f x lies in ker_Q, and
     rounding its coordinates in b_j, the Q-basis of ker_Q from
-    ``linalg.solve`` each scaled by ``over_lcm`` to a primitive integer
-    vector, gives a kernel vector k with |x - k| <= ||g|| |f x| + mu,
-    mu = 1/2 sum_j |b_j|_w.  So c = 1 / (||g|| + mu / w'_min).  The b_j
-    can span a proper sublattice of the integer kernel: for (-2 -3 -1)
-    they miss (-1, 1, -1).  The zero map gets (1, 1)."""
+    ``linalg.solve`` as primitive integer vectors, gives a kernel vector
+    k with |x - k| <= ||g|| |f x| + mu, mu = 1/2 sum_j |b_j|_w.  So
+    c = 1 / (||g|| + mu / w'_min).  The b_j can span a proper sublattice
+    of the integer kernel: for (-2 -3 -1) they miss (-1, 1, -1).  The
+    zero map gets (1, 1).
+
+    On integers, with the source weights W_i / D, the target's W'_i / D'
+    and w = min W'_i: ``solve`` gives g's columns as numerators over L,
+    the lcm of its pivots, so ||g|| = G D' / (L D W'_r), G / W'_r the
+    largest sum_i |N_i| W_i / W'_r over the columns, each for its row r;
+    mu / w'_min = K D' / (2 D w), K the sum of sum_i |b_ji| W_i; and so
+    c = 2 w L W'_r D / ((2 w G + K L W'_r) D')."""
     ring = f.source.ring
     if not ring.integral:
         raise UnsupportedRing("strictness constants need Z or Z_triv")
     C = operator_norm(f).hi
     if C == 0:
         return StrictWithConstants(Fraction(1), Fraction(1))
-    w_min = min(f.target.weights)
+    S, T = f.source, f.target
+    D, Dt, w = S.weight_den, T.weight_den, min(T.int_weights)
     if ring.non_archimedean:
-        ones = vector_norm(f.source, [1] * f.source.rank).hi
-        return StrictWithConstants(w_min / ones, C)
-    # g sends e_i, for each row i of an independent set R of rows of f,
-    # to a solution of f_R x = e_i, and the other generators to 0; f_R
+        ones = sum(S.int_weights) if S.flavor == SUM else max(S.int_weights)
+        return StrictWithConstants(Fraction(w * D, ones * Dt), C)
+    # g sends e_r, for each row r of an independent set R of rows of f,
+    # to a solution of f_R x = e_r, and the other generators to 0; f_R
     # has the row space, so the kernel, of f
-    _, rows = linalg.rref(linalg.transpose(f.matrix))
-    g, kernel = linalg.solve([f.matrix[i] for i in rows],
-                             linalg.identity(len(rows)), f.source.rank)
-    source_Q = WeightedFreeModule(rationals_archimedean(), f.source.weights,
-                                  SUM)
-    g_norm = max(vector_norm(source_Q, x).hi / f.target.weights[i]
-                 for i, x in zip(rows, g))
-    # over_lcm(b) is primitive: b is 1 at its free coordinate, where the
-    # numerator is L, and the full power in L of a prime p of L divides
-    # some entry's denominator, whose numerator p then misses
-    mu = sum((vector_norm(f.source, over_lcm(b)[0]).hi for b in kernel),
-             Fraction(0)) / 2
-    return StrictWithConstants(1 / (g_norm + mu / w_min), C)
+    _, rows = linalg.rref(list(zip(*f.matrix)))
+    k = len(rows)
+    X, L, kernel = linalg.solve([f.matrix[r] for r in rows],
+                                [[int(i == j) for j in range(k)]
+                                 for i in range(k)], S.rank)
+    G, Wr = 0, 1
+    for r, x in zip(rows, X):
+        n = sum(map(mul, map(abs, x), S.int_weights))
+        if n * Wr > G * T.int_weights[r]:
+            G, Wr = n, T.int_weights[r]
+    K = sum([sum(map(mul, map(abs, b), S.int_weights)) for b in kernel])
+    return StrictWithConstants(
+        Fraction(2 * w * L * Wr * D, (2 * w * G + K * L * Wr) * Dt), C)

@@ -69,14 +69,16 @@ MUTANTS = [
      "return NormValue(hi if ended else Fraction(0), hi)",
      "return NormValue(hi, hi)"),
     ("Z residue search skipping every other k", "normed_core.py",
-     "side[0] = k + step\n            side[1] = cost(k + step)",
-     "side[0] = k + 2 * step\n            side[1] = cost(k + 2 * step)"),
+     "side[0] = k + step\n"
+     "            side[1] = partial + _segment_cost(x, rows, k + step)",
+     "side[0] = k + 2 * step\n"
+     "            side[1] = partial + _segment_cost(x, rows, k + 2 * step)"),
     ("strictness c without its rounding term", "normed_core.py",
-     "StrictWithConstants(1 / (g_norm + mu / w_min), C)",
-     "StrictWithConstants(1 / g_norm, C)"),
+     "Fraction(2 * w * L * Wr * D, (2 * w * G + K * L * Wr) * Dt), C)",
+     "Fraction(L * Wr * D, G * Dt), C)"),
     ("strictness c doubled over Z_triv", "normed_core.py",
-     "StrictWithConstants(w_min / ones, C)",
-     "StrictWithConstants(2 * w_min / ones, C)"),
+     "StrictWithConstants(Fraction(w * D, ones * Dt), C)",
+     "StrictWithConstants(Fraction(2 * w * D, ones * Dt), C)"),
     ("power estimates without their tail term", "spectrum.py",
      "bound += known.hi**k - known.lo**k",
      "pass"),
@@ -95,7 +97,7 @@ MUTANTS = [
      "shift = V + _valuation(L, p)",
      "shift = V"),
     ("mixed operator norm reported as exact at the max", "normed_core.py",
-     "return NormValue(best, sum(ratios, Fraction(0)))",
+     "return NormValue(best, Fraction(total * D, L * Dt))",
      "return NormValue.exact(best)"),
     ("torus row cut without its margin", "series.py",
      "if bounds[i] + delta < best - 2 * delta:",
@@ -116,6 +118,17 @@ MUTANTS = [
      "sigma = tuple(map(min, zip(*(h.tail.sigma for h in tailed))))",
      "sigma = tuple(map(min, zip(*(h.tail.sigma if h.tail else "
      "(Fraction(2),) * f.n for h in (f, g)))))"),
+    ("solve's numerators without their pivot-lcm factor (g's norm)",
+     "linalg.py",
+     "            x[pc] = row[c] * q\n",
+     "            x[pc] = row[c]\n"),
+    ("operator norm's ratios compared without the weight denominator",
+     "normed_core.py",
+     "ratios.append((size, d * w))",
+     "ratios.append((size, d))"),
+    ("strictness mu not halved", "normed_core.py",
+     "(2 * w * G + K * L * Wr) * Dt), C)",
+     "(2 * w * G + 2 * K * L * Wr) * Dt), C)"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",

@@ -392,7 +392,7 @@ def localize_inputs(draw):
     """(algebra, spec): an algebra in n variables with up to two
     relations, tailed or not, and a spec of k series with n + k <= 4.  A
     rational spec lists 1 - h first, so that the witness (1, 1, 0, ...)
-    gives 1."""
+    gives 1, or, when h has a tail, 1 with the witness (0, 1, 0, ...)."""
     ring = draw(st.sampled_from([
         {"kind": "IntegersArchimedean"}, {"kind": "IntegersTrivial"},
         {"kind": "Rationals_pAdic", "p": 3},
@@ -411,11 +411,15 @@ def localize_inputs(draw):
     if variant == "rational":
         h = draw(localize_series(n, ring))
         spec["h"] = h
-        if fs:
-            fs[0] = one_minus(h)
         const = {"n": n, "D": 0, "coeffs": [[[0] * n, "1"]]}
-        spec["witness"] = [const, const] + [
-            {"n": n, "D": 0, "coeffs": []}] * (k - 1)
+        zero = {"n": n, "D": 0, "coeffs": []}
+        # h + (1 - h) carries h's tail, so a tailed h gets f_1 = 1 and
+        # the witness (0, 1)
+        tailed = "tail" in h
+        if fs:
+            fs[0] = const if tailed else one_minus(h)
+        spec["witness"] = [zero if tailed else const, const] + \
+            [zero] * (k - 1)
     return algebra, spec
 
 

@@ -8,31 +8,14 @@ from sympy.matrices.normalforms import hermite_normal_form
 
 from daggeralg import linalg
 from daggeralg.scalars import over_lcm
+from loops import fraction_kernel, fraction_rref, fraction_solve
 
 
-def fraction_rref(A):
-    """Gauss-Jordan on Fractions: the reference for ``linalg.rref``."""
-    R = [[Fraction(x) for x in row] for row in A]
-    rows = len(R)
-    cols = len(R[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if R[i][c] != 0), None)
-        if pivot is None:
-            continue
-        R[r], R[pivot] = R[pivot], R[r]
-        inv = R[r][c]
-        R[r] = [x / inv for x in R[r]]
-        for i in range(rows):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return R, pivots
+def reduced(M, pivots):
+    """The reduced row echelon form that ``linalg.rref``'s integer rows
+    stand for: each row over its pivot, zero past the rank."""
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(M, pivots)] \
+        + [[Fraction(x) for x in row] for row in M[len(pivots):]]
 
 
 entries = st.one_of(
@@ -63,44 +46,19 @@ def matrices(draw, max_rows=6, max_cols=6):
     return A
 
 
-def fraction_solve(A, b, cols):
-    """The solution of A x = b whose free coordinates are 0, by
-    ``fraction_rref`` of [A | b], or None if there is none."""
-    R, pivots = fraction_rref([list(row) + [c] for row, c in zip(A, b)])
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for row, pc in zip(R, pivots):
-        x[pc] = row[cols]
-    return x
-
-
-def fraction_kernel(A, cols):
-    """The basis of ker A read from the free columns of ``fraction_rref``."""
-    R, pivots = fraction_rref(A)
-    basis = []
-    for fc in range(cols):
-        if fc not in pivots:
-            v = [Fraction(int(c == fc)) for c in range(cols)]
-            for row, pc in zip(R, pivots):
-                v[pc] = -row[fc]
-            basis.append(v)
-    return basis
-
-
 class TestRref:
     @given(matrices())
     @settings(max_examples=250, deadline=None)
     def test_matches_fraction_gauss_jordan(self, A):
-        R, pivots = linalg.rref(A)
+        M, pivots = linalg.rref(A)
         R_ref, pivots_ref = fraction_rref(A)
         rank = len(pivots)
         assert pivots == pivots_ref
-        assert R[:rank] == R_ref[:rank]
-        assert len(R) == len(A)
-        assert all(x == 0 for row in R[rank:] for x in row)
-        assert all(type(x) is Fraction for row in R for x in row)
-        assert all(len(row) == len(A[0]) for row in R)
+        assert reduced(M, pivots)[:rank] == R_ref[:rank]
+        assert len(M) == len(A)
+        assert all(x == 0 for row in M[rank:] for x in row)
+        assert all(type(x) is int for row in M for x in row)
+        assert all(len(row) == len(A[0]) for row in M)
 
     @given(matrices(), st.lists(entries, min_size=6, max_size=6))
     @settings(max_examples=120, deadline=None)
@@ -112,35 +70,45 @@ class TestRref:
         B = [[sum(row, Fraction(0)) + i,
               sum((a * b for a, b in zip(row, x)), Fraction(0)), 0]
              for i, row in enumerate(A)]
-        X, K = linalg.solve(A, B, cols)
-        assert K == fraction_kernel(A, cols)
-        assert X == ([fraction_solve(A, [r[j] for r in B], cols)
-                      for j in range(3)] if A else [])
+        X, L, K = linalg.solve(A, B, cols)
+        assert K == [over_lcm(b)[0] for b in fraction_kernel(A, cols)]
+        assert [x and [Fraction(N, L) for N in x] for x in X] == (
+            [fraction_solve(A, [r[j] for r in B], cols) for j in range(3)]
+            if A else [])
+        # L is the lcm of the pivots of the reduction
+        M, pivots = linalg.rref([list(a) + b for a, b in zip(A, B)])
+        assert L == math.lcm(*[row[c] for row, c in zip(M, pivots)
+                               if c < cols])
 
     @given(matrices())
     @settings(max_examples=150, deadline=None)
     def test_kernel_vectors_are_primitive_over_lcm(self, A):
-        # each kernel vector is 1 at its free coordinate, so its
-        # numerators over the lcm of its denominators have no common
-        # factor: ``check_strictness`` rounds in them as they are
+        # each kernel vector of the reference is 1 at its free
+        # coordinate, so its numerators over the lcm of its denominators
+        # have no common factor: they are the primitive vectors that
+        # ``solve`` returns and ``check_strictness`` rounds in
         cols = len(A[0]) if A else 0
-        _, K = linalg.solve(A, [[] for _ in A], cols)
-        for b in K:
-            nums, L = over_lcm(b)
-            assert 1 in b and math.gcd(*nums) == 1
-            assert [Fraction(N, L) for N in nums] == b
+        _, _, K = linalg.solve(A, [[] for _ in A], cols)
+        for b, ref in zip(K, fraction_kernel(A, cols), strict=True):
+            nums, L = over_lcm(ref)
+            assert 1 in ref and math.gcd(*nums) == 1
+            assert nums == b
 
     def test_fixed_cases(self):
         assert linalg.rref([]) == ([], [])
         assert linalg.rref([[]]) == ([[]], [])
-        assert linalg.rref([[0, 0], [0, 0]]) == (
-            [[Fraction(0)] * 2, [Fraction(0)] * 2], [])
+        assert linalg.rref([[0, 0], [0, 0]]) == ([[0, 0], [0, 0]], [])
         # the second row is half the first
-        R, pivots = linalg.rref([[2, 4, Fraction(1, 3)],
+        M, pivots = linalg.rref([[2, 4, Fraction(1, 3)],
                                  [1, 2, Fraction(1, 6)],
                                  [Fraction(1, 2), 0, 1]])
         assert pivots == [0, 1]
-        assert R == [[1, 0, 2], [0, 1, Fraction(-11, 12)], [0, 0, 0]]
+        assert reduced(M, pivots) == [[1, 0, 2], [0, 1, Fraction(-11, 12)],
+                                      [0, 0, 0]]
+        assert M == [[-1, 0, -2], [0, -12, 11], [0, 0, 0]]
+        # x = (2, 0) solves x_0 + 2 x_1 = 2 over L = 1, and (-2, 1)
+        # spans the kernel
+        assert linalg.solve([[1, 2]], [[2]], 2) == ([[2, 0]], 1, [[-2, 1]])
 
 
 @st.composite
@@ -174,9 +142,9 @@ def in_span_over_z(basis, t):
     rational solution of B x = t, by ``linalg.solve``, is integral."""
     if not basis:
         return not any(t)
-    (x,), _ = linalg.solve(linalg.transpose(basis), [[c] for c in t],
-                           len(basis))
-    return x is not None and all(c.denominator == 1 for c in x)
+    (x,), L, _ = linalg.solve(list(zip(*basis)), [[c] for c in t],
+                              len(basis))
+    return x is not None and all(c % L == 0 for c in x)
 
 
 class TestLattices:

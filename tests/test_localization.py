@@ -94,6 +94,24 @@ class TestPresentLocalization:
         with pytest.raises(UnitIdealWitnessMissing):
             present_localization(A, spec)
 
+    def test_tailed_combination_rejected(self):
+        """h = 1/2 + X with a tail (C = 1, sigma = 2), f_1 = 1/2 - X and
+        the witness (1, 1): the known coefficients of h + f_1 are those
+        of 1, but its members differ from 1 by h's tail."""
+        A = unit_polydisk(Q3)
+        h = TruncatedSeries(Q3, 1, {(0,): Fraction(1, 2), (1,): Fraction(1)},
+                            1, Tail(1, polyradius(2)))
+        f = TruncatedSeries(Q3, 1, {(0,): Fraction(1, 2),
+                                    (1,): Fraction(-1)}, 1)
+        one = TruncatedSeries.constant(Q3, 1, 1)
+        spec = LocalizationSpec(RATIONAL, (f,), None, h, (one, one))
+        with pytest.raises(UnitIdealWitnessMissing, match="tail"):
+            present_localization(A, spec)
+        # the tailed h times 0 carries a tail of C = 0, which is no doubt
+        zero = TruncatedSeries(Q3, 1, {}, 0)
+        spec = LocalizationSpec(RATIONAL, (one,), None, h, (zero, one))
+        assert present_localization(A, spec).n == 2
+
     def test_empty_spec_is_identity(self):
         A = unit_polydisk(Q2)
         assert present_localization(A, LocalizationSpec(WEIERSTRASS)) is A

@@ -33,12 +33,17 @@ from daggeralg.scalars import (
     abs_value,
     integers_archimedean,
     integers_trivial,
-    over_lcm,
     rationals_archimedean,
     rationals_padic,
 )
 from intervals import add, join, scale
-from loops import residue_window_loop, vector_norm_loop, windows_loop
+from loops import (
+    check_strictness_loop,
+    operator_norm_loop,
+    residue_window_loop,
+    vector_norm_loop,
+    windows_loop,
+)
 
 Z = integers_archimedean()
 ZT = integers_trivial()
@@ -55,6 +60,10 @@ def identity(M):
     return ModuleMap(M, M, tuple(
         tuple(Fraction(int(i == j)) for j in range(M.rank))
         for i in range(M.rank)))
+
+
+def column(f, j):
+    return [row[j] for row in f.matrix]
 
 
 def apply(f, x):
@@ -125,7 +134,7 @@ def reference_vector_norm(M, v):
 def reference_column_norm(f):
     best = NormValue.exact(0)
     for j in range(f.source.rank):
-        col = reference_vector_norm(f.target, f.column(j))
+        col = reference_vector_norm(f.target, column(f, j))
         best = join(best, scale(col, 1 / f.source.weights[j]))
     return best
 
@@ -287,7 +296,7 @@ class TestNormKernels:
         assert nv.lo == ref.lo
         if f.source.flavor == MAX and f.target.flavor == SUM:
             assert nv.hi == sum(
-                vector_norm(f.target, f.column(j)).hi / w
+                vector_norm(f.target, column(f, j)).hi / w
                 for j, w in enumerate(f.source.weights))
         else:
             assert nv.hi == ref.hi
@@ -634,11 +643,12 @@ class TestTrivialResidueNorm:
 
 
 def saturated_kernel(f):
-    """The Q-basis of ker(f) that ``linalg.solve`` reads off, each vector
-    scaled by ``over_lcm`` to a primitive integer vector: the b_j that
-    ``check_strictness`` rounds in."""
-    _, kernel = linalg.solve(f.matrix, [[] for _ in f.matrix], f.source.rank)
-    return [over_lcm(b)[0] for b in kernel]
+    """The Q-basis of ker(f) that ``linalg.solve`` reads off, as
+    primitive integer vectors: the b_j that ``check_strictness`` rounds
+    in."""
+    _, _, kernel = linalg.solve(f.matrix, [[] for _ in f.matrix],
+                                f.source.rank)
+    return kernel
 
 
 class TestKernelCokernel:
@@ -721,6 +731,64 @@ class TestStrictness:
             if coim:
                 ratio = vector_norm(f.target, apply(f, x)).hi / coim
                 assert v.c <= ratio <= v.C
+
+
+@st.composite
+def oracle_maps(draw, rings, max_rank=4):
+    """Maps over one of the rings, source and target of rank 1 to
+    ``max_rank`` with weights a/b (1 <= a <= 9, 1 <= b <= 6) and any
+    flavor the ring allows, with entries in -4..4 (rationals with
+    denominators up to 6 over a field), and a repeated or scaled row
+    mixed in so that many have lower rank."""
+    ring = draw(st.sampled_from(rings))
+    flavors = (SUM, MAX) if ring.non_archimedean else (SUM,)
+
+    def module():
+        rank = draw(st.integers(1, max_rank))
+        weights = [Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 6)))
+                   for _ in range(rank)]
+        return WeightedFreeModule(ring, tuple(weights),
+                                  draw(st.sampled_from(flavors)))
+
+    src, tgt = module(), module()
+    entry = st.integers(-4, 4).map(Fraction) if ring.integral else \
+        st.fractions(-4, 4, max_denominator=6)
+    matrix = draw(st.lists(st.lists(entry, min_size=src.rank,
+                                    max_size=src.rank),
+                           min_size=tgt.rank, max_size=tgt.rank))
+    if tgt.rank > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(tgt.rank)))[:2]
+        matrix[j] = [draw(st.integers(-2, 2)) * x for x in matrix[i]]
+    return ModuleMap(src, tgt, tuple(map(tuple, matrix)))
+
+
+class TestIntegerForms:
+    """``operator_norm`` and ``check_strictness`` compute on integers
+    from the input to the one result; their ``Fraction`` forms in
+    ``tests/loops.py`` give the same values."""
+
+    @given(oracle_maps((Z, ZT, QA, Q2, Q3)))
+    @settings(max_examples=300, deadline=None)
+    def test_operator_norm_matches_fraction_ratios(self, f):
+        assert operator_norm(f) == operator_norm_loop(f)
+
+    @given(oracle_maps((Z, ZT)))
+    @settings(max_examples=300, deadline=None)
+    def test_strictness_matches_fraction_constants(self, f):
+        assert check_strictness(f) == check_strictness_loop(f)
+
+    def test_pivots_above_one(self):
+        """(2 3) with weights 1 and 5/2 into weight 3/2: C = max(2 (3/2)
+        / 1, 3 (3/2) / (5/2)) = 3.  The reduction of [f_R | I] has pivot
+        2, so L = 2, g e_0 = (1/2, 0) costs 1/2, and the kernel vector
+        (-3, 2) costs 3 + 5 = 8, so mu = 4 and
+        c = 1 / ((1/2) / (3/2) + 4 / (3/2)) = 1/3."""
+        f = ModuleMap(WeightedFreeModule(Z, (Fraction(1), Fraction(5, 2)),
+                                         SUM),
+                      WeightedFreeModule(Z, (Fraction(3, 2),), SUM),
+                      ((Fraction(2), Fraction(3)),))
+        assert check_strictness(f) == StrictWithConstants(
+            Fraction(1, 3), Fraction(3)) == check_strictness_loop(f)
 
 
 @st.composite

@@ -255,16 +255,18 @@ def test_a_method_sharing_a_used_name_is_caught():
 
 def test_a_method_named_only_by_a_local_or_a_docstring_is_caught():
     # NormValue.zero once passed, with no caller: "zero" was a word of a
-    # bench/ docstring and the name of a local variable of linalg.rref
+    # bench/ docstring and the name of a local variable of linalg.rref.
+    # That local is gone; "pivots", a local of linalg.rref and a word of
+    # its docstring, stands in for it
     path = PACKAGE / "scalars.py"
     tree = ast.parse(path.read_text())
     norm_value = next(n for n in tree.body if isinstance(n, ast.ClassDef)
                       and n.name == "NormValue")
-    norm_value.body.append(ast.parse("def zero():\n"
+    norm_value.body.append(ast.parse("def pivots():\n"
                                      "    return NormValue(0, 0)\n").body[0])
     package = Package({**TREES, path: tree})
-    assert "zero" in _names([TREES[PACKAGE / "linalg.py"]])
-    assert "NormValue.zero" in package.unused(path)
+    assert "pivots" in _names([TREES[PACKAGE / "linalg.py"]])
+    assert "NormValue.pivots" in package.unused(path)
 
 
 # ---------------------------------------------------------------------------
