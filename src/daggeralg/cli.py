@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import DaggerAlgError, members
 from .localization import (
@@ -128,10 +129,42 @@ def _load_json(path: str):
         return _parse_json(fh.read(), path)
 
 
+def _json_text(value, newline: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for dicts with str
+    keys, lists, str, int, bool and None, nested at the indentation that
+    ``newline`` ("\n" and two spaces a level) holds; any other type
+    raises TypeError.  The stdlib runs its pure-Python encoder whenever
+    ``indent`` is given, so this writer, which escapes strings with the
+    same C function, is what keeps printing a report cheap."""
+    if type(value) is str:
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    inner = newline + "  "
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        # the escaper raises TypeError on a key that is not a str
+        return "{" + inner + ("," + inner).join([
+            _encode_str(k) + ": " + _json_text(v, inner)
+            for k, v in sorted(value.items())]) + newline + "}"
+    if type(value) is list:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            _json_text(v, inner) for v in value]) + newline + "]"
+    raise TypeError(f"a report holds no {type(value).__name__}")
+
+
 def _emit(report, args) -> None:
     """Print the report stamped with REPORT_VERSION, also to --json-out."""
-    text = json.dumps(dict(report, version=REPORT_VERSION), sort_keys=True,
-                      indent=2)
+    text = _json_text(dict(report, version=REPORT_VERSION), "\n")
     if getattr(args, "json_out", None):
         with open(args.json_out, "w") as fh:
             fh.write(text + "\n")
@@ -312,10 +345,17 @@ def _add_size(p, flag: str, default: int, cap: int, what: str) -> None:
 
 @functools.cache
 def _parsers():
-    """The argument parser and each subcommand's own parser by name, built
-    once per process: parsing leaves them unchanged, and building them is
-    most of a small command's time.  Callers share them and must not
-    change them."""
+    """The argument parser and each subcommand's option table by name,
+    built once per process: parsing leaves them unchanged, and building
+    them is most of a small command's time.  Callers share them and must
+    not change them.
+
+    A table is read off the subcommand parser's own actions: each option
+    string maps to its action, which holds the dest, ``type``,
+    ``choices``, default and ``required``, and the table also lists the
+    actions once each, in the parser's order.  ``-h``/``--help`` stores
+    nothing, so it is in no table.  Every other option stores one value,
+    the one kind of option that ``_read_table`` reads."""
     parser = argparse.ArgumentParser(
         prog="daggeralg",
         description="Exact-arithmetic normed modules and overconvergent "
@@ -405,7 +445,13 @@ def _parsers():
     p.add_argument("--seed", type=int, default=7)
     add_common(p)
 
-    return parser, dict(sub.choices)
+    tables = {}
+    for name, p in sub.choices.items():
+        actions = tuple(a for a in p._actions
+                        if type(a) is not argparse._HelpAction)
+        tables[name] = ({s: a for a in actions for s in a.option_strings},
+                        actions)
+    return parser, tables
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -413,21 +459,50 @@ def build_parser() -> argparse.ArgumentParser:
     return _parsers()[0]
 
 
+def _read_table(argv):
+    """The arguments of ``<subcommand> --flag value ...`` read through the
+    subcommand's table, as the full parser would read them: every flag an
+    exact option string given once, every value non-empty and not starting
+    with "-", every ``type`` and ``choices`` check passing and every
+    required flag present.  An option left out takes its default, a
+    string default through the option's ``type`` as argparse does.  Any
+    other argv gives None."""
+    table = _parsers()[1].get(argv[0]) if argv else None
+    if table is None or len(argv) % 2 == 0:
+        return None
+    flags, actions = table
+    values = {}
+    # argparse reports these three from a ``type`` as a bad value
+    try:
+        for flag, text in zip(argv[1::2], argv[2::2]):
+            action = flags.get(flag)
+            if action is None or action.dest in values or not text or \
+                    text[0] == "-":
+                return None
+            value = text if action.type is None else action.type(text)
+            if action.choices is not None and value not in action.choices:
+                return None
+            values[action.dest] = value
+        for action in actions:
+            if action.dest not in values:
+                if action.required:
+                    return None
+                value = action.default
+                if isinstance(value, str) and action.type is not None:
+                    value = action.type(value)
+                values[action.dest] = value
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def _parse_args(argv):
-    """The arguments of one call, read once.  A call that names a
-    subcommand first is read by that subcommand's parser alone, as the
-    full parser would hand it over; every other call, and any call that
-    leaves arguments unrecognized, goes through the full parser, so help,
-    errors and exit codes are its own to the byte."""
+    """The arguments of one call: through the subcommand's table when
+    ``_read_table`` reads them, else through the full parser, so that
+    help, errors and exit codes are its own to the byte."""
     if argv is None:
         argv = sys.argv[1:]
-    subparsers = _parsers()[1]
-    if argv and argv[0] in subparsers:
-        args, extra = subparsers[argv[0]].parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0]))
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
+    return _read_table(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

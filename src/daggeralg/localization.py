@@ -101,7 +101,8 @@ def present_localization(A: DaggerPresentation,
                          spec: LocalizationSpec) -> DaggerPresentation:
     """Extend A's presentation by the variables and relations of one
     localization step.  A new variable is a monomial of degree bound 1,
-    and ``add`` and ``multiply`` give each relation its degree bound."""
+    and ``add`` and ``multiply`` give each relation its degree bound.  A
+    relation with no known term in its new variable raises ValueError."""
     if not spec.fs:
         return A
     for f in spec.fs:
@@ -127,6 +128,12 @@ def present_localization(A: DaggerPresentation,
         else:
             he = spec.h.embed(n_new)
             relations.append(multiply(he, var).sub(fe))
+        # a tail takes in the new variable's term when f's degree bound
+        # leaves no room for it, and a zero f or h has no such term; the
+        # relation would then not involve the variable it adds
+        if not any(I[A.n + i] for I in relations[-1].coeffs):
+            raise ValueError(f"the relation of localization series {i + 1} "
+                             f"has no known term in its new variable")
     return DaggerPresentation(A.ring, n_new, rho, tuple(relations))
 
 

@@ -1,10 +1,11 @@
-"""Mutation audit of the certified bounds.
+"""Mutation audit of the certified bounds and of the CLI front end.
 
     python3 tests/mutants.py            # every mutant
     python3 tests/mutants.py 21 22 23   # the mutants of these numbers
     python3 tests/mutants.py --every 9  # every failing test, not the first
 
-Each mutant below breaks one bound that a printed interval rests on, by
+Each mutant below breaks one bound that a printed interval rests on, or
+one rule by which the CLI reads its arguments or writes its report, by
 one exact string replacement in one package module.  For each mutant the
 repository is copied to a temporary directory, the replacement is made
 there (it must match exactly once, so a mutant that no longer fits the
@@ -129,6 +130,18 @@ MUTANTS = [
     ("strictness mu not halved", "normed_core.py",
      "(2 * w * G + K * L * Wr) * Dt), C)",
      "(2 * w * G + 2 * K * L * Wr) * Dt), C)"),
+    ("CLI option table without its choices check", "cli.py",
+     "if action.choices is not None and value not in action.choices:",
+     "if False:"),
+    ("CLI option table reading a repeated flag", "cli.py",
+     "if action is None or action.dest in values or not text or",
+     "if action is None or not text or"),
+    ("CLI option table without its required check", "cli.py",
+     "            if action.required:\n                    return None",
+     "            if False:\n                    return None"),
+    ("report writer without sorted keys", "cli.py",
+     "for k, v in sorted(value.items())]",
+     "for k, v in value.items()]"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",

@@ -11,6 +11,7 @@ import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -425,10 +426,13 @@ def localize_inputs(draw):
 
 class TestLocalizeReadsBack:
     """Every presentation that ``localize`` prints is an algebra that
-    ``--algebra`` reads back, and a spec whose presentation would not be
-    exits 1 with one ``error:`` line."""
+    ``--algebra`` reads back, each of whose new relations has a known term
+    in its own new variable; a spec whose presentation would not be read
+    back, or would have a relation without its new variable, exits 1 with
+    one ``error:`` line."""
 
     READ_BACK = "error: the localized presentation would not read back: "
+    LOST = "error: the relation of localization series "
 
     @settings(max_examples=150, deadline=None)
     @given(localize_inputs())
@@ -442,6 +446,11 @@ class TestLocalizeReadsBack:
             code, out, err = run_main(argv)
             if code == 0:
                 B = json.loads(out)["presentation"]
+                n, fs = algebra["n"], spec["fs"]
+                added = B["relations"][len(algebra["relations"]):]
+                assert len(added) == len(fs)
+                for i, r in enumerate(added):
+                    assert any(I[n + i] for I, _ in r["coeffs"])
                 empty = {"variant": spec["variant"], "fs": []}
                 if spec["variant"] == "rational":
                     empty["h"] = spec["h"]
@@ -451,8 +460,16 @@ class TestLocalizeReadsBack:
                 # read back, and an empty spec prints the input's bytes
                 assert again == (0, out, "")
                 return
-        assert code == 1 and err.startswith(self.READ_BACK)
-        assert err.count("\n") == 1
+        assert code == 1 and err.count("\n") == 1
+        if err.startswith(self.LOST):
+            # only a tail or a zero series can leave a relation without
+            # the term of its new variable
+            carriers = spec["fs"] + ([spec["h"]] if "h" in spec else [])
+            assert any("tail" in g or not any(Fraction(c) for _, c in
+                                               g["coeffs"])
+                       for g in carriers)
+            return
+        assert err.startswith(self.READ_BACK)
         # the presentation is indeed past the caps of the reader
         A = DaggerPresentation.from_json(algebra)
         B = present_localization(A, LocalizationSpec.from_json(spec, A.ring))
@@ -489,6 +506,28 @@ class TestLocalizeReadsBack:
             "localize", "--algebra", write_json(tmp_path / "A.json", algebra),
             "--spec", write_json(tmp_path / "s.json", spec)])
         assert (code, out, err) == (1, "", self.READ_BACK + cause + "\n")
+
+
+    TAILED_ONE = {"n": 1, "D": 0, "coeffs": [[[0], "1"]],
+                  "tail": {"C": "1", "sigma": ["2"]}}
+    ONE = {"n": 1, "D": 0, "coeffs": [[[0], "1"]]}
+
+    # f = 1 with a tail at D = 0: add and multiply cut the X, f*Y or h*X
+    # term into the tail, and the relation printed was -1 with a tail
+    @pytest.mark.parametrize("spec", [
+        {"variant": "weierstrass", "fs": [TAILED_ONE]},
+        {"variant": "laurent", "fs": [TAILED_ONE]},
+        {"variant": "rational", "fs": [TAILED_ONE], "h": ONE,
+         "witness": [ONE, {"n": 1, "D": 0, "coeffs": []}]},
+    ], ids=["weierstrass", "laurent", "rational"])
+    def test_relation_without_its_variable_rejected(self, tmp_path, spec):
+        algebra = {"ring": {"kind": "Rationals_pAdic", "p": 3}, "n": 1,
+                   "rho": ["1"], "relations": []}
+        code, out, err = run_main([
+            "localize", "--algebra", write_json(tmp_path / "A.json", algebra),
+            "--spec", write_json(tmp_path / "s.json", spec)])
+        assert (code, out, err) == (1, "", self.LOST + "1 has no known term "
+                                    "in its new variable\n")
 
 
 class TestMVCommand:
@@ -789,17 +828,16 @@ ARGUMENT_ERRORS = {
 
 
 class TestDispatch:
-    """A call that names a subcommand first is parsed by that
-    subcommand's parser alone; every call still exits, prints and writes
-    as when the full parser reads it."""
+    """A valid call ``<subcommand> --flag value ...`` is read through the
+    subcommand's option table, with no argparse parse; every other call
+    goes to the full parser.  Every call exits, prints and writes as when
+    the full parser reads it."""
 
     @staticmethod
     def stub_selftest(monkeypatch):
         # the dispatch is under test, not the report: a stub keeps the
         # valid selftest call fast
-        report = {"criteria": [{"id": 1, "name": "stub", "passed": True}],
-                  "passed": True}
-        monkeypatch.setattr(cli, "run_all", lambda seed: dict(report, seed=seed))
+        monkeypatch.setattr(cli, "run_all", stub_run_all)
 
     def table(self, tmp_path):
         valid = valid_calls(tmp_path)
@@ -808,11 +846,29 @@ class TestDispatch:
         for name, call in valid.items():
             argvs += [call, [name, "--help"], call + ["-h"],
                       *ARGUMENT_ERRORS[name], call + ["--bogus", "1"],
-                      call + ["--"], call + ["--", "x"], [name, "--", *call[1:]]]
+                      call + ["--"], call + ["--", "x"], [name, "--", *call[1:]],
+                      *self.other_forms(call)]
+            # each option left out, and each value but a --json-out path
+            # replaced by a bad one
+            for i in range(1, len(call), 2):
+                argvs.append(call[:i] + call[i + 2:])
+                argvs += [call[:i + 1] + [bad] + call[i + 2:]
+                          for bad in BAD_VALUES if call[i] != "--json-out"]
         return argvs
+
+    @staticmethod
+    def other_forms(call):
+        """A valid call's first option repeated, abbreviated, written as
+        ``--flag=value`` and given a value led by "-" or an empty one."""
+        name, flag, value, *rest = call
+        return [call + [flag, value], [name, flag[:-1], value, *rest],
+                [name, f"{flag}={value}", *rest], [name, flag, "-1", *rest],
+                [name, flag, "", *rest]]
 
     def test_same_as_the_full_parser(self, tmp_path, capsys, monkeypatch):
         self.stub_selftest(monkeypatch)
+        # a bad value read as a file name is looked up here
+        monkeypatch.chdir(tmp_path)
         table = self.table(tmp_path)
         here = [(main(argv), *capsys.readouterr()) for argv in table]
         with monkeypatch.context() as m:
@@ -823,20 +879,184 @@ class TestDispatch:
         assert {code for code, _, _ in here} == {0, 1}
 
     def test_a_valid_call_parses_once(self, tmp_path, capsys, monkeypatch):
+        """Each valid call is read once, by its table: no argparse parse
+        runs, and the Namespace is the one the full parser gives."""
         self.stub_selftest(monkeypatch)
-        calls = []
+        parses = []
         parse_known_args = argparse.ArgumentParser.parse_known_args
 
         def counted(parser, *args, **kwargs):
-            calls.append(parser.prog)
+            parses.append(parser.prog)
             return parse_known_args(parser, *args, **kwargs)
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
-                            counted)
         for name, argv in valid_calls(tmp_path).items():
-            calls.clear()
-            assert main(argv) == 0
-            assert calls == [f"daggeralg {name}"]
+            expected = build_parser().parse_args(argv)
+            with monkeypatch.context() as m:
+                m.setattr(argparse.ArgumentParser, "parse_known_args",
+                          counted)
+                assert main(argv) == 0
+                assert cli._parse_args(argv) == expected, name
+            assert parses == [], name
+
+    def test_other_forms_go_to_the_full_parser(self, tmp_path):
+        for call in valid_calls(tmp_path).values():
+            for argv in self.other_forms(call):
+                assert cli._read_table(argv) is None, argv
+
+    @pytest.fixture(scope="class")
+    def options(self, tmp_path_factory):
+        """Per subcommand, each option string with the values a valid call
+        may give it: the files of ``valid_calls``, and a --json-out path."""
+        tmp = tmp_path_factory.mktemp("dispatch")
+        files = {flag: value for call in valid_calls(tmp).values()
+                 for flag, value in zip(call[1::2], call[2::2])}
+        values = dict(OPTION_VALUES, **{flag: [files[flag]] for flag in (
+            "--series", "--element", "--algebra", "--spec", "--elements",
+            "--module", "--json-out")})
+        sub, = (a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+        return {name: {flag: values[flag] for a in p._actions
+                       if a.nargs is None for flag in a.option_strings}
+                for name, p in sub.choices.items()}
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_any_call_same_as_the_full_parser(self, options, data):
+        """On argvs drawn from each subcommand's options, written exactly,
+        abbreviated or as ``--flag=value``, repeated or left out, with
+        values that start with "-", are empty, lie outside a cap or a
+        choice, and with -h, --help, -- or a stray word put in, ``main``
+        exits, prints and writes --json-out as with the full parser.  The
+        table reads only exact, once-given flags with plain values, and
+        what it reads the full parser reads the same."""
+        argv, plain = data.draw(dispatch_argvs(options))
+        dest = Path(options["norm"]["--json-out"][0])
+        full = build_parser().parse_args
+
+        def outcome():
+            dest.unlink(missing_ok=True)
+            result = run_main(argv)
+            return (*result, dest.read_bytes() if dest.exists() else None)
+
+        with mock.patch.object(cli, "run_all", stub_run_all), \
+                contextlib.chdir(dest.parent):
+            here = outcome()
+            with mock.patch.object(cli, "_parse_args", full):
+                assert outcome() == here
+        table = cli._read_table(argv)
+        if table is not None:
+            assert table == full(argv)
+        if not plain:
+            assert table is None
+
+
+def stub_run_all(seed):
+    """A selftest report of one passing criterion, at once."""
+    return {"criteria": [{"id": 1, "name": "stub", "passed": True}],
+            "passed": True, "seed": seed}
+
+
+# valid values of the options whose values are not files
+OPTION_VALUES = {
+    "--ring": ["Z", "Qp:3", "Ztriv"], "--rho": ["1", "2/3"],
+    "--flavor": ["sum", "max"], "--degree": ["6", "8"],
+    "--prime-bound": ["5", "50"], "--grid": ["2"], "--powers": ["3"],
+    "--samples": ["20"], "--seed": ["3", "7"],
+}
+
+# values that some or every option rejects, or that the table leaves to
+# the full parser: outside every cap and choice, empty, or led by "-"
+BAD_VALUES = ["-1", "-x", "", "0", "100000", "dense", "x", "1.5"]
+
+
+@st.composite
+def dispatch_argvs(draw, options):
+    """(argv, plain) for a subcommand: its required options present in
+    most draws, then options at random, each written exactly, abbreviated
+    or as ``--flag=value``, with a valid or a bad value, and now and then
+    a help flag, ``--`` or a stray word put in.  ``plain`` says that the
+    argv is of the table's form: exact flags, each given once, with
+    non-empty values that do not start with "-"."""
+    name = draw(st.sampled_from(sorted(options)))
+    flags = options[name]
+    required = [a.option_strings[0] for a in cli._parsers()[1][name][1]
+                if a.required]
+    chosen = [f for f in required if draw(st.integers(0, 5))]
+    chosen += draw(st.lists(st.sampled_from(sorted(flags)), max_size=4))
+    chosen = draw(st.permutations(chosen))
+    argv, plain = [name], len(set(chosen)) == len(chosen)
+    for flag in chosen:
+        # a bad --json-out value would be a file that later calls read
+        bad = flag != "--json-out" and not draw(st.integers(0, 3))
+        value = draw(st.sampled_from(BAD_VALUES if bad else flags[flag]))
+        plain &= bool(value) and not value.startswith("-")
+        form = draw(st.sampled_from(["exact"] * 8 + ["abbreviated",
+                                                     "equals"]))
+        if form == "exact":
+            argv += [flag, value]
+        elif form == "abbreviated":
+            argv += [flag[:draw(st.integers(3, len(flag) - 1))], value]
+        else:
+            argv.append(f"{flag}={value}")
+        plain &= form == "exact"
+    if not draw(st.integers(0, 7)):
+        word = draw(st.sampled_from(["-h", "--help", "--", "x"]))
+        argv.insert(draw(st.integers(1, len(argv))), word)
+        plain = False
+    return argv, plain
+
+
+class TestJsonWriter:
+    """The report writer gives the bytes of ``json.dumps(x,
+    sort_keys=True, indent=2)``, and raises TypeError on a type it does
+    not write."""
+
+    @staticmethod
+    def dumps(x):
+        return json.dumps(x, sort_keys=True, indent=2)
+
+    def test_every_subcommand_report(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "run_all", stub_run_all)
+        for name, argv in valid_calls(tmp_path).items():
+            assert main(argv) == 0, name
+            out = capsys.readouterr().out
+            report = json.loads(out)
+            assert out == self.dumps(report) + "\n", name
+            assert cli._json_text(report, "\n") == self.dumps(report)
+
+    def test_golden_selftest_report(self):
+        golden = Path(__file__).parent / "data" / "selftest_seed7.json"
+        report = dict(json.loads(golden.read_text()), version=1)
+        assert cli._json_text(report, "\n") == self.dumps(report)
+
+    @pytest.mark.parametrize("x", [
+        {}, [], None, True, False, 0, -2**70, "", {"": {}}, [[], {}, None],
+        {"b": [True, False, None], "a": {"z": [], "y": {}}},
+        "quote \" backslash \\ slash /",
+        "controls \x00\x01\b\t\n\x0c\r\x1f\x7f",
+        "non-ASCII \u00e9 \u2028 \U0001f600 \ud800",
+        {"\"\\\n\u00e9": ["\x00"]},
+    ])
+    def test_edge_values(self, x):
+        assert cli._json_text(x, "\n") == self.dumps(x)
+
+    JSON = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(),
+        lambda inner: st.lists(inner, max_size=4) |
+        st.dictionaries(st.text(), inner, max_size=4), max_leaves=20)
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON)
+    def test_any_value(self, x):
+        assert cli._json_text(x, "\n") == self.dumps(x)
+
+    @pytest.mark.parametrize("x", [
+        1.5, {"a": 0.0}, [float("nan")], (1, 2), {1: 2}, {"a": {1}},
+    ])
+    def test_other_types_raise(self, x):
+        with pytest.raises(TypeError):
+            cli._json_text(x, "\n")
 
 
 def test_selftest_runs_without_sympy():
