@@ -264,8 +264,11 @@ def abs_value(ring: BanachRing, x) -> Fraction:
 
 def over_lcm(xs: Sequence[Fraction]) -> Tuple[List[int], int]:
     """(nums, L) with xs[i] == nums[i] / L, L the lcm of the denominators
-    of the rationals xs: the integers the package's kernels compute on."""
+    of the rationals xs: the integers the package's kernels compute on.
+    Over L = 1, as for integers, the numerators are the nums."""
     L = math.lcm(*[x.denominator for x in xs])
+    if L == 1:
+        return [x.numerator for x in xs], 1
     return [x.numerator * (L // x.denominator) for x in xs], L
 
 

@@ -77,7 +77,8 @@ def _rng(seed: int, tag: str) -> random.Random:
 
 
 # the p-adic rings of the primes below 50: criterion 1 draws from the
-# first four, and criterion 7 checks the fibers of all of them
+# first four, criterion 2 from the first three, and criterion 7 checks
+# the fibers of all of them
 _PADIC_RINGS = tuple(map(rationals_padic, (2, 3, 5, 7, 11, 13, 17, 19, 23,
                                            29, 31, 37, 41, 43, 47)))
 
@@ -248,30 +249,33 @@ def criterion_1(seed: int) -> Dict:
 # 2. cofinality bound
 
 
+def _cofinality_series(rng: random.Random):
+    """Criterion 2's 200 p-adic series in two variables, D = 12.  Like
+    criterion 1's tables, rng.choice of range(a, b + 1) draws what
+    rng.randint(a, b) did."""
+    for _ in range(200):
+        ring = rng.choice(_PADIC_RINGS[:3])
+        p, coeffs = ring.p, {}
+        for _ in range(rng.choice(range(1, 26))):
+            i = rng.choice(range(13))
+            j = rng.choice(range(13 - i))
+            v = rng.choice(range(-4, 5))
+            unit = rng.choice(range(1, 7))
+            while unit % p == 0:
+                unit = rng.choice(range(1, 7))
+            coeffs[(i, j)] = Fraction(unit * p**v) if v >= 0 else \
+                Fraction(unit, p**-v)
+        yield TruncatedSeries(ring, 2, coeffs, 12)
+
+
 def criterion_2(seed: int) -> Dict:
     """Restriction constant 3 for rho=(1,1), rho'=(2,3), and the sum-norm
     versus sup-norm inequality on 200 random p-adic series."""
     rng = _rng(seed, "cofinality")
     rho, rhop = polyradius(1, 1), polyradius(2, 3)
     K = cofinality_constant(rho, rhop)
-
-    instances = []
-    for _ in range(200):
-        p = rng.choice([2, 3, 5])
-        coeffs = {}
-        for _ in range(rng.randint(1, 25)):
-            i = rng.randint(0, 12)
-            j = rng.randint(0, 12 - i)
-            v = rng.randint(-4, 4)
-            unit = rng.randint(1, 6)
-            while unit % p == 0:
-                unit = rng.randint(1, 6)
-            scale = Fraction(p**v) if v >= 0 else Fraction(1, p**(-v))
-            coeffs[(i, j)] = unit * scale
-        instances.append(TruncatedSeries(rationals_padic(p), 2, coeffs, 12))
-
     failures = sum(norm_S(f, rho).hi > K * norm_T(f, rhop).hi
-                   for f in instances)
+                   for f in _cofinality_series(rng))
     return {
         "id": 2,
         "name": "cofinality-bound",

@@ -84,12 +84,9 @@ class PolyRadius:
         for i, r in enumerate(self.components):
             E = max((I[i] for I in indices), default=0)
             x, y = r.numerator, r.denominator
-            xs, ys = [1], [1]
-            for _ in range(E):
-                xs.append(xs[-1] * x)
-                ys.append(ys[-1] * y)
-            nums = [P * xs[I[i]] * ys[E - I[i]] for P, I in zip(nums, indices)]
-            den *= ys[E]
+            nums = [P * x**I[i] * y**(E - I[i])
+                    for P, I in zip(nums, indices)]
+            den *= y**E
         return nums, den
 
     def strictly_less(self, other: "PolyRadius") -> bool:
@@ -433,6 +430,8 @@ def norm_S(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
     _check_radius(f, rho)
     sizes, den = _sizes(f.ring, f.coeffs, rho)
     poly = Fraction(sum(sizes), den)
+    if f.tail is None:
+        return NormValue(poly, poly)
     return NormValue(poly, poly + _tail_sum_bound(f, rho))
 
 
@@ -738,6 +737,8 @@ def norm_T(f: TruncatedSeries, rho: PolyRadius) -> NormValue:
         return archimedean_sup(f, rho)
     _check_radius(f, rho)
     gauss = _gauss_norm(f.ring, f.coeffs, rho)
+    if f.tail is None:
+        return NormValue(gauss, gauss)
     return NormValue(gauss, max(gauss, _tail_max_bound(f, rho)))
 
 

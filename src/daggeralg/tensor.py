@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
-from typing import List, Tuple
+from operator import add, mul
+from typing import List, Sequence, Tuple
 
 from .errors import DimensionMismatch, FlavorMismatch
 from .normed_core import MAX, SUM, WeightedFreeModule, vector_norm
@@ -90,7 +90,9 @@ def _coefficient_ints(terms, rl: int, rr: int):
     Each term is its numerators over its entries' denominators; halves
     of the term list are summed over the lcm of their row and column
     denominators, so that the numbers grow with the depth of the
-    halving, not with the number of terms."""
+    halving, not with the number of terms.  Halves over the same row
+    and column denominators, as integer entries always are, are added
+    entry by entry."""
     if len(terms) <= 1:
         m, n = terms[0] if terms else ((0,) * rl, (0,) * rr)
         R, C = [a.denominator for a in m], [b.denominator for b in n]
@@ -99,6 +101,8 @@ def _coefficient_ints(terms, rl: int, rr: int):
     h = len(terms) // 2
     (S1, R1, C1), (S2, R2, C2) = (_coefficient_ints(half, rl, rr)
                                   for half in (terms[:h], terms[h:]))
+    if R1 == R2 and C1 == C2:
+        return list(map(add, S1, S2)), R1, C1
     R = list(map(math.lcm, R1, R2))
     C = list(map(math.lcm, C1, C2))
     # a half's entry (i, j) scales by its row factor times its column one
@@ -112,12 +116,15 @@ def _coefficient_ints(terms, rl: int, rr: int):
 
 
 def _scaled_weights(M: WeightedFreeModule,
-                    L: List[int]) -> Tuple[List[int], int]:
+                    L: List[int]) -> Tuple[Sequence[int], int]:
     """The factors |1/L_i| w_i on integers: returns (G, d) with
     |1/L_i| w_i == G_i / d.  Over the lcm P of the L_i,
     |1/L_i| = |(P/L_i)/P|, from ``abs_ints``, times the module's
-    integer weights."""
+    integer weights; for P = 1 every factor |1/L_i| is 1, and these are
+    the module's integer weights."""
     P = math.lcm(*L)
+    if P == 1:
+        return M.int_weights, M.weight_den
     F, dF = abs_ints(M.ring, [P // q for q in L], P)
     return [f * W for f, W in zip(F, M.int_weights)], dF * M.weight_den
 

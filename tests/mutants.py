@@ -17,7 +17,8 @@ that checks an enclosure against an independent value is among them.
 An unmutated copy runs first and must pass.
 
 Exits 0 when every mutant run is killed, 1 otherwise, and 2 on an
-argument that names no mutant.  Not a test: pytest does not collect it.
+argument that names no mutant.  Stopped by SIGTERM or Ctrl-C, it stops
+the suite and removes its copy.  Not a test: pytest does not collect it.
 A run takes a few minutes per mutant.
 """
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -142,6 +144,23 @@ MUTANTS = [
     ("report writer without sorted keys", "cli.py",
      "for k, v in sorted(value.items())]",
      "for k, v in value.items()]"),
+    ("norm_S's untailed return taken for a tailed series", "series.py",
+     "    if f.tail is None:\n        return NormValue(poly, poly)",
+     "    if True:\n        return NormValue(poly, poly)"),
+    ("Gauss norm_T's untailed return taken for a tailed series",
+     "series.py",
+     "    if f.tail is None:\n        return NormValue(gauss, gauss)",
+     "    if True:\n        return NormValue(gauss, gauss)"),
+    ("tensor halves added entry by entry when only the rows match",
+     "tensor.py",
+     "if R1 == R2 and C1 == C2:",
+     "if R1 == R2:"),
+    ("tensor weights unscaled for any denominator lcm P", "tensor.py",
+     "if P == 1:",
+     "if True:"),
+    ("numerators read as over 1 for any denominator lcm", "scalars.py",
+     "    if L == 1:\n        return [x.numerator for x in xs], 1",
+     "    if True:\n        return [x.numerator for x in xs], 1"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis",
@@ -178,6 +197,9 @@ def main(argv) -> int:
               f"1..{len(MUTANTS)}")
         return 2
     chosen = chosen or range(1, len(MUTANTS) + 1)
+    # SIGTERM unwinds like Ctrl-C: subprocess.run kills the suite, the
+    # mutated module is restored and the copy is removed
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory() as tmp:
         copy = os.path.join(tmp, "repo")
         shutil.copytree(ROOT, copy, ignore=IGNORE)

@@ -89,6 +89,10 @@ AXIOM_STREAM_SHA256 = {
     7: "1bd240a6eaa325bf58fe10ab1268a7a5dbd8715cf627f339f1e38ea71d77d26b",
     101: "c8e20d2faee2a98489b38c080300a097454f3676131e1ab00b6d045b5b57d24c",
 }
+COFINALITY_SERIES_SHA256 = {
+    7: "968da70300b138c355efecf243941699e6b25d3af5b944e6a2917ab27341d84f",
+    101: "5e3a77d3e5661a669ef03b95c58e09e2d526f47c1f8db1bf8e315772e4023d3d",
+}
 RESIDUE_LATTICES_SHA256 = {
     7: "7629c4f3707ce75af38fb3f7cc81df9f51506a4cd3d149e77446846ef15a1bcf",
     101: "e9f5ce03dc7326e822acde9ded721c54681ba4d46ce1c93e33093b28ecc0a959",
@@ -129,6 +133,17 @@ def test_criterion_1_draws_are_pinned(seed):
     rows = axiom_rows(seed)
     assert len(rows) == 3000
     assert sha256_of_rows(rows) == AXIOM_STREAM_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(COFINALITY_SERIES_SHA256))
+def test_criterion_2_series_are_pinned(seed):
+    """Drawing with rng.choice over ranges and the shared p-adic rings
+    gives the 200 series that rng.randint and fresh rings gave (the
+    digests were recorded from those draws)."""
+    rows = [[f.ring.to_json(), f.to_json()] for f
+            in selftest._cofinality_series(selftest._rng(seed, "cofinality"))]
+    assert len(rows) == 200
+    assert sha256_of_rows(rows) == COFINALITY_SERIES_SHA256[seed]
 
 
 @pytest.mark.parametrize("seed", sorted(RESIDUE_LATTICES_SHA256))

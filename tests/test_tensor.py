@@ -332,8 +332,10 @@ _fractions = st.fractions(min_value=-20, max_value=20, max_denominator=18)
 @st.composite
 def _kernel_cases(draw):
     """Elements over every ring, in every module-flavor pair, with ranks
-    0-3, 0-4 terms and entries whose numerators and denominators the
-    prime divides (Q_2, Q_3)."""
+    0-3, 0-9 terms and entries whose numerators and denominators the
+    prime divides (Q_2, Q_3).  Nine terms halve three levels deep, with
+    an odd part at each level, and integer entries among the rational
+    ones give merges over equal and over unequal denominators."""
     ring = draw(st.sampled_from([Z, ZT, Q2, Q3, QA]))
     entry = st.integers(-20, 20) if ring.integral else _fractions
     flavors = [SUM, MAX] if ring.non_archimedean else [SUM]
@@ -344,7 +346,7 @@ def _kernel_cases(draw):
             for _ in range(2))
     terms = draw(st.lists(st.tuples(st.tuples(*[entry] * L.rank),
                                     st.tuples(*[entry] * R.rank)),
-                          max_size=4))
+                          max_size=9))
     return TensorElement(L, R, tuple(terms)), draw(st.sampled_from([SUM, MAX]))
 
 
